@@ -36,15 +36,6 @@
 //! to `GEX_BENCHDIFF_SCALING_FLOOR` (default 0.9: threading may not *tax*
 //! the sweep by more than ~10% even when it cannot win).
 //!
-//! `GEX_BENCHDIFF_SM_SCALING_MIN=smt2:1.2` gates the `smt<n>_speedup`
-//! columns the same way (written by `perfstat --sm-threads 2,...`): the
-//! serial-over-SM-threaded speedup of the intra-run two-phase tick. The
-//! same `host_cores >= n` condition applies, but the undersized-host
-//! relaxation has its own knob, `GEX_BENCHDIFF_SM_SCALING_FLOOR`
-//! (default 0.25): intra-run workers fork and join every simulated
-//! cycle, so on a host without real cores they are a genuine tax, not
-//! the ~10% bound that coarse point-level threading gets away with.
-//!
 //! Groups present in only one snapshot are reported but never gate — a
 //! renamed or added figure must not fail CI. Exits 0 with a notice when
 //! fewer than two snapshots exist (first run of a fresh repo).
@@ -69,24 +60,13 @@ fn load(path: &PathBuf) -> (Vec<GroupSnapshot>, Option<u64>, Option<u64>) {
 /// Parse `GEX_BENCHDIFF_SCALING_MIN`: comma-separated `t<n>:<min>` (the
 /// `t` is optional) requirements on the new snapshot's scaling columns.
 fn scaling_requirements() -> Vec<(u64, f64)> {
-    requirements_from("GEX_BENCHDIFF_SCALING_MIN", "t")
-}
-
-/// Parse `GEX_BENCHDIFF_SM_SCALING_MIN`: comma-separated `smt<n>:<min>`
-/// (the `smt` is optional) requirements on the `smt<n>_speedup` columns.
-fn sm_scaling_requirements() -> Vec<(u64, f64)> {
-    requirements_from("GEX_BENCHDIFF_SM_SCALING_MIN", "smt")
-}
-
-fn requirements_from(var: &str, prefix: &str) -> Vec<(u64, f64)> {
-    let Ok(spec) = std::env::var(var) else {
+    let Ok(spec) = std::env::var("GEX_BENCHDIFF_SCALING_MIN") else {
         return Vec::new();
     };
     spec.split(',')
         .filter_map(|entry| {
             let (t, min) = entry.trim().split_once(':')?;
-            let t = t.trim();
-            let t = t.strip_prefix(prefix).unwrap_or(t).parse().ok()?;
+            let t = t.trim().trim_start_matches('t').parse().ok()?;
             let min = min.trim().parse().ok()?;
             Some((t, min))
         })
@@ -195,52 +175,29 @@ fn main() {
         }
     }
 
-    // Scaling gates over the new snapshot's recorded speedup columns:
-    // t<n> (sweep workers) and smt<n> (intra-run SM workers) share the
-    // same host-core relaxation and per-group filtering.
-    struct Gate {
-        label: &'static str,
-        requirements: Vec<(u64, f64)>,
-        columns: fn(&GroupSnapshot) -> &[(u64, f64)],
-        floor: f64,
-    }
-    let floor_from = |var: &str, default: f64| -> f64 {
-        std::env::var(var).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let gates = [
-        Gate {
-            label: "t",
-            requirements: scaling_requirements(),
-            columns: |g| &g.scaling,
-            floor: floor_from("GEX_BENCHDIFF_SCALING_FLOOR", 0.9),
-        },
-        Gate {
-            label: "smt",
-            requirements: sm_scaling_requirements(),
-            columns: |g| &g.sm_scaling,
-            floor: floor_from("GEX_BENCHDIFF_SM_SCALING_FLOOR", 0.25),
-        },
-    ];
-    let cores = new_cores.unwrap_or(1);
-    for Gate { label, requirements, columns, floor } in &gates {
-        for &(t, min) in requirements {
+    // Scaling gate over the new snapshot's t<n>_speedup columns.
+    let requirements = scaling_requirements();
+    if !requirements.is_empty() {
+        let floor: f64 = std::env::var("GEX_BENCHDIFF_SCALING_FLOOR")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.9);
+        let cores = new_cores.unwrap_or(1);
+        for &(t, min) in &requirements {
             // A t-worker speedup requirement is only achievable with t
             // cores; on a smaller host, require only that threading does
             // not tax the sweep (the floor).
             let (required, basis) = if cores >= t {
                 (min, "required")
             } else {
-                (*floor, "host too small, floor")
+                (floor, "host too small, floor")
             };
             for n in &new {
                 let min_applies =
                     min_groups.is_empty() || min_groups.iter().any(|g| g == &n.id);
-                let Some(&(_, speedup)) = columns(n).iter().find(|&&(st, _)| st == t) else {
+                let Some(&(_, speedup)) = n.scaling.iter().find(|&&(st, _)| st == t) else {
                     if min_applies {
-                        println!(
-                            "{:<8} {label}{t}: no scaling column recorded, not gated",
-                            n.id
-                        );
+                        println!("{:<8} t{t}: no scaling column recorded, not gated", n.id);
                     }
                     continue;
                 };
@@ -254,7 +211,7 @@ fn main() {
                     "ok"
                 };
                 println!(
-                    "{:<8} {label}{t}: {speedup:.2}x (>= {required:.2}x, {basis}; host_cores {cores})  {verdict}",
+                    "{:<8} t{t}: {speedup:.2}x (>= {required:.2}x, {basis}; host_cores {cores})  {verdict}",
                     n.id
                 );
             }

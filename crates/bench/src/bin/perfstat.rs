@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! cargo run -p gex-bench --release --bin perfstat -- [test|bench|paper] \
-//!     [--samples N] [--out DIR] [--threads N[,N,...]] \
-//!     [--sm-threads N[,N,...]] [--max-cycles N]
+//!     [--samples N] [--out DIR] [--threads N[,N,...]] [--max-cycles N]
 //! ```
 //!
 //! Defaults: `test` preset, 3 samples, output to the current directory.
@@ -17,14 +16,10 @@
 //! machine's parallelism). A comma list (`--threads 1,2,4,8`) sweeps
 //! several counts in one run: the first is the primary threaded column,
 //! and every count is recorded as a `t<n>_ms`/`t<n>_speedup` scaling
-//! column that `benchdiff`'s `GEX_BENCHDIFF_SCALING_MIN` gate reads.
-//! `--sm-threads 2,4` additionally times each group with the sweep engine
-//! pinned to one worker and the *intra-run* two-phase tick at each SM
-//! worker count, recording `smt<n>_ms`/`smt<n>_speedup` columns for the
-//! `GEX_BENCHDIFF_SM_SCALING_MIN` gate — the two parallelism knobs are
-//! measured independently, never multiplied together. The snapshot header
-//! records the host core count and result-cache state, so a scaling gate
-//! can tell "threading regressed" from "this box has one core".
+//! column that `benchdiff`'s `GEX_BENCHDIFF_SCALING_MIN` gate reads. The
+//! snapshot header records the host core count and result-cache state, so
+//! a scaling gate can tell "threading regressed" from "this box has one
+//! core".
 
 use gex_bench::{perfstat, sms_from_env, BenchArgs};
 
@@ -52,29 +47,21 @@ fn main() {
             .map(|&t| if t == 0 { gex_exec::threads() } else { t })
             .collect()
     };
-    // SM worker counts for the smt<n> columns: opt-in (no flag, no
-    // columns); 0 entries resolve through the GEX_SM_THREADS default.
-    let sm_threads: Vec<usize> = args
-        .sm_threads_list
-        .iter()
-        .map(|&t| if t == 0 { gex_exec::sm_threads() } else { t })
-        .collect();
 
     println!(
         "perfstat: preset={preset:?} sms={sms} samples={samples} threads={threads:?} \
-         sm_threads={sm_threads:?} host_cores={} sim_cache={}",
+         host_cores={} sim_cache={}",
         perfstat::host_cores(),
         gex::cache::enabled(),
     );
     let groups = perfstat::standard_groups(preset);
     let mut stats = Vec::with_capacity(groups.len());
     for g in &groups {
-        let st = perfstat::time_group(g, sms, samples, &threads, &sm_threads);
-        let mut scaling: String = st
+        let st = perfstat::time_group(g, sms, samples, &threads);
+        let scaling: String = st
             .scaling()
             .map(|(t, sp)| format!("  t{t} {sp:>5.2}x"))
             .collect();
-        scaling.extend(st.sm_scaling().map(|(t, sp)| format!("  smt{t} {sp:>5.2}x")));
         println!(
             "{:<8} {:>3} points  serial {:>9.3} ms ({:>12.0} sim-cyc/s)  threaded {:>9.3} ms ({:>12.0} sim-cyc/s){scaling}",
             st.id,
@@ -87,7 +74,7 @@ fn main() {
         stats.push(st);
     }
 
-    let json = perfstat::to_json(preset, sms, samples, &threads, &sm_threads, &stats);
+    let json = perfstat::to_json(preset, sms, samples, &threads, &stats);
     std::fs::create_dir_all(&out_dir).expect("create perfstat output directory");
     let path = out_dir.join(format!("BENCH_{}.json", perfstat::next_bench_index(&out_dir)));
     std::fs::write(&path, &json).expect("write perfstat snapshot");

@@ -43,14 +43,6 @@ pub struct BenchArgs {
     /// Every worker count from `--threads` in order (one entry for the
     /// plain single-count form).
     pub threads_list: Vec<usize>,
-    /// `--sm-threads N` / `--sm-threads=N`: intra-run SM worker count for
-    /// the two-phase tick (`perfstat`'s `smt<n>` columns); 0 or absent
-    /// means serial. A comma list (`--sm-threads 1,2,4`) sweeps several
-    /// counts; this field keeps the first entry and
-    /// [`BenchArgs::sm_threads_list`] the rest.
-    pub sm_threads: Option<usize>,
-    /// Every SM worker count from `--sm-threads` in order.
-    pub sm_threads_list: Vec<usize>,
     /// `--deadline N` / `--deadline=N`: per-point cycle budget for
     /// supervised figure sweeps (retried with escalation, then
     /// quarantined).
@@ -98,12 +90,6 @@ impl BenchArgs {
                 }
             } else if let Some(v) = a.strip_prefix("--threads=") {
                 out.set_threads_arg(v);
-            } else if a == "--sm-threads" {
-                if let Some(v) = it.next() {
-                    out.set_sm_threads_arg(&v);
-                }
-            } else if let Some(v) = a.strip_prefix("--sm-threads=") {
-                out.set_sm_threads_arg(v);
             } else if a == "--deadline" {
                 out.deadline = it.next().and_then(|v| v.parse().ok());
             } else if let Some(v) = a.strip_prefix("--deadline=") {
@@ -133,14 +119,6 @@ impl BenchArgs {
         self.threads_list =
             v.split(',').filter_map(|t| t.trim().parse().ok()).collect();
         self.threads = self.threads_list.first().copied();
-    }
-
-    /// Record a `--sm-threads` value: a single count or a comma list,
-    /// with the same lenient parse as `--threads`.
-    fn set_sm_threads_arg(&mut self, v: &str) {
-        self.sm_threads_list =
-            v.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-        self.sm_threads = self.sm_threads_list.first().copied();
     }
 
     /// The preset named by the first positional argument; harness
@@ -289,19 +267,6 @@ mod tests {
         let messy = parse(&["--threads", "2, x,8"]);
         assert_eq!(messy.threads_list, vec![2, 8]);
         assert!(parse(&[]).threads_list.is_empty());
-    }
-
-    #[test]
-    fn sm_threads_mirrors_threads_parsing() {
-        let a = parse(&["--sm-threads", "1,2,4"]);
-        assert_eq!(a.sm_threads, Some(1));
-        assert_eq!(a.sm_threads_list, vec![1, 2, 4]);
-        assert_eq!(parse(&["--sm-threads=2"]).sm_threads, Some(2));
-        // Both knobs parse side by side without interfering.
-        let both = parse(&["--threads", "4", "--sm-threads", "2"]);
-        assert_eq!(both.threads, Some(4));
-        assert_eq!(both.sm_threads, Some(2));
-        assert!(parse(&[]).sm_threads_list.is_empty());
     }
 
     #[test]

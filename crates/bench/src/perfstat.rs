@@ -68,16 +68,7 @@ impl Group {
     /// time the serial path with `gex_exec::set_threads(1)` and the
     /// parallel path with the override cleared.
     pub fn run_all(&self, sms: u32) -> u64 {
-        self.run_all_with(sms, 0)
-    }
-
-    /// [`Group::run_all`] with an explicit intra-run SM worker count
-    /// (`0` resolves through `GEX_SM_THREADS` as usual). The `smt<n>`
-    /// timing columns pin the sweep engine to one worker and vary this
-    /// knob instead, so the recorded speedup isolates the two-phase
-    /// tick's parallelism from sweep-level parallelism.
-    pub fn run_all_with(&self, sms: u32, sm_threads: u32) -> u64 {
-        let cfg = GpuConfig::kepler_k20().with_sms(sms).with_sm_threads(sm_threads);
+        let cfg = GpuConfig::kepler_k20().with_sms(sms);
         gex_exec::par_map(self.points.clone(), |(wi, scheme, paging)| {
             let w = &self.workloads[wi];
             Gpu::new(cfg.clone(), scheme, paging).run(&w.trace, &self.residencies[wi]).cycles
@@ -164,11 +155,6 @@ pub struct GroupStat {
     /// recorded as `parallel_ms`/`speedup`/`sim_cycles_per_sec`; the rest
     /// become `t<n>_ms`/`t<n>_speedup` scaling columns.
     pub threaded: Vec<(usize, Duration)>,
-    /// Best wall-clock per swept *intra-run SM worker* count
-    /// (`--sm-threads`), timed with the sweep engine pinned to one
-    /// worker. Recorded as `smt<n>_ms`/`smt<n>_speedup` columns — the
-    /// basis `benchdiff`'s `GEX_BENCHDIFF_SM_SCALING_MIN` gate reads.
-    pub sm_threaded: Vec<(usize, Duration)>,
 }
 
 impl GroupStat {
@@ -188,12 +174,6 @@ impl GroupStat {
         self.threaded.iter().map(move |&(t, d)| (t, serial / d.as_secs_f64().max(1e-12)))
     }
 
-    /// Serial-over-SM-threaded speedup per swept SM worker count.
-    pub fn sm_scaling(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let serial = self.serial.as_secs_f64();
-        self.sm_threaded.iter().map(move |&(t, d)| (t, serial / d.as_secs_f64().max(1e-12)))
-    }
-
     /// Simulated cycles per wall-clock second on the primary threaded
     /// path.
     pub fn sim_cycles_per_sec(&self) -> f64 {
@@ -209,33 +189,23 @@ impl GroupStat {
 }
 
 /// Time `group` `samples` times on each path, keeping the best sample.
-/// The serial path forces one worker (and one SM worker); each entry of
-/// `threads` then times the sweep at that worker count (0 = the ambient
-/// count from `GEX_THREADS` / the machine), and each entry of
-/// `sm_threads` times the sweep with the engine pinned serial and the
-/// intra-run two-phase tick at that SM worker count — so the two knobs
-/// are measured independently rather than confounded.
-pub fn time_group(
-    group: &Group,
-    sms: u32,
-    samples: usize,
-    threads: &[usize],
-    sm_threads: &[usize],
-) -> GroupStat {
+/// The serial path forces one worker; each entry of `threads` then times
+/// the sweep at that worker count (0 = the ambient count from
+/// `GEX_THREADS` / the machine).
+pub fn time_group(group: &Group, sms: u32, samples: usize, threads: &[usize]) -> GroupStat {
     let mut sim_cycles = 0;
-    let mut best = |workers: usize, smt: u32| {
-        gex_exec::set_threads(workers);
+    let mut best = |threads: usize| {
+        gex_exec::set_threads(threads);
         let mut best = Duration::MAX;
         for _ in 0..samples.max(1) {
             let t0 = Instant::now();
-            sim_cycles = group.run_all_with(sms, smt);
+            sim_cycles = group.run_all(sms);
             best = best.min(t0.elapsed());
         }
         best
     };
-    let serial = best(1, 1);
-    let threaded = threads.iter().map(|&t| (t, best(t, 1))).collect();
-    let sm_threaded = sm_threads.iter().map(|&t| (t, best(1, t as u32))).collect();
+    let serial = best(1);
+    let threaded = threads.iter().map(|&t| (t, best(t))).collect();
     gex_exec::set_threads(0);
     GroupStat {
         id: group.id.to_string(),
@@ -243,7 +213,6 @@ pub fn time_group(
         sim_cycles,
         serial,
         threaded,
-        sm_threaded,
     }
 }
 
@@ -266,7 +235,6 @@ pub fn to_json(
     sms: u32,
     samples: usize,
     threads: &[usize],
-    sm_threads: &[usize],
     stats: &[GroupStat],
 ) -> String {
     let primary = threads.first().copied().unwrap_or(1);
@@ -279,17 +247,12 @@ pub fn to_json(
     s.push_str(&format!("  \"sms\": {sms},\n"));
     s.push_str(&format!("  \"threads\": {primary},\n"));
     s.push_str(&format!("  \"thread_counts\": [{list}],\n"));
-    if !sm_threads.is_empty() {
-        let list =
-            sm_threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ");
-        s.push_str(&format!("  \"sm_thread_counts\": [{list}],\n"));
-    }
     s.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
     s.push_str(&format!("  \"sim_cache\": {},\n", gex::cache::enabled()));
     s.push_str(&format!("  \"samples\": {samples},\n"));
     s.push_str("  \"groups\": [\n");
     for (i, g) in stats.iter().enumerate() {
-        let mut scaling: String = g
+        let scaling: String = g
             .scaling()
             .map(|(t, sp)| {
                 let ms = g
@@ -300,14 +263,6 @@ pub fn to_json(
                 format!(", \"t{t}_ms\": {ms:.3}, \"t{t}_speedup\": {sp:.3}")
             })
             .collect();
-        scaling.extend(g.sm_scaling().map(|(t, sp)| {
-            let ms = g
-                .sm_threaded
-                .iter()
-                .find(|&&(tt, _)| tt == t)
-                .map_or(0.0, |&(_, d)| d.as_secs_f64() * 1e3);
-            format!(", \"smt{t}_ms\": {ms:.3}, \"smt{t}_speedup\": {sp:.3}")
-        }));
         s.push_str(&format!(
             "    {{\"id\": \"{}\", \"points\": {}, \"sim_cycles\": {}, \
              \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \
@@ -362,10 +317,6 @@ pub struct GroupSnapshot {
     /// `(worker count, serial-over-threaded speedup)` per swept count —
     /// the `t<n>_speedup` columns; empty for single-count snapshots.
     pub scaling: Vec<(u64, f64)>,
-    /// `(SM worker count, serial-over-SM-threaded speedup)` per swept
-    /// count — the `smt<n>_speedup` columns; empty for snapshots
-    /// recorded without `--sm-threads`.
-    pub sm_scaling: Vec<(u64, f64)>,
 }
 
 /// Extract the field `name` (string or number, colon optionally followed
@@ -380,22 +331,10 @@ fn snapshot_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
 
 /// Every `t<n>_speedup` scaling column on a group line, in order.
 fn parse_scaling(line: &str) -> Vec<(u64, f64)> {
-    parse_speedup_columns(line, "\"t")
-}
-
-/// Every `smt<n>_speedup` SM-scaling column on a group line, in order.
-fn parse_sm_scaling(line: &str) -> Vec<(u64, f64)> {
-    parse_speedup_columns(line, "\"smt")
-}
-
-/// Scan `line` for `<prefix><n>_speedup": <f>` columns. The prefixes
-/// cannot shadow each other: `"t` requires a quote directly before the
-/// `t`, which `"smt2_speedup"` does not have, and vice versa.
-fn parse_speedup_columns(line: &str, prefix: &str) -> Vec<(u64, f64)> {
     let mut out = Vec::new();
     let mut rest = line;
-    while let Some(pos) = rest.find(prefix) {
-        rest = &rest[pos + prefix.len()..];
+    while let Some(pos) = rest.find("\"t") {
+        rest = &rest[pos + 2..];
         let digits = rest.chars().take_while(char::is_ascii_digit).count();
         if digits == 0 {
             continue;
@@ -435,7 +374,6 @@ pub fn parse_snapshot(json: &str) -> Vec<GroupSnapshot> {
                 sim_cycles_per_sec,
                 serial_sim_cycles_per_sec,
                 scaling: parse_scaling(line),
-                sm_scaling: parse_sm_scaling(line),
             })
         })
         .collect()
@@ -526,9 +464,8 @@ mod tests {
             sim_cycles: 123_456,
             serial: Duration::from_millis(10),
             threaded: vec![(1, Duration::from_millis(5))],
-            sm_threaded: vec![],
         }];
-        let j = to_json(Preset::Test, 8, 3, &[1], &[], &stats);
+        let j = to_json(Preset::Test, 8, 3, &[1], &stats);
         assert!(j.contains("\"preset\": \"test\""));
         assert!(j.contains("\"threads\": 1"));
         assert!(j.contains("\"thread_counts\": [1]"));
@@ -549,9 +486,8 @@ mod tests {
             sim_cycles: 1_000_000,
             serial: Duration::from_millis(10),
             threaded: vec![(2, Duration::from_millis(5)), (4, Duration::from_micros(2500))],
-            sm_threaded: vec![],
         }];
-        let j = to_json(Preset::Test, 8, 3, &[2, 4], &[], &stats);
+        let j = to_json(Preset::Test, 8, 3, &[2, 4], &stats);
         assert!(j.contains("\"threads\": 2"), "primary column is the first swept count");
         assert!(j.contains("\"thread_counts\": [2, 4]"));
         assert!(j.contains("\"t2_speedup\": 2.000"));
@@ -564,29 +500,17 @@ mod tests {
     }
 
     #[test]
-    fn sm_sweeps_record_smt_columns_alongside_t_columns() {
-        let stats = vec![GroupStat {
-            id: "fig10".into(),
-            points: 44,
-            sim_cycles: 1_000_000,
-            serial: Duration::from_millis(12),
-            threaded: vec![(2, Duration::from_millis(6))],
-            sm_threaded: vec![(2, Duration::from_millis(8)), (4, Duration::from_millis(6))],
-        }];
-        let j = to_json(Preset::Test, 8, 3, &[2], &[2, 4], &stats);
-        assert!(j.contains("\"sm_thread_counts\": [2, 4]"));
-        assert!(j.contains("\"smt2_ms\": 8.000"));
-        assert!(j.contains("\"smt2_speedup\": 1.500"));
-        assert!(j.contains("\"smt4_speedup\": 2.000"));
-        let parsed = parse_snapshot(&j);
+    fn historical_smt_columns_are_ignored() {
+        // BENCH_4.json's fig13 row, verbatim: the `smt<n>_*` columns of
+        // the removed intra-run tick stay on disk and must not disturb
+        // the serial basis or bleed into the `t<n>` scaling list (the
+        // `"t` scan needs a quote directly before the `t`).
+        let row = r#"    {"id": "fig13", "points": 10, "sim_cycles": 441011, "serial_ms": 354.916, "parallel_ms": 332.867, "speedup": 1.066, "serial_sim_cycles_per_sec": 1242577, "sim_cycles_per_sec": 1324888, "t2_ms": 332.867, "t2_speedup": 1.066, "t4_ms": 356.191, "t4_speedup": 0.996, "smt2_ms": 934.650, "smt2_speedup": 0.380, "smt4_ms": 1174.743, "smt4_speedup": 0.302},"#;
+        let parsed = parse_snapshot(row);
         assert_eq!(parsed.len(), 1);
-        // The two column families parse independently: smt<n> never
-        // bleeds into the t<n> scaling list or vice versa.
-        assert_eq!(parsed[0].scaling, vec![(2, 2.0)]);
-        assert_eq!(parsed[0].sm_scaling, vec![(2, 1.5), (4, 2.0)]);
-        // Snapshots without an SM sweep omit the header list entirely.
-        let bare = to_json(Preset::Test, 8, 3, &[2], &[], &stats[..1]);
-        assert!(!bare.contains("sm_thread_counts"));
+        assert_eq!(parsed[0].id, "fig13");
+        assert_eq!(parsed[0].serial_sim_cycles_per_sec, Some(1_242_577.0));
+        assert_eq!(parsed[0].scaling, vec![(2, 1.066), (4, 0.996)]);
     }
 
     #[test]
@@ -598,7 +522,6 @@ mod tests {
                 sim_cycles: 2_000_000,
                 serial: Duration::from_millis(10),
                 threaded: vec![(2, Duration::from_millis(4))],
-                sm_threaded: vec![],
             },
             GroupStat {
                 id: "fig13".into(),
@@ -606,10 +529,9 @@ mod tests {
                 sim_cycles: 500_000,
                 serial: Duration::from_millis(2),
                 threaded: vec![(2, Duration::from_millis(1))],
-                sm_threaded: vec![],
             },
         ];
-        let json = to_json(Preset::Test, 8, 3, &[2], &[], &stats);
+        let json = to_json(Preset::Test, 8, 3, &[2], &stats);
         let parsed = parse_snapshot(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].id, "fig10");

@@ -115,10 +115,10 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
     );
     paged.partition = Some(PartitionPolicy::Quarantine);
     paged.pagesize = Some(PageSizePolicy::Transparent);
-    // A fifth campaign opts into the intra-run parallel two-phase tick
-    // via the spec's `sm_threads` field. The knob is execution strategy,
-    // not simulation identity: the journal bytes — and therefore the
-    // crash/resume digest — must be exactly what a serial run produces.
+    // A fifth campaign carries the spec's legacy `sm_threads` key. The
+    // value is ignored, but it is part of the spec line and so of the
+    // campaign digest: the restarted daemon must find the manifest and
+    // journal it wrote under that digest.
     let mut threaded = CampaignSpec::new(
         Preset::Test,
         4,
@@ -265,9 +265,9 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
         );
     }
 
-    // The sm_threads=2 campaign resumed with its thread count intact and
-    // reports cycles byte-identical to this process's serial reference —
-    // the journal digest is independent of the intra-run thread count.
+    // The sm_threads=2 campaign resumed under its digest and reports
+    // cycles byte-identical to this process's reference: the key is
+    // durable on the wire and has no effect on the simulation.
     let smt_done = c
         .wait("erin", "smt", Duration::from_millis(25))
         .expect("sm-threads campaign finishes after restart");
@@ -283,7 +283,7 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
         let reference = gex::run_workload(&w, Scheme::WdLastCheck, PagingMode::AllResident, 4);
         assert_eq!(
             reference.cycles, *cycles,
-            "{key}: a parallel-tick campaign must journal exactly the serial cycles"
+            "{key}: an sm_threads campaign must journal exactly the reference cycles"
         );
     }
 

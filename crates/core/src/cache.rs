@@ -302,12 +302,6 @@ pub fn clear() {
 fn key_of(gpu: &Gpu, w: &Workload, residency: &Residency) -> String {
     use std::fmt::Write;
     let t = &w.trace;
-    // `sm_threads` is an execution-strategy knob, not simulation identity:
-    // every setting produces bit-identical reports (the sm_parallel
-    // keystone proves it), so normalize it out — cache entries are shared
-    // across intra-run thread counts.
-    let mut cfg = gpu.config().clone();
-    cfg.sm_threads = 0;
     let mut k = String::with_capacity(192);
     let _ = write!(
         k,
@@ -320,7 +314,7 @@ fn key_of(gpu: &Gpu, w: &Workload, residency: &Residency) -> String {
         t.regs_per_thread,
         t.shared_bytes,
         gpu.scheme(),
-        cfg,
+        gpu.config(),
         gpu.paging(),
     );
     // AllResident pre-maps every touched page and never reads the

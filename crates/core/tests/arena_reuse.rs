@@ -8,6 +8,10 @@
 //! byte-identical [`GpuRunReport`]s, and identical figure renders. The
 //! result cache is disabled throughout so every pass actually simulates
 //! (cached replies would trivially match without exercising the arenas).
+//!
+//! The fresh-state reference for a point is the same run on a newly
+//! spawned thread ([`on_new_thread`]): its thread-local arena is empty by
+//! construction.
 
 use gex::workloads::{suite, Preset};
 use gex::{cache, Gpu, GpuConfig, GpuRunReport, Interconnect, PagingMode, Scheme};
@@ -15,7 +19,7 @@ use gex_testkit::prelude::*;
 use std::sync::Mutex;
 
 /// Serializes tests that flip process-global knobs (thread override,
-/// cache enable, arena enable).
+/// cache enable).
 static GLOBALS_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
@@ -53,14 +57,18 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
     idx
 }
 
-fn run_point(wi: usize, scheme: Scheme, sms: u32, arena: bool) -> GpuRunReport {
+/// Run `f` on a thread of its own, i.e. against an empty arena.
+fn on_new_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("fresh-arena run panicked"))
+}
+
+fn run_point(wi: usize, scheme: Scheme, sms: u32) -> GpuRunReport {
     let ws = suite::parboil(Preset::Test);
     Gpu::new(
         GpuConfig::kepler_k20().with_sms(sms),
         scheme,
         PagingMode::demand(Interconnect::nvlink()),
     )
-    .arena(arena)
     .run(&ws[wi].trace, &ws[wi].demand_residency())
 }
 
@@ -68,8 +76,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Same point list, twice through the pool: cold arenas, then warmed
-    /// arenas under a shuffled scheduling order, both equal to fresh
-    /// (arena-disabled) serial runs.
+    /// arenas under a shuffled scheduling order, both equal to serial
+    /// runs on fresh state.
     #[test]
     fn pool_reuse_with_shuffled_order_is_byte_identical(
         sms in prop_oneof![Just(1u32), Just(2), Just(4)],
@@ -80,18 +88,18 @@ proptest! {
         let jobs: Vec<(usize, Scheme)> = (0..3usize)
             .flat_map(|i| [(i, Scheme::Baseline), (i, Scheme::ReplayQueue)])
             .collect();
-        // Reference: fresh state per run, no pool, no arena.
+        // Reference: fresh state per run, no pool.
         let fresh: Vec<GpuRunReport> =
-            jobs.iter().map(|&(wi, s)| run_point(wi, s, sms, false)).collect();
+            jobs.iter().map(|&(wi, s)| on_new_thread(|| run_point(wi, s, sms))).collect();
         // Pass 1: cold worker arenas, natural order.
         let cold = with_threads(4, || {
-            gex::exec::par_map(jobs.clone(), |(wi, s)| run_point(wi, s, sms, true))
+            gex::exec::par_map(jobs.clone(), |(wi, s)| run_point(wi, s, sms))
         });
         // Pass 2: arenas warmed by pass 1, scheduling order shuffled.
         let perm = permutation(jobs.len(), shuffle_seed);
         let shuffled: Vec<(usize, Scheme)> = perm.iter().map(|&i| jobs[i]).collect();
         let warm_shuffled = with_threads(4, || {
-            gex::exec::par_map(shuffled, |(wi, s)| run_point(wi, s, sms, true))
+            gex::exec::par_map(shuffled, |(wi, s)| run_point(wi, s, sms))
         });
         let mut warm: Vec<Option<GpuRunReport>> = vec![None; jobs.len()];
         for (k, &i) in perm.iter().enumerate() {
@@ -111,7 +119,7 @@ proptest! {
 
 /// Arena recycling across stream-count changes: alternating single-stream
 /// and two-tenant runs through the same thread-local arena yields reports
-/// byte-identical to arena-disabled runs. This locks the multi-tenant
+/// byte-identical to fresh-state runs. This locks the multi-tenant
 /// state (per-tenant dispatch queues, SM-ownership map, fault budgets)
 /// into the arena reset contract.
 #[test]
@@ -119,8 +127,8 @@ fn arena_recycles_across_single_and_multi_tenant_runs() {
     use gex::{PartitionPolicy, SharedRunReport, TenantId, TenantWorkload};
     let _g = GLOBALS_LOCK.lock().unwrap();
     let _cache_off = CacheOff::new();
-    let run_single = |arena: bool| run_point(2, Scheme::ReplayQueue, 4, arena);
-    let run_multi = |arena: bool| -> SharedRunReport {
+    let run_single = || run_point(2, Scheme::ReplayQueue, 4);
+    let run_multi = || -> SharedRunReport {
         let ws = suite::parboil(Preset::Test);
         // ws[2] = histo (victim), ws[3] = lbm (budgeted noisy neighbor).
         let tenants = [
@@ -137,24 +145,24 @@ fn arena_recycles_across_single_and_multi_tenant_runs() {
             Scheme::ReplayQueue,
             PagingMode::demand(Interconnect::nvlink()),
         )
-        .arena(arena)
         .run_multi(&tenants, PartitionPolicy::Quarantine)
     };
-    let fresh_single = run_single(false);
-    let fresh_multi = run_multi(false);
+    let fresh_single = on_new_thread(run_single);
+    let fresh_multi = on_new_thread(run_multi);
     // Warm the arena with a multi-tenant run, then alternate shapes.
-    let m1 = run_multi(true);
-    let s1 = run_single(true);
-    let m2 = run_multi(true);
-    let s2 = run_single(true);
+    let m1 = run_multi();
+    let s1 = run_single();
+    let m2 = run_multi();
+    let s2 = run_single();
     assert_eq!(m1, fresh_multi, "cold-arena multi-tenant run diverged");
     assert_eq!(s1, fresh_single, "single-stream run on a multi-warmed arena diverged");
     assert_eq!(m2, fresh_multi, "multi-tenant run on a single-warmed arena diverged");
     assert_eq!(s2, fresh_single, "second single-stream run diverged");
 }
 
-/// Figure renders are identical across pool reuse and with arena reuse
-/// globally disabled — the user-visible form of the same contract.
+/// Figure renders are identical across pool reuse and against a serial
+/// sweep on a new thread (one arena that sees every point in order) —
+/// the user-visible form of the same contract.
 #[test]
 fn figure_renders_survive_pool_and_arena_reuse() {
     let _g = GLOBALS_LOCK.lock().unwrap();
@@ -163,9 +171,9 @@ fn figure_renders_survive_pool_and_arena_reuse() {
     // The pool's worker arenas are warm now; render again.
     let second = with_threads(4, || gex::experiments::fig10(Preset::Test, 2).to_string());
     assert_eq!(first, second, "warmed arenas changed a figure render");
-    gex::sim::set_arena_enabled(false);
-    let fresh = with_threads(4, || gex::experiments::fig10(Preset::Test, 2).to_string());
-    gex::sim::set_arena_enabled(true);
-    assert_eq!(first, fresh, "arena reuse changed a figure render");
+    let serial = on_new_thread(|| {
+        with_threads(1, || gex::experiments::fig10(Preset::Test, 2).to_string())
+    });
+    assert_eq!(first, serial, "arena history changed a figure render");
     assert!(!first.is_empty());
 }

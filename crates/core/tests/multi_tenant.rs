@@ -17,7 +17,7 @@
 use gex::workloads::{suite, Preset};
 use gex::{
     Gpu, GpuConfig, InjectionPlan, Interconnect, PageSizePolicy, PagingMode, PartitionPolicy,
-    Scheme, TenantId, TenantWorkload,
+    Scheme, SimError, TenantId, TenantWorkload,
 };
 
 const SMS: u32 = 4;
@@ -185,5 +185,32 @@ fn shared_degrades_victims_and_quarantine_locks_out_chaos() {
         assert!(!qv.quarantined, "victim must survive the lockout ({scheme:?})");
         assert_eq!(qv.completed, qv.blocks, "victim must finish after the lockout ({scheme:?})");
         assert_eq!(qv.denied_requests, 0, "denials must charge only the noisy tenant ({scheme:?})");
+    }
+}
+
+/// More tenants than SMs is a typed, recoverable configuration error —
+/// never a panic — under every policy, because tenant lists arrive over
+/// the campaign wire.
+#[test]
+fn oversubscription_is_a_typed_error() {
+    let w = suite::by_name("histo", Preset::Test).unwrap();
+    let mk = |id: &str| {
+        TenantWorkload::new(TenantId::new(id), w.trace.clone(), w.demand_residency())
+    };
+    let tenants = [mk("a"), mk("b"), mk("c")];
+    for policy in
+        [PartitionPolicy::Shared, PartitionPolicy::Quarantine, PartitionPolicy::Static]
+    {
+        match gpu(Scheme::ReplayQueue, 2).try_run_multi(&tenants, policy) {
+            Err(SimError::Oversubscribed { tenants: t, sms }) => {
+                assert_eq!((t, sms), (3, 2), "under {policy}");
+            }
+            other => panic!("expected Oversubscribed under {policy}, got {other:?}"),
+        }
+    }
+    // A zero-SM GPU rejects single-stream runs the same way.
+    match gpu(Scheme::Baseline, 0).try_run(&w.trace, &w.demand_residency()) {
+        Err(SimError::Oversubscribed { tenants: 1, sms: 0 }) => {}
+        other => panic!("expected Oversubscribed, got {other:?}"),
     }
 }

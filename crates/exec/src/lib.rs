@@ -38,14 +38,10 @@ mod pool;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Process-wide override set by [`set_threads`]; 0 means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide override set by [`set_sm_threads`]; 0 means "no override".
-static SM_THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// The number of worker threads [`par_map`] will use.
 ///
@@ -73,36 +69,6 @@ pub fn threads() -> usize {
 /// sweep in one process.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The number of worker threads the *intra-run* SM compute phase will use
-/// when a `Gpu` is configured for ambient SM threading.
-///
-/// Resolution order: a [`set_sm_threads`] override, the `GEX_SM_THREADS`
-/// environment variable (clamped to at least 1; unparsable values are
-/// ignored), then **1** — intra-run parallelism is opt-in, unlike the
-/// point-level sweep width, because a single serial run is the
-/// determinism anchor everything else is measured against.
-pub fn sm_threads() -> usize {
-    let forced = SM_THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(v) = std::env::var("GEX_SM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    1
-}
-
-/// Force the intra-run SM worker count for subsequent runs in this
-/// process, overriding `GEX_SM_THREADS`. Pass 0 to clear the override.
-///
-/// Used by `perfstat` to time serial and SM-parallel runs of the same
-/// figure back to back.
-pub fn set_sm_threads(n: usize) {
-    SM_THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// Worker threads alive in the persistent pool. Workers are spawned on
@@ -255,88 +221,6 @@ where
         .collect()
 }
 
-/// Shares a slice base pointer with pool helpers. Soundness comes from
-/// the index-claim protocol in [`par_each_mut`]: the atomic cursor hands
-/// each index to exactly one runner, so no two threads ever form a `&mut`
-/// to the same element.
-struct SliceBase<T> {
-    ptr: *mut T,
-}
-
-// SAFETY: elements are only touched through exclusively claimed indices
-// (see `par_each_mut`); `T: Send` because the `&mut` crosses threads.
-unsafe impl<T: Send> Sync for SliceBase<T> {}
-
-impl<T> SliceBase<T> {
-    /// # Safety
-    /// The caller must hold the exclusive claim on `idx` for the duration
-    /// of the returned borrow.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, idx: usize) -> &mut T {
-        unsafe { &mut *self.ptr.add(idx) }
-    }
-}
-
-/// Run `f(i, &mut items[i])` for every index, in parallel on `workers`
-/// threads (pooled helpers plus the caller), with no ordering guarantee
-/// *between* elements — each element is visited exactly once by exactly
-/// one thread.
-///
-/// This is the intra-run phase primitive: the engine's compute phase
-/// ticks every SM against disjoint state, so elements need mutation but
-/// never cross-talk. With `workers <= 1` (or at most one item) the loop
-/// runs serially on the caller in index order — same closure, no pool.
-/// Nested-sweep safe: helpers come from the same persistent pool as
-/// [`par_map`], and the caller participates + helps while waiting, so an
-/// SM-parallel run inside a point-level sweep cannot deadlock.
-///
-/// A panic in `f` is caught at the element boundary; sibling elements
-/// still run, and the first panic (by claim order, not index order) is
-/// re-raised on the caller once the scope completes — so borrows stay
-/// sound and the pool never unwinds.
-pub fn par_each_mut<T, F>(items: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n_jobs = items.len();
-    let n_workers = workers.min(n_jobs.max(1));
-    if n_workers <= 1 || n_jobs <= 1 {
-        for (idx, item) in items.iter_mut().enumerate() {
-            f(idx, item);
-        }
-        return;
-    }
-
-    let base = SliceBase { ptr: items.as_mut_ptr() };
-    let next = AtomicUsize::new(0);
-    let panic_slot: Mutex<Option<String>> = Mutex::new(None);
-    // Claim one index per fetch_add: element counts are small (SMs per
-    // GPU) and each element is a whole SM tick, so per-index claiming
-    // costs nothing and balances stragglers best.
-    let runner = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= n_jobs {
-            break;
-        }
-        // SAFETY: the fetch_add handed `idx` to this runner exclusively,
-        // and the scope's latch orders all element writes before the
-        // caller regains `items`.
-        let item = unsafe { base.get_mut(idx) };
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(idx, item))) {
-            let mut slot = panic_slot.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(panic_message(p));
-            }
-        }
-    };
-    pool::scope_run(n_workers - 1, &runner);
-
-    if let Some(msg) = panic_slot.into_inner().unwrap() {
-        std::panic::panic_any(msg);
-    }
-}
-
 /// Map `f` over `items` on the persistent pool, returning results in
 /// input order.
 ///
@@ -372,6 +256,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serialize tests that touch the process-wide override.
     static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
@@ -486,69 +371,6 @@ mod tests {
         // Re-running at the same concurrency reuses the parked workers
         // rather than spawning fresh threads per sweep.
         assert_eq!(pooled_workers(), after_first, "same concurrency must not respawn");
-    }
-
-    #[test]
-    fn sm_threads_default_is_serial_and_override_wins() {
-        let _g = OVERRIDE_GUARD.lock().unwrap();
-        set_sm_threads(0);
-        if std::env::var("GEX_SM_THREADS").is_err() {
-            assert_eq!(sm_threads(), 1, "intra-run parallelism is opt-in");
-        }
-        set_sm_threads(4);
-        assert_eq!(sm_threads(), 4);
-        set_sm_threads(0);
-    }
-
-    #[test]
-    fn par_each_mut_visits_every_element_exactly_once() {
-        let mut items: Vec<u64> = (0..97).collect();
-        par_each_mut(&mut items, 8, |i, v| {
-            assert_eq!(*v, i as u64, "element visited twice or out of slot");
-            *v = *v * 3 + 1;
-        });
-        assert_eq!(items, (0..97).map(|x| x * 3 + 1).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn par_each_mut_serial_fallback_matches_parallel() {
-        let mut serial: Vec<String> = (0..50).map(|i| format!("s{i}")).collect();
-        let mut parallel = serial.clone();
-        let f = |i: usize, v: &mut String| v.push_str(&format!("-{}", i * i));
-        par_each_mut(&mut serial, 1, f);
-        par_each_mut(&mut parallel, 6, f);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_each_mut_panic_reaches_caller_after_siblings_finish() {
-        use std::sync::atomic::AtomicU32;
-        let visited = AtomicU32::new(0);
-        let mut items: Vec<u32> = (0..32).collect();
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            par_each_mut(&mut items, 4, |_, v| {
-                visited.fetch_add(1, Ordering::Relaxed);
-                assert!(*v != 7, "poisoned element");
-            });
-        }));
-        assert!(res.is_err(), "element panic must reach the caller");
-        assert_eq!(visited.load(Ordering::Relaxed), 32, "siblings of a panic still run");
-    }
-
-    #[test]
-    fn par_each_mut_nests_inside_point_level_sweeps() {
-        let _g = OVERRIDE_GUARD.lock().unwrap();
-        set_threads(2);
-        // Each point-level job runs an SM-parallel inner phase; the
-        // shared pool's caller-participates + help-while-waiting rules
-        // keep the nesting deadlock-free.
-        let out = par_map(vec![100u64, 200, 300], |base| {
-            let mut sms: Vec<u64> = (0..8).map(|i| base + i).collect();
-            par_each_mut(&mut sms, 3, |_, v| *v *= 2);
-            sms.iter().sum::<u64>()
-        });
-        set_threads(0);
-        assert_eq!(out, vec![1656, 3256, 4856]);
     }
 
     #[test]

@@ -435,7 +435,7 @@ impl MemSystem {
         self.events.peek().map(|std::cmp::Reverse((c, _, _))| *c)
     }
 
-    /// Push-mode wake hook: the current [`MemSystem::next_event_cycle`]
+    /// Wake-queue hook: the current [`MemSystem::next_event_cycle`]
     /// when it changed since the last take, `None` otherwise. The caller
     /// pushes the returned cycle into its wake queue; the fast path (no
     /// schedule or pop since last take) is a single flag test.

@@ -1,12 +1,11 @@
 //! Memoized wake-cycle publication for push-based idle scheduling.
 //!
-//! Under `NextEventMode::Push` (see `gex_sm::event_heap`), latency-bearing
-//! components *push* their exact next wake cycle into a shared queue at
-//! the moment they schedule work, instead of being re-polled per idle
-//! window. [`WakeMemo`] is the small helper every pushing component uses
-//! to avoid flooding the queue: it remembers the last value published and
-//! yields a fresh value only when the component's `next_event_cycle()`
-//! actually moved.
+//! Latency-bearing components *push* their exact next wake cycle into a
+//! shared queue (`gex_sm::wake_queue::WakeQueue`) at the moment they
+//! schedule work, instead of being re-polled per idle window. [`WakeMemo`]
+//! is the small helper every pushing component uses to avoid flooding the
+//! queue: it remembers the last value published and yields a fresh value
+//! only when the component's `next_event_cycle()` actually moved.
 //!
 //! Skipping the unchanged case is sound: components only ever schedule
 //! *strictly-future* events and consume every due event when ticked, so a

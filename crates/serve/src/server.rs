@@ -286,10 +286,6 @@ struct WavePoint {
     /// Page-size policy for the point's GPU (from the spec); `None`
     /// keeps the simulator default (4 KB pages).
     pagesize: Option<gex::PageSizePolicy>,
-    /// Intra-run SM worker count (from the spec); `None` defers to the
-    /// ambient default. Bit-identical results at every setting, so the
-    /// journal bytes are independent of it.
-    sm_threads: Option<u32>,
     /// Owning tenant — becomes the stream's simulator [`TenantId`] on
     /// partitioned points.
     tenant: String,
@@ -305,14 +301,11 @@ struct WavePoint {
 /// The point's GPU configuration: the spec's SM count, plus its
 /// page-size policy when one was requested.
 fn point_config(p: &WavePoint) -> GpuConfig {
-    let mut cfg = GpuConfig::kepler_k20().with_sms(p.sms);
-    if let Some(policy) = p.pagesize {
-        cfg = cfg.with_page_size(policy);
+    let cfg = GpuConfig::kepler_k20().with_sms(p.sms);
+    match p.pagesize {
+        Some(policy) => cfg.with_page_size(policy),
+        None => cfg,
     }
-    if let Some(n) = p.sm_threads {
-        cfg = cfg.with_sm_threads(n);
-    }
-    cfg
 }
 
 fn cancelled_err() -> SimError {
@@ -805,7 +798,6 @@ fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
             inject: c.spec.inject,
             partition: c.spec.partition,
             pagesize: c.spec.pagesize,
-            sm_threads: c.spec.sm_threads,
             tenant: c.tenant.clone(),
             background: c.background.as_ref().map(Arc::clone),
             stream_budget: cfg.stream_fault_budget,

@@ -104,12 +104,11 @@ pub struct CampaignSpec {
     /// spec lines parse and re-encode unchanged, so campaign digests
     /// (and therefore crash/resume identity) are unaffected.
     pub pagesize: Option<PageSizePolicy>,
-    /// Optional intra-run SM worker count for each point's simulation
-    /// (see `GpuConfig::sm_threads`). Execution strategy, not simulation
-    /// identity: every setting produces bit-identical cycle counts, so
-    /// resuming a campaign at a different thread count reproduces the
-    /// same journal bytes. `None` (absent from old lines, byte-stable)
-    /// defers to the server's ambient default.
+    /// Ignored. Earlier builds let a spec pick an intra-run SM worker
+    /// count; that engine is gone, but the spec line is stored verbatim
+    /// in the manifest and folded into the campaign digest, so the key
+    /// still parses and re-encodes byte-identically — a manifest written
+    /// by such a build keeps its digest and resumes.
     pub sm_threads: Option<u32>,
 }
 
@@ -683,6 +682,17 @@ mod tests {
             CampaignSpec::parse(&line.replace('}', ",\"pagesize\":\"giant\"}")).is_err(),
             "unknown page-size tokens must be rejected"
         );
+    }
+
+    #[test]
+    fn legacy_sm_threads_key_round_trips_verbatim() {
+        // The line a previous build wrote into a manifest for a campaign
+        // submitted with `sm_threads=2`: the value is ignored, but the
+        // bytes (and so the campaign digest) must survive parse/encode.
+        let line = "{\"preset\":\"Test\",\"sms\":4,\"weight\":1,\"workloads\":\"sad,spmv\",\"schemes\":\"WdLastCheck\",\"sm_threads\":2}";
+        let s = CampaignSpec::parse(line).unwrap();
+        assert_eq!(s.sm_threads, Some(2));
+        assert_eq!(s.encode(), line);
     }
 
     #[test]

@@ -284,27 +284,54 @@ fn unschedulable_specs_are_rejected_cleanly() {
     handle.join();
 }
 
-/// A spec carrying `sm_threads` runs the points with the parallel
-/// two-phase tick and reports exactly the cycles of a serial direct
-/// simulation — the wire knob changes execution strategy, never results.
+/// A journal directory left by a build that still honoured the spec's
+/// `sm_threads` key recovers under the same digest: the value is ignored,
+/// but the key re-encodes verbatim, so the manifest still names the
+/// journal that holds the finished point.
 #[test]
-fn sm_threads_spec_reproduces_serial_results() {
-    let handle = server::start(ServerConfig::default()).unwrap();
-    let mut c = fast_client(&handle.addr());
-    let mut s = spec(&["histo", "sad"], &[Scheme::WdLastCheck]);
-    s.sm_threads = Some(2);
-    c.submit("t", "par", &s).expect("admit");
-    let done = c.wait("t", "par", Duration::from_millis(20)).expect("finish");
-    assert_eq!(done.state, "done");
-    let (_, points) = c.results("t", "par").expect("results");
-    for p in &points {
-        let PointResult::Done { key, cycles } = p else { panic!("unexpected outcome {p:?}") };
-        let wname = key.split_once('/').unwrap().0;
-        let w = suite::by_name(wname, Preset::Test).unwrap();
-        let direct = gex::run_workload(&w, Scheme::WdLastCheck, PagingMode::AllResident, 2);
-        assert_eq!(direct.cycles, *cycles, "{key}: parallel tick must match serial cycles");
+fn manifest_carrying_sm_threads_recovers_under_the_same_digest() {
+    use gex::journal::{self, CampaignJournal, CampaignManifest};
+    let dir = temp_dir("legacy-sm-threads");
+    let id = "erin/smt";
+    let line = "{\"preset\":\"Test\",\"sms\":2,\"weight\":1,\"workloads\":\"histo,sad\",\"schemes\":\"WdLastCheck\",\"sm_threads\":2}";
+    let digest = journal::digest(&format!("{id}|{line}"));
+    CampaignManifest {
+        id: id.to_string(),
+        tenant: "erin".to_string(),
+        digest,
+        spec: line.to_string(),
     }
+    .save(&dir)
+    .expect("write the legacy manifest");
+    // One point finished before the old daemon died. A sentinel no
+    // simulation produces proves it is served from this journal.
+    const SENTINEL: u64 = 7;
+    CampaignJournal::open(&journal::journal_path(&dir, digest), digest)
+        .expect("write the legacy journal")
+        .record("histo/WdLastCheck", SENTINEL);
+
+    let handle = server::start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = fast_client(&handle.addr());
+    let done = c.wait("erin", "smt", Duration::from_millis(20)).expect("finish");
+    assert_eq!(done.state, "done");
+    assert_eq!((done.points, done.resumed), (2, 1), "{done:?}");
+    let (_, points) = c.results("erin", "smt").expect("results");
+    let sad = suite::by_name("sad", Preset::Test).unwrap();
+    let direct = gex::run_workload(&sad, Scheme::WdLastCheck, PagingMode::AllResident, 2);
+    assert_eq!(
+        points,
+        vec![
+            PointResult::Done { key: "histo/WdLastCheck".to_string(), cycles: SENTINEL },
+            PointResult::Done { key: "sad/WdLastCheck".to_string(), cycles: direct.cycles },
+        ]
+    );
     handle.join();
+    assert_eq!(journal::list_manifests(&dir).len(), 1, "recovery must not fork the campaign");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -47,13 +47,6 @@ pub struct GpuConfig {
     /// dispatches for this many consecutive cycles (forward-progress
     /// watchdog).
     pub watchdog_cycles: Cycle,
-    /// Intra-run SM worker threads for the two-phase tick: `0` resolves
-    /// the ambient default (`gex_exec::sm_threads()`, i.e.
-    /// `GEX_SM_THREADS` or serial), `1` forces the serial reference path,
-    /// `n > 1` ticks this run's SMs on `n` workers between memory-commit
-    /// barriers. Every setting produces bit-identical reports; the result
-    /// cache deliberately ignores this field.
-    pub sm_threads: u32,
 }
 
 impl GpuConfig {
@@ -64,7 +57,6 @@ impl GpuConfig {
             mem: MemConfig::kepler_k20(),
             max_cycles: default_max_cycles(),
             watchdog_cycles: WATCHDOG_FALLBACK,
-            sm_threads: 0,
         }
     }
 
@@ -98,15 +90,6 @@ impl GpuConfig {
     /// keystone turns it off to prove degradation to `Small`).
     pub fn with_coalescing(mut self, on: bool) -> Self {
         self.mem.coalesce = on;
-        self
-    }
-
-    /// Override the intra-run SM worker count (see
-    /// [`GpuConfig::sm_threads`]): 0 = ambient (`GEX_SM_THREADS`), 1 =
-    /// serial reference path, n > 1 = parallel compute phase on n
-    /// workers. Bit-identical results at every setting.
-    pub fn with_sm_threads(mut self, n: u32) -> Self {
-        self.sm_threads = n;
         self
     }
 
@@ -172,13 +155,6 @@ mod tests {
         // The watchdog window stays well under the cap by default, so a
         // wedged run reports diagnostics instead of timing out.
         const { assert!(WATCHDOG_FALLBACK < MAX_CYCLES_FALLBACK) };
-    }
-
-    #[test]
-    fn sm_threads_default_and_override() {
-        let c = GpuConfig::kepler_k20();
-        assert_eq!(c.sm_threads, 0, "default resolves the ambient GEX_SM_THREADS setting");
-        assert_eq!(c.with_sm_threads(4).sm_threads, 4);
     }
 
     #[test]

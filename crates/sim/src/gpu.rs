@@ -25,57 +25,32 @@ use gex_isa::trace::{BlockTrace, KernelTrace};
 use gex_mem::phys::PhysAllocator;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, PageState};
-use gex_sm::{
-    FaultNotice, KernelSetup, NextEventHeap, NextEventMode, RunBudget, Scheme, Sm, SmStats,
-    WakeQueue, WarpDiag,
-};
+use gex_sm::{FaultNotice, KernelSetup, RunBudget, Scheme, Sm, SmStats, WakeQueue, WarpDiag};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Count of full linear next-event scans executed by
-/// [`NextEventMode::Scan`]'s reference path (including the debug-build
-/// cross-checks of the other modes). Exposed via [`scan_probe_count`] so
-/// tests can assert that push mode does *zero* scan work in release
-/// builds. Relaxed: a monotonic telemetry counter, not a synchronizer.
-static SCAN_PROBES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of full next-event scans so far (see
-/// [`NextEventMode`]): the O(components) fallback that push-based wake
-/// scheduling exists to avoid. In release builds a [`NextEventMode::Push`]
-/// run leaves this counter untouched.
-pub fn scan_probe_count() -> u64 {
-    SCAN_PROBES.load(Ordering::Relaxed)
-}
 
 /// Reusable per-thread simulation state: every buffer a run grows once
 /// and a later run can reuse instead of reallocating — SMs (event wheels,
-/// token maps, scratch vectors), local schedulers, the next-event heap,
-/// the wake queue and the dispatch queue. Sweeps run thousands of points
-/// per worker thread; recycling these is what makes the per-point cost
-/// allocation-free in steady state.
+/// token maps, scratch vectors), local schedulers, the wake queue and the
+/// dispatch queues. Sweeps run thousands of points per worker thread;
+/// recycling these is what makes the per-point cost allocation-free in
+/// steady state.
 ///
 /// Reuse is *observably* equivalent to fresh state: every component is
 /// reset through its `recycle`/`reset`/`clear` path before a run touches
-/// it, and the equivalence suite locks byte-identical reports between
-/// fresh and reused arenas.
+/// it, and the equivalence suite locks byte-identical reports between a
+/// new thread's empty arena and a reused one.
 #[derive(Debug, Default)]
 struct SimArena {
     sms: Vec<Sm>,
     scheds: Vec<LocalScheduler>,
-    heap: NextEventHeap,
     wake: WakeQueue,
     notice_buf: Vec<FaultNotice>,
     /// Per-tenant dispatch queues (single-tenant runs use one).
     queues: Vec<VecDeque<Arc<BlockTrace>>>,
     /// Per-SM owning tenant index.
     sm_owner: Vec<usize>,
-    /// Per-SM participation flags for the two-phase parallel tick
-    /// (per-cycle scratch, rebuilt before each compute phase).
-    live: Vec<bool>,
-    /// Per-SM stall state captured before the compute phase (scratch).
-    was_stalled: Vec<bool>,
     /// SMs that completed at least one block this cycle: the completion
     /// drain walks only these instead of scanning every SM every cycle.
     done_sms: Vec<usize>,
@@ -90,29 +65,6 @@ thread_local! {
     static ARENA: RefCell<SimArena> = RefCell::new(SimArena::default());
 }
 
-/// 0 = unset (consult `GEX_SIM_ARENA`), 1 = forced on, 2 = forced off.
-static ARENA_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Force arena reuse on or off for subsequently constructed [`Gpu`]s,
-/// overriding `GEX_SIM_ARENA` — the A/B switch for equivalence tests.
-/// [`Gpu::arena`] still overrides per instance.
-pub fn set_arena_enabled(on: bool) {
-    ARENA_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Arena reuse default for new [`Gpu`]s: the [`set_arena_enabled`]
-/// override if set, else on unless `GEX_SIM_ARENA=0`.
-fn arena_default() -> bool {
-    match ARENA_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => match std::env::var("GEX_SIM_ARENA") {
-            Ok(v) => v != "0",
-            Err(_) => true,
-        },
-    }
-}
-
 /// The GPU simulator front end. Construct once, [`Gpu::run`] per launch.
 #[derive(Debug, Clone)]
 pub struct Gpu {
@@ -121,8 +73,6 @@ pub struct Gpu {
     paging: PagingMode,
     inject: Option<InjectionPlan>,
     budget: RunBudget,
-    next_event: NextEventMode,
-    use_arena: bool,
     fault_budget: Option<u32>,
 }
 
@@ -136,8 +86,6 @@ impl Gpu {
             paging,
             inject: None,
             budget: RunBudget::none(),
-            next_event: NextEventMode::from_env(),
-            use_arena: arena_default(),
             fault_budget: None,
         }
     }
@@ -198,26 +146,6 @@ impl Gpu {
         self.inject.as_ref()
     }
 
-    /// Select how idle windows find the next event cycle: push-based wake
-    /// events ([`NextEventMode::Push`], the default), the
-    /// lazy-invalidation [`NextEventMode::Heap`], or the original
-    /// [`NextEventMode::Scan`]. All three produce byte-identical
-    /// simulations; the knob exists for A/B comparison and the
-    /// equivalence suite.
-    pub fn next_event_mode(mut self, mode: NextEventMode) -> Self {
-        self.next_event = mode;
-        self
-    }
-
-    /// Enable or disable per-thread arena reuse for this GPU's runs
-    /// (default: on, unless `GEX_SIM_ARENA=0`). Reused and fresh state
-    /// are observably equivalent; the knob exists for A/B comparison and
-    /// the equivalence suite.
-    pub fn arena(mut self, on: bool) -> Self {
-        self.use_arena = on;
-        self
-    }
-
     /// Execute `trace` with the given initial data placement.
     ///
     /// # Panics
@@ -242,10 +170,6 @@ impl Gpu {
     ) -> Result<GpuRunReport, SimError> {
         if self.cfg.num_sms() == 0 {
             return Err(SimError::Oversubscribed { tenants: 1, sms: 0 });
-        }
-        if !self.use_arena {
-            let mut engine = Engine::new(self, trace, residency, SimArena::default());
-            return engine.run(trace);
         }
         // Take the thread's arena for the run's duration, put it back
         // afterwards (grown buffers and all). A panicking run drops the
@@ -330,11 +254,7 @@ impl Gpu {
                 }
             })
             .collect();
-        let arena = if gpu.use_arena {
-            ARENA.with(|slot| slot.take())
-        } else {
-            SimArena::default()
-        };
+        let arena = ARENA.with(|slot| slot.take());
         let mut engine = Engine::new_multi(&gpu, &streams, arena);
         engine.mem.set_tenant_shift(TENANT_SHIFT);
         if policy == PartitionPolicy::Quarantine {
@@ -371,9 +291,7 @@ impl Gpu {
                 })
                 .collect(),
         });
-        if gpu.use_arena {
-            ARENA.with(|slot| slot.replace(engine.into_arena()));
-        }
+        ARENA.with(|slot| slot.replace(engine.into_arena()));
         result
     }
 
@@ -451,36 +369,22 @@ struct Engine {
     max_cycles: Cycle,
     watchdog_cycles: Cycle,
     budget: RunBudget,
-    next_event: NextEventMode,
-    /// Next-event cycles per component under [`NextEventMode::Heap`]:
-    /// source 0 is the memory system, 1 the CPU handler, 2 the GPU-local
-    /// handler, `3 + i` SM `i`, `3 + num_sms + i` local scheduler `i`.
-    heap: NextEventHeap,
-    /// Wake-event queue under [`NextEventMode::Push`]: the memory system,
-    /// the CPU handler and the GPU-local handler publish their next wake
-    /// cycle through memoized [`gex_mem::WakeMemo`] hooks right after
-    /// their last mutation each iteration, and the per-SM schedulers push
+    /// Wake-event queue behind the idle skip: the memory system, the CPU
+    /// handler and the GPU-local handler publish their next wake cycle
+    /// through memoized [`gex_mem::WakeMemo`] hooks right after their
+    /// last mutation each iteration, and the per-SM schedulers push
     /// save/restore completion cycles at the moment the transfer is
     /// scheduled. SMs are deliberately *not* wake sources: the queue is
     /// only consulted when every SM is stalled, and a stalled SM has an
-    /// empty internal event heap (`is_stalled` ⇒ `next_event_cycle() ==
-    /// None`), so the scan reference gets nothing from them either.
+    /// empty internal event wheel (`is_stalled` ⇒ `next_event_cycle() ==
+    /// None`), so the scan oracle gets nothing from them either.
     wake: WakeQueue,
     /// Reused scratch for draining SM fault notices without allocating.
     notice_buf: Vec<FaultNotice>,
-    /// Worker threads for the SM compute phase, resolved once at
-    /// construction from [`GpuConfig::sm_threads`] (0 defers to the
-    /// ambient [`gex_exec::sm_threads`]). `<= 1` takes the serial
-    /// reference path in [`Engine::tick_sms`].
-    sm_workers: usize,
     /// SMs currently stalled, maintained incrementally at every mutation
     /// site (tick, region resolution, drain/save/restore, dispatch) so
     /// the per-cycle `all_stalled` test is O(1) instead of an SM scan.
     stalled: u32,
-    /// See [`SimArena::live`].
-    live: Vec<bool>,
-    /// See [`SimArena::was_stalled`].
-    was_stalled: Vec<bool>,
     /// See [`SimArena::done_sms`].
     done_sms: Vec<usize>,
 }
@@ -501,12 +405,6 @@ struct TenantCtx {
     /// and its pending faults purged. Resident blocks wedge in place.
     quarantined: bool,
 }
-
-/// Heap source indices (see [`Engine::heap`]).
-const SRC_MEM: usize = 0;
-const SRC_CPU: usize = 1;
-const SRC_LOCAL: usize = 2;
-const SRC_SM: usize = 3;
 
 impl Engine {
     fn new(gpu: &Gpu, trace: &KernelTrace, residency: &Residency, arena: SimArena) -> Self {
@@ -604,17 +502,12 @@ impl Engine {
         let SimArena {
             mut sms,
             mut scheds,
-            mut heap,
             mut wake,
             mut notice_buf,
             mut queues,
             mut sm_owner,
-            mut live,
-            mut was_stalled,
             mut done_sms,
         } = arena;
-        live.clear();
-        was_stalled.clear();
         done_sms.clear();
         sms.truncate(num_sms as usize);
         for (i, sm) in sms.iter_mut().enumerate() {
@@ -635,7 +528,6 @@ impl Engine {
             s.reset();
         }
         scheds.resize_with(num_sms as usize, LocalScheduler::new);
-        heap.reset(SRC_SM + 2 * num_sms as usize);
         wake.clear();
         notice_buf.clear();
         for q in &mut queues {
@@ -671,17 +563,9 @@ impl Engine {
             max_cycles: gpu.cfg.max_cycles,
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
-            next_event: gpu.next_event,
-            heap,
             wake,
             notice_buf,
-            sm_workers: match gpu.cfg.sm_threads {
-                0 => gex_exec::sm_threads(),
-                n => n as usize,
-            },
             stalled,
-            live,
-            was_stalled,
             done_sms,
         }
     }
@@ -693,13 +577,10 @@ impl Engine {
         SimArena {
             sms: self.sms,
             scheds: self.scheds,
-            heap: self.heap,
             wake: self.wake,
             notice_buf: self.notice_buf,
             queues: self.queues,
             sm_owner: self.sm_owner,
-            live: self.live,
-            was_stalled: self.was_stalled,
             done_sms: self.done_sms,
         }
     }
@@ -709,22 +590,14 @@ impl Engine {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    #[inline]
-    fn sched_src(&self, i: usize) -> usize {
-        SRC_SM + self.sms.len() + i
-    }
-
     fn broadcast_resolved(&mut self, region: u64) {
         for i in 0..self.sms.len() {
             let was = self.sms[i].is_stalled();
             self.sms[i].on_region_resolved(region);
             self.note_sm_stall_change(i, was);
-            self.heap.mark_dirty(SRC_SM + i);
         }
-        let base = SRC_SM + self.sms.len();
-        for (i, sched) in self.scheds.iter_mut().enumerate() {
+        for sched in &mut self.scheds {
             sched.resolve_region(region);
-            self.heap.mark_dirty(base + i);
         }
     }
 
@@ -742,89 +615,22 @@ impl Engine {
         }
     }
 
-    /// Tick every SM for one cycle — the tentpole's two-phase form.
-    ///
-    /// With `sm_workers <= 1` (or a single SM) this is the serial
-    /// reference path: each SM's [`Sm::tick`] issues its global-memory
-    /// accesses straight into the shared [`MemSystem`], in SM-index
-    /// order. With more workers the cycle splits into:
-    ///
-    /// 1. a serial *participation* pass that applies the stall-skip
-    ///    predicate and pre-deals each live SM's pending memory events
-    ///    into its private inbox (the only `&mut MemSystem` reads),
-    /// 2. a parallel *compute* phase — [`Sm::tick_compute`] runs
-    ///    fetch/issue/execute per SM with no memory-system access,
-    ///    buffering would-be `start_access` calls in a per-SM outbox,
-    /// 3. a serial *commit barrier* that drains outboxes in strict
-    ///    SM-index order, replaying the exact `start_access` sequence
-    ///    (and therefore slot/generation allocation, event seq numbers
-    ///    and stats) of the serial path.
-    ///
-    /// Within a cycle no SM reads state another SM's tick mutates (their
-    /// only shared-state writes are the buffered accesses), so the two
-    /// paths produce bit-identical simulations at every thread count.
+    /// Tick every SM for one cycle, in SM-index order: each [`Sm::tick`]
+    /// issues its global-memory accesses straight into the shared
+    /// [`MemSystem`].
     fn tick_sms(&mut self, now: Cycle) -> Result<(), SimError> {
-        if self.sm_workers <= 1 || self.sms.len() <= 1 {
-            for i in 0..self.sms.len() {
-                // A stalled SM with no events to deliver cannot change
-                // state this cycle: every warp waits on an external
-                // resolution and its internal event heap is empty, so the
-                // whole tick (issue/fetch/drain) is skipped. `is_stalled`
-                // is O(1) — the active-warp count is kept incrementally.
-                let was = self.sms[i].is_stalled();
-                if was && !self.mem.has_pending_events(i as u32) {
-                    continue;
-                }
-                self.sms[i].tick(now, &mut self.mem);
-                self.heap.mark_dirty(SRC_SM + i);
-                self.note_sm_stall_change(i, was);
-                if self.sms[i].has_completions() {
-                    self.done_sms.push(i);
-                }
-                if let Some(e) = self.sms[i].take_error() {
-                    return Err(e.into());
-                }
-            }
-            return Ok(());
-        }
-        // Phase 1 (serial): participation + inbox pre-deal. Same skip
-        // predicate as the serial path; draining an SM's events up front
-        // is equivalent because nothing earlier in its own tick can
-        // schedule same-cycle deliveries.
-        self.live.clear();
-        self.was_stalled.clear();
         for i in 0..self.sms.len() {
+            // A stalled SM with no events to deliver cannot change state
+            // this cycle: every warp waits on an external resolution and
+            // its internal event wheel is empty, so the whole tick
+            // (issue/fetch/drain) is skipped. `is_stalled` is O(1) — the
+            // active-warp count is kept incrementally.
             let was = self.sms[i].is_stalled();
-            let live = !was || self.mem.has_pending_events(i as u32);
-            self.was_stalled.push(was);
-            self.live.push(live);
-            if live {
-                self.sms[i].predeal_inbox(&mut self.mem);
-            }
-        }
-        // Phase 2 (parallel): compute against private state only.
-        let live = &self.live;
-        gex_exec::par_each_mut(&mut self.sms, self.sm_workers, |i, sm| {
-            if live[i] {
-                sm.tick_compute(now);
-            }
-        });
-        // Phase 3 (serial): the memory-commit barrier, strict SM-index
-        // order — the assert is deliberately release-mode (the keystones
-        // run --release) since ordering here is the determinism proof.
-        let mut prev: Option<usize> = None;
-        for i in 0..self.sms.len() {
-            if !self.live[i] {
+            if was && !self.mem.has_pending_events(i as u32) {
                 continue;
             }
-            assert!(
-                prev.is_none_or(|p| p < i),
-                "commit barrier visited SM {i} out of order (after {prev:?})"
-            );
-            prev = Some(i);
-            self.sms[i].commit_outbox(now, &mut self.mem);
-            self.heap.mark_dirty(SRC_SM + i);
-            self.note_sm_stall_change(i, self.was_stalled[i]);
+            self.sms[i].tick(now, &mut self.mem);
+            self.note_sm_stall_change(i, was);
             if self.sms[i].has_completions() {
                 self.done_sms.push(i);
             }
@@ -833,29 +639,6 @@ impl Engine {
             }
         }
         Ok(())
-    }
-
-    /// [`Engine::next_event_cycle`] via the lazy-invalidation heap. The
-    /// handlers and the memory system mutate on every engine iteration,
-    /// so they re-poll unconditionally; SMs and schedulers re-poll only
-    /// when something marked them dirty since the last query.
-    fn heap_next_event(&mut self) -> Option<Cycle> {
-        self.heap.mark_dirty(SRC_MEM);
-        if self.cpu.is_some() {
-            self.heap.mark_dirty(SRC_CPU);
-        }
-        if self.local.is_some() {
-            self.heap.mark_dirty(SRC_LOCAL);
-        }
-        let n = self.sms.len();
-        let Engine { heap, mem, cpu, local, sms, scheds, .. } = self;
-        heap.earliest(|s| match s as usize {
-            SRC_MEM => mem.next_event_cycle(),
-            SRC_CPU => cpu.as_ref().and_then(|c| c.next_event_cycle()),
-            SRC_LOCAL => local.as_ref().and_then(|l| l.next_event_cycle()),
-            s if s < SRC_SM + n => sms[s - SRC_SM].next_event_cycle(),
-            s => scheds[s - SRC_SM - n].next_event_cycle(),
-        })
     }
 
     fn committed_total(&self) -> u64 {
@@ -929,7 +712,6 @@ impl Engine {
         let mut last_progress: Cycle = 0;
         let mut last_committed: u64 = 0;
         let mut meter = self.budget.start();
-        let push = self.next_event == NextEventMode::Push;
         loop {
             if let Some(cause) = meter.check(now) {
                 return Err(SimError::Deadline(Box::new(DeadlineDiagnostic {
@@ -953,12 +735,10 @@ impl Engine {
                     last_progress = now;
                 }
             }
-            if push {
-                // Harvest the CPU handler's wake right after its tick —
-                // nothing later in the iteration mutates it.
-                if let Some(c) = self.cpu.as_mut().and_then(|c| c.take_wake_update()) {
-                    self.wake.push(c);
-                }
+            // Harvest the CPU handler's wake right after its tick — nothing
+            // later in the iteration mutates it.
+            if let Some(c) = self.cpu.as_mut().and_then(|c| c.take_wake_update()) {
+                self.wake.push(c);
             }
             let local_done = self
                 .local
@@ -973,12 +753,10 @@ impl Engine {
             self.tick_sms(now)?;
 
             self.handle_notices(now);
-            if push {
-                // The local handler's last mutators are its tick (above)
-                // and the claims made in `handle_notices`; harvest here.
-                if let Some(c) = self.local.as_mut().and_then(|l| l.take_wake_update()) {
-                    self.wake.push(c);
-                }
+            // The local handler's last mutators are its tick (above) and
+            // the claims made in `handle_notices`; harvest here.
+            if let Some(c) = self.local.as_mut().and_then(|l| l.take_wake_update()) {
+                self.wake.push(c);
             }
             self.pump_switching(now);
             // Drain completions *before* dispatch so each completed block
@@ -1020,14 +798,12 @@ impl Engine {
             if self.pending_blocks() != before_dispatch {
                 last_progress = now;
             }
-            if push {
-                // Single memory-system harvest per iteration, after its
-                // last mutator (its own tick, the handlers' resolves and
-                // the SM ticks all schedule into it earlier); the no-op
-                // path is one flag test.
-                if let Some(c) = self.mem.take_wake_update() {
-                    self.wake.push(c);
-                }
+            // Single memory-system harvest per iteration, after its last
+            // mutator (its own tick, the handlers' resolves and the SM
+            // ticks all schedule into it earlier); the no-op path is one
+            // flag test.
+            if let Some(c) = self.mem.take_wake_update() {
+                self.wake.push(c);
             }
 
             if self.finished() {
@@ -1064,33 +840,20 @@ impl Engine {
             );
             let all_stalled = self.stalled as usize == self.sms.len();
             if all_stalled {
-                let next = match self.next_event {
-                    NextEventMode::Push => {
-                        let next = self.wake.earliest_after(now);
-                        // Exactness contract, checked in debug builds:
-                        // every pushed wake at or before `now` has been
-                        // consumed, so the queue minimum is the scan
-                        // minimum (see the WakeQueue docs). The whole
-                        // cross-check — scan included — is compiled out
-                        // of release builds (`#[cfg]`, not just
-                        // `debug_assert!`): the O(components) scan per
-                        // idle window is the very cost push mode exists
-                        // to avoid, and `release_push_mode_is_scan_free`
-                        // pins that it stays gone.
-                        #[cfg(debug_assertions)]
-                        {
-                            let scan = self.next_event_cycle();
-                            assert_eq!(
-                                next, scan,
-                                "push wake queue diverged from the scan reference \
-                                 at cycle {now}"
-                            );
-                        }
-                        next
-                    }
-                    NextEventMode::Heap => self.heap_next_event(),
-                    NextEventMode::Scan => self.next_event_cycle(),
-                };
+                let next = self.wake.earliest_after(now);
+                // Exactness contract, checked in debug builds: every
+                // pushed wake at or before `now` has been consumed, so
+                // the queue minimum is the scan minimum (see the
+                // WakeQueue docs). The scan is the O(components) cost per
+                // idle window the queue exists to avoid, so the oracle is
+                // compiled out of release builds (`#[cfg]`, not just
+                // `debug_assert!`).
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    next,
+                    self.next_event_cycle(),
+                    "wake queue diverged from the scan oracle at cycle {now}"
+                );
                 if let Some(next) = next {
                     if next > now + 1 {
                         // Never jump past the watchdog deadline, the
@@ -1159,7 +922,6 @@ impl Engine {
                         let was = self.sms[i].is_stalled();
                         self.sms[i].begin_drain(n.slot);
                         self.note_sm_stall_change(i, was);
-                        self.heap.mark_dirty(SRC_SM + i);
                         self.scheds[i].draining.push(n.slot);
                     }
                 }
@@ -1183,7 +945,6 @@ impl Engine {
                 let was = self.sms[i].is_stalled();
                 let saved = self.sms[i].take_block(slot);
                 self.note_sm_stall_change(i, was);
-                self.heap.mark_dirty(SRC_SM + i);
                 let done = if cfg.ideal {
                     now + 1
                 } else {
@@ -1191,32 +952,19 @@ impl Engine {
                 };
                 self.switches += 1;
                 self.scheds[i].saving.push((done, saved));
-                if self.next_event == NextEventMode::Push {
-                    // Push the exact save-completion cycle at the moment
-                    // the transfer is scheduled.
-                    self.wake.push(done);
-                }
-                let src = self.sched_src(i);
-                self.heap.mark_dirty(src);
+                // Push the exact save-completion cycle at the moment the
+                // transfer is scheduled.
+                self.wake.push(done);
             }
             // Finished saves park off-chip.
             let (parked, still_saving): (Vec<_>, Vec<_>) =
                 self.scheds[i].saving.drain(..).partition(|(when, _)| *when <= now);
             self.scheds[i].saving = still_saving;
-            if !parked.is_empty() {
-                let src = self.sched_src(i);
-                self.heap.mark_dirty(src);
-            }
             self.scheds[i].off_chip.extend(parked.into_iter().map(|(_, b)| b));
             // Finished restores re-enter the SM.
             let (ready, still_restoring): (Vec<_>, Vec<_>) =
                 self.scheds[i].restoring.drain(..).partition(|(when, _)| *when <= now);
             self.scheds[i].restoring = still_restoring;
-            if !ready.is_empty() {
-                let src = self.sched_src(i);
-                self.heap.mark_dirty(src);
-                self.heap.mark_dirty(SRC_SM + i);
-            }
             for (_, saved) in ready {
                 let was = self.sms[i].is_stalled();
                 self.sms[i].restore_block(saved);
@@ -1236,11 +984,7 @@ impl Engine {
                     self.mem.dram_mut().bulk_transfer(now, saved.context_bytes())
                 };
                 self.scheds[i].restoring.push((done, saved));
-                if self.next_event == NextEventMode::Push {
-                    self.wake.push(done);
-                }
-                let src = self.sched_src(i);
-                self.heap.mark_dirty(src);
+                self.wake.push(done);
             }
         }
     }
@@ -1282,7 +1026,6 @@ impl Engine {
                     let was = self.sms[i].is_stalled();
                     self.sms[i].configure_kernel(self.tenants[t].setup);
                     self.note_sm_stall_change(i, was);
-                    self.heap.mark_dirty(SRC_SM + i);
                     owner = t;
                 }
                 let used = self.sms[i].resident_blocks() + self.scheds[i].slots_in_transit();
@@ -1303,7 +1046,6 @@ impl Engine {
                 let was = self.sms[i].is_stalled();
                 self.sms[i].assign_block(b);
                 self.note_sm_stall_change(i, was);
-                self.heap.mark_dirty(SRC_SM + i);
                 assigned_any = true;
             }
             self.dispatch_rr = self.dispatch_rr.wrapping_add(1);
@@ -1320,12 +1062,11 @@ impl Engine {
         self.tenants.iter().all(|t| t.completed == t.total || t.quarantined)
     }
 
-    /// The [`NextEventMode::Scan`] reference: a full linear scan over
-    /// every component. [`Engine::heap_next_event`] must return exactly
-    /// this value; the equivalence suite compares whole campaigns run in
-    /// both modes.
+    /// The scan oracle for the wake queue: a full linear scan over every
+    /// component. Debug builds assert [`WakeQueue::earliest_after`] equal
+    /// to it at every idle window; release builds compile it out.
+    #[cfg(debug_assertions)]
     fn next_event_cycle(&self) -> Option<Cycle> {
-        SCAN_PROBES.fetch_add(1, Ordering::Relaxed);
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Option<Cycle>| {
             if let Some(c) = c {

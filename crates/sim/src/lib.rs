@@ -35,7 +35,7 @@ pub use config::{set_default_max_cycles, GpuConfig, PagingMode};
 pub use gex_mem::{default_page_size, set_default_page_size, LpStats, PageSizePolicy};
 pub use error::{DeadlineDiagnostic, SimError, WatchdogDiagnostic};
 pub use gex_sm::{BudgetExceeded, CancelToken, RunBudget};
-pub use gpu::{scan_probe_count, set_arena_enabled, Gpu};
+pub use gpu::Gpu;
 pub use inject::{InjectionPlan, InjectionStats, Injector};
 pub use interconnect::{Interconnect, CYCLES_PER_US};
 pub use local_fault::LocalFaultConfig;

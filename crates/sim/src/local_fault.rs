@@ -133,7 +133,7 @@ impl LocalFaultState {
         self.running.iter().map(|&(w, _)| w).min()
     }
 
-    /// Push-mode wake hook: the current
+    /// Wake-queue hook: the current
     /// [`LocalFaultState::next_event_cycle`] when it moved since the last
     /// take. Harvested after the claim/tick mutators each iteration.
     pub fn take_wake_update(&mut self) -> Option<Cycle> {

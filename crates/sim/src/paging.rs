@@ -75,7 +75,7 @@ struct InFlight {
     /// (so `next_event_cycle` keeps reporting only live-or-past cycles)
     /// but resolves nothing. Removing it early instead would delete a
     /// *future* completion out from under the idle scan, violating the
-    /// push-mode invariant that a recorded wake at or before `now` has
+    /// wake-queue invariant that a recorded wake at or before `now` has
     /// always been consumed.
     dead: bool,
 }
@@ -397,7 +397,7 @@ impl CpuHandler {
         next
     }
 
-    /// Push-mode wake hook: the current [`CpuHandler::next_event_cycle`]
+    /// Wake-queue hook: the current [`CpuHandler::next_event_cycle`]
     /// when it moved since the last take (the in-flight and deferred sets
     /// are a handful of entries, so the recompute is cheap). Harvested by
     /// the engine right after [`CpuHandler::tick`], the only mutator.

@@ -1,16 +1,11 @@
-//! Arena reuse and scan-free push mode.
+//! Arena equivalence: a run that reuses the thread's recycled simulation
+//! arena (SMs, schedulers, wake queue, dispatch queues) must produce a
+//! byte-identical [`GpuRunReport`](gex_sim::GpuRunReport) to a run on
+//! fresh state, including after the arena was disturbed by a run of a
+//! different shape (SM count, scheme, paging mode).
 //!
-//! Two properties the sweep hot path depends on:
-//!
-//! 1. **Arena equivalence** — a run that reuses the thread's recycled
-//!    simulation arena (SMs, schedulers, wake queue, event heap, dispatch
-//!    queue) must produce a byte-identical [`GpuRunReport`] to a run on
-//!    fresh state, including after the arena was disturbed by a run of a
-//!    different shape (SM count, scheme, paging mode).
-//! 2. **Scan-free push mode** — in release builds, [`NextEventMode::Push`]
-//!    must do *zero* full next-event scans: the O(components) scan per
-//!    idle window is the cost push mode exists to avoid, and the
-//!    debug-only divergence cross-check must stay compiled out.
+//! The fresh reference comes from a newly spawned thread: its
+//! thread-local arena is empty by construction.
 
 use gex_isa::asm::Asm;
 use gex_isa::func::FuncSim;
@@ -20,7 +15,7 @@ use gex_isa::op::{CmpKind, CmpType};
 use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
 use gex_sim::{BlockSwitchConfig, Gpu, GpuConfig, Interconnect, PagingMode, Residency};
-use gex_sm::{NextEventMode, Scheme};
+use gex_sm::Scheme;
 
 const IN: u64 = 0x100_0000;
 const OUT: u64 = 0x800_0000;
@@ -80,20 +75,17 @@ fn switching_demand() -> PagingMode {
 }
 
 fn gpu(sms: u32, scheme: Scheme, paging: PagingMode) -> Gpu {
-    // Explicit Push keeps this binary's other test (the scan-probe
-    // counter check) honest: no test here may run the scan reference in
-    // release builds.
-    Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, paging)
-        .max_cycles(500_000_000)
-        .next_event_mode(NextEventMode::Push)
+    Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, paging).max_cycles(500_000_000)
 }
 
 #[test]
 fn arena_reuse_is_observably_identical_to_fresh_state() {
     let (t, res) = faulting_kernel(8, 300);
-    let fresh = gpu(4, Scheme::WdCommit, switching_demand()).arena(false).run(&t, &res);
+    let reusing = gpu(4, Scheme::WdCommit, switching_demand());
+    let fresh = std::thread::scope(|s| {
+        s.spawn(|| reusing.run(&t, &res)).join().expect("fresh-arena run panicked")
+    });
 
-    let reusing = gpu(4, Scheme::WdCommit, switching_demand()).arena(true);
     let cold = reusing.run(&t, &res);
     let warm = reusing.run(&t, &res);
     assert_eq!(cold, fresh, "cold arena diverged from fresh state");
@@ -104,35 +96,7 @@ fn arena_reuse_is_observably_identical_to_fresh_state() {
     // recycle must erase every trace of the interloper (including the
     // extra SMs it grew).
     let (t2, res2) = faulting_kernel(3, 50);
-    let _ = gpu(8, Scheme::ReplayQueue, PagingMode::AllResident).arena(true).run(&t2, &res2);
+    let _ = gpu(8, Scheme::ReplayQueue, PagingMode::AllResident).run(&t2, &res2);
     let after_disturb = reusing.run(&t, &res);
     assert_eq!(after_disturb, fresh, "arena reuse leaked state across run shapes");
-}
-
-#[test]
-fn push_mode_does_no_scan_work_in_release() {
-    let (t, res) = faulting_kernel(6, 200);
-
-    let push = gpu(4, Scheme::ReplayQueue, switching_demand());
-    let before = gex_sim::scan_probe_count();
-    let push_report = push.run(&t, &res);
-    let push_probes = gex_sim::scan_probe_count() - before;
-    #[cfg(not(debug_assertions))]
-    assert_eq!(
-        push_probes, 0,
-        "release-build push mode must never touch the scan reference"
-    );
-    #[cfg(debug_assertions)]
-    assert!(push_probes > 0, "debug builds cross-check every idle skip against the scan");
-
-    // Sanity: the probe counter is live — the scan mode itself registers.
-    let scan = gpu(4, Scheme::ReplayQueue, switching_demand())
-        .next_event_mode(NextEventMode::Scan);
-    let before = gex_sim::scan_probe_count();
-    let scan_report = scan.run(&t, &res);
-    assert!(
-        gex_sim::scan_probe_count() - before > 0,
-        "scan mode must register scan probes"
-    );
-    assert_eq!(push_report, scan_report, "push and scan modes must agree byte-for-byte");
 }

@@ -1,10 +1,10 @@
 //! Push-wake exactness: the wake cycles a component *pushes* (via
 //! `take_wake_update`, collected into a [`WakeQueue`]) must reproduce —
 //! at every cycle — exactly the earliest event the linear scan
-//! (`next_event_cycle`) reports. A missed wake would let the push-mode
-//! engine skip past a due event (a hang or a timing divergence); an early
-//! wake that the scan does not corroborate would mean the memoization is
-//! publishing cycles that never become ready.
+//! (`next_event_cycle`) reports. A missed wake would let the engine skip
+//! past a due event (a hang or a timing divergence); an early wake that
+//! the scan does not corroborate would mean the memoization is publishing
+//! cycles that never become ready.
 //!
 //! Each test ticks one component cycle by cycle, harvests its wake update
 //! after every mutation, and asserts `queue.earliest_after(now) ==

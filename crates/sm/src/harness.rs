@@ -15,7 +15,7 @@
 //! It also shares the engine's idle-skip machinery: when every resident
 //! warp is waiting on an in-flight memory response, the loop skips the
 //! SM tick and jumps the clock to the next event (see
-//! [`crate::event_heap`]), clamped so the watchdog, cycle cap and budget
+//! [`crate::wake_queue`]), clamped so the watchdog, cycle cap and budget
 //! deadline still fire at their exact cycles. End-to-end `cycles` and
 //! all architectural results are unchanged by the skip; `SmStats.cycles`
 //! and `idle_issue_cycles` now count only *ticked* cycles, matching the
@@ -24,10 +24,10 @@
 use crate::budget::{BudgetExceeded, RunBudget};
 use crate::config::SmConfig;
 use crate::error::SmError;
-use crate::event_heap::{NextEventHeap, NextEventMode, WakeQueue};
 use crate::scheme::Scheme;
 use crate::sm::{KernelSetup, ProbeEvent, Sm, WarpDiag};
 use crate::stats::SmStats;
+use crate::wake_queue::WakeQueue;
 use gex_isa::trace::KernelTrace;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, MemConfig, MemError, MemStats, PageState};
@@ -120,7 +120,6 @@ pub struct SingleSmHarness {
     max_cycles: Cycle,
     watchdog_cycles: Cycle,
     budget: RunBudget,
-    next_event: NextEventMode,
 }
 
 impl SingleSmHarness {
@@ -134,7 +133,6 @@ impl SingleSmHarness {
             max_cycles: 50_000_000,
             watchdog_cycles: 5_000_000,
             budget: RunBudget::none(),
-            next_event: NextEventMode::from_env(),
         }
     }
 
@@ -167,13 +165,6 @@ impl SingleSmHarness {
     /// cancellation token), checked every iteration of the tick loop.
     pub fn budget(mut self, b: RunBudget) -> Self {
         self.budget = b;
-        self
-    }
-
-    /// Select how idle windows find the next event cycle (see
-    /// [`NextEventMode`]); both modes simulate byte-identically.
-    pub fn next_event_mode(mut self, mode: NextEventMode) -> Self {
-        self.next_event = mode;
         self
     }
 
@@ -228,15 +219,11 @@ impl SingleSmHarness {
         let mut last_progress: Cycle = 0;
         let mut last_committed: u64 = 0;
         let mut meter = self.budget.start();
-        // Heap sources: 0 the memory system, 1 the SM (the engine-style
-        // next-event machinery, scaled down to one SM).
-        let mut heap = NextEventHeap::new(2);
-        // Push mode: the memory system is the only wake source — the
-        // queue is consulted only while the SM is stalled, and a stalled
-        // SM's internal event heap is empty (`next_event_cycle() ==
-        // None`), exactly what the scan reference sees.
+        // The memory system is the only wake source — the queue is
+        // consulted only while the SM is stalled, and a stalled SM's
+        // internal event wheel is empty (`next_event_cycle() == None`),
+        // exactly what the scan oracle below sees.
         let mut wake = WakeQueue::new();
-        let push = self.next_event == NextEventMode::Push;
         loop {
             if let Some(cause) = meter.check(now) {
                 return Err(HarnessError::Budget {
@@ -248,7 +235,6 @@ impl SingleSmHarness {
             while sm.free_slot().is_some() && !pending.is_empty() {
                 let b = pending.pop_front().expect("non-empty pending");
                 sm.assign_block(b);
-                heap.mark_dirty(1);
                 last_progress = now;
             }
             mem.tick(now);
@@ -260,18 +246,15 @@ impl SingleSmHarness {
             let stalled = sm.is_stalled() && !mem.has_pending_events(0);
             if !stalled {
                 sm.tick(now, &mut mem);
-                heap.mark_dirty(1);
                 if let Some(e) = sm.take_error() {
                     return Err(HarnessError::Sm(e));
                 }
                 sm.drain_completed();
             }
-            if push {
-                // Harvest after the last memory mutator of the iteration
-                // (its own tick above, plus any accesses the SM started).
-                if let Some(c) = mem.take_wake_update() {
-                    wake.push(c);
-                }
+            // Harvest after the last memory mutator of the iteration (its
+            // own tick above, plus any accesses the SM started).
+            if let Some(c) = mem.take_wake_update() {
+                wake.push(c);
             }
             if sm.is_empty() && pending.is_empty() {
                 break;
@@ -294,36 +277,18 @@ impl SingleSmHarness {
             // the cycle cap and the budget deadline each fire at their
             // exact cycle (the engine's contract).
             if stalled {
-                let next = match self.next_event {
-                    NextEventMode::Push => {
-                        let next = wake.earliest_after(now);
-                        debug_assert_eq!(
-                            next,
-                            match (mem.next_event_cycle(), sm.next_event_cycle()) {
-                                (Some(a), Some(b)) => Some(a.min(b)),
-                                (a, b) => a.or(b),
-                            },
-                            "push wake queue diverged from the scan reference at cycle {now}"
-                        );
-                        next
-                    }
-                    NextEventMode::Heap => {
-                        heap.mark_dirty(0);
-                        let (m, s) = (&mem, &sm);
-                        heap.earliest(|src| {
-                            if src == 0 {
-                                m.next_event_cycle()
-                            } else {
-                                s.next_event_cycle()
-                            }
-                        })
-                    }
-                    NextEventMode::Scan => match (mem.next_event_cycle(), sm.next_event_cycle())
-                    {
+                let next = wake.earliest_after(now);
+                // The linear scan the queue replaces, kept as the debug
+                // oracle: compiled out of release builds.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    next,
+                    match (mem.next_event_cycle(), sm.next_event_cycle()) {
                         (Some(a), Some(b)) => Some(a.min(b)),
                         (a, b) => a.or(b),
                     },
-                };
+                    "wake queue diverged from the scan oracle at cycle {now}"
+                );
                 if let Some(next) = next {
                     if next > now + 1 {
                         let mut deadline =

@@ -26,7 +26,6 @@
 pub mod budget;
 pub mod config;
 pub mod error;
-pub mod event_heap;
 pub mod exec;
 pub mod harness;
 pub mod operand_log;
@@ -34,15 +33,15 @@ pub mod scheme;
 pub mod scoreboard;
 pub mod sm;
 pub mod stats;
+pub mod wake_queue;
 
 pub use budget::{BudgetExceeded, BudgetMeter, CancelToken, RunBudget};
 pub use config::SmConfig;
 pub use error::{SmError, SmStage};
-pub use event_heap::{NextEventHeap, NextEventMode, WakeQueue};
 pub use harness::{HarnessError, SingleSmHarness, SingleSmRun};
 pub use scheme::Scheme;
 pub use sm::{
-    FaultNotice, KernelSetup, PendingAccess, ProbeEvent, ProbeStage, SavedBlock, Sm, WarpDiag,
-    WarpState,
+    FaultNotice, KernelSetup, ProbeEvent, ProbeStage, SavedBlock, Sm, WarpDiag, WarpState,
 };
 pub use stats::SmStats;
+pub use wake_queue::WakeQueue;

@@ -99,26 +99,6 @@ struct Inflight {
     log_slots: u32,
 }
 
-/// One global-memory access issued during the compute phase of the
-/// two-phase tick, buffered until the engine's commit barrier starts it
-/// against the memory system (see [`Sm::tick_compute`] /
-/// [`Sm::commit_outbox`]).
-///
-/// The record is deliberately tiny: the coalesced line list is *not*
-/// copied here — commit re-reads it from the trace, which is immutable
-/// between issue and commit within one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingAccess {
-    /// Access class (load / store / atomic).
-    pub kind: AccessKind,
-    /// Block slot that issued it.
-    pub slot: u32,
-    /// Warp index within the block.
-    pub warp: u32,
-    /// Trace index of the instruction.
-    pub idx: u32,
-}
-
 /// Multiply-xorshift hasher for the in-flight token map. [`AccessToken`]
 /// is two `u32`s; the default SipHash is measurable on the issue/commit
 /// paths, and a 64-bit multiplicative mix is ample for keys that are a
@@ -522,13 +502,6 @@ pub struct Sm {
     order_dirty: bool,
     /// Reused scratch for draining memory events without allocating.
     mem_evt_buf: Vec<AccessEvent>,
-    /// Pre-dealt memory events for the compute phase of the two-phase
-    /// tick ([`Sm::predeal_inbox`] fills it serially; [`Sm::tick_compute`]
-    /// drains it without touching the memory system).
-    inbox: Vec<AccessEvent>,
-    /// Global accesses issued by the compute phase, in issue order,
-    /// waiting for [`Sm::commit_outbox`] at the engine's commit barrier.
-    outbox: Vec<PendingAccess>,
     /// Warps in [`WarpState::Active`] within [`BlockState::Running`]
     /// blocks, maintained incrementally at every state transition so
     /// [`Sm::is_stalled`] is O(1) instead of a per-cycle all-slot scan.
@@ -583,8 +556,6 @@ impl Sm {
             order: Vec::new(),
             order_dirty: true,
             mem_evt_buf: Vec::new(),
-            inbox: Vec::new(),
-            outbox: Vec::new(),
             active_warps: 0,
             retired: HashMap::new(),
             error: None,
@@ -622,8 +593,6 @@ impl Sm {
             order,
             order_dirty,
             mem_evt_buf,
-            inbox,
-            outbox,
             active_warps,
             retired,
             error,
@@ -649,8 +618,6 @@ impl Sm {
         order.clear();
         *order_dirty = true;
         mem_evt_buf.clear();
-        inbox.clear();
-        outbox.clear();
         *active_warps = 0;
         retired.clear();
         *error = None;
@@ -1037,77 +1004,13 @@ impl Sm {
 
     // ------------------------------------------------------------- tick
 
-    /// Advance the SM by one cycle (the serial reference path: memory
-    /// events drain directly and global accesses start against `mem`
-    /// inside the tick).
+    /// Advance the SM by one cycle.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemSystem) {
         self.stats.cycles += 1;
         self.drain_internal(now);
         self.drain_memory(now, mem);
-        self.issue::<false>(now, Some(mem));
+        self.issue(now, mem);
         self.fetch(now);
-    }
-
-    /// Pre-deal this SM's pending memory events into its private inbox.
-    /// Called serially by the engine before a parallel compute phase; the
-    /// compute phase then never touches the memory system. Equivalent to
-    /// the in-tick drain because deliveries are produced only by the
-    /// memory tick, which runs before the SM section of the cycle.
-    pub fn predeal_inbox(&mut self, mem: &mut MemSystem) {
-        debug_assert!(self.inbox.is_empty(), "inbox not drained by the previous compute phase");
-        mem.drain_events_into(self.sm_id, &mut self.inbox);
-    }
-
-    /// Compute phase of the two-phase tick: the exact per-cycle work of
-    /// [`Sm::tick`], except memory events come from the pre-dealt inbox
-    /// and global accesses buffer into the outbox instead of starting
-    /// against the memory system. Safe to run for many SMs in parallel —
-    /// it mutates only this SM.
-    pub fn tick_compute(&mut self, now: Cycle) {
-        self.stats.cycles += 1;
-        self.drain_internal(now);
-        self.drain_inbox(now);
-        self.issue::<true>(now, None);
-        self.fetch(now);
-    }
-
-    /// Commit phase of the two-phase tick: start every buffered access
-    /// against the memory system, in issue order. The engine calls this
-    /// in SM-index order at its commit barrier, which replays the serial
-    /// path's exact `start_access` sequence — identical slot allocation,
-    /// event ordering and stats, hence bit-identical reports.
-    pub fn commit_outbox(&mut self, now: Cycle, mem: &mut MemSystem) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for p in outbox.drain(..) {
-            let idx = p.idx as usize;
-            let b = self.slots[p.slot as usize]
-                .as_ref()
-                .expect("buffered access from a slot freed in the same cycle");
-            // Re-read the coalesced line list from the trace: immutable
-            // between issue and commit, so no copy rode in the outbox.
-            let instr = &b.trace.warp(p.warp)[idx];
-            let lines =
-                instr.mem.as_ref().map(|m| m.lines.as_slice()).expect("buffered access is global");
-            let t = mem.start_access(now + 1, self.sm_id, p.kind, lines);
-            self.tokens.insert(t, (p.slot, p.warp, idx));
-            let b = self.slots[p.slot as usize].as_mut().expect("slot checked above");
-            let e = b.cold[p.warp as usize]
-                .inflight
-                .iter_mut()
-                .find(|e| e.idx == idx)
-                .expect("buffered access has a live in-flight record");
-            e.token = Some(t);
-        }
-        self.outbox = outbox;
-    }
-
-    /// The compute phase's buffered accesses, in issue order — exposed so
-    /// determinism tests can compare outboxes across interleavings.
-    pub fn outbox(&self) -> &[PendingAccess] {
-        &self.outbox
     }
 
     fn schedule(&mut self, cycle: Cycle, ev: SmEv) {
@@ -1193,19 +1096,6 @@ impl Sm {
             self.on_mem_event(now, ev);
         }
         self.mem_evt_buf = buf;
-    }
-
-    /// Drain the pre-dealt inbox — the compute-phase twin of
-    /// [`Sm::drain_memory`], dispatching the identical event sequence.
-    fn drain_inbox(&mut self, now: Cycle) {
-        if self.inbox.is_empty() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.inbox);
-        for ev in buf.drain(..) {
-            self.on_mem_event(now, ev);
-        }
-        self.inbox = buf;
     }
 
     fn on_mem_event(&mut self, now: Cycle, ev: AccessEvent) {
@@ -1486,14 +1376,7 @@ impl Sm {
 
     // ------------------------------------------------------------ issue
 
-    /// The issue stage. `BUFFERED` selects the access sink at
-    /// monomorphization time — `false` starts global accesses directly
-    /// against `mem` (the serial path, compiled exactly as before),
-    /// `true` buffers them into the outbox with `mem` absent (the
-    /// compute phase) — so the serial instantiation pays no outbox
-    /// indirection.
-    fn issue<const BUFFERED: bool>(&mut self, now: Cycle, mut mem: Option<&mut MemSystem>) {
-        let mem = &mut mem;
+    fn issue(&mut self, now: Cycle, mem: &mut MemSystem) {
         let width = self.cfg.issue_width;
         if self.slots.is_empty() {
             return;
@@ -1520,7 +1403,7 @@ impl Sm {
                     if i == len {
                         i = 0;
                     }
-                    self.issue_from_warp::<BUFFERED>(
+                    self.issue_from_warp(
                         now,
                         mem,
                         slot,
@@ -1540,7 +1423,7 @@ impl Sm {
                     _ => None,
                 };
                 if let Some((slot, warp)) = greedy {
-                    self.issue_from_warp::<BUFFERED>(
+                    self.issue_from_warp(
                         now,
                         mem,
                         slot,
@@ -1559,7 +1442,7 @@ impl Sm {
                     if Some((slot, warp)) == greedy {
                         continue;
                     }
-                    self.issue_from_warp::<BUFFERED>(
+                    self.issue_from_warp(
                         now,
                         mem,
                         slot,
@@ -1580,10 +1463,10 @@ impl Sm {
     /// Issue as many instructions as allowed from one warp, in program
     /// order, honouring the dual-issue limit of two distinct warps.
     #[allow(clippy::too_many_arguments)]
-    fn issue_from_warp<const BUFFERED: bool>(
+    fn issue_from_warp(
         &mut self,
         now: Cycle,
-        mem: &mut Option<&mut MemSystem>,
+        mem: &mut MemSystem,
         slot: u32,
         warp: u32,
         width: u32,
@@ -1595,7 +1478,7 @@ impl Sm {
             return;
         }
         while *issued < width {
-            if !self.try_issue_one::<BUFFERED>(now, mem, slot, warp) {
+            if !self.try_issue_one(now, mem, slot, warp) {
                 break;
             }
             *issued += 1;
@@ -1608,13 +1491,7 @@ impl Sm {
     }
 
     /// Try to issue the next instruction of `warp`; returns true on issue.
-    fn try_issue_one<const BUFFERED: bool>(
-        &mut self,
-        now: Cycle,
-        mem: &mut Option<&mut MemSystem>,
-        slot: u32,
-        warp: u32,
-    ) -> bool {
+    fn try_issue_one(&mut self, now: Cycle, mem: &mut MemSystem, slot: u32, warp: u32) -> bool {
         let Some(b) = self.slots[slot as usize].as_ref() else { return false };
         let w = warp as usize;
         if b.state[w] != WarpState::Active {
@@ -1680,25 +1557,10 @@ impl Sm {
                 Opcode::St(..) => AccessKind::Store,
                 _ => AccessKind::Load,
             };
-            if BUFFERED {
-                // Compute phase: the access starts at the commit barrier
-                // instead; the in-flight record's token stays `None` until
-                // then. Sound because nothing can reference the token
-                // within this cycle — Data/Fault/LastCheck events arrive
-                // in later cycles, after the commit patched it in.
-                self.outbox.push(PendingAccess {
-                    kind: access_kind,
-                    slot,
-                    warp,
-                    idx: idx as u32,
-                });
-            } else {
-                let mem = mem.as_deref_mut().expect("direct issue path carries the mem system");
-                // The access starts after the operand-read stage.
-                let t = mem.start_access(now + 1, self.sm_id, access_kind, lines);
-                self.tokens.insert(t, (slot, warp, idx));
-                token = Some(t);
-            }
+            // The access starts after the operand-read stage.
+            let t = mem.start_access(now + 1, self.sm_id, access_kind, lines);
+            self.tokens.insert(t, (slot, warp, idx));
+            token = Some(t);
         }
         let fixed_done = (!is_global).then(|| now + 1 + self.fixed_latency(op, kind, lines));
         {

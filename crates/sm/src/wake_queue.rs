@@ -1,73 +1,27 @@
-//! A next-event-cycle heap for idle-skipping tick loops.
+//! The wake queue behind the tick loops' idle skip.
 //!
 //! When every warp in the machine is waiting on an external event (a DRAM
 //! response, a fault round trip, a context-switch transfer), the tick
 //! loops jump the clock straight to the earliest upcoming event instead
-//! of crawling cycle by cycle. The original implementation recomputed
-//! that minimum with a linear scan over every component per idle
-//! iteration — O(SMs) per query, which is the dominant cost of idle
-//! windows once SM counts grow. [`NextEventHeap`] keeps the per-source
-//! next-event cycles in a priority queue with *lazy invalidation*:
+//! of crawling cycle by cycle. Components publish their exact next wake
+//! cycle into a [`WakeQueue`] at the moment they schedule work, so the
+//! idle query is [`WakeQueue::earliest_after`]: no component is polled.
 //!
-//! * every source (the memory system, each SM, the CPU fault handler,
-//!   the GPU-local handler, each local scheduler) has a stable index;
-//! * a tick loop calls [`NextEventHeap::mark_dirty`] whenever it mutates
-//!   a source in a way that can change its `next_event_cycle()`;
-//! * [`NextEventHeap::earliest`] re-polls *only* the dirty sources,
-//!   pushes their fresh values, and pops stale heap entries on the way
-//!   to the minimum — O(dirty · log n) instead of O(n).
+//! The reference for that query is a linear scan over every component's
+//! `next_event_cycle()`. The tick loops keep the scan as a
+//! `#[cfg(debug_assertions)]` oracle and assert it equal to the queue at
+//! every idle window, so every debug-profile test checks the queue
+//! against it; release builds compile the scan out.
 //!
-//! Stale entries (an old value for a source whose current value moved)
-//! stay in the heap until they surface; an entry is trusted only if it
-//! matches the source's current value. Because every current value has
-//! at least one matching entry, an empty heap means no source has any
-//! upcoming event — exactly the `None` of the old linear scan.
-//!
-//! The produced minimum is *identical* to the linear scan by
-//! construction (both reduce the same per-source values), which the
-//! equivalence suite locks down by running whole campaigns in both
-//! [`NextEventMode`]s and asserting byte-identical reports. Budget
-//! deadlines, the forward-progress watchdog and the runaway cycle cap
-//! are deliberately *not* heap sources: they clamp the jump target in
-//! the tick loops (exactly as before), so each still fires at its exact
-//! cycle.
+//! Budget deadlines, the forward-progress watchdog and the runaway cycle
+//! cap are deliberately *not* wake sources: they clamp the jump target in
+//! the tick loops, so each still fires at its exact cycle.
 
 use gex_mem::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How the tick loops find the next event cycle during idle windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NextEventMode {
-    /// Push-based wake events ([`WakeQueue`]); the default. Components
-    /// push their exact next wake cycle at the moment they schedule
-    /// work, so an idle query is a heap peek with zero re-polls.
-    #[default]
-    Push,
-    /// Lazy-invalidation priority queue ([`NextEventHeap`]): dirty
-    /// sources are re-polled per idle query (`GEX_NEXT_EVENT=heap`).
-    Heap,
-    /// The original linear scan over every component per idle iteration.
-    /// The reference implementation for equivalence tests, and the A/B
-    /// escape hatch (`GEX_NEXT_EVENT=scan`).
-    Scan,
-}
-
-impl NextEventMode {
-    /// The process default: [`NextEventMode::Push`] unless the
-    /// environment says `GEX_NEXT_EVENT=heap` or `GEX_NEXT_EVENT=scan`.
-    pub fn from_env() -> Self {
-        static MODE: std::sync::OnceLock<NextEventMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("GEX_NEXT_EVENT") {
-            Ok(v) if v.eq_ignore_ascii_case("scan") => NextEventMode::Scan,
-            Ok(v) if v.eq_ignore_ascii_case("heap") => NextEventMode::Heap,
-            _ => NextEventMode::Push,
-        })
-    }
-}
-
-/// A push-based wake-event queue: the zero-re-poll counterpart of
-/// [`NextEventHeap`].
+/// A push-based wake-event queue.
 ///
 /// Components push their *exact* next wake cycle at the moment they
 /// schedule work (a DRAM transfer completing, a fault service finishing,
@@ -293,175 +247,9 @@ impl WakeQueue {
     }
 }
 
-/// A min-heap over per-source next-event cycles with lazy invalidation.
-#[derive(Debug, Clone)]
-pub struct NextEventHeap {
-    /// `(cycle, source)` entries, possibly stale.
-    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// The last polled value per source; the truth entries are checked
-    /// against.
-    current: Vec<Option<Cycle>>,
-    /// Which sources need re-polling before the next query.
-    dirty: Vec<bool>,
-    dirty_list: Vec<u32>,
-}
-
-impl Default for NextEventHeap {
-    /// An empty heap over zero sources; [`NextEventHeap::reset`] re-sizes
-    /// it for actual use.
-    fn default() -> Self {
-        NextEventHeap::new(0)
-    }
-}
-
-impl NextEventHeap {
-    /// A heap over `sources` components, all initially dirty (the first
-    /// [`NextEventHeap::earliest`] polls everything once).
-    pub fn new(sources: usize) -> Self {
-        NextEventHeap {
-            heap: BinaryHeap::with_capacity(sources + 1),
-            current: vec![None; sources],
-            dirty: vec![true; sources],
-            dirty_list: (0..sources as u32).collect(),
-        }
-    }
-
-    /// Reset to the all-dirty initial state over `sources` components,
-    /// keeping allocations — the arena-reuse path between simulation
-    /// points.
-    pub fn reset(&mut self, sources: usize) {
-        self.heap.clear();
-        self.current.clear();
-        self.current.resize(sources, None);
-        self.dirty.clear();
-        self.dirty.resize(sources, true);
-        self.dirty_list.clear();
-        self.dirty_list.extend(0..sources as u32);
-    }
-
-    /// Record that `source` may have a different next-event cycle than
-    /// last polled. O(1); duplicate marks are absorbed.
-    #[inline]
-    pub fn mark_dirty(&mut self, source: usize) {
-        if !self.dirty[source] {
-            self.dirty[source] = true;
-            self.dirty_list.push(source as u32);
-        }
-    }
-
-    /// The earliest next-event cycle across all sources, re-polling only
-    /// the dirty ones via `poll`. Equals
-    /// `(0..sources).filter_map(poll).min()` — the old linear scan —
-    /// whenever every mutated source was marked dirty.
-    pub fn earliest(&mut self, mut poll: impl FnMut(u32) -> Option<Cycle>) -> Option<Cycle> {
-        for s in self.dirty_list.drain(..) {
-            self.dirty[s as usize] = false;
-            let fresh = poll(s);
-            if fresh != self.current[s as usize] {
-                self.current[s as usize] = fresh;
-                if let Some(c) = fresh {
-                    self.heap.push(Reverse((c, s)));
-                }
-            }
-        }
-        // Entries for superseded values linger until they reach the top;
-        // drop them here. Live entries always cover every `Some` in
-        // `current`, so an empty heap is a true "no events anywhere".
-        while let Some(&Reverse((c, s))) = self.heap.peek() {
-            if self.current[s as usize] == Some(c) {
-                return Some(c);
-            }
-            self.heap.pop();
-        }
-        // Rebuilding on bloat is unnecessary: the heap only grows by one
-        // entry per *changed* source per query and stale entries are
-        // popped above, so its size is bounded by live values plus
-        // not-yet-surfaced stale ones.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference reducer: the linear scan the heap must match.
-    fn scan(values: &[Option<Cycle>]) -> Option<Cycle> {
-        values.iter().flatten().min().copied()
-    }
-
-    #[test]
-    fn matches_linear_scan_under_random_mutation() {
-        // A deterministic xorshift walk over (source, new value)
-        // mutations; after each batch the heap and the scan must agree.
-        let n = 13usize;
-        let mut values: Vec<Option<Cycle>> = vec![None; n];
-        let mut heap = NextEventHeap::new(n);
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2_000 {
-            for _ in 0..(rng() % 4) {
-                let s = (rng() % n as u64) as usize;
-                values[s] = match rng() % 3 {
-                    0 => None,
-                    _ => Some(rng() % 1_000),
-                };
-                heap.mark_dirty(s);
-            }
-            assert_eq!(heap.earliest(|s| values[s as usize]), scan(&values));
-        }
-    }
-
-    #[test]
-    fn unmarked_sources_are_not_repolled() {
-        let mut heap = NextEventHeap::new(3);
-        let mut polls = vec![0u32; 3];
-        let values = [Some(5), Some(2), None];
-        let e = heap.earliest(|s| {
-            polls[s as usize] += 1;
-            values[s as usize]
-        });
-        assert_eq!(e, Some(2));
-        assert_eq!(polls, vec![1, 1, 1], "first query polls everything");
-        let e = heap.earliest(|s| {
-            polls[s as usize] += 1;
-            values[s as usize]
-        });
-        assert_eq!(e, Some(2));
-        assert_eq!(polls, vec![1, 1, 1], "clean sources answer from cache");
-        heap.mark_dirty(1);
-        heap.mark_dirty(1); // duplicate marks collapse
-        let e = heap.earliest(|s| {
-            polls[s as usize] += 1;
-            if s == 1 {
-                None
-            } else {
-                values[s as usize]
-            }
-        });
-        assert_eq!(e, Some(5), "source 1 went quiet; min moves to source 0");
-        assert_eq!(polls, vec![1, 2, 1], "only the dirty source re-polled");
-    }
-
-    #[test]
-    fn empty_heap_means_no_events() {
-        let mut heap = NextEventHeap::new(2);
-        assert_eq!(heap.earliest(|_| None), None);
-        heap.mark_dirty(0);
-        assert_eq!(heap.earliest(|s| if s == 0 { Some(9) } else { None }), Some(9));
-        heap.mark_dirty(0);
-        assert_eq!(heap.earliest(|_| None), None);
-    }
-
-    #[test]
-    fn mode_default_is_push() {
-        assert_eq!(NextEventMode::default(), NextEventMode::Push);
-    }
 
     #[test]
     fn wake_queue_pops_stale_and_keeps_future() {
@@ -582,21 +370,5 @@ mod tests {
             assert_eq!(q.earliest_after(now), expect, "diverged at now={now}");
             reference = reference.split_off(&(now + 1));
         }
-    }
-
-    #[test]
-    fn next_event_heap_reset_reuses_like_new() {
-        let mut heap = NextEventHeap::new(2);
-        heap.mark_dirty(0);
-        assert_eq!(heap.earliest(|s| (s == 0).then_some(4)), Some(4));
-        heap.reset(3);
-        // All three sources are polled again, exactly like a fresh heap.
-        let mut polls = vec![0u32; 3];
-        let e = heap.earliest(|s| {
-            polls[s as usize] += 1;
-            Some(10 + s as Cycle)
-        });
-        assert_eq!(e, Some(10));
-        assert_eq!(polls, vec![1, 1, 1]);
     }
 }
