@@ -8,7 +8,7 @@
 //! 4. the issue-stage warp scheduler (loose round-robin vs
 //!    greedy-then-oldest) under each exception scheme.
 //!
-//! Every panel runs under sweep supervision ([`gex::run_supervised`]):
+//! Every panel runs under sweep supervision ([`gex::experiments::sweep`]):
 //! `--deadline N` budgets each point, `--resume` / `--journal PATH` make
 //! the campaign resumable (one journal file per panel), and failed points
 //! print as `NaN` with a quarantine report instead of taking the whole
@@ -16,45 +16,17 @@
 //! rides in its grid, so even the normalizer is supervised. Exits 2 if
 //! anything was quarantined.
 
-use gex::journal::digest;
+use gex::experiments::{ratio, sweep, GridPoint};
 use gex::sm::config::SchedulerPolicy;
 use gex::workloads::{halloc, suite};
 use gex::{
-    run_supervised, BlockSwitchConfig, CampaignJournal, Gpu, GpuConfig, Interconnect,
-    LocalFaultConfig, PagingMode, QuarantineReport, Scheme, SweepOptions, SweepOutcome,
+    BlockSwitchConfig, GpuConfig, Interconnect, LocalFaultConfig, Outcome, PagingMode, PointSpec,
+    QuarantineReport, Scheme,
 };
-use std::collections::HashMap;
-use std::sync::Mutex;
 
-/// Open the panel's journal, keyed by a digest of its identity plus the
-/// ordered point grid (the same contract as the figure drivers).
-fn journal(opts: &SweepOptions, campaign: &str, keys: &[String]) -> Option<CampaignJournal> {
-    let path = opts.journal.as_ref()?;
-    let d = digest(&format!("{campaign}|{}", keys.join(",")));
-    match CampaignJournal::open(path, d) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("warning: journal {} unusable ({e}); running without resume", path.display());
-            None
-        }
-    }
-}
-
-/// `num/den` as `f64`, `NaN` when either point was quarantined.
-fn ratio(num: Option<u64>, den: Option<u64>) -> f64 {
-    match (num, den) {
-        (Some(n), Some(d)) => n as f64 / d as f64,
-        _ => f64::NAN,
-    }
-}
-
-/// Fold a panel's quarantine into the run-wide report, prefixing keys.
-fn absorb(total: &mut QuarantineReport, panel: &str, out: &SweepOutcome) {
-    for r in &out.quarantine.records {
-        let mut r = r.clone();
-        r.key = format!("{panel}/{}", r.key);
-        total.records.push(r);
-    }
+/// A point's cycle count, `NaN` if it was quarantined.
+fn cycles(v: Option<Outcome>) -> String {
+    v.map_or_else(|| "NaN".to_string(), |o| o.cycles.to_string())
 }
 
 fn main() {
@@ -64,142 +36,95 @@ fn main() {
     let sms = gex_bench::sms_from_env();
     let cfg = GpuConfig::kepler_k20().with_sms(sms);
     let mut quarantine = QuarantineReport::default();
+    // Run one panel's grid as its own resumable campaign.
+    let mut panel = |name: &str, grid: Vec<GridPoint<'_>>| {
+        let opts = args.sweep_options("ablation").panel(name);
+        let out = sweep(&format!("ablation-{name}|{preset:?}|sms={sms}"), grid, &opts);
+        quarantine.absorb(name, out.quarantine);
+        out.fig
+    };
 
     // ---- 1. block-switching policy sweep on sgemm (NVLink) ----
     let w = suite::by_name("sgemm", preset).expect("sgemm");
     let res = w.demand_residency();
     let ic = Interconnect::nvlink();
-    let grid: Vec<Option<(u32, u32)>> = std::iter::once(None)
-        .chain(
-            [0u32, 1, 2, 4, 8]
-                .iter()
-                .flat_map(|&t| [2u32, 4, 8].iter().map(move |&m| Some((t, m)))),
-        )
-        .collect();
-    let points: Vec<(String, Option<(u32, u32)>)> = grid
+    let policies: Vec<(u32, u32)> = [0u32, 1, 2, 4, 8]
         .iter()
-        .map(|p| match p {
-            None => ("plain".to_string(), None),
-            Some((t, m)) => (format!("t{t}/m{m}"), Some((*t, *m))),
-        })
+        .flat_map(|&t| [2u32, 4, 8].iter().map(move |&m| (t, m)))
         .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let opts = args.sweep_options_panel("ablation", "blockswitch");
-    let j = journal(&opts, &format!("ablation-blockswitch|{preset:?}|sms={sms}"), &keys);
-    // Switch counts ride outside the journal (it records cycles only), so
-    // resumed points print "-" in that column.
-    let switches: Mutex<HashMap<String, u64>> = Mutex::new(HashMap::new());
-    let out = run_supervised(points, &opts.policy, j.as_ref(), |p, budget| {
-        let paging = match p {
-            None => PagingMode::demand(ic),
-            Some((threshold, max_extra)) => PagingMode::Demand {
-                interconnect: ic,
-                block_switch: Some(BlockSwitchConfig {
-                    queue_pos_threshold: *threshold,
-                    max_extra_blocks: *max_extra,
-                    ideal: false,
-                }),
-                local_handling: None,
-            },
-        };
-        let r = Gpu::new(cfg.clone(), Scheme::ReplayQueue, paging)
-            .budget(budget.clone())
-            .try_run(&w.trace, &res)?;
-        let key = match p {
-            None => "plain".to_string(),
-            Some((t, m)) => format!("t{t}/m{m}"),
-        };
-        switches.lock().unwrap().insert(key, r.switches);
-        Ok(r.cycles)
-    });
-    let plain = out.values[0];
+    let point = |key: String, paging| {
+        GridPoint::new(key, PointSpec::new(&w, Scheme::ReplayQueue, cfg.clone(), paging, &res))
+    };
+    let grid = std::iter::once(point("plain".to_string(), PagingMode::demand(ic)))
+        .chain(policies.iter().map(|&(threshold, max_extra)| {
+            let block_switch = Some(BlockSwitchConfig {
+                queue_pos_threshold: threshold,
+                max_extra_blocks: max_extra,
+                ideal: false,
+            });
+            point(
+                format!("t{threshold}/m{max_extra}"),
+                PagingMode::Demand { interconnect: ic, block_switch, local_handling: None },
+            )
+        }))
+        .collect();
+    let out = panel("blockswitch", grid);
     println!(
         "Ablation 1: block-switching policy on sgemm ({ic}, plain = {} cycles)",
-        plain.map_or_else(|| "NaN".to_string(), |c| c.to_string())
+        cycles(out[0])
     );
     println!("{:<12} {:<12} {:>9} {:>9}", "threshold", "max-extra", "speedup", "switches");
-    let switches = switches.into_inner().unwrap();
-    for (i, p) in grid.iter().enumerate().skip(1) {
-        let (t, m) = p.expect("grid points after the reference");
-        let sw = switches
-            .get(&format!("t{t}/m{m}"))
-            .map_or_else(|| "-".to_string(), |s| s.to_string());
-        println!("{:<12} {:<12} {:>9.3} {:>9}", t, m, ratio(plain, out.values[i]), sw);
+    // Switch counts ride outside the journal (it records cycles only), so
+    // resumed points print "-" in that column.
+    for (&(t, m), &v) in policies.iter().zip(&out[1..]) {
+        let sw = v.and_then(|o| o.switches).map_or_else(|| "-".to_string(), |s| s.to_string());
+        println!("{:<12} {:<12} {:>9.3} {:>9}", t, m, ratio(out[0], v), sw);
     }
-    absorb(&mut quarantine, "blockswitch", &out);
 
     // ---- 2. operand-log capacity sweep on lbm ----
     let w = suite::by_name("lbm", preset).expect("lbm");
     let res = w.demand_residency();
     let sizes = [4u32, 8, 12, 16, 20, 24, 32, 48, 64];
-    let points: Vec<(String, Option<u32>)> = std::iter::once(("baseline".to_string(), None))
-        .chain(sizes.iter().map(|&kib| (format!("{kib}kib"), Some(kib))))
+    let point = |key: String, scheme| {
+        GridPoint::new(key, PointSpec::new(&w, scheme, cfg.clone(), PagingMode::AllResident, &res))
+    };
+    let grid = std::iter::once(point("baseline".to_string(), Scheme::Baseline))
+        .chain(sizes.iter().map(|&kib| point(format!("{kib}kib"), Scheme::operand_log_kib(kib))))
         .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let opts = args.sweep_options_panel("ablation", "oplog");
-    let j = journal(&opts, &format!("ablation-oplog|{preset:?}|sms={sms}"), &keys);
-    let out = run_supervised(points, &opts.policy, j.as_ref(), |p, budget| {
-        let scheme = match p {
-            None => Scheme::Baseline,
-            Some(kib) => Scheme::OperandLog { bytes: kib * 1024 },
-        };
-        Gpu::new(cfg.clone(), scheme, PagingMode::AllResident)
-            .budget(budget.clone())
-            .try_run(&w.trace, &res)
-            .map(|r| r.cycles)
-    });
-    let base = out.values[0];
-    println!(
-        "\nAblation 2: operand log capacity on lbm (baseline = {} cycles)",
-        base.map_or_else(|| "NaN".to_string(), |c| c.to_string())
-    );
+    let out = panel("oplog", grid);
+    println!("\nAblation 2: operand log capacity on lbm (baseline = {} cycles)", cycles(out[0]));
     println!("{:<10} {:>12} {:>12}", "log KiB", "normalized", "gpu area %");
-    for (i, kib) in sizes.iter().enumerate() {
+    for (kib, &v) in sizes.iter().zip(&out[1..]) {
         let o = gex::power::operand_log_overheads(kib * 1024);
-        println!(
-            "{:<10} {:>12.3} {:>12.2}",
-            kib,
-            ratio(base, out.values[i + 1]),
-            o.gpu_area_pct
-        );
+        println!("{:<10} {:>12.3} {:>12.2}", kib, ratio(out[0], v), o.gpu_area_pct);
     }
-    absorb(&mut quarantine, "oplog", &out);
 
     // ---- 3. GPU-local handler latency sweep on halloc-fixed (PCIe) ----
     let w = halloc::fixed(preset);
     let res = w.heap_lazy_residency();
     let ic = Interconnect::pcie();
     let lats = [5u64, 10, 20, 40, 80];
-    let points: Vec<(String, Option<u64>)> = std::iter::once(("cpu".to_string(), None))
-        .chain(lats.iter().map(|&us| (format!("{us}us"), Some(us))))
+    let point = |key: String, paging| {
+        GridPoint::new(key, PointSpec::new(&w, Scheme::ReplayQueue, cfg.clone(), paging, &res))
+    };
+    let grid = std::iter::once(point("cpu".to_string(), PagingMode::demand(ic)))
+        .chain(lats.iter().map(|&us| {
+            let local_handling = Some(LocalFaultConfig { handler_cycles: us * 1000 });
+            point(
+                format!("{us}us"),
+                PagingMode::Demand { interconnect: ic, block_switch: None, local_handling },
+            )
+        }))
         .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let opts = args.sweep_options_panel("ablation", "locallat");
-    let j = journal(&opts, &format!("ablation-locallat|{preset:?}|sms={sms}"), &keys);
-    let out = run_supervised(points, &opts.policy, j.as_ref(), |p, budget| {
-        let paging = match p {
-            None => PagingMode::demand(ic),
-            Some(us) => PagingMode::Demand {
-                interconnect: ic,
-                block_switch: None,
-                local_handling: Some(LocalFaultConfig { handler_cycles: us * 1000 }),
-            },
-        };
-        Gpu::new(cfg.clone(), Scheme::ReplayQueue, paging)
-            .budget(budget.clone())
-            .try_run(&w.trace, &res)
-            .map(|r| r.cycles)
-    });
-    let cpu_handled = out.values[0];
+    let out = panel("locallat", grid);
     println!(
         "\nAblation 3: local-handler latency on halloc-fixed ({ic}, CPU-handled = {} cycles)",
-        cpu_handled.map_or_else(|| "NaN".to_string(), |c| c.to_string())
+        cycles(out[0])
     );
     println!("{:<14} {:>9}", "handler us", "speedup");
-    for (i, us) in lats.iter().enumerate() {
-        println!("{:<14} {:>9.3}", us, ratio(cpu_handled, out.values[i + 1]));
+    for (us, &v) in lats.iter().zip(&out[1..]) {
+        println!("{:<14} {:>9.3}", us, ratio(out[0], v));
     }
-    absorb(&mut quarantine, "locallat", &out);
 
     // ---- 4. warp scheduler policy per scheme on lbm (scheme-sensitive) ----
     let w = suite::by_name("lbm", preset).expect("lbm");
@@ -209,31 +134,22 @@ fn main() {
     const SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::WdCommit, Scheme::ReplayQueue];
     const POLICIES: [SchedulerPolicy; 2] =
         [SchedulerPolicy::LooseRoundRobin, SchedulerPolicy::GreedyThenOldest];
-    let points: Vec<(String, (Scheme, SchedulerPolicy))> = SCHEMES
+    let grid = SCHEMES
         .iter()
-        .flat_map(|&s| POLICIES.iter().map(move |&p| (format!("{s}/{p:?}"), (s, p))))
+        .flat_map(|&s| POLICIES.iter().map(move |&p| (s, p)))
+        .map(|(scheme, policy)| {
+            let mut c = cfg.clone();
+            c.sm.scheduler = policy;
+            GridPoint::new(
+                format!("{scheme}/{policy:?}"),
+                PointSpec::new(&w, scheme, c, PagingMode::AllResident, &res),
+            )
+        })
         .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let opts = args.sweep_options_panel("ablation", "warpsched");
-    let j = journal(&opts, &format!("ablation-warpsched|{preset:?}|sms={sms}"), &keys);
-    let out = run_supervised(points, &opts.policy, j.as_ref(), |(scheme, policy), budget| {
-        let mut c = cfg.clone();
-        c.sm.scheduler = *policy;
-        Gpu::new(c, *scheme, PagingMode::AllResident)
-            .budget(budget.clone())
-            .try_run(&w.trace, &res)
-            .map(|r| r.cycles)
-    });
-    let cell = |v: Option<u64>| v.map_or_else(|| "NaN".to_string(), |c| c.to_string());
-    for (i, scheme) in SCHEMES.iter().enumerate() {
-        println!(
-            "{:<16} {:>12} {:>12}",
-            scheme.to_string(),
-            cell(out.values[i * POLICIES.len()]),
-            cell(out.values[i * POLICIES.len() + 1])
-        );
+    let out = panel("warpsched", grid);
+    for (scheme, o) in SCHEMES.iter().zip(out.chunks(POLICIES.len())) {
+        println!("{:<16} {:>12} {:>12}", scheme.to_string(), cycles(o[0]), cycles(o[1]));
     }
-    absorb(&mut quarantine, "warpsched", &out);
 
     if !quarantine.is_empty() {
         print!("{quarantine}");

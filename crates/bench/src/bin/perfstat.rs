@@ -17,16 +17,18 @@
 //! several counts in one run: the first is the primary threaded column,
 //! and every count is recorded as a `t<n>_ms`/`t<n>_speedup` scaling
 //! column that `benchdiff`'s `GEX_BENCHDIFF_SCALING_MIN` gate reads. The
-//! snapshot header records the host core count and result-cache state, so
-//! a scaling gate can tell "threading regressed" from "this box has one
-//! core".
+//! result cache is switched off before anything is timed (a hit would
+//! time a map lookup, not the simulator), and the snapshot header records
+//! that setting and the host core count, so a scaling gate can tell
+//! "threading regressed" from "this box has one core".
 
 use gex_bench::{perfstat, sms_from_env, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     args.apply_max_cycles();
-    // perfstat is a smoke/baseline tool, so unlike the figure binaries it
+    gex::cache::set_enabled(false);
+    // perfstat is a smoke/baseline tool, so unlike the `fig` binary it
     // defaults to the Test preset.
     let preset = if args.positional.is_empty() {
         gex::workloads::Preset::Test

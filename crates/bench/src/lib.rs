@@ -1,7 +1,9 @@
 //! # gex-bench — harness regenerating every table and figure
 //!
-//! * Binaries (`cargo run -p gex-bench --release --bin figN`): print the
-//!   paper's tables/series at the `Paper` preset.
+//! * The `fig` binary (`cargo run -p gex-bench --release --bin fig --
+//!   <id>[,<id>...] [preset] [flags]`, ids `10`-`14`, `lp`, `mt`,
+//!   `scalability`, `table1`, `table2`): prints the paper's tables/series,
+//!   at the `Paper` preset unless told otherwise.
 //! * The self-timed bench (`cargo bench -p gex-bench`): times the same
 //!   experiments at the `Test` preset, one group per figure. The harness
 //!   is in [`timing`]; the workspace builds fully offline, so it does not
@@ -26,7 +28,8 @@ pub mod timing;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
     /// Non-flag arguments in order: a preset name for the harness
-    /// binaries, a substring filter for the self-timed bench.
+    /// binaries (after the figure ids, for `fig`), a substring filter for
+    /// the self-timed bench.
     pub positional: Vec<String>,
     /// `--max-cycles N` / `--max-cycles=N`: simulated-cycle cap.
     pub max_cycles: Option<u64>,
@@ -160,35 +163,19 @@ impl BenchArgs {
         }
     }
 
-    /// Supervision options for the single sweep of campaign `name`:
+    /// Supervision options for the sweep of campaign `name`:
     /// `--deadline` becomes the per-point budget, and `--journal PATH` /
     /// `--resume` (default path `gex-campaign-<name>.jsonl`) enable
-    /// journal-backed resumption.
+    /// journal-backed resumption. Binaries that run several sweeps (e.g.
+    /// `fig 12`, NVLink + PCIe) give each its own journal file with
+    /// [`SweepOptions::panel`].
     pub fn sweep_options(&self, name: &str) -> SweepOptions {
-        self.options_with_path(self.journal.as_ref().map(PathBuf::from), name)
-    }
-
-    /// Like [`BenchArgs::sweep_options`] for binaries that run several
-    /// sweeps (e.g. `fig12` NVLink + PCIe): each panel needs its own
-    /// journal file, so `panel` is appended to the explicit `--journal`
-    /// stem (`camp.jsonl` → `camp-nvlink.jsonl`) and to the default name.
-    pub fn sweep_options_panel(&self, name: &str, panel: &str) -> SweepOptions {
-        let explicit = self.journal.as_ref().map(|base| {
-            let p = PathBuf::from(base);
-            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("gex-campaign");
-            let ext = p.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
-            p.with_file_name(format!("{stem}-{panel}.{ext}"))
-        });
-        self.options_with_path(explicit, &format!("{name}-{panel}"))
-    }
-
-    fn options_with_path(&self, explicit: Option<PathBuf>, name: &str) -> SweepOptions {
         let mut opts = SweepOptions::default();
         if let Some(d) = self.deadline {
             opts.policy.budget = RunBudget::cycles(d);
         }
-        opts.journal = match (explicit, self.resume) {
-            (Some(p), _) => Some(p),
+        opts.journal = match (&self.journal, self.resume) {
+            (Some(p), _) => Some(PathBuf::from(p)),
             (None, true) => Some(PathBuf::from(format!("gex-campaign-{name}.jsonl"))),
             (None, false) => None,
         };
@@ -196,26 +183,9 @@ impl BenchArgs {
     }
 }
 
-/// Parse a preset name from the CLI (`test` / `bench` / `paper`);
-/// defaults to `paper` for the harness binaries.
-pub fn preset_from_args() -> Preset {
-    BenchArgs::parse().preset()
-}
-
 /// SM count for harness runs: the paper's 16, unless `GEX_SMS` overrides.
 pub fn sms_from_env() -> u32 {
     std::env::var("GEX_SMS").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
-}
-
-/// Parse `--max-cycles N` (or `--max-cycles=N`) from the CLI.
-pub fn max_cycles_from_args() -> Option<u64> {
-    BenchArgs::parse().max_cycles
-}
-
-/// Apply `--max-cycles` (if given) as the process-wide default cycle cap.
-/// Shorthand for `BenchArgs::parse().apply_max_cycles()`.
-pub fn apply_max_cycles_from_args() {
-    BenchArgs::parse().apply_max_cycles();
 }
 
 #[cfg(test)]
@@ -225,8 +195,9 @@ mod tests {
     #[test]
     fn preset_defaults_to_paper_under_test_harness() {
         // The test binary's argv has no recognized preset.
-        assert_eq!(preset_from_args(), Preset::Paper);
-        assert!(max_cycles_from_args().is_none());
+        let args = BenchArgs::parse();
+        assert_eq!(args.preset(), Preset::Paper);
+        assert!(args.max_cycles.is_none());
     }
 
     fn parse(args: &[&str]) -> BenchArgs {
@@ -312,11 +283,11 @@ mod tests {
             Some(std::path::Path::new("camp.jsonl"))
         );
         assert_eq!(
-            a.sweep_options_panel("fig12", "nvlink").journal.as_deref(),
+            a.sweep_options("fig12").panel("nvlink").journal.as_deref(),
             Some(std::path::Path::new("camp-nvlink.jsonl")),
             "each panel of a multi-sweep binary gets its own journal file"
         );
-        let defaulted = parse(&["--resume"]).sweep_options_panel("fig12", "pcie");
+        let defaulted = parse(&["--resume"]).sweep_options("fig12").panel("pcie");
         assert_eq!(
             defaulted.journal.as_deref(),
             Some(std::path::Path::new("gex-campaign-fig12-pcie.jsonl"))

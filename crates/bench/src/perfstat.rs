@@ -2,141 +2,68 @@
 //! serially and on the parallel sweep engine, and emits a `BENCH_<n>.json`
 //! snapshot so every PR leaves a recorded perf baseline.
 //!
-//! The `perfstat` binary drives this module. Each [`Group`] is the
-//! flattened `(workload, scheme, config)` point grid behind one figure;
-//! [`Group::run_all`] executes it through [`gex_exec::par_map`] and
-//! returns the total simulated cycles, which — divided by wall-clock —
-//! gives the sim-cycles/second throughput recorded in the JSON.
+//! The `perfstat` binary drives this module. Each [`Group`] is the point
+//! grid behind one figure, built by the experiment driver's own grid
+//! builder; [`run_all`] executes it through [`gex_exec::par_map`] and
+//! [`gex::run_point`] and returns the total simulated cycles, which —
+//! divided by wall-clock — gives the sim-cycles/second throughput
+//! recorded in the JSON. The binary disables the result cache before
+//! timing, so every point simulates.
 
-use gex::workloads::{suite, Preset, Workload};
-use gex::{Gpu, GpuConfig, Interconnect, LocalFaultConfig, PagingMode, Residency, Scheme};
+use gex::experiments::{self, GridPoint, Inputs};
+use gex::workloads::Preset;
+use gex::{Interconnect, RunBudget};
 use std::time::{Duration, Instant};
 
-/// Which residency a simulation point runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ResKind {
-    /// Figure 10/11: everything resident, no faults. The engine ignores
-    /// the residency argument and pre-maps every touched page, so these
-    /// points share one empty [`Residency`].
-    AllResident,
-    /// Figure 13 placement: heap lazily backed.
-    HeapLazy,
-    /// Figure 14 placement: outputs lazily backed.
-    OutputsLazy,
-}
-
-/// One simulation point: workload index + scheme + paging mode.
-type Point = (usize, Scheme, PagingMode);
-
-/// The flattened point grid behind one figure of the paper.
+/// The point grid behind one figure of the paper.
 pub struct Group {
     /// Group id, e.g. `fig10`.
     pub id: &'static str,
-    workloads: Vec<Workload>,
-    /// One residency per workload, computed once at construction and
-    /// shared by every point of that workload (building page sets per
-    /// point dominated small-grid runs).
-    residencies: Vec<Residency>,
-    points: Vec<Point>,
+    inputs: Inputs,
+    builder: fn(&Inputs, u32) -> Vec<GridPoint<'_>>,
 }
 
 impl Group {
-    fn new(id: &'static str, workloads: Vec<Workload>, res: ResKind, points: Vec<Point>) -> Self {
-        let residencies = workloads
-            .iter()
-            .map(|w| match res {
-                ResKind::AllResident => Residency::new(),
-                ResKind::HeapLazy => w.heap_lazy_residency(),
-                ResKind::OutputsLazy => w.outputs_lazy_residency(),
-            })
-            .collect();
-        Group { id, workloads, residencies, points }
-    }
-
-    /// Number of independent simulation points in the grid.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Run every point through the sweep engine; returns total simulated
-    /// cycles. Thread count follows [`gex_exec::threads`], so callers
-    /// time the serial path with `gex_exec::set_threads(1)` and the
-    /// parallel path with the override cleared.
-    pub fn run_all(&self, sms: u32) -> u64 {
-        let cfg = GpuConfig::kepler_k20().with_sms(sms);
-        gex_exec::par_map(self.points.clone(), |(wi, scheme, paging)| {
-            let w = &self.workloads[wi];
-            Gpu::new(cfg.clone(), scheme, paging).run(&w.trace, &self.residencies[wi]).cycles
-        })
-        .into_iter()
-        .sum()
+    /// The figure's grid on a `sms`-SM GPU.
+    pub fn grid(&self, sms: u32) -> Vec<GridPoint<'_>> {
+        (self.builder)(&self.inputs, sms)
     }
 }
 
-/// The figure groups perfstat times, mirroring the experiment drivers'
-/// Test-preset grids.
+/// Run every point of `grid` through the sweep engine; returns total
+/// simulated cycles. Thread count follows [`gex_exec::threads`], so
+/// callers time the serial path with `gex_exec::set_threads(1)` and the
+/// parallel path with the override cleared.
+pub fn run_all(grid: &[GridPoint<'_>]) -> u64 {
+    gex_exec::par_map(grid.iter().collect(), |p| {
+        match gex::run_point(&p.spec, &RunBudget::none()) {
+            Ok(outcome) => outcome.cycles,
+            Err(e) => panic!("{}: {e}", p.key),
+        }
+    })
+    .into_iter()
+    .sum()
+}
+
+fn fig11_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
+    experiments::fig11_grid(inputs, sms, &gex::power::studied_sizes())
+}
+
+fn local_handling_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
+    experiments::local_handling_grid(inputs, sms, Interconnect::nvlink())
+}
+
+/// The figure groups perfstat times: the single-stream figure grids
+/// (NVLink panels for Figures 13 and 14).
 pub fn standard_groups(preset: Preset) -> Vec<Group> {
-    let all = PagingMode::AllResident;
-    let nvlink = Interconnect::nvlink();
-    let demand = PagingMode::demand(nvlink);
-    let local = PagingMode::Demand {
-        interconnect: nvlink,
-        block_switch: None,
-        local_handling: Some(LocalFaultConfig::default()),
-    };
-    let parboil = suite::parboil(preset);
-    let halloc = suite::halloc(preset);
-
-    let fig10_schemes =
-        [Scheme::Baseline, Scheme::WdCommit, Scheme::WdLastCheck, Scheme::ReplayQueue];
-    let fig10 = Group::new(
-        "fig10",
-        parboil.clone(),
-        ResKind::AllResident,
-        grid(&parboil, &fig10_schemes, all),
-    );
-
-    let mut fig11_schemes = vec![Scheme::Baseline];
-    fig11_schemes.extend(gex::power::studied_sizes().iter().map(|&bytes| Scheme::OperandLog { bytes }));
-    let fig11 = Group::new(
-        "fig11",
-        parboil.clone(),
-        ResKind::AllResident,
-        grid(&parboil, &fig11_schemes, all),
-    );
-
-    let fig13 = Group::new(
-        "fig13",
-        halloc.clone(),
-        ResKind::HeapLazy,
-        (0..halloc.len())
-            .flat_map(|i| {
-                [(i, Scheme::ReplayQueue, demand), (i, Scheme::ReplayQueue, local)]
-            })
-            .collect(),
-    );
-
-    let fig14 = Group::new(
-        "fig14",
-        parboil.clone(),
-        ResKind::OutputsLazy,
-        (0..parboil.len())
-            .flat_map(|i| {
-                [(i, Scheme::ReplayQueue, demand), (i, Scheme::ReplayQueue, local)]
-            })
-            .collect(),
-    );
-
-    vec![fig10, fig11, fig13, fig14]
-}
-
-fn grid(ws: &[Workload], schemes: &[Scheme], paging: PagingMode) -> Vec<Point> {
-    (0..ws.len()).flat_map(|i| schemes.iter().map(move |&s| (i, s, paging))).collect()
+    let group = |id, inputs, builder| Group { id, inputs, builder };
+    let resident = experiments::resident_inputs(preset);
+    vec![
+        group("fig10", resident.clone(), experiments::fig10_grid),
+        group("fig11", resident, fig11_grid),
+        group("fig13", experiments::fig13_inputs(preset), local_handling_grid),
+        group("fig14", experiments::fig14_inputs(preset), local_handling_grid),
+    ]
 }
 
 /// Timing record for one group.
@@ -193,13 +120,14 @@ impl GroupStat {
 /// the sweep at that worker count (0 = the ambient count from
 /// `GEX_THREADS` / the machine).
 pub fn time_group(group: &Group, sms: u32, samples: usize, threads: &[usize]) -> GroupStat {
+    let grid = group.grid(sms);
     let mut sim_cycles = 0;
     let mut best = |threads: usize| {
         gex_exec::set_threads(threads);
         let mut best = Duration::MAX;
         for _ in 0..samples.max(1) {
             let t0 = Instant::now();
-            sim_cycles = group.run_all(sms);
+            sim_cycles = run_all(&grid);
             best = best.min(t0.elapsed());
         }
         best
@@ -209,7 +137,7 @@ pub fn time_group(group: &Group, sms: u32, samples: usize, threads: &[usize]) ->
     gex_exec::set_threads(0);
     GroupStat {
         id: group.id.to_string(),
-        points: group.len(),
+        points: grid.len(),
         sim_cycles,
         serial,
         threaded,
@@ -228,8 +156,9 @@ pub fn host_cores() -> usize {
 /// the primary threaded column. The serial column is always one worker,
 /// and both throughputs are recorded per group so `benchdiff` can compare
 /// snapshots taken at different worker counts on the serial basis. The
-/// header also stamps the host's core count and the result-cache state,
-/// without which a recorded speedup is uninterpretable.
+/// header also stamps the host's core count and the result-cache state
+/// the timed sweeps ran under, without which a recorded speedup is
+/// uninterpretable.
 pub fn to_json(
     preset: Preset,
     sms: u32,
@@ -425,21 +354,7 @@ pub fn snapshot_files(dir: &std::path::Path) -> Vec<(u32, std::path::PathBuf)> {
 /// Next free `BENCH_<n>.json` index in `dir` (one above the highest
 /// existing index; 0 for a fresh directory).
 pub fn next_bench_index(dir: &std::path::Path) -> u32 {
-    let mut max: Option<u32> = None;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix("BENCH_")
-                .and_then(|r| r.strip_suffix(".json"))
-                .and_then(|r| r.parse::<u32>().ok())
-            {
-                max = Some(max.map_or(n, |m: u32| m.max(n)));
-            }
-        }
-    }
-    max.map_or(0, |m| m + 1)
+    snapshot_files(dir).last().map_or(0, |(n, _)| n + 1)
 }
 
 #[cfg(test)]
@@ -451,9 +366,9 @@ mod tests {
         let gs = standard_groups(Preset::Test);
         let ids: Vec<&str> = gs.iter().map(|g| g.id).collect();
         assert_eq!(ids, ["fig10", "fig11", "fig13", "fig14"]);
-        assert!(gs.iter().all(|g| !g.is_empty()));
+        assert!(gs.iter().all(|g| !g.grid(2).is_empty()));
         // fig10 is the full parboil x scheme grid.
-        assert_eq!(gs[0].len(), suite::parboil(Preset::Test).len() * 4);
+        assert_eq!(gs[0].grid(2).len(), gex::workloads::suite::parboil(Preset::Test).len() * 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regenerates the golden figure renders under `crates/core/tests/golden/`.
 //!
-//! The golden files pin the exact byte-level output of the fig10/fig11
-//! drivers on the `Test` preset so scheduler or cache changes that drift
+//! The golden files pin the exact byte-level output of every figure
+//! driver on the `Test` preset so scheduler or cache changes that drift
 //! the simulation are caught by `cargo test` (see
 //! `crates/core/tests/golden_figures.rs`). Run this only when a figure
 //! change is *intentional*, then review the diff like any other code:
@@ -10,11 +10,25 @@
 //! cargo run --release --example golden_gen
 //! ```
 
-use gex::experiments;
 use gex::workloads::{suite, Preset};
 use gex::{cache, Gpu, GpuConfig, InjectionPlan, Interconnect, PagingMode, Residency, Scheme};
 use std::fmt::Write as _;
 use std::path::Path;
+
+#[path = "../tests/golden/renders.rs"]
+mod renders;
+
+/// Every pinned figure render, by file name.
+const FILES: [&str; 8] = [
+    "fig10_test_4sm.txt",
+    "fig11_test_4sm.txt",
+    "fig12_nvlink_test_4sm.txt",
+    "fig13_nvlink_test_4sm.txt",
+    "fig14_nvlink_test_4sm.txt",
+    "fig_lp_test_4sm.txt",
+    "fig_mt_test_4sm.txt",
+    "scalability_test_2_4sm.txt",
+];
 
 /// The schemes × paging × chaos grid pinned by
 /// `tests/golden/page_size_small.txt`: full `Debug` report dumps proving
@@ -60,18 +74,12 @@ fn main() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create golden dir");
 
-    let fig10 = experiments::fig10(Preset::Test, 4).to_string();
-    let fig11 = experiments::fig11(Preset::Test, 4).to_string();
-    let fig_lp = experiments::fig_lp(Preset::Test, 4).to_string();
-
-    std::fs::write(dir.join("fig10_test_4sm.txt"), &fig10).expect("write fig10 golden");
-    std::fs::write(dir.join("fig11_test_4sm.txt"), &fig11).expect("write fig11 golden");
-    std::fs::write(dir.join("fig_lp_test_4sm.txt"), &fig_lp).expect("write fig_lp golden");
+    for file in FILES {
+        let text = renders::render(file);
+        std::fs::write(dir.join(file), &text).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        print!("{text}");
+    }
     std::fs::write(dir.join("page_size_small.txt"), page_size_small_dump())
         .expect("write page-size golden");
-
     println!("wrote {}", dir.display());
-    print!("{fig10}");
-    print!("{fig11}");
-    print!("{fig_lp}");
 }

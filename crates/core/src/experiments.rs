@@ -1,29 +1,26 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 5). Each driver returns plain data and renders a
-//! text table via `Display`, so the harness binaries, Criterion benches and
-//! tests all share one implementation.
+//! text table via `Display`, so the harness binaries, the self-timed
+//! bench and tests all share one implementation.
 //!
-//! Every figure driver comes in two forms: `figN` (panics on any failed
-//! point — the historical behaviour, right for tests and quick runs) and
-//! `figN_supervised` (runs the grid under the [`crate::supervise`]
-//! supervisor: per-point panic isolation, deadline retry with budget
-//! escalation, a quarantine report rendered into the figure output, and
-//! journal-backed resumption via [`SweepOptions::journal`]).
+//! Every figure is a *grid builder* (the ordered list of [`GridPoint`]s)
+//! plus an *assembler* (outcomes → rows) over the one shared [`sweep`],
+//! which runs the grid under the [`crate::supervise`] supervisor:
+//! per-point panic isolation, deadline retry with budget escalation, a
+//! quarantine report rendered into the figure output, and journal-backed
+//! resumption via [`SweepOptions::journal`]. There is one entry point per
+//! figure; callers that want a failed point to panic chain
+//! [`Supervised::expect_healthy`].
 
 use crate::cache::{self, CacheStats};
 use crate::journal::{digest, CampaignJournal};
+use crate::point::{chaos_tenant, run_point, JournalForm, Outcome, PointSpec, Sharing};
 use crate::supervise::{run_supervised, QuarantineReport, SweepOptions};
-use crate::{
-    geomean, Gpu, GpuConfig, GpuRunReport, Interconnect, PagingMode, Residency, RunBudget,
-    Scheme, SimError,
-};
-use gex_sim::{
-    pack_outcome, unpack_outcome, BlockSwitchConfig, InjectionPlan, LocalFaultConfig,
-    PageSizePolicy, PartitionPolicy, TenantId, TenantWorkload,
-};
+use crate::{geomean, GpuConfig, Interconnect, PagingMode, Residency, Scheme};
+use gex_sim::{BlockSwitchConfig, LocalFaultConfig, PageSizePolicy, PartitionPolicy, TenantId};
 use gex_workloads::{suite, Preset, Workload};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// A small ASCII bar for terminal figures: `width` columns represent
 /// `full` (values above `full` saturate).
@@ -36,27 +33,9 @@ fn bar(value: f64, full: f64, width: usize) -> String {
     s
 }
 
-/// Run one workload fault-free (Figures 10/11's configuration).
-///
-/// `AllResident` ignores the residency argument entirely — the engine
-/// pre-maps every touched page — so callers pass one shared empty
-/// [`Residency`] for the whole sweep instead of cloning per-point page
-/// sets that were never read.
-fn run_resident(
-    w: &Workload,
-    scheme: Scheme,
-    sms: u32,
-    residency: &Residency,
-    budget: &RunBudget,
-) -> Result<Arc<GpuRunReport>, SimError> {
-    let gpu = Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, PagingMode::AllResident)
-        .budget(budget.clone());
-    cache::run_cached(&gpu, w, residency)
-}
-
-/// A figure plus the supervision diagnostics of the sweep that produced
-/// it. Quarantined points render as `NaN` in the figure; the report makes
-/// the gaps explicit.
+/// A sweep's product plus the supervision diagnostics of the sweep that
+/// produced it. Quarantined points render as `NaN` in a figure; the
+/// report makes the gaps explicit.
 #[derive(Debug, Clone)]
 pub struct Supervised<F> {
     /// The assembled figure (partial if anything was quarantined).
@@ -74,6 +53,33 @@ pub struct Supervised<F> {
     pub cache: CacheStats,
 }
 
+impl<F> Supervised<F> {
+    /// The same diagnostics around `f(fig)` — how a figure's assembler
+    /// turns [`sweep`] outcomes into rows.
+    pub fn map<G>(self, f: impl FnOnce(F) -> G) -> Supervised<G> {
+        Supervised {
+            fig: f(self.fig),
+            quarantine: self.quarantine,
+            resumed: self.resumed,
+            simulated: self.simulated,
+            cache: self.cache,
+        }
+    }
+
+    /// Unwrap the figure, panicking (with the full quarantine report) if
+    /// any point failed.
+    pub fn expect_healthy(self) -> F {
+        if !self.quarantine.is_empty() {
+            panic!(
+                "sweep quarantined {} point(s):\n{}",
+                self.quarantine.records.len(),
+                self.quarantine
+            );
+        }
+        self.fig
+    }
+}
+
 impl<F: fmt::Display> fmt::Display for Supervised<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.fig)?;
@@ -89,45 +95,173 @@ impl<F: fmt::Display> fmt::Display for Supervised<F> {
     }
 }
 
-/// Unwrap a supervised figure, panicking (with the full quarantine
-/// report) if any point failed — the contract of the plain `figN`
-/// drivers.
-fn expect_healthy<F>(s: Supervised<F>) -> F {
-    if !s.quarantine.is_empty() {
-        panic!(
-            "sweep quarantined {} point(s):\n{}",
-            s.quarantine.records.len(),
-            s.quarantine
-        );
-    }
-    s.fig
+/// One entry of a figure's grid: a stable key (also the journal key), the
+/// point itself, and how its outcome is journaled.
+#[derive(Debug, Clone)]
+pub struct GridPoint<'a> {
+    /// Stable point key, unique within the grid.
+    pub key: String,
+    /// The simulation point.
+    pub spec: PointSpec<'a>,
+    /// Journal layout of the point's outcome.
+    pub form: JournalForm,
 }
 
-/// `num/den` as `f64`, `NaN` when either point was quarantined.
-fn ratio(num: Option<u64>, den: Option<u64>) -> f64 {
+impl<'a> GridPoint<'a> {
+    /// A point journaling its cycle count (and lockout flag).
+    pub fn new(key: String, spec: PointSpec<'a>) -> Self {
+        GridPoint { key, spec, form: JournalForm::Cycles }
+    }
+}
+
+/// Run `grid` through [`run_point`] under sweep supervision. With
+/// `opts.journal` set the campaign is resumable: the journal is keyed by
+/// a digest of `campaign` plus the full ordered key list, and an unusable
+/// path degrades to running without resumption rather than failing the
+/// sweep. Outcomes come back in grid order, `None` for quarantined
+/// points.
+pub fn sweep(
+    campaign: &str,
+    grid: Vec<GridPoint<'_>>,
+    opts: &SweepOptions,
+) -> Supervised<Vec<Option<Outcome>>> {
+    let journal = opts.journal.as_ref().and_then(|path| {
+        let keys: Vec<&str> = grid.iter().map(|p| p.key.as_str()).collect();
+        let d = digest(&format!("{campaign}|{}", keys.join(",")));
+        CampaignJournal::open(path, d)
+            .map_err(|e| {
+                eprintln!(
+                    "warning: journal {} unusable ({e}); running without resume",
+                    path.display()
+                )
+            })
+            .ok()
+    });
+    let forms: Vec<JournalForm> = grid.iter().map(|p| p.form).collect();
+    // Counters the journal does not carry (block switches) ride beside it
+    // for the points this run simulates.
+    let live: Vec<OnceLock<Outcome>> = grid.iter().map(|_| OnceLock::new()).collect();
+    let points: Vec<(String, (usize, PointSpec<'_>))> =
+        grid.into_iter().enumerate().map(|(i, p)| (p.key, (i, p.spec))).collect();
+    let cache_before = cache::stats();
+    let out = run_supervised(points, &opts.policy, journal.as_ref(), |(i, spec), budget| {
+        let outcome = run_point(spec, budget)?;
+        let _ = live[*i].set(outcome);
+        Ok(outcome.to_journal(forms[*i]))
+    });
+    let outcomes = out
+        .values
+        .iter()
+        .zip(&forms)
+        .zip(&live)
+        .map(|((v, &form), live)| {
+            v.map(|v| Outcome {
+                switches: live.get().and_then(|o| o.switches),
+                ..Outcome::from_journal(v, form)
+            })
+        })
+        .collect();
+    Supervised {
+        fig: outcomes,
+        quarantine: out.quarantine,
+        resumed: out.resumed,
+        simulated: out.simulated,
+        cache: cache::stats().since(&cache_before),
+    }
+}
+
+/// `num/den` cycles as `f64`, `NaN` when either point was quarantined.
+pub fn ratio(num: Option<Outcome>, den: Option<Outcome>) -> f64 {
     match (num, den) {
-        (Some(n), Some(d)) => n as f64 / d as f64,
+        (Some(n), Some(d)) => n.cycles as f64 / d.cycles as f64,
         _ => f64::NAN,
     }
 }
 
-/// Open the campaign journal named by `opts`, keyed by a digest of the
-/// campaign identity plus the full ordered point grid. An unusable path
-/// degrades to running without resumption rather than failing the sweep.
-fn campaign_journal(
-    opts: &SweepOptions,
-    campaign: &str,
-    keys: &[String],
-) -> Option<CampaignJournal> {
-    let path = opts.journal.as_ref()?;
-    let d = digest(&format!("{campaign}|{}", keys.join(",")));
-    match CampaignJournal::open(path, d) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("warning: journal {} unusable ({e}); running without resume", path.display());
-            None
-        }
-    }
+/// A figure's simulation inputs, in row order: each workload with the
+/// one residency every point of that workload shares.
+pub type Inputs = Vec<(Workload, Residency)>;
+
+fn with_residency(
+    workloads: Vec<Workload>,
+    residency_of: impl Fn(&Workload) -> Residency,
+) -> Inputs {
+    workloads
+        .into_iter()
+        .map(|w| {
+            let residency = residency_of(&w);
+            (w, residency)
+        })
+        .collect()
+}
+
+/// Inputs of Figures 10 and 11: Parboil, everything resident.
+/// `AllResident` ignores the residency entirely — the engine pre-maps
+/// every touched page — so the points share empty ones.
+pub fn resident_inputs(preset: Preset) -> Inputs {
+    with_residency(suite::parboil(preset), |_| Residency::new())
+}
+
+/// The workload-major grid every single-stream figure sweeps: each of
+/// `inputs` under each `(label, scheme, paging)` variant, keyed
+/// `workload/label`.
+fn grid<'a>(
+    inputs: &'a Inputs,
+    sms: u32,
+    variants: &[(String, Scheme, PagingMode)],
+) -> Vec<GridPoint<'a>> {
+    let cfg = GpuConfig::kepler_k20().with_sms(sms);
+    inputs
+        .iter()
+        .flat_map(|(w, res)| {
+            let cfg = &cfg;
+            variants.iter().map(move |(label, scheme, paging)| {
+                GridPoint::new(
+                    format!("{}/{label}", w.name),
+                    PointSpec::new(w, *scheme, cfg.clone(), *paging, res),
+                )
+            })
+        })
+        .collect()
+}
+
+/// The fault-free [`grid`] of Figures 10 and 11: one variant per scheme.
+fn resident_grid<'a>(inputs: &'a Inputs, sms: u32, schemes: &[Scheme]) -> Vec<GridPoint<'a>> {
+    let variants: Vec<_> =
+        schemes.iter().map(|&s| (format!("{s:?}"), s, PagingMode::AllResident)).collect();
+    grid(inputs, sms, &variants)
+}
+
+/// The replay-queue demand-paging [`grid`] of Figures 12-14: one variant
+/// per `(label, block switching, local handling)` triple.
+fn demand_grid<'a>(
+    inputs: &'a Inputs,
+    sms: u32,
+    interconnect: Interconnect,
+    variants: &[(&str, Option<BlockSwitchConfig>, Option<LocalFaultConfig>)],
+) -> Vec<GridPoint<'a>> {
+    let variants: Vec<_> = variants
+        .iter()
+        .map(|&(label, block_switch, local_handling)| {
+            let paging = PagingMode::Demand { interconnect, block_switch, local_handling };
+            (label.to_string(), Scheme::ReplayQueue, paging)
+        })
+        .collect();
+    grid(inputs, sms, &variants)
+}
+
+/// A figure's rows: one per workload, from that workload's run of
+/// consecutive outcomes.
+fn rows<R>(
+    inputs: &Inputs,
+    out: &[Option<Outcome>],
+    row: impl Fn(String, &[Option<Outcome>]) -> R,
+) -> Vec<R> {
+    inputs
+        .iter()
+        .zip(out.chunks(out.len() / inputs.len()))
+        .map(|((w, _), o)| row(w.name.clone(), o))
+        .collect()
 }
 
 // ---------------------------------------------------------------- Fig 10
@@ -165,52 +299,31 @@ impl Fig10 {
     }
 }
 
-/// Run the Figure 10 sweep. Every `(workload, scheme)` point is an
-/// independent simulation, so the grid is flattened onto the parallel
-/// sweep engine and rows are reassembled in workload order. Panics if any
-/// point fails; [`fig10_supervised`] is the fault-tolerant form.
-pub fn fig10(preset: Preset, sms: u32) -> Fig10 {
-    expect_healthy(fig10_supervised(preset, sms, &SweepOptions::default()))
+const FIG10_SCHEMES: [Scheme; 4] =
+    [Scheme::Baseline, Scheme::WdCommit, Scheme::WdLastCheck, Scheme::ReplayQueue];
+
+/// Figure 10's grid: every Parboil workload under the baseline and the
+/// three preemptible pipelines.
+pub fn fig10_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
+    resident_grid(inputs, sms, &FIG10_SCHEMES)
 }
 
-/// [`fig10`] under sweep supervision: failed points are quarantined
-/// (their rows show `NaN`), deadline overruns retry with escalated
-/// budgets, and an attached journal makes the campaign resumable.
-pub fn fig10_supervised(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig10> {
-    const SCHEMES: [Scheme; 4] =
-        [Scheme::Baseline, Scheme::WdCommit, Scheme::WdLastCheck, Scheme::ReplayQueue];
-    let ws = suite::parboil(preset);
-    let shared = Residency::new();
-    let points: Vec<(String, (&Workload, Scheme))> = ws
-        .iter()
-        .flat_map(|w| SCHEMES.iter().map(move |&s| (format!("{}/{s:?}", w.name), (w, s))))
-        .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(opts, &format!("fig10|{preset:?}|sms={sms}"), &keys);
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |(w, s), budget| {
-        run_resident(w, *s, sms, &shared, budget).map(|r| r.cycles)
-    });
-    let rows = ws
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let base = out.values[i * SCHEMES.len()];
-            Fig10Row {
-                benchmark: w.name.clone(),
-                wd_commit: ratio(base, out.values[i * SCHEMES.len() + 1]),
-                wd_lastcheck: ratio(base, out.values[i * SCHEMES.len() + 2]),
-                replay_queue: ratio(base, out.values[i * SCHEMES.len() + 3]),
-            }
-        })
-        .collect();
-    Supervised {
-        fig: Fig10 { rows },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
-    }
+/// Run the Figure 10 sweep. Every `(workload, scheme)` point is an
+/// independent simulation, so the grid is flattened onto the parallel
+/// sweep engine and rows are reassembled in workload order. Failed points
+/// are quarantined (their rows show `NaN`), deadline overruns retry with
+/// escalated budgets, and an attached journal makes the campaign
+/// resumable.
+pub fn fig10(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig10> {
+    let inputs = resident_inputs(preset);
+    sweep(&format!("fig10|{preset:?}|sms={sms}"), fig10_grid(&inputs, sms), opts).map(|out| Fig10 {
+        rows: rows(&inputs, &out, |benchmark, o| Fig10Row {
+            benchmark,
+            wd_commit: ratio(o[0], o[1]),
+            wd_lastcheck: ratio(o[0], o[2]),
+            replay_queue: ratio(o[0], o[3]),
+        }),
+    })
 }
 
 impl fmt::Display for Fig10 {
@@ -265,51 +378,28 @@ impl Fig11 {
     }
 }
 
-/// Run the Figure 11 sweep over the paper's four log sizes. Jobs are the
-/// flattened `(workload, scheme)` grid: one baseline plus one run per log
-/// size for each benchmark. Panics if any point fails;
-/// [`fig11_supervised`] is the fault-tolerant form.
-pub fn fig11(preset: Preset, sms: u32) -> Fig11 {
-    expect_healthy(fig11_supervised(preset, sms, &SweepOptions::default()))
+/// Figure 11's grid: per Parboil workload, the baseline plus one
+/// operand-log run per entry of `sizes` (bytes).
+pub fn fig11_grid<'a>(inputs: &'a Inputs, sms: u32, sizes: &[u32]) -> Vec<GridPoint<'a>> {
+    let schemes: Vec<Scheme> = std::iter::once(Scheme::Baseline)
+        .chain(sizes.iter().map(|&bytes| Scheme::OperandLog { bytes }))
+        .collect();
+    resident_grid(inputs, sms, &schemes)
 }
 
-/// [`fig11`] under sweep supervision (see [`fig10_supervised`]).
-pub fn fig11_supervised(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig11> {
+/// Run the Figure 11 sweep over the paper's four log sizes (see
+/// [`fig10`] for the supervision contract).
+pub fn fig11(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig11> {
     let sizes: Vec<u32> = gex_power::studied_sizes().to_vec();
-    let ws = suite::parboil(preset);
-    let shared = Residency::new();
-    let stride = 1 + sizes.len();
-    let points: Vec<(String, (&Workload, Scheme))> = ws
-        .iter()
-        .flat_map(|w| {
-            std::iter::once((w, Scheme::Baseline))
-                .chain(sizes.iter().map(move |&bytes| (w, Scheme::OperandLog { bytes })))
-        })
-        .map(|(w, s)| (format!("{}/{s:?}", w.name), (w, s)))
-        .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(opts, &format!("fig11|{preset:?}|sms={sms}"), &keys);
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |(w, s), budget| {
-        run_resident(w, *s, sms, &shared, budget).map(|r| r.cycles)
-    });
-    let rows = ws
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let base = out.values[i * stride];
-            let by_size =
-                (1..stride).map(|j| ratio(base, out.values[i * stride + j])).collect();
-            Fig11Row { benchmark: w.name.clone(), by_size }
-        })
-        .collect();
-    Supervised {
-        fig: Fig11 { sizes, rows },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
-    }
+    let inputs = resident_inputs(preset);
+    let grid = fig11_grid(&inputs, sms, &sizes);
+    sweep(&format!("fig11|{preset:?}|sms={sms}"), grid, opts).map(|out| Fig11 {
+        rows: rows(&inputs, &out, |benchmark, o| Fig11Row {
+            benchmark,
+            by_size: o[1..].iter().map(|&v| ratio(o[0], v)).collect(),
+        }),
+        sizes,
+    })
 }
 
 impl fmt::Display for Fig11 {
@@ -358,73 +448,38 @@ pub struct Fig12 {
     pub rows: Vec<Fig12Row>,
 }
 
-/// Run one Figure 12 panel. The baseline supports preemptible faults with
-/// the replay queue but performs no switching, exactly as in Section 5.1.
-/// Panics if any point fails; [`fig12_supervised`] is the fault-tolerant
-/// form.
-pub fn fig12(preset: Preset, sms: u32, interconnect: Interconnect) -> Fig12 {
-    expect_healthy(fig12_supervised(preset, sms, interconnect, &SweepOptions::default()))
+/// Figure 12's grid. Per workload: plain demand paging, default
+/// switching, ideal switching — three independent simulation points.
+pub fn fig12_grid(inputs: &Inputs, sms: u32, interconnect: Interconnect) -> Vec<GridPoint<'_>> {
+    let variants = [
+        ("demand", None, None),
+        ("switch", Some(BlockSwitchConfig::default()), None),
+        ("ideal", Some(BlockSwitchConfig::ideal()), None),
+    ];
+    demand_grid(inputs, sms, interconnect, &variants)
 }
 
-/// [`fig12`] under sweep supervision (see [`fig10_supervised`]).
-pub fn fig12_supervised(
+/// Run one Figure 12 panel (see [`fig10`] for the supervision contract).
+/// The baseline supports preemptible faults with the replay queue but
+/// performs no switching, exactly as in Section 5.1.
+pub fn fig12(
     preset: Preset,
     sms: u32,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<Fig12> {
-    let cfg = GpuConfig::kepler_k20().with_sms(sms);
-    let ws = suite::parboil(preset);
     // Demand paging reads the residency, so each workload needs its real
-    // page set — but one per workload, shared by its three points, not
-    // one per point.
-    let ress: Vec<_> = ws.iter().map(|w| w.demand_residency()).collect();
-    // Per workload: plain demand paging, default switching, ideal
-    // switching — three independent simulation points.
-    let switches: [(&str, Option<BlockSwitchConfig>); 3] = [
-        ("demand", None),
-        ("switch", Some(BlockSwitchConfig::default())),
-        ("ideal", Some(BlockSwitchConfig::ideal())),
-    ];
-    let points: Vec<(String, (usize, Option<BlockSwitchConfig>))> = ws
-        .iter()
-        .enumerate()
-        .flat_map(|(i, w)| {
-            switches.iter().map(move |&(label, bs)| (format!("{}/{label}", w.name), (i, bs)))
-        })
-        .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(
-        opts,
-        &format!("fig12|{preset:?}|sms={sms}|{interconnect}"),
-        &keys,
-    );
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |&(i, block_switch), budget| {
-        let gpu = Gpu::new(
-            cfg.clone(),
-            Scheme::ReplayQueue,
-            PagingMode::Demand { interconnect, block_switch, local_handling: None },
-        )
-        .budget(budget.clone());
-        cache::run_cached(&gpu, &ws[i], &ress[i]).map(|r| r.cycles)
-    });
-    let rows = ws
-        .iter()
-        .enumerate()
-        .map(|(i, w)| Fig12Row {
-            benchmark: w.name.clone(),
-            switching: ratio(out.values[i * 3], out.values[i * 3 + 1]),
-            ideal: ratio(out.values[i * 3], out.values[i * 3 + 2]),
-        })
-        .collect();
-    Supervised {
-        fig: Fig12 { interconnect, rows },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
-    }
+    // page set — one per workload, shared by its three points.
+    let inputs = with_residency(suite::parboil(preset), Workload::demand_residency);
+    let campaign = format!("fig12|{preset:?}|sms={sms}|{interconnect}");
+    sweep(&campaign, fig12_grid(&inputs, sms, interconnect), opts).map(|out| Fig12 {
+        interconnect,
+        rows: rows(&inputs, &out, |benchmark, o| Fig12Row {
+            benchmark,
+            switching: ratio(o[0], o[1]),
+            ideal: ratio(o[0], o[2]),
+        }),
+    })
 }
 
 impl fmt::Display for Fig12 {
@@ -484,109 +539,69 @@ impl LocalHandlingFig {
     }
 }
 
+/// The grid of Figures 13 and 14. Per workload: CPU-handled and
+/// GPU-local-handled demand paging.
+pub fn local_handling_grid(
+    inputs: &Inputs,
+    sms: u32,
+    interconnect: Interconnect,
+) -> Vec<GridPoint<'_>> {
+    let variants = [("cpu", None, None), ("local", None, Some(LocalFaultConfig::default()))];
+    demand_grid(inputs, sms, interconnect, &variants)
+}
+
 fn local_handling_fig(
     figure: &'static str,
     preset: Preset,
-    workloads: &[Workload],
-    residency_of: impl Fn(&Workload) -> crate::Residency,
+    inputs: Inputs,
     sms: u32,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    let cfg = GpuConfig::kepler_k20().with_sms(sms);
-    // One residency per workload, shared by both of its points.
-    let ress: Vec<_> = workloads.iter().map(&residency_of).collect();
-    // Per workload: CPU-handled and GPU-local-handled demand paging.
-    let handlers: [(&str, Option<LocalFaultConfig>); 2] =
-        [("cpu", None), ("local", Some(LocalFaultConfig::default()))];
-    let points: Vec<(String, (usize, Option<LocalFaultConfig>))> = workloads
-        .iter()
-        .enumerate()
-        .flat_map(|(i, w)| {
-            handlers.iter().map(move |&(label, h)| (format!("{}/{label}", w.name), (i, h)))
-        })
-        .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(
-        opts,
-        &format!("fig{figure}|{preset:?}|sms={sms}|{interconnect}"),
-        &keys,
-    );
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |&(i, local_handling), budget| {
-        let gpu = Gpu::new(
-            cfg.clone(),
-            Scheme::ReplayQueue,
-            PagingMode::Demand { interconnect, block_switch: None, local_handling },
-        )
-        .budget(budget.clone());
-        cache::run_cached(&gpu, &workloads[i], &ress[i]).map(|r| r.cycles)
-    });
-    let rows = workloads
-        .iter()
-        .enumerate()
-        .map(|(i, w)| LocalHandlingRow {
-            benchmark: w.name.clone(),
-            speedup: ratio(out.values[i * 2], out.values[i * 2 + 1]),
-        })
-        .collect();
-    Supervised {
-        fig: LocalHandlingFig { figure, interconnect, rows },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
-    }
+    let campaign = format!("fig{figure}|{preset:?}|sms={sms}|{interconnect}");
+    sweep(&campaign, local_handling_grid(&inputs, sms, interconnect), opts).map(|out| {
+        LocalHandlingFig {
+            figure,
+            interconnect,
+            rows: rows(&inputs, &out, |benchmark, o| LocalHandlingRow {
+                benchmark,
+                speedup: ratio(o[0], o[1]),
+            }),
+        }
+    })
+}
+
+/// Inputs of Figure 13: the Halloc benchmarks + quad-tree, heap lazily
+/// backed.
+pub fn fig13_inputs(preset: Preset) -> Inputs {
+    with_residency(suite::halloc(preset), Workload::heap_lazy_residency)
+}
+
+/// Inputs of Figure 14: Parboil, outputs lazily backed.
+pub fn fig14_inputs(preset: Preset) -> Inputs {
+    with_residency(suite::parboil(preset), Workload::outputs_lazy_residency)
 }
 
 /// Figure 13: local handling of faults backing dynamically allocated
-/// memory (Halloc benchmarks + quad-tree, heap lazily backed). Panics if
-/// any point fails; [`fig13_supervised`] is the fault-tolerant form.
-pub fn fig13(preset: Preset, sms: u32, interconnect: Interconnect) -> LocalHandlingFig {
-    expect_healthy(fig13_supervised(preset, sms, interconnect, &SweepOptions::default()))
-}
-
-/// [`fig13`] under sweep supervision (see [`fig10_supervised`]).
-pub fn fig13_supervised(
+/// memory (see [`fig10`] for the supervision contract).
+pub fn fig13(
     preset: Preset,
     sms: u32,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    local_handling_fig(
-        "13",
-        preset,
-        &suite::halloc(preset),
-        |w| w.heap_lazy_residency(),
-        sms,
-        interconnect,
-        opts,
-    )
+    local_handling_fig("13", preset, fig13_inputs(preset), sms, interconnect, opts)
 }
 
-/// Figure 14: local handling of faults on kernel output pages (Parboil,
-/// outputs lazily backed). Panics if any point fails;
-/// [`fig14_supervised`] is the fault-tolerant form.
-pub fn fig14(preset: Preset, sms: u32, interconnect: Interconnect) -> LocalHandlingFig {
-    expect_healthy(fig14_supervised(preset, sms, interconnect, &SweepOptions::default()))
-}
-
-/// [`fig14`] under sweep supervision (see [`fig10_supervised`]).
-pub fn fig14_supervised(
+/// Figure 14: local handling of faults on kernel output pages (see
+/// [`fig10`] for the supervision contract).
+pub fn fig14(
     preset: Preset,
     sms: u32,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    local_handling_fig(
-        "14",
-        preset,
-        &suite::parboil(preset),
-        |w| w.outputs_lazy_residency(),
-        sms,
-        interconnect,
-        opts,
-    )
+    local_handling_fig("14", preset, fig14_inputs(preset), sms, interconnect, opts)
 }
 
 impl fmt::Display for LocalHandlingFig {
@@ -706,54 +721,33 @@ pub struct ScalabilityRow {
 }
 
 /// Section 5.5: sweep the SM count and observe that local handling gains
-/// grow with it while the pipeline-scheme ordering is preserved. Panics if
-/// any point fails; [`scalability_supervised`] is the fault-tolerant form.
-pub fn scalability(preset: Preset, sm_counts: &[u32]) -> Vec<ScalabilityRow> {
-    let s = scalability_supervised(preset, sm_counts, &|_| SweepOptions::default());
-    if !s.quarantine.is_empty() {
-        panic!(
-            "scalability sweep quarantined {} point(s):\n{}",
-            s.quarantine.records.len(),
-            s.quarantine
-        );
-    }
-    s.fig
-}
-
-/// [`scalability`] under sweep supervision. Each SM count runs one
-/// Figure 10 and one Figure 13 campaign; `opts` maps a panel name
-/// (`"4sm-fig10"`, `"4sm-fig13"`, ...) to that campaign's
-/// [`SweepOptions`], so journal-backed runs give every inner sweep its own
-/// file (journals are digest-keyed per campaign and cannot be shared).
+/// grow with it while the pipeline-scheme ordering is preserved. Each SM
+/// count runs one Figure 10 and one Figure 13 (NVLink) campaign;
+/// journal-backed runs give every inner sweep its own file via
+/// [`SweepOptions::panel`] (`"4sm-fig10"`, `"4sm-fig13"`, ...), since
+/// journals are digest-keyed per campaign and cannot be shared.
 /// Quarantined points are reported with their panel prefixed to the key;
 /// rows over quarantined points render as `NaN`.
-pub fn scalability_supervised(
+pub fn scalability(
     preset: Preset,
     sm_counts: &[u32],
-    opts: &dyn Fn(&str) -> SweepOptions,
+    opts: &SweepOptions,
 ) -> Supervised<Vec<ScalabilityRow>> {
     let cache_before = cache::stats();
     let mut rows = Vec::with_capacity(sm_counts.len());
     let mut quarantine = QuarantineReport::default();
     let (mut resumed, mut simulated) = (0, 0);
-    let mut absorb = |panel: String, q: QuarantineReport| {
-        for mut r in q.records {
-            r.key = format!("{panel}/{}", r.key);
-            quarantine.records.push(r);
-        }
-    };
     for &sms in sm_counts {
-        let f10 = fig10_supervised(preset, sms, &opts(&format!("{sms}sm-fig10")));
+        let f10 = fig10(preset, sms, &opts.panel(&format!("{sms}sm-fig10")));
         let f13 =
-            fig13_supervised(preset, sms, Interconnect::nvlink(), &opts(&format!("{sms}sm-fig13")));
-        let (_, _, rq) = f10.fig.geomeans();
+            fig13(preset, sms, Interconnect::nvlink(), &opts.panel(&format!("{sms}sm-fig13")));
         rows.push(ScalabilityRow {
             sms,
-            replay_queue: rq,
+            replay_queue: f10.fig.geomeans().2,
             local_handling: f13.fig.geomean(),
         });
-        absorb(format!("{sms}sm/fig10"), f10.quarantine);
-        absorb(format!("{sms}sm/fig13"), f13.quarantine);
+        quarantine.absorb(&format!("{sms}sm/fig10"), f10.quarantine);
+        quarantine.absorb(&format!("{sms}sm/fig13"), f13.quarantine);
         resumed += f10.resumed + f13.resumed;
         simulated += f10.simulated + f13.simulated;
     }
@@ -773,28 +767,6 @@ impl fmt::Display for ScalabilityRow {
 }
 
 // --------------------------------------------- Multi-tenant containment
-
-/// Fault budget granted to the noisy tenant of the containment figure:
-/// small enough that its chaos-injected fault storm exhausts it early
-/// under [`PartitionPolicy::Quarantine`] and
-/// [`PartitionPolicy::Static`].
-pub const MT_CHAOS_BUDGET: u32 = 6;
-
-/// Injection seed of the containment figure's noisy tenant.
-pub const MT_CHAOS_SEED: u64 = 0xC4A05;
-
-/// The noisy-neighbor tenant of the multi-tenant figure: `workload`
-/// running under the chaos injection plan (handler stalls, NACK floods,
-/// link spikes) with the tight [`MT_CHAOS_BUDGET`] fault budget.
-pub fn chaos_tenant(workload: &Workload) -> TenantWorkload {
-    TenantWorkload::new(
-        TenantId::new(format!("chaos-{}", workload.name)),
-        workload.trace.clone(),
-        workload.demand_residency(),
-    )
-    .inject(InjectionPlan::chaos(MT_CHAOS_SEED))
-    .fault_budget(MT_CHAOS_BUDGET)
-}
 
 /// Short human label for a scheme in figure rows (`Scheme`'s `Debug` form
 /// is too wide for the operand log).
@@ -836,27 +808,23 @@ impl FigMt {
         [PartitionPolicy::Shared, PartitionPolicy::Static, PartitionPolicy::Quarantine];
 }
 
-/// Run the multi-tenant containment sweep. `histo` is the victim, `lbm`
-/// (under [`chaos_tenant`]) the noisy neighbor; each scheme runs the pair
-/// under every [`FigMt::POLICIES`] entry plus a solo victim reference.
-/// Panics if any point fails; [`fig_mt_supervised`] is the fault-tolerant
-/// form.
-pub fn fig_mt(preset: Preset, sms: u32) -> FigMt {
-    expect_healthy(fig_mt_supervised(preset, sms, &SweepOptions::default()))
-}
+/// The five exception schemes the containment and large-page figures
+/// sweep.
+const FIVE_SCHEMES: [Scheme; 5] = [
+    Scheme::Baseline,
+    Scheme::WdCommit,
+    Scheme::WdLastCheck,
+    Scheme::ReplayQueue,
+    Scheme::OperandLog { bytes: 8192 },
+];
 
-/// [`fig_mt`] under sweep supervision. Multi-tenant points bypass the
-/// result cache (it is keyed on single-stream runs) but still journal:
-/// each point's value packs the victim's cycles with the noisy tenant's
-/// lockout flag via [`pack_outcome`].
-pub fn fig_mt_supervised(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigMt> {
-    const SCHEMES: [Scheme; 5] = [
-        Scheme::Baseline,
-        Scheme::WdCommit,
-        Scheme::WdLastCheck,
-        Scheme::ReplayQueue,
-        Scheme::OperandLog { bytes: 8192 },
-    ];
+/// Run the multi-tenant containment sweep (see [`fig10`] for the
+/// supervision contract). `histo` is the victim, `lbm` (under
+/// [`chaos_tenant`]) the noisy neighbor; each scheme runs the pair under
+/// every [`FigMt::POLICIES`] entry plus a solo victim reference. Each
+/// point journals the victim's cycles with the noisy tenant's lockout
+/// flag.
+pub fn fig_mt(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigMt> {
     /// Solo reference plus the three policies: the per-scheme mode grid.
     const MODES: [Option<PartitionPolicy>; 4] = [
         None,
@@ -869,78 +837,57 @@ pub fn fig_mt_supervised(preset: Preset, sms: u32, opts: &SweepOptions) -> Super
     // neighbor reliably blows through MT_CHAOS_BUDGET (budgets charge per
     // fresh fault *region*, not per request).
     let victim = suite::by_name("histo", preset).expect("histo in suite");
-    let neighbor = suite::by_name("lbm", preset).expect("lbm in suite");
-    let (victim, neighbor) = (&victim, &neighbor);
-    let victim_res = victim.demand_residency();
-    let points: Vec<(String, (Scheme, Option<PartitionPolicy>))> = SCHEMES
+    let noisy = suite::by_name("lbm", preset).expect("lbm in suite");
+    let res = victim.demand_residency();
+    let chaos = chaos_tenant(&noisy);
+    let grid = FIVE_SCHEMES
         .iter()
-        .flat_map(|&s| {
-            MODES.iter().map(move |&m| {
-                (format!("{s:?}/{}", m.map_or("solo", PartitionPolicy::token)), (s, m))
-            })
+        .flat_map(|&s| MODES.iter().map(move |&m| (s, m)))
+        .map(|(s, mode)| {
+            let solo = PointSpec::new(
+                &victim,
+                s,
+                GpuConfig::kepler_k20().with_sms(sms),
+                PagingMode::demand(Interconnect::nvlink()),
+                &res,
+            );
+            match mode {
+                None => GridPoint::new(format!("{s:?}/solo"), solo),
+                Some(policy) => GridPoint::new(
+                    format!("{s:?}/{}", policy.token()),
+                    solo.shared(victim_beside(&victim, &chaos, policy)),
+                ),
+            }
         })
         .collect();
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(
-        opts,
-        &format!("figmt|{preset:?}|sms={sms}|{}+{}", victim.name, neighbor.name),
-        &keys,
-    );
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |(s, mode), budget| {
-        let gpu = Gpu::new(
-            GpuConfig::kepler_k20().with_sms(sms),
-            *s,
-            PagingMode::Demand {
-                interconnect: Interconnect::nvlink(),
-                block_switch: None,
-                local_handling: None,
-            },
-        )
-        .budget(budget.clone());
-        match mode {
-            None => cache::run_cached(&gpu, victim, &victim_res)
-                .map(|r| pack_outcome(r.cycles, false)),
-            Some(policy) => {
-                let tenants = [
-                    TenantWorkload::new(
-                        TenantId::new(victim.name.clone()),
-                        victim.trace.clone(),
-                        victim_res.clone(),
-                    ),
-                    chaos_tenant(neighbor),
-                ];
-                gpu.try_run_multi(&tenants, *policy)
-                    .map(|rep| pack_outcome(rep.tenants[0].cycles, rep.tenants[1].quarantined))
-            }
-        }
-    });
-    let rows = SCHEMES
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let solo = out.values[i * MODES.len()].map(|v| unpack_outcome(v).0);
-            let mut slowdown = Vec::with_capacity(MODES.len() - 1);
-            let mut locked = Vec::with_capacity(MODES.len() - 1);
-            for j in 1..MODES.len() {
-                let v = out.values[i * MODES.len() + j];
-                slowdown.push(ratio(v.map(|v| unpack_outcome(v).0), solo));
-                locked.push(v.map(|v| unpack_outcome(v).1).unwrap_or(false));
-            }
-            FigMtRow {
+    let campaign = format!("figmt|{preset:?}|sms={sms}|{}+{}", victim.name, noisy.name);
+    sweep(&campaign, grid, opts).map(|out| {
+        let rows = FIVE_SCHEMES
+            .iter()
+            .zip(out.chunks(MODES.len()))
+            .map(|(&s, o)| FigMtRow {
                 scheme: scheme_label(s),
-                solo_cycles: solo.map_or(f64::NAN, |c| c as f64),
-                slowdown,
-                chaos_locked_out: locked,
-            }
-        })
-        .collect();
-    Supervised {
-        fig: FigMt { rows },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
+                solo_cycles: o[0].map_or(f64::NAN, |solo| solo.cycles as f64),
+                slowdown: o[1..].iter().map(|&v| ratio(v, o[0])).collect(),
+                chaos_locked_out: o[1..].iter().map(|v| v.is_some_and(|v| v.locked_out)).collect(),
+            })
+            .collect();
+        FigMt { rows }
+    })
+}
+
+/// `victim` as an unmetered stream under its own name, sharing the GPU
+/// with the metered `chaos` tenant.
+fn victim_beside<'a>(
+    victim: &Workload,
+    chaos: &'a gex_sim::TenantWorkload,
+    policy: PartitionPolicy,
+) -> Sharing<'a> {
+    Sharing {
+        policy,
+        stream: TenantId::new(victim.name.clone()),
+        stream_fault_budget: None,
+        neighbor: chaos,
     }
 }
 
@@ -986,22 +933,6 @@ impl fmt::Display for FigMt {
 
 // ------------------------------------------------ Large pages (Figure LP)
 
-/// Bits of the journaled fault count in a Figure LP grid value: cycles
-/// live above [`LP_FAULT_BITS`], `faulted_requests` (clipped) below.
-const LP_FAULT_BITS: u32 = 20;
-
-/// Pack a grid point's `(cycles, faulted_requests)` into one journal
-/// value. Fault counts clip at `2^20 - 1`; Test-preset runs sit far
-/// below both limits.
-fn pack_lp(cycles: u64, faults: u64) -> u64 {
-    (cycles << LP_FAULT_BITS) | faults.min((1 << LP_FAULT_BITS) - 1)
-}
-
-/// Inverse of [`pack_lp`]: `(cycles, faulted_requests)`.
-fn unpack_lp(v: u64) -> (u64, u64) {
-    (v >> LP_FAULT_BITS, v & ((1 << LP_FAULT_BITS) - 1))
-}
-
 /// One scheme's row in the large-page figure: cycles and translation
 /// fault counts per page-size policy.
 #[derive(Debug, Clone)]
@@ -1038,120 +969,66 @@ impl FigLp {
         [PageSizePolicy::Small, PageSizePolicy::Transparent, PageSizePolicy::HugeOnly];
 }
 
-/// One point of the Figure LP sweep.
-#[derive(Debug, Clone, Copy)]
-enum LpPoint {
-    /// Single-stream `(scheme, policy)` grid point.
-    Grid(Scheme, PageSizePolicy),
-    /// Two-tenant splinter-storm leg under `policy`.
-    Storm(PageSizePolicy),
-}
-
-/// Run the large-page sweep: `lbm` (the most fault-region-heavy
-/// workload) across the five schemes × the three page-size policies,
-/// plus the two splinter-storm legs. Panics if any point fails;
-/// [`fig_lp_supervised`] is the fault-tolerant form.
-pub fn fig_lp(preset: Preset, sms: u32) -> FigLp {
-    expect_healthy(fig_lp_supervised(preset, sms, &SweepOptions::default()))
-}
-
-/// [`fig_lp`] under sweep supervision. Grid points journal
-/// [`pack_lp`]-packed `(cycles, faulted_requests)` pairs; the storm legs
-/// journal [`pack_outcome`]-packed `(victim cycles, lockout)` like the
+/// Run the large-page sweep (see [`fig10`] for the supervision
+/// contract): `lbm` (the most fault-region-heavy workload) across the
+/// five schemes × the three page-size policies, plus the two
+/// splinter-storm legs. Grid points journal `(cycles, faulted_requests)`
+/// pairs; the storm legs journal `(victim cycles, lockout)` like the
 /// multi-tenant figure.
-pub fn fig_lp_supervised(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigLp> {
-    const SCHEMES: [Scheme; 5] = [
-        Scheme::Baseline,
-        Scheme::WdCommit,
-        Scheme::WdLastCheck,
-        Scheme::ReplayQueue,
-        Scheme::OperandLog { bytes: 8192 },
-    ];
+pub fn fig_lp(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigLp> {
     let w = suite::by_name("lbm", preset).expect("lbm in suite");
-    let neighbor = suite::by_name("histo", preset).expect("histo in suite");
-    let (w, neighbor) = (&w, &neighbor);
+    let noisy = suite::by_name("histo", preset).expect("histo in suite");
     let res = w.demand_residency();
-    let mut points: Vec<(String, LpPoint)> = SCHEMES
+    let chaos = chaos_tenant(&noisy);
+    let point = |s, policy| {
+        PointSpec::new(
+            &w,
+            s,
+            GpuConfig::kepler_k20().with_sms(sms).with_page_size(policy),
+            PagingMode::demand(Interconnect::nvlink()),
+            &res,
+        )
+    };
+    let mut grid: Vec<GridPoint<'_>> = FIVE_SCHEMES
         .iter()
-        .flat_map(|&s| {
-            FigLp::POLICIES
-                .iter()
-                .map(move |&p| (format!("{s:?}/{}", p.token()), LpPoint::Grid(s, p)))
+        .flat_map(|&s| FigLp::POLICIES.iter().map(move |&p| (s, p)))
+        .map(|(s, p)| GridPoint {
+            key: format!("{s:?}/{}", p.token()),
+            spec: point(s, p),
+            form: JournalForm::CyclesFaults,
         })
         .collect();
+    // The chaos neighbor's write bursts and evictions splinter the
+    // victim's coalesced frames; quarantine must meter its budget on
+    // distinct regions, not splinter re-faults.
     for p in [PageSizePolicy::Small, PageSizePolicy::Transparent] {
-        points.push((format!("storm/{}", p.token()), LpPoint::Storm(p)));
+        let storm = victim_beside(&w, &chaos, PartitionPolicy::Quarantine);
+        grid.push(GridPoint::new(
+            format!("storm/{}", p.token()),
+            point(Scheme::ReplayQueue, p).shared(storm),
+        ));
     }
-    let keys: Vec<String> = points.iter().map(|(k, _)| k.clone()).collect();
-    let journal = campaign_journal(
-        opts,
-        &format!("figlp|{preset:?}|sms={sms}|{}+{}", w.name, neighbor.name),
-        &keys,
-    );
-    let cache_before = cache::stats();
-    let out = run_supervised(points, &opts.policy, journal.as_ref(), |point, budget| {
-        match point {
-            LpPoint::Grid(s, policy) => {
-                let gpu = Gpu::new(
-                    GpuConfig::kepler_k20().with_sms(sms).with_page_size(*policy),
-                    *s,
-                    PagingMode::demand(Interconnect::nvlink()),
-                )
-                .budget(budget.clone());
-                cache::run_cached(&gpu, w, &res)
-                    .map(|r| pack_lp(r.cycles, r.mem.faulted_requests))
-            }
-            LpPoint::Storm(policy) => {
-                // The chaos neighbor's write bursts and evictions splinter
-                // the victim's coalesced frames; quarantine must meter its
-                // budget on distinct regions, not splinter re-faults.
-                let gpu = Gpu::new(
-                    GpuConfig::kepler_k20().with_sms(sms).with_page_size(*policy),
-                    Scheme::ReplayQueue,
-                    PagingMode::demand(Interconnect::nvlink()),
-                )
-                .budget(budget.clone());
-                let tenants = [
-                    TenantWorkload::new(
-                        TenantId::new(w.name.clone()),
-                        w.trace.clone(),
-                        res.clone(),
-                    ),
-                    chaos_tenant(neighbor),
-                ];
-                gpu.try_run_multi(&tenants, PartitionPolicy::Quarantine)
-                    .map(|rep| pack_outcome(rep.tenants[0].cycles, rep.tenants[1].quarantined))
-            }
-        }
-    });
-    let n = FigLp::POLICIES.len();
-    let rows = SCHEMES
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let mut cycles = Vec::with_capacity(n);
-            let mut faults = Vec::with_capacity(n);
-            for j in 0..n {
-                let v = out.values[i * n + j].map(unpack_lp);
-                cycles.push(v.map_or(f64::NAN, |(c, _)| c as f64));
-                faults.push(v.map_or(f64::NAN, |(_, f)| f as f64));
-            }
-            FigLpRow { scheme: scheme_label(s), cycles, faults }
-        })
-        .collect();
-    let storm_small = out.values[SCHEMES.len() * n].map(|v| unpack_outcome(v).0);
-    let storm_trans = out.values[SCHEMES.len() * n + 1];
-    Supervised {
-        fig: FigLp {
+    let campaign = format!("figlp|{preset:?}|sms={sms}|{}+{}", w.name, noisy.name);
+    sweep(&campaign, grid, opts).map(|out| {
+        let (grid, storm) = out.split_at(FIVE_SCHEMES.len() * FigLp::POLICIES.len());
+        let column = |o: &[Option<Outcome>], f: fn(Outcome) -> u64| -> Vec<f64> {
+            o.iter().map(|v| v.map_or(f64::NAN, |v| f(v) as f64)).collect()
+        };
+        let rows = FIVE_SCHEMES
+            .iter()
+            .zip(grid.chunks(FigLp::POLICIES.len()))
+            .map(|(&s, o)| FigLpRow {
+                scheme: scheme_label(s),
+                cycles: column(o, |v| v.cycles),
+                faults: column(o, |v| v.faulted_requests),
+            })
+            .collect();
+        FigLp {
             rows,
-            storm_slowdown: ratio(storm_trans.map(|v| unpack_outcome(v).0), storm_small),
-            storm_locked_out: storm_trans.map(|v| unpack_outcome(v).1).unwrap_or(false),
-        },
-        quarantine: out.quarantine,
-        resumed: out.resumed,
-        simulated: out.simulated,
-        cache: cache::stats().since(&cache_before),
-    }
+            storm_slowdown: ratio(storm[1], storm[0]),
+            storm_locked_out: storm[1].is_some_and(|v| v.locked_out),
+        }
+    })
 }
 
 impl fmt::Display for FigLp {
@@ -1208,11 +1085,10 @@ mod tests {
     #[test]
     fn fig10_rows_are_in_unit_range() {
         // Tiny single-benchmark sanity: full sweeps run in the harness.
-        let w = suite::by_name("histo", Preset::Test).unwrap();
-        let res = Residency::new();
-        let unlimited = RunBudget::none();
-        let base = run_resident(&w, Scheme::Baseline, 2, &res, &unlimited).unwrap().cycles as f64;
-        let wd = run_resident(&w, Scheme::WdCommit, 2, &res, &unlimited).unwrap().cycles as f64;
-        assert!(base / wd <= 1.001 && base / wd > 0.3);
+        let histo = vec![suite::by_name("histo", Preset::Test).unwrap()];
+        let inputs = with_residency(histo, |_| Residency::new());
+        let out = sweep("unit", fig10_grid(&inputs, 2), &SweepOptions::default()).expect_healthy();
+        let wd_commit = ratio(out[0], out[1]);
+        assert!(wd_commit <= 1.001 && wd_commit > 0.3);
     }
 }

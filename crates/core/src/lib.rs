@@ -18,6 +18,7 @@
 //! | [`workloads`] | Parboil-like, Halloc-like and quad-tree benchmarks |
 //! | [`power`] | operand-log area/power model (Table 2) |
 //! | [`exec`] | parallel sweep engine (work-stealing `par_map`) |
+//! | [`point`] | the one point runner: `PointSpec` → `run_point` → `Outcome` |
 //! | [`experiments`] | drivers for Figures 10-14 and both tables |
 //!
 //! ## Quickstart
@@ -37,6 +38,7 @@
 pub mod cache;
 pub mod experiments;
 pub mod journal;
+pub mod point;
 mod poison;
 pub mod session;
 pub mod supervise;
@@ -50,14 +52,14 @@ pub use gex_sm as sm;
 pub use gex_workloads as workloads;
 
 pub use gex_sim::{
-    default_page_size, geomean, pack_outcome, set_default_max_cycles, set_default_page_size,
-    unpack_outcome, BlockSwitchConfig, BudgetExceeded, CancelToken, DeadlineDiagnostic, Gpu,
+    default_page_size, geomean, set_default_max_cycles, set_default_page_size, BlockSwitchConfig, BudgetExceeded, CancelToken, DeadlineDiagnostic, Gpu,
     GpuConfig, GpuRunReport, InjectionPlan, InjectionStats, Interconnect, LocalFaultConfig,
     LpStats, PageSizePolicy, PagingMode, PartitionPolicy, Residency, RunBudget, SharedRunReport,
     SimError, TenantId, TenantRunReport, TenantWorkload, WatchdogDiagnostic, TENANT_SHIFT,
 };
 pub use gex_sm::Scheme;
 pub use journal::{CampaignJournal, CampaignManifest};
+pub use point::{run_point, JournalForm, Outcome, PointSpec, Sharing};
 pub use session::Session;
 pub use supervise::{
     run_supervised, FailureKind, QuarantineRecord, QuarantineReport, SupervisePolicy,
@@ -79,8 +81,10 @@ pub fn run_workload(
     paging: PagingMode,
     sms: u32,
 ) -> GpuRunReport {
-    let gpu = Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, paging);
-    match cache::run_cached(&gpu, workload, &workload.demand_residency()) {
+    let residency = workload.demand_residency();
+    let config = GpuConfig::kepler_k20().with_sms(sms);
+    let spec = PointSpec::new(workload, scheme, config, paging, &residency);
+    match point::run_solo(&spec, &RunBudget::none()) {
         Ok(report) => (*report).clone(),
         Err(e) => panic!("{e}"),
     }

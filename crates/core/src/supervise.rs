@@ -135,6 +135,15 @@ impl QuarantineReport {
     pub fn keys(&self) -> Vec<&str> {
         self.records.iter().map(|r| r.key.as_str()).collect()
     }
+
+    /// Fold one panel's quarantine into a run-wide report, prefixing its
+    /// keys with `panel/`.
+    pub fn absorb(&mut self, panel: &str, other: QuarantineReport) {
+        self.records.extend(other.records.into_iter().map(|mut r| {
+            r.key = format!("{panel}/{}", r.key);
+            r
+        }));
+    }
 }
 
 impl fmt::Display for QuarantineReport {
@@ -163,6 +172,21 @@ pub struct SweepOptions {
     pub policy: SupervisePolicy,
     /// Journal file for resumable campaigns; `None` disables journaling.
     pub journal: Option<std::path::PathBuf>,
+}
+
+impl SweepOptions {
+    /// The same options for one panel of a multi-sweep campaign. Journals
+    /// are digest-keyed per sweep and cannot be shared, so `panel` is
+    /// appended to the journal's file stem (`camp.jsonl` →
+    /// `camp-nvlink.jsonl`).
+    pub fn panel(&self, panel: &str) -> SweepOptions {
+        let journal = self.journal.as_ref().map(|p| {
+            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("gex-campaign");
+            let ext = p.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
+            p.with_file_name(format!("{stem}-{panel}.{ext}"))
+        });
+        SweepOptions { policy: self.policy.clone(), journal }
+    }
 }
 
 /// The result of a supervised sweep.

@@ -167,13 +167,16 @@ fn arena_recycles_across_single_and_multi_tenant_runs() {
 fn figure_renders_survive_pool_and_arena_reuse() {
     let _g = GLOBALS_LOCK.lock().unwrap();
     let _cache_off = CacheOff::new();
-    let first = with_threads(4, || gex::experiments::fig10(Preset::Test, 2).to_string());
+    let fig10 = || {
+        gex::experiments::fig10(Preset::Test, 2, &gex::SweepOptions::default())
+            .expect_healthy()
+            .to_string()
+    };
+    let first = with_threads(4, fig10);
     // The pool's worker arenas are warm now; render again.
-    let second = with_threads(4, || gex::experiments::fig10(Preset::Test, 2).to_string());
+    let second = with_threads(4, fig10);
     assert_eq!(first, second, "warmed arenas changed a figure render");
-    let serial = on_new_thread(|| {
-        with_threads(1, || gex::experiments::fig10(Preset::Test, 2).to_string())
-    });
+    let serial = on_new_thread(move || with_threads(1, fig10));
     assert_eq!(first, serial, "arena history changed a figure render");
     assert!(!first.is_empty());
 }

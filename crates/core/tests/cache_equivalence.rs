@@ -37,6 +37,12 @@ impl Drop for EnabledGuard {
     }
 }
 
+/// Figure 10 at the Test preset on 4 SMs, rendered; panics on a
+/// quarantined point.
+fn fig10_render() -> String {
+    experiments::fig10(Preset::Test, 4, &SweepOptions::default()).expect_healthy().to_string()
+}
+
 fn delta_since(before: &CacheStats) -> CacheStats {
     cache::stats().since(before)
 }
@@ -119,15 +125,15 @@ fn fig10_render_identical_cache_on_vs_off() {
 
     let cached = {
         let _on = EnabledGuard::set(true);
-        experiments::fig10(Preset::Test, 4).to_string()
+        fig10_render()
     };
     let warm = {
         let _on = EnabledGuard::set(true);
-        experiments::fig10(Preset::Test, 4).to_string()
+        fig10_render()
     };
     let uncached = {
         let _off = EnabledGuard::set(false);
-        experiments::fig10(Preset::Test, 4).to_string()
+        fig10_render()
     };
     assert_eq!(cached, uncached, "cache on vs off changed Figure 10");
     assert_eq!(cached, warm, "a fully warm render changed Figure 10");
@@ -160,12 +166,12 @@ fn fig10_render_identical_under_tiny_cap() {
     let _on = EnabledGuard::set(true);
 
     cache::clear();
-    let unbounded = experiments::fig10(Preset::Test, 4).to_string();
+    let unbounded = fig10_render();
 
     let _cap = CapGuard::set(2);
     cache::clear();
     let before = cache::stats();
-    let tiny = experiments::fig10(Preset::Test, 4).to_string();
+    let tiny = fig10_render();
     let d = delta_since(&before);
 
     assert!(d.evictions > 0, "a 2-entry cap must evict during a figure sweep: {d:?}");
@@ -185,7 +191,7 @@ fn fig11_after_fig10_reuses_every_baseline() {
     let opts = SweepOptions::default();
     let n = suite::parboil(Preset::Test).len();
 
-    let f10 = experiments::fig10_supervised(Preset::Test, 4, &opts);
+    let f10 = experiments::fig10(Preset::Test, 4, &opts);
     assert!(f10.quarantine.is_empty());
     assert_eq!(
         (f10.cache.hits, f10.cache.misses),
@@ -194,7 +200,7 @@ fn fig11_after_fig10_reuses_every_baseline() {
         f10.cache
     );
 
-    let f11 = experiments::fig11_supervised(Preset::Test, 4, &opts);
+    let f11 = experiments::fig11(Preset::Test, 4, &opts);
     assert!(f11.quarantine.is_empty());
     assert_eq!(
         f11.cache.hits,
@@ -210,7 +216,7 @@ fn fig11_after_fig10_reuses_every_baseline() {
     );
 
     // A repeat of the whole campaign is fully cached: zero simulations.
-    let again = experiments::fig11_supervised(Preset::Test, 4, &opts);
+    let again = experiments::fig11(Preset::Test, 4, &opts);
     assert!(again.quarantine.is_empty());
     assert_eq!(
         (again.cache.hits, again.cache.misses),

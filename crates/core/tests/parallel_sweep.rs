@@ -8,7 +8,7 @@
 //! so these tests serialize on a lock instead of racing `set_threads`.
 
 use gex::workloads::{suite, Preset};
-use gex::{Gpu, GpuConfig, Interconnect, PagingMode, Scheme};
+use gex::{experiments, Gpu, GpuConfig, Interconnect, PagingMode, Scheme, SweepOptions};
 use std::sync::Mutex;
 
 /// Serializes every test that flips the global thread override.
@@ -24,8 +24,10 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 #[test]
 fn fig10_parallel_is_byte_identical_to_serial() {
     let _g = THREADS_LOCK.lock().unwrap();
-    let serial = with_threads(1, || gex::experiments::fig10(Preset::Test, 4).to_string());
-    let parallel = with_threads(8, || gex::experiments::fig10(Preset::Test, 4).to_string());
+    let opts = SweepOptions::default();
+    let fig10 = || experiments::fig10(Preset::Test, 4, &opts).expect_healthy().to_string();
+    let serial = with_threads(1, fig10);
+    let parallel = with_threads(8, fig10);
     assert_eq!(serial, parallel, "fig10 must not depend on worker count");
     assert!(!serial.is_empty());
 }
@@ -34,11 +36,14 @@ fn fig10_parallel_is_byte_identical_to_serial() {
 fn fig12_and_fig13_parallel_match_serial() {
     let _g = THREADS_LOCK.lock().unwrap();
     let ic = Interconnect::nvlink();
-    let s12 = with_threads(1, || gex::experiments::fig12(Preset::Test, 2, ic).to_string());
-    let p12 = with_threads(8, || gex::experiments::fig12(Preset::Test, 2, ic).to_string());
+    let opts = SweepOptions::default();
+    let fig12 = || experiments::fig12(Preset::Test, 2, ic, &opts).expect_healthy().to_string();
+    let fig13 = || experiments::fig13(Preset::Test, 2, ic, &opts).expect_healthy().to_string();
+    let s12 = with_threads(1, fig12);
+    let p12 = with_threads(8, fig12);
     assert_eq!(s12, p12, "fig12 must not depend on worker count");
-    let s13 = with_threads(1, || gex::experiments::fig13(Preset::Test, 2, ic).to_string());
-    let p13 = with_threads(8, || gex::experiments::fig13(Preset::Test, 2, ic).to_string());
+    let s13 = with_threads(1, fig13);
+    let p13 = with_threads(8, fig13);
     assert_eq!(s13, p13, "fig13 must not depend on worker count");
 }
 

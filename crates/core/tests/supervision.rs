@@ -112,7 +112,7 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
 
     let opts =
         SweepOptions { journal: Some(path.clone()), ..SweepOptions::default() };
-    let full = gex::experiments::fig10_supervised(Preset::Test, 2, &opts);
+    let full = gex::experiments::fig10(Preset::Test, 2, &opts);
     assert!(full.quarantine.is_empty(), "{}", full.quarantine);
     assert_eq!(full.resumed, 0, "a corrupt journal must not resume anything");
     let total = full.simulated;
@@ -130,7 +130,7 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
     truncated.push('\n');
     std::fs::write(&path, truncated).unwrap();
 
-    let resumed = gex::experiments::fig10_supervised(Preset::Test, 2, &opts);
+    let resumed = gex::experiments::fig10(Preset::Test, 2, &opts);
     assert_eq!(resumed.resumed, total / 2, "journaled points are not re-simulated");
     assert_eq!(resumed.simulated, total - total / 2, "only the missing points run");
     assert!(resumed.quarantine.is_empty(), "{}", resumed.quarantine);
@@ -141,7 +141,7 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
     );
 
     // Fully journaled now: a third run answers everything from the file.
-    let replayed = gex::experiments::fig10_supervised(Preset::Test, 2, &opts);
+    let replayed = gex::experiments::fig10(Preset::Test, 2, &opts);
     assert_eq!((replayed.resumed, replayed.simulated), (total, 0));
     assert_eq!(replayed.fig.to_string(), rendered);
     let _ = std::fs::remove_file(&path);
@@ -153,11 +153,11 @@ fn scalability_sweep_supervises_and_resumes_each_panel() {
     // a Figure 10 and a Figure 13 sweep, each with its own journal (files
     // are digest-keyed per campaign). The composite must aggregate
     // supervision counters across panels and resume them independently.
-    let opts = |panel: &str| SweepOptions {
-        journal: Some(journal_path(&format!("scalability-{panel}"))),
+    let opts = SweepOptions {
+        journal: Some(journal_path("scalability")),
         ..SweepOptions::default()
     };
-    let first = gex::experiments::scalability_supervised(Preset::Test, &[2], &opts);
+    let first = gex::experiments::scalability(Preset::Test, &[2], &opts);
     assert!(first.quarantine.is_empty(), "{}", first.quarantine);
     assert_eq!(first.resumed, 0);
     assert!(
@@ -177,7 +177,7 @@ fn scalability_sweep_supervises_and_resumes_each_panel() {
 
     // Both panels fully journaled: a re-run simulates nothing and
     // reproduces the row byte-identically.
-    let second = gex::experiments::scalability_supervised(Preset::Test, &[2], &opts);
+    let second = gex::experiments::scalability(Preset::Test, &[2], &opts);
     assert_eq!(
         (second.resumed, second.simulated),
         (first.simulated, 0),
@@ -187,7 +187,7 @@ fn scalability_sweep_supervises_and_resumes_each_panel() {
     assert_eq!(second.fig[0].to_string(), row.to_string(), "resumed row must be byte-identical");
 
     for panel in ["2sm-fig10", "2sm-fig13"] {
-        let _ = std::fs::remove_file(journal_path(&format!("scalability-{panel}")));
+        let _ = std::fs::remove_file(opts.panel(panel).journal.expect("journaled"));
     }
 }
 

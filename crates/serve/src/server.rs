@@ -27,10 +27,10 @@ use crate::wire::{state, CampaignSpec, Event, Inject, PointResult, Request, Stat
 use gex::journal::{self, field_str, json_escape};
 use gex::workloads::suite;
 use gex::{
-    pack_outcome, run_supervised, unpack_outcome, BudgetExceeded, CampaignJournal,
-    CampaignManifest, CancelToken, DeadlineDiagnostic, FailureKind, Gpu, GpuConfig, Interconnect,
-    PagingMode, PartitionPolicy, Residency, RunBudget, SimError, SupervisePolicy, TenantId,
-    TenantWorkload, Workload,
+    run_supervised, BudgetExceeded, CampaignJournal, CampaignManifest, CancelToken,
+    DeadlineDiagnostic, FailureKind, GpuConfig, InjectionPlan, Interconnect, JournalForm, Outcome,
+    PagingMode, PartitionPolicy, PointSpec, Residency, RunBudget, Sharing, SimError,
+    SupervisePolicy, TenantId, TenantWorkload, Workload,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -107,7 +107,7 @@ enum PointState {
     Pending,
     /// Dispatched into the current wave.
     Running,
-    /// Completed, with its deterministic cycle count.
+    /// Completed, holding the value its journal stores (see [`decode`]).
     Done(u64),
     /// Quarantined (`kind` is a [`FailureKind`] token, incl. `shed`).
     Quarantined { kind: String, error: String },
@@ -128,9 +128,9 @@ struct Campaign {
     keys: Vec<String>,
     /// Per-point workload/scheme resolution, index-aligned with `keys`.
     grid: Vec<(Arc<Workload>, gex::Scheme)>,
-    /// The background neighbor every point shares the GPU with when the
-    /// spec requests a partitioning policy.
-    background: Option<Arc<Workload>>,
+    /// The spec's partitioning policy with the background neighbor every
+    /// point then shares the GPU with.
+    sharing: Option<(PartitionPolicy, Arc<TenantWorkload>)>,
     points: Vec<PointState>,
     digest: u64,
     journal: Option<Arc<CampaignJournal>>,
@@ -185,25 +185,13 @@ impl Campaign {
         }
     }
 
-    /// Decode a stored point value: partitioned campaigns journal
-    /// [`pack_outcome`]d values (victim cycles plus the in-run storm flag
-    /// in bit 63), so the raw value survives crash/resume while clients
-    /// only ever see plain cycles.
-    fn cycles_of(&self, stored: u64) -> u64 {
-        if self.spec.partition.is_some() {
-            unpack_outcome(stored).0
-        } else {
-            stored
-        }
-    }
-
     fn results(&self) -> Vec<PointResult> {
         self.keys
             .iter()
             .zip(&self.points)
             .map(|(key, p)| match p {
                 PointState::Done(cycles) => {
-                    PointResult::Done { key: key.clone(), cycles: self.cycles_of(*cycles) }
+                    PointResult::Done { key: key.clone(), cycles: decode(*cycles).cycles }
                 }
                 PointState::Quarantined { kind, error } => PointResult::Quarantined {
                     key: key.clone(),
@@ -226,7 +214,7 @@ impl Campaign {
             match p {
                 PointState::Done(cycles) => {
                     out.push(
-                        Event::Point { key: key.clone(), cycles: self.cycles_of(*cycles) }.encode(),
+                        Event::Point { key: key.clone(), cycles: decode(*cycles).cycles }.encode(),
                     );
                 }
                 PointState::Quarantined { kind, error } => out.push(
@@ -270,6 +258,14 @@ const BACKGROUND_TENANT: &str = "serve/background";
 /// victim the tenant's stream has to coexist with).
 const BACKGROUND_WORKLOAD: &str = "histo";
 
+/// Decode a stored point value. Points journal their raw
+/// [`Outcome::to_journal`] value — on partitioned points bit 63 carries
+/// the in-run storm flag — so it survives crash/resume byte-for-byte
+/// while clients only ever see plain cycles.
+fn decode(stored: u64) -> Outcome {
+    Outcome::from_journal(stored, JournalForm::Cycles)
+}
+
 /// What one wave entry needs to simulate its point, self-contained so the
 /// dispatcher holds no lock while the pool runs.
 struct WavePoint {
@@ -280,32 +276,20 @@ struct WavePoint {
     sms: u32,
     seed: Option<u64>,
     inject: Option<Inject>,
-    /// Partitioning policy for shared-GPU points (from the spec); `None`
-    /// keeps the classic exclusive simulation.
-    partition: Option<PartitionPolicy>,
+    /// Shared-GPU points: the spec's partitioning policy and the neighbor
+    /// sharing the GPU; `None` keeps the classic exclusive simulation.
+    sharing: Option<(PartitionPolicy, Arc<TenantWorkload>)>,
     /// Page-size policy for the point's GPU (from the spec); `None`
     /// keeps the simulator default (4 KB pages).
     pagesize: Option<gex::PageSizePolicy>,
     /// Owning tenant — becomes the stream's simulator [`TenantId`] on
     /// partitioned points.
     tenant: String,
-    /// The neighbor sharing the GPU on partitioned points.
-    background: Option<Arc<Workload>>,
     /// In-run fault budget for the tenant's stream (fresh fault regions).
     stream_budget: u32,
     token: CancelToken,
     journal: Option<Arc<CampaignJournal>>,
     key: String,
-}
-
-/// The point's GPU configuration: the spec's SM count, plus its
-/// page-size policy when one was requested.
-fn point_config(p: &WavePoint) -> GpuConfig {
-    let cfg = GpuConfig::kepler_k20().with_sms(p.sms);
-    match p.pagesize {
-        Some(policy) => cfg.with_page_size(policy),
-        None => cfg,
-    }
 }
 
 fn cancelled_err() -> SimError {
@@ -319,9 +303,15 @@ fn cancelled_err() -> SimError {
 }
 
 /// Run one point: the chaos hooks first, then the real simulator under
-/// the attempt's budget with the campaign token attached. Completed
-/// points are journaled (flushed) *here*, before the dispatcher ever sees
-/// the result — the kill-window guarantee.
+/// the attempt's budget with the campaign token attached. A classic point
+/// owns the GPU with everything resident. A partitioned point runs the
+/// campaign's workload as a demand-paging tenant stream — carrying the
+/// submitting tenant's identity down into the simulator — next to the
+/// server's background neighbor; a journaled value with bit 63 set
+/// records that the stream blew its in-run fault budget and was
+/// quarantined inside the run, so the charge survives crash/resume.
+/// Completed points are journaled (flushed) *here*, before the dispatcher
+/// ever sees the result — the kill-window guarantee.
 fn run_point(p: &WavePoint, budget: &RunBudget) -> Result<u64, SimError> {
     if p.token.is_cancelled() {
         return Err(cancelled_err());
@@ -340,60 +330,28 @@ fn run_point(p: &WavePoint, budget: &RunBudget) -> Result<u64, SimError> {
         }
         None => {}
     }
-    if let Some(policy) = p.partition {
-        return run_point_partitioned(p, budget, policy);
+    let mut config = GpuConfig::kepler_k20().with_sms(p.sms);
+    if let Some(policy) = p.pagesize {
+        config = config.with_page_size(policy);
     }
-    let mut gpu = Gpu::new(point_config(p), p.scheme, PagingMode::AllResident)
-        .budget(budget.clone().with_token(p.token.clone()));
-    if let Some(seed) = p.seed {
-        gpu = gpu.inject(gex::InjectionPlan::light(seed));
-    }
-    let cycles = gex::cache::run_cached(&gpu, &p.workload, &Residency::new())?.cycles;
+    let (paging, residency) = match p.sharing {
+        Some(_) => (PagingMode::demand(Interconnect::nvlink()), p.workload.demand_residency()),
+        None => (PagingMode::AllResident, Residency::new()),
+    };
+    let mut spec = PointSpec::new(&p.workload, p.scheme, config, paging, &residency);
+    spec.inject = p.seed.map(InjectionPlan::light);
+    spec.sharing = p.sharing.as_ref().map(|(policy, neighbor)| Sharing {
+        policy: *policy,
+        stream: TenantId::new(p.tenant.clone()),
+        stream_fault_budget: Some(p.stream_budget),
+        neighbor,
+    });
+    let stored = gex::run_point(&spec, &budget.clone().with_token(p.token.clone()))?
+        .to_journal(JournalForm::Cycles);
     if let Some(j) = &p.journal {
-        j.record(&p.key, cycles);
+        j.record(&p.key, stored);
     }
-    Ok(cycles)
-}
-
-/// Partitioned point: the campaign's workload runs as a tenant stream —
-/// carrying the submitting tenant's identity down into the simulator —
-/// on a shared GPU next to the server's background neighbor, under the
-/// spec's [`PartitionPolicy`]. The journaled value is
-/// [`pack_outcome`]`(victim cycles, storm flag)`: bit 63 records that the
-/// tenant's stream blew its in-run fault budget and was quarantined
-/// inside the run, so the charge survives crash/resume byte-for-byte.
-fn run_point_partitioned(
-    p: &WavePoint,
-    budget: &RunBudget,
-    policy: PartitionPolicy,
-) -> Result<u64, SimError> {
-    let gpu = Gpu::new(point_config(p), p.scheme, PagingMode::demand(Interconnect::nvlink()))
-        .budget(budget.clone().with_token(p.token.clone()));
-    let mut mine = TenantWorkload::new(
-        TenantId::new(p.tenant.clone()),
-        p.workload.trace.clone(),
-        p.workload.demand_residency(),
-    )
-    .fault_budget(p.stream_budget);
-    if let Some(seed) = p.seed {
-        mine = mine.inject(gex::InjectionPlan::light(seed));
-    }
-    let neighbor = p.background.as_ref().expect("partitioned points carry a background neighbor");
-    let tenants = [
-        mine,
-        TenantWorkload::new(
-            TenantId::new(BACKGROUND_TENANT),
-            neighbor.trace.clone(),
-            neighbor.demand_residency(),
-        ),
-    ];
-    let rep = gpu.try_run_multi(&tenants, policy)?;
-    let mine = &rep.tenants[0];
-    let packed = pack_outcome(mine.cycles, mine.quarantined);
-    if let Some(j) = &p.journal {
-        j.record(&p.key, packed);
-    }
-    Ok(packed)
+    Ok(stored)
 }
 
 /// A running server: bound address plus shutdown/join handles.
@@ -541,9 +499,9 @@ fn build_campaign(
         .iter()
         .flat_map(|w| spec.schemes.iter().map(move |s| (Arc::clone(w), *s)))
         .collect();
-    let background = match spec.partition {
-        Some(_) => match suite::by_name(BACKGROUND_WORKLOAD, spec.preset) {
-            Some(w) => Some(Arc::new(w)),
+    let sharing = match spec.partition {
+        Some(policy) => match suite::by_name(BACKGROUND_WORKLOAD, spec.preset) {
+            Some(w) => Some((policy, Arc::new(gex::point::neighbor(BACKGROUND_TENANT, &w)))),
             None => return Err(format!("no background workload at preset {:?}", spec.preset)),
         },
         None => None,
@@ -602,7 +560,7 @@ fn build_campaign(
             spec,
             keys,
             grid,
-            background,
+            sharing,
             points,
             digest,
             journal,
@@ -626,8 +584,8 @@ fn recover(st: &mut State, dir: &PathBuf, tenant_fault_budget: u32) {
         };
         // Recount the tenant's real failures (shed/cancelled don't
         // count), so a tenant that was quarantined stays quarantined
-        // across the restart. On partitioned campaigns, completed points
-        // whose journaled value carries the storm flag recharge too.
+        // across the restart. Completed points whose journaled value
+        // carries the storm flag recharge too.
         let failed: u32 = campaign
             .points
             .iter()
@@ -636,15 +594,11 @@ fn recover(st: &mut State, dir: &PathBuf, tenant_fault_budget: u32) {
                     if kind != "shed" && kind != "cancelled")
             })
             .count() as u32;
-        let storms: u32 = if campaign.spec.partition.is_some() {
-            campaign
-                .points
-                .iter()
-                .filter(|p| matches!(p, PointState::Done(v) if unpack_outcome(*v).1))
-                .count() as u32
-        } else {
-            0
-        };
+        let storms = campaign
+            .points
+            .iter()
+            .filter(|p| matches!(p, PointState::Done(v) if decode(*v).locked_out))
+            .count() as u32;
         let faults = failed + storms;
         if faults > 0 {
             *st.tenant_faults.entry(m.tenant.clone()).or_insert(0) += faults;
@@ -796,10 +750,9 @@ fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
             sms: c.spec.sms,
             seed: c.spec.seed,
             inject: c.spec.inject,
-            partition: c.spec.partition,
+            sharing: c.sharing.clone(),
             pagesize: c.spec.pagesize,
             tenant: c.tenant.clone(),
-            background: c.background.as_ref().map(Arc::clone),
             stream_budget: cfg.stream_fault_budget,
             token: c.token.clone(),
             journal: c.journal.as_ref().map(Arc::clone),
@@ -830,30 +783,16 @@ fn apply_outcome(
         let Some(c) = st.campaigns.get_mut(id) else { continue };
         let key = c.keys[*index].clone();
         let mut events = Vec::new();
-        match outcome.values[slot] {
+        // Failed points charge the tenant fault budget, and so do
+        // completed partitioned points carrying the in-run storm flag in
+        // bit 63: the tenant's stream blew its fault budget inside the
+        // shared run.
+        let charged = match outcome.values[slot] {
             Some(stored) => {
                 c.points[*index] = PointState::Done(stored);
-                // Partitioned points carry the in-run storm flag in bit
-                // 63: the point completed, but the tenant's stream blew
-                // its fault budget inside the shared run — that storm
-                // charges the tenant fault budget like a failed point.
-                let storm = c.spec.partition.is_some() && unpack_outcome(stored).1;
-                events.push(Event::Point { key, cycles: c.cycles_of(stored) }.encode());
-                if storm {
-                    let tenant = c.tenant.clone();
-                    let n = st.tenant_faults.entry(tenant.clone()).or_insert(0);
-                    *n += 1;
-                    if *n >= cfg.tenant_fault_budget
-                        && !st.quarantined_tenants.contains(&tenant)
-                        && !blown.contains(&tenant)
-                    {
-                        blown.push(tenant);
-                    }
-                    // Re-borrow: the entry above released `c`.
-                    let c = st.campaigns.get_mut(id).expect("campaign still present");
-                    notify(c, events);
-                    continue;
-                }
+                let point = decode(stored);
+                events.push(Event::Point { key, cycles: point.cycles }.encode());
+                point.locked_out
             }
             None => {
                 let (kind, error) = failed
@@ -861,28 +800,28 @@ fn apply_outcome(
                     .unwrap_or_else(|| ("unknown".to_string(), "missing record".to_string()));
                 if kind == FailureKind::Cancelled.to_string() {
                     c.points[*index] = PointState::Cancelled;
+                    false
                 } else {
                     c.points[*index] =
                         PointState::Quarantined { kind: kind.clone(), error: error.clone() };
                     persist_quarantine(cfg.journal_dir.as_ref(), c.digest, &key, &kind, &error);
                     events.push(Event::Quarantine { key, kind, error }.encode());
-                    let tenant = c.tenant.clone();
-                    let n = st.tenant_faults.entry(tenant.clone()).or_insert(0);
-                    *n += 1;
-                    if *n >= cfg.tenant_fault_budget
-                        && !st.quarantined_tenants.contains(&tenant)
-                        && !blown.contains(&tenant)
-                    {
-                        blown.push(tenant);
-                    }
-                    // Re-borrow: the entry above released `c`.
-                    let c = st.campaigns.get_mut(id).expect("campaign still present");
-                    notify(c, events);
-                    continue;
+                    true
                 }
             }
-        }
+        };
+        let tenant = c.tenant.clone();
         notify(c, events);
+        if charged {
+            let n = st.tenant_faults.entry(tenant.clone()).or_insert(0);
+            *n += 1;
+            if *n >= cfg.tenant_fault_budget
+                && !st.quarantined_tenants.contains(&tenant)
+                && !blown.contains(&tenant)
+            {
+                blown.push(tenant);
+            }
+        }
     }
     for tenant in blown {
         quarantine_tenant(st, &tenant, cfg.journal_dir.as_ref());

@@ -42,6 +42,6 @@ pub use local_fault::LocalFaultConfig;
 pub use report::{geomean, GpuRunReport};
 pub use residency::Residency;
 pub use tenant::{
-    pack_outcome, unpack_outcome, PartitionPolicy, SharedRunReport, TenantId, TenantRunReport,
+    PartitionPolicy, SharedRunReport, TenantId, TenantRunReport,
     TenantWorkload, TENANT_SHIFT,
 };

@@ -194,19 +194,6 @@ impl SharedRunReport {
     }
 }
 
-/// Pack a tenant outcome into the `u64` value channel used by supervised
-/// sweeps and campaign journals: cycles in the low 63 bits, the
-/// quarantined flag in bit 63. Inverse of [`unpack_outcome`].
-pub fn pack_outcome(cycles: u64, quarantined: bool) -> u64 {
-    debug_assert!(cycles < 1 << 63, "cycle count overflows the packed channel");
-    cycles | ((quarantined as u64) << 63)
-}
-
-/// Unpack [`pack_outcome`]: `(cycles, quarantined)`.
-pub fn unpack_outcome(v: u64) -> (u64, bool) {
-    (v & !(1 << 63), v >> 63 == 1)
-}
-
 /// The per-tenant SM shares of a static partition: `num_sms` split as
 /// evenly as possible, earlier tenants taking the remainder, every tenant
 /// getting at least one SM.
@@ -237,13 +224,6 @@ mod tests {
             assert_eq!(PartitionPolicy::parse(p.token()), Some(p));
         }
         assert_eq!(PartitionPolicy::parse("dynamic"), None);
-    }
-
-    #[test]
-    fn outcome_packing_round_trips() {
-        for (c, q) in [(0u64, false), (1, true), ((1 << 63) - 1, true), (123_456, false)] {
-            assert_eq!(unpack_outcome(pack_outcome(c, q)), (c, q));
-        }
     }
 
     #[test]

@@ -77,12 +77,12 @@ fn main() {
     let opts = SweepOptions { journal: Some(journal.clone()), ..SweepOptions::default() };
 
     println!("part 2: fig10 with a campaign journal at {}", journal.display());
-    let first = gex::experiments::fig10_supervised(Preset::Test, 2, &opts);
+    let first = gex::experiments::fig10(Preset::Test, 2, &opts);
     println!(
         "first pass:  {} simulated, {} resumed from journal",
         first.simulated, first.resumed
     );
-    let second = gex::experiments::fig10_supervised(Preset::Test, 2, &opts);
+    let second = gex::experiments::fig10(Preset::Test, 2, &opts);
     println!(
         "second pass: {} simulated, {} resumed from journal",
         second.simulated, second.resumed
