@@ -14,7 +14,8 @@
 //! print as `NaN` with a quarantine report instead of taking the whole
 //! run down. Each panel's reference point (plain / baseline / CPU-handled)
 //! rides in its grid, so even the normalizer is supervised. Exits 2 if
-//! anything was quarantined.
+//! anything was quarantined, and before anything runs on a malformed
+//! command line.
 
 use gex::experiments::{ratio, sweep, GridPoint};
 use gex::sm::config::SchedulerPolicy;

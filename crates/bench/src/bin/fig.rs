@@ -25,7 +25,8 @@
 //! journal file per sweep: per figure, per interconnect panel, per inner
 //! sweep of `scalability`), and failed points are quarantined (reported
 //! below the figure) instead of taking the run down. Exits 2 if anything
-//! was quarantined, or on an unknown id.
+//! was quarantined, and before anything runs on an unknown id, an unknown
+//! flag or a flag value that does not parse.
 
 use gex::experiments::{self, Supervised};
 use gex::workloads::Preset;

@@ -4,48 +4,31 @@
 //!   <id>[,<id>...] [preset] [flags]`, ids `10`-`14`, `lp`, `mt`,
 //!   `scalability`, `table1`, `table2`): prints the paper's tables/series,
 //!   at the `Paper` preset unless told otherwise.
-//! * The self-timed bench (`cargo bench -p gex-bench`): times the same
-//!   experiments at the `Test` preset, one group per figure. The harness
-//!   is in [`timing`]; the workspace builds fully offline, so it does not
-//!   depend on Criterion.
+//! * The `ablation` binary: the design-choice sweeps DESIGN.md calls out.
+//! * `gex-served` / `gex-campaign`: the campaign daemon and its client.
 //!
-//! Shared argument parsing for the binaries lives here: [`BenchArgs`]
-//! walks argv exactly once and every consumer (preset selection, the
-//! cycle cap, the self-timed runner, `perfstat`) reads from it. Every
-//! binary accepts a positional preset (`test` / `bench` / `paper`) and
-//! `--max-cycles N`, which caps simulated cycles so misconfigured runs
-//! exit with the watchdog diagnostic instead of spinning forever.
+//! Host time is measured by the standalone `benchmark/` package (see its
+//! README), not here.
+//!
+//! Shared argument parsing for `fig` and `ablation` lives here:
+//! [`BenchArgs`] walks argv exactly once and rejects what it cannot
+//! parse. Both accept a positional preset (`test` / `bench` / `paper`)
+//! and `--max-cycles N`, which caps simulated cycles so misconfigured
+//! runs exit with the watchdog diagnostic instead of spinning forever.
 
 use gex::workloads::Preset;
 use gex::{RunBudget, SweepOptions};
 use std::path::PathBuf;
 
-pub mod perfstat;
-pub mod timing;
-
-/// Everything the harness binaries and the self-timed bench accept on the
-/// command line, parsed from argv in a single pass.
+/// Everything `fig` and `ablation` accept on the command line, parsed
+/// from argv in a single pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
-    /// Non-flag arguments in order: a preset name for the harness
-    /// binaries (after the figure ids, for `fig`), a substring filter for
-    /// the self-timed bench.
+    /// Non-flag arguments in order: the figure ids (`fig` only), then a
+    /// preset name.
     pub positional: Vec<String>,
     /// `--max-cycles N` / `--max-cycles=N`: simulated-cycle cap.
     pub max_cycles: Option<u64>,
-    /// `--samples N` / `--samples=N`: timed runs per benchmark.
-    pub samples: Option<usize>,
-    /// `--out DIR` / `--out=DIR`: output directory (`perfstat`).
-    pub out: Option<String>,
-    /// `--threads N` / `--threads=N`: worker count for the threaded
-    /// timing column (`perfstat`); 0 or absent means the ambient count
-    /// (`GEX_THREADS` or the machine's parallelism). A comma list
-    /// (`--threads 1,2,4,8`) sweeps several counts in one run; this field
-    /// keeps the first entry and [`BenchArgs::threads_list`] the rest.
-    pub threads: Option<usize>,
-    /// Every worker count from `--threads` in order (one entry for the
-    /// plain single-count form).
-    pub threads_list: Vec<usize>,
     /// `--deadline N` / `--deadline=N`: per-point cycle budget for
     /// supervised figure sweeps (retried with escalation, then
     /// quarantined).
@@ -63,65 +46,56 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parse the process arguments (excluding the binary name).
+    /// Parse the process arguments (excluding the binary name). A command
+    /// line [`parse_from`] rejects is reported on stderr and the process
+    /// exits 2 before anything runs.
+    ///
+    /// [`parse_from`]: BenchArgs::parse_from
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parse an explicit argument list (the testable form of [`parse`]).
+    /// An unknown `-flag`, a flag missing its value and a cycle count that
+    /// is not a `u64` are errors: a cap that silently fails to apply lets
+    /// the run it was meant to bound run unbounded.
     ///
     /// [`parse`]: BenchArgs::parse
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            if a == "--max-cycles" {
-                out.max_cycles = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--max-cycles=") {
-                out.max_cycles = v.parse().ok();
-            } else if a == "--samples" {
-                out.samples = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--samples=") {
-                out.samples = v.parse().ok();
-            } else if a == "--out" {
-                out.out = it.next();
-            } else if let Some(v) = a.strip_prefix("--out=") {
-                out.out = Some(v.to_string());
-            } else if a == "--threads" {
-                if let Some(v) = it.next() {
-                    out.set_threads_arg(&v);
-                }
-            } else if let Some(v) = a.strip_prefix("--threads=") {
-                out.set_threads_arg(v);
-            } else if a == "--deadline" {
-                out.deadline = it.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--deadline=") {
-                out.deadline = v.parse().ok();
-            } else if a == "--resume" {
-                out.resume = true;
-            } else if a == "--journal" {
-                out.journal = it.next();
-            } else if let Some(v) = a.strip_prefix("--journal=") {
-                out.journal = Some(v.to_string());
-            } else if a == "--pagesize" {
-                out.pagesize = it.next();
-            } else if let Some(v) = a.strip_prefix("--pagesize=") {
-                out.pagesize = Some(v.to_string());
-            } else if !a.starts_with('-') {
+            if !a.starts_with('-') {
                 out.positional.push(a);
+                continue;
             }
-            // Unknown flags (cargo's --bench/--test etc.) are ignored.
+            let (flag, inline) = match a.split_once('=') {
+                Some((flag, v)) => (flag, Some(v)),
+                None => (a.as_str(), None),
+            };
+            // `--flag=V`, else the next argument.
+            let mut value = || {
+                inline
+                    .map(str::to_string)
+                    .or_else(|| it.next())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            let cycles = |v: String| {
+                v.parse::<u64>().map_err(|_| format!("{flag}: {v:?} is not a cycle count"))
+            };
+            match flag {
+                "--resume" if inline.is_none() => out.resume = true,
+                "--max-cycles" => out.max_cycles = Some(cycles(value()?)?),
+                "--deadline" => out.deadline = Some(cycles(value()?)?),
+                "--journal" => out.journal = Some(value()?),
+                "--pagesize" => out.pagesize = Some(value()?),
+                _ => return Err(format!("unknown flag {a:?}")),
+            }
         }
-        out
-    }
-
-    /// Record a `--threads` value: a single count or a comma list.
-    /// Malformed entries are dropped (matching the lenient parse of the
-    /// other numeric flags).
-    fn set_threads_arg(&mut self, v: &str) {
-        self.threads_list =
-            v.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-        self.threads = self.threads_list.first().copied();
+        Ok(out)
     }
 
     /// The preset named by the first positional argument; harness
@@ -132,12 +106,6 @@ impl BenchArgs {
             Some("bench") => Preset::Bench,
             _ => Preset::Paper,
         }
-    }
-
-    /// The self-timed bench's substring filter (its last positional, as
-    /// `cargo bench -- <filter>` passes it).
-    pub fn filter(&self) -> Option<&str> {
-        self.positional.last().map(String::as_str)
     }
 
     /// Apply `--max-cycles` (if given) as the process-wide default cycle
@@ -192,72 +160,64 @@ pub fn sms_from_env() -> u32 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn preset_defaults_to_paper_under_test_harness() {
-        // The test binary's argv has no recognized preset.
-        let args = BenchArgs::parse();
-        assert_eq!(args.preset(), Preset::Paper);
-        assert!(args.max_cycles.is_none());
+    fn parse(args: &[&str]) -> BenchArgs {
+        try_parse(args).expect("well-formed arguments")
     }
 
-    fn parse(args: &[&str]) -> BenchArgs {
+    fn try_parse(args: &[&str]) -> Result<BenchArgs, String> {
         BenchArgs::parse_from(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn one_pass_parse_covers_all_consumers() {
-        let a = parse(&[
-            "test",
-            "--max-cycles",
-            "5000",
-            "--samples=3",
-            "--out",
-            "bench-out",
-            "--threads",
-            "4",
-        ]);
-        assert_eq!(a.preset(), Preset::Test);
-        assert_eq!(a.max_cycles, Some(5000));
-        assert_eq!(a.samples, Some(3));
-        assert_eq!(a.out.as_deref(), Some("bench-out"));
-        assert_eq!(a.threads, Some(4));
-        assert_eq!(a.positional, vec!["test"]);
-        assert_eq!(parse(&["--threads=2"]).threads, Some(2));
-        assert_eq!(parse(&[]).threads, None);
+    fn preset_defaults_to_paper_under_test_harness() {
+        let args = parse(&[]);
+        assert_eq!(args.preset(), Preset::Paper);
+        assert!(args.max_cycles.is_none());
     }
 
     #[test]
-    fn threads_accepts_a_comma_list() {
-        let a = parse(&["--threads", "1,2,4,8"]);
-        assert_eq!(a.threads, Some(1));
-        assert_eq!(a.threads_list, vec![1, 2, 4, 8]);
-        let single = parse(&["--threads=4"]);
-        assert_eq!(single.threads, Some(4));
-        assert_eq!(single.threads_list, vec![4]);
-        // Malformed entries drop out rather than aborting the parse.
-        let messy = parse(&["--threads", "2, x,8"]);
-        assert_eq!(messy.threads_list, vec![2, 8]);
-        assert!(parse(&[]).threads_list.is_empty());
+    fn one_pass_parse_covers_all_consumers() {
+        let a = parse(&["test", "--max-cycles", "5000", "--pagesize=transparent"]);
+        assert_eq!(a.preset(), Preset::Test);
+        assert_eq!(a.max_cycles, Some(5000));
+        assert_eq!(a.pagesize.as_deref(), Some("transparent"));
+        assert_eq!(a.positional, vec!["test"]);
     }
 
     #[test]
     fn flag_values_never_leak_into_positionals() {
-        let a = parse(&["--max-cycles", "9", "--samples", "4", "fig10"]);
+        let a = parse(&["--max-cycles", "9", "--journal", "test", "fig10"]);
         assert_eq!(a.positional, vec!["fig10"]);
-        assert_eq!(a.filter(), Some("fig10"));
         assert_eq!(a.preset(), Preset::Paper);
         assert_eq!(a.max_cycles, Some(9));
-        assert_eq!(a.samples, Some(4));
+        assert_eq!(a.journal.as_deref(), Some("test"));
     }
 
     #[test]
     fn unknown_flags_and_equals_forms_parse() {
-        let a = parse(&["--bench", "--max-cycles=77", "bench"]);
+        let a = parse(&["--max-cycles=77", "bench"]);
         assert_eq!(a.max_cycles, Some(77));
         assert_eq!(a.preset(), Preset::Bench);
-        let none = parse(&[]);
-        assert_eq!(none.preset(), Preset::Paper);
-        assert!(none.filter().is_none());
+        // Unknown flags, typos included, are errors naming the argument.
+        for bad in ["--bench", "--max-cycle", "-x", "--resume=1", "--samples=3"] {
+            let err = try_parse(&["test", bad, "5000"]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn unparsable_and_missing_values_are_errors() {
+        for (args, names) in [
+            (&["--max-cycles", "abc"][..], "--max-cycles"),
+            (&["--max-cycles=abc"][..], "--max-cycles"),
+            (&["--deadline", "1e6"][..], "--deadline"),
+            (&["--deadline=-1"][..], "--deadline"),
+            (&["test", "--max-cycles"][..], "--max-cycles"),
+            (&["--journal"][..], "--journal"),
+        ] {
+            let err = try_parse(args).unwrap_err();
+            assert!(err.contains(names), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -23,6 +23,25 @@ fn an_unknown_id_exits_2_and_lists_the_valid_ids() {
     }
 }
 
+/// A cap that does not parse must not degrade to an uncapped run, and a
+/// mistyped flag must not be dropped.
+#[test]
+fn a_malformed_command_line_exits_2_before_anything_runs() {
+    for (args, names) in [
+        (&["10", "test", "--max-cycles=abc"][..], "--max-cycles"),
+        (&["10", "test", "--bogus"][..], "--bogus"),
+    ] {
+        let out = fig(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before the flags were validated");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(names), "{args:?}: {err}");
+    }
+    let out = fig(&["table2", "--max-cycles", "5000"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.stdout.is_empty());
+}
+
 /// The fig10 → fig11 sharing contract through the CLI: both figures in
 /// one process, so Figure 11 simulates only its operand-log points and
 /// answers every one of its 11 baselines from the result cache.

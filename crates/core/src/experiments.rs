@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 5). Each driver returns plain data and renders a
-//! text table via `Display`, so the harness binaries, the self-timed
-//! bench and tests all share one implementation.
+//! text table via `Display`, so the harness binaries and tests share one
+//! implementation.
 //!
 //! Every figure is a *grid builder* (the ordered list of [`GridPoint`]s)
 //! plus an *assembler* (outcomes → rows) over the one shared [`sweep`],
@@ -180,7 +180,7 @@ pub fn ratio(num: Option<Outcome>, den: Option<Outcome>) -> f64 {
 
 /// A figure's simulation inputs, in row order: each workload with the
 /// one residency every point of that workload shares.
-pub type Inputs = Vec<(Workload, Residency)>;
+type Inputs = Vec<(Workload, Residency)>;
 
 fn with_residency(
     workloads: Vec<Workload>,
@@ -198,7 +198,7 @@ fn with_residency(
 /// Inputs of Figures 10 and 11: Parboil, everything resident.
 /// `AllResident` ignores the residency entirely — the engine pre-maps
 /// every touched page — so the points share empty ones.
-pub fn resident_inputs(preset: Preset) -> Inputs {
+fn resident_inputs(preset: Preset) -> Inputs {
     with_residency(suite::parboil(preset), |_| Residency::new())
 }
 
@@ -304,7 +304,7 @@ const FIG10_SCHEMES: [Scheme; 4] =
 
 /// Figure 10's grid: every Parboil workload under the baseline and the
 /// three preemptible pipelines.
-pub fn fig10_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
+fn fig10_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
     resident_grid(inputs, sms, &FIG10_SCHEMES)
 }
 
@@ -380,7 +380,7 @@ impl Fig11 {
 
 /// Figure 11's grid: per Parboil workload, the baseline plus one
 /// operand-log run per entry of `sizes` (bytes).
-pub fn fig11_grid<'a>(inputs: &'a Inputs, sms: u32, sizes: &[u32]) -> Vec<GridPoint<'a>> {
+fn fig11_grid<'a>(inputs: &'a Inputs, sms: u32, sizes: &[u32]) -> Vec<GridPoint<'a>> {
     let schemes: Vec<Scheme> = std::iter::once(Scheme::Baseline)
         .chain(sizes.iter().map(|&bytes| Scheme::OperandLog { bytes }))
         .collect();
@@ -450,7 +450,7 @@ pub struct Fig12 {
 
 /// Figure 12's grid. Per workload: plain demand paging, default
 /// switching, ideal switching — three independent simulation points.
-pub fn fig12_grid(inputs: &Inputs, sms: u32, interconnect: Interconnect) -> Vec<GridPoint<'_>> {
+fn fig12_grid(inputs: &Inputs, sms: u32, interconnect: Interconnect) -> Vec<GridPoint<'_>> {
     let variants = [
         ("demand", None, None),
         ("switch", Some(BlockSwitchConfig::default()), None),
@@ -541,7 +541,7 @@ impl LocalHandlingFig {
 
 /// The grid of Figures 13 and 14. Per workload: CPU-handled and
 /// GPU-local-handled demand paging.
-pub fn local_handling_grid(
+fn local_handling_grid(
     inputs: &Inputs,
     sms: u32,
     interconnect: Interconnect,
@@ -573,12 +573,12 @@ fn local_handling_fig(
 
 /// Inputs of Figure 13: the Halloc benchmarks + quad-tree, heap lazily
 /// backed.
-pub fn fig13_inputs(preset: Preset) -> Inputs {
+fn fig13_inputs(preset: Preset) -> Inputs {
     with_residency(suite::halloc(preset), Workload::heap_lazy_residency)
 }
 
 /// Inputs of Figure 14: Parboil, outputs lazily backed.
-pub fn fig14_inputs(preset: Preset) -> Inputs {
+fn fig14_inputs(preset: Preset) -> Inputs {
     with_residency(suite::parboil(preset), Workload::outputs_lazy_residency)
 }
 

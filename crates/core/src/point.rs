@@ -7,8 +7,8 @@
 //! `gex`, `gex-serve` and `gex-bench` crates that turns one into a
 //! [`Gpu`] and runs it — through the result [`cache`] for single-stream
 //! points, through [`Gpu::try_run_multi`] for two-tenant shared-GPU
-//! points. The figure drivers, the campaign daemon, `perfstat`, the
-//! self-timed bench and the ablations all call it.
+//! points. The figure drivers, the campaign daemon and the ablations all
+//! call it.
 //!
 //! An [`Outcome`] is what a point yields, and owns the one `u64`
 //! encoding campaign journals store ([`Outcome::to_journal`] /

@@ -25,8 +25,8 @@
 //!    thread-spawn cost per call; the serial fast path (1 worker or 1
 //!    job) never touches the pool at all.
 //! 4. **Observable.** [`threads`] reports the effective worker count so
-//!    `perfstat` can record it in `BENCH_*.json`, [`set_threads`] lets the
-//!    same process time serial and parallel sweeps back to back, and
+//!    a measurement can record it, [`set_threads`] lets the same process
+//!    time serial and parallel sweeps back to back, and
 //!    [`pooled_workers`] exposes the persistent pool's size.
 //!
 //! Thread-count resolution order: [`set_threads`] override, then the
@@ -65,8 +65,9 @@ pub fn threads() -> usize {
 /// Force the worker count for subsequent [`par_map`] calls in this
 /// process, overriding `GEX_THREADS`. Pass 0 to clear the override.
 ///
-/// Used by `perfstat` to time the serial and parallel paths of the same
-/// sweep in one process.
+/// Used by the repo benchmark (`benchmark/`) to time the serial and
+/// parallel paths of the same sweep in one process, and by `gex-served
+/// --threads`.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }

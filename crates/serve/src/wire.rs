@@ -160,6 +160,15 @@ pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     }
 }
 
+/// The spec's `u32` field `key`, `None` when absent. A value that does
+/// not fit is an error naming the field, never a truncation: the wire is
+/// outside input, and `sms` 2^32 + 2 must not be admitted as 2 SMs.
+fn field_u32(line: &str, key: &str) -> Result<Option<u32>, String> {
+    field_u64(line, key)
+        .map(|n| u32::try_from(n).map_err(|_| format!("spec {key} = {n} does not fit 32 bits")))
+        .transpose()
+}
+
 impl CampaignSpec {
     /// A minimal spec: weight 1, no chaos.
     pub fn new(preset: Preset, sms: u32, workloads: Vec<String>, schemes: Vec<Scheme>) -> Self {
@@ -216,8 +225,8 @@ impl CampaignSpec {
     /// Parse an [`CampaignSpec::encode`]d spec line.
     pub fn parse(line: &str) -> Result<CampaignSpec, String> {
         let preset = parse_preset(&field_str(line, "preset").ok_or("spec missing preset")?)?;
-        let sms = field_u64(line, "sms").ok_or("spec missing sms")? as u32;
-        let weight = field_u64(line, "weight").unwrap_or(1).max(1) as u32;
+        let sms = field_u32(line, "sms")?.ok_or("spec missing sms")?;
+        let weight = field_u32(line, "weight")?.unwrap_or(1).max(1);
         let workloads: Vec<String> = field_str(line, "workloads")
             .ok_or("spec missing workloads")?
             .split(',')
@@ -259,7 +268,7 @@ impl CampaignSpec {
             inject,
             partition,
             pagesize,
-            sm_threads: field_u64(line, "sm_threads").map(|n| n as u32),
+            sm_threads: field_u32(line, "sm_threads")?,
         })
     }
 
@@ -693,6 +702,21 @@ mod tests {
         let s = CampaignSpec::parse(line).unwrap();
         assert_eq!(s.sm_threads, Some(2));
         assert_eq!(s.encode(), line);
+    }
+
+    #[test]
+    fn out_of_range_spec_integers_are_errors_naming_the_field() {
+        let line = "{\"preset\":\"Test\",\"sms\":2,\"weight\":1,\"workloads\":\"histo\",\"schemes\":\"Baseline\",\"sm_threads\":2}";
+        assert!(CampaignSpec::parse(line).is_ok());
+        // 2^32 + 2 truncates to a plausible 2, 2^32 to 0.
+        for (field, narrow, wide) in [
+            ("sms", "\"sms\":2", "\"sms\":4294967298"),
+            ("weight", "\"weight\":1", "\"weight\":4294967296"),
+            ("sm_threads", "\"sm_threads\":2", "\"sm_threads\":4294967298"),
+        ] {
+            let err = CampaignSpec::parse(&line.replace(narrow, wide)).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -277,6 +277,28 @@ fn unschedulable_specs_are_rejected_cleanly() {
         other => panic!("a 1-SM partitioned spec must be rejected, got {other:?}"),
     }
 
+    // An SM count past `u32` cannot be built as a `CampaignSpec`, so it
+    // goes over a raw socket: it must be refused by name, not truncated
+    // to the 2 SMs its low 32 bits spell and admitted.
+    {
+        use gex_serve::wire::Request;
+        use std::io::{BufRead, BufReader, Write};
+        let submit = Request::Submit {
+            tenant: "t".to_string(),
+            campaign: "wide-sms".to_string(),
+            spec: spec(&["histo"], &[Scheme::Baseline]),
+        }
+        .encode();
+        let wide = submit.replace("\\\"sms\\\":2,", "\\\"sms\\\":4294967298,");
+        assert_ne!(wide, submit);
+        let mut sock = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
+        writeln!(sock, "{wide}").expect("send");
+        let mut reply = String::new();
+        BufReader::new(&sock).read_line(&mut reply).expect("reply");
+        assert!(reply.contains("\"ok\":0") && reply.contains("sms"), "{reply}");
+        assert!(c.status("t", "wide-sms").is_err(), "the campaign must not exist");
+    }
+
     // The rejects were admission control, not failures: the same tenant
     // still submits and completes a healthy campaign.
     c.submit("t", "fine", &spec(&["histo"], &[Scheme::Baseline])).expect("admit");
