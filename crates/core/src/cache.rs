@@ -440,6 +440,15 @@ pub fn run_cached(
     Ok(report)
 }
 
+/// Held by every unit test of this crate that simulates through the
+/// cache: the tests below assert exact counter deltas, which a lookup
+/// from a concurrently running test would move.
+#[cfg(test)]
+pub(crate) fn serialize_cache_tests() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    poison::lock(&LOCK)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,12 +457,14 @@ mod tests {
     use gex_workloads::{suite, Preset};
 
     // Unit tests share the process-global cache with each other, so they
-    // assert via counter deltas and distinct keys only; the end-to-end
-    // behaviour (hit identity, figure equivalence, fig11 baseline
-    // sharing) lives in `tests/cache_equivalence.rs`, its own process.
+    // hold `serialize_cache_tests` and assert via counter deltas and
+    // distinct keys only; the end-to-end behaviour (hit identity, figure
+    // equivalence, fig11 baseline sharing) lives in
+    // `tests/cache_equivalence.rs`, its own process.
 
     #[test]
     fn identical_points_share_one_simulation() {
+        let _serial = serialize_cache_tests();
         let w = suite::by_name("histo", Preset::Test).unwrap();
         let gpu =
             Gpu::new(GpuConfig::kepler_k20().with_sms(2), Scheme::WdCommit, PagingMode::AllResident);
@@ -472,6 +483,7 @@ mod tests {
         // the read-mostly path. Every thread must see the same Arc for
         // the shared key, and the counters must record exactly one store
         // per distinct key (coalescing, not duplicate simulation).
+        let _serial = serialize_cache_tests();
         let gpu = Gpu::new(
             GpuConfig::kepler_k20().with_sms(2),
             Scheme::ReplayQueue,

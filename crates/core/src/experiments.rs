@@ -1085,6 +1085,7 @@ mod tests {
     #[test]
     fn fig10_rows_are_in_unit_range() {
         // Tiny single-benchmark sanity: full sweeps run in the harness.
+        let _serial = cache::serialize_cache_tests();
         let histo = vec![suite::by_name("histo", Preset::Test).unwrap()];
         let inputs = with_residency(histo, |_| Residency::new());
         let out = sweep("unit", fig10_grid(&inputs, 2), &SweepOptions::default()).expect_healthy();

@@ -110,6 +110,7 @@ mod tests {
 
     #[test]
     fn facade_runs_a_workload_end_to_end() {
+        let _serial = cache::serialize_cache_tests();
         let w = suite::by_name("histo", Preset::Test).unwrap();
         let r = run_workload(&w, Scheme::operand_log_kib(16), PagingMode::AllResident, 4);
         assert_eq!(r.sm.committed, w.trace.dyn_instrs());
@@ -117,6 +118,7 @@ mod tests {
 
     #[test]
     fn normalized_performance_is_at_most_one_ish() {
+        let _serial = cache::serialize_cache_tests();
         let w = suite::by_name("lbm", Preset::Test).unwrap();
         let p = normalized_performance(&w, Scheme::WdCommit, 4);
         assert!(p > 0.1 && p <= 1.001, "wd-commit relative perf {p}");

@@ -28,7 +28,6 @@
 use crate::journal::CampaignJournal;
 use gex_sim::{RunBudget, SimError};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 /// How the supervisor treats failures.
@@ -41,20 +40,11 @@ pub struct SupervisePolicy {
     /// Extra attempts granted to deadline overruns (panics and fatal
     /// errors never retry).
     pub max_retries: u32,
-    /// Fault budget for the whole sweep: once this many points have
-    /// *failed* (panic, exhausted deadline, fatal error — cancellations
-    /// don't count), every point that hasn't started yet is shed without
-    /// running, as [`FailureKind::Shed`]. This is the tenant-isolation
-    /// primitive of the campaign server: a tenant whose points keep
-    /// blowing up stops consuming simulator time instead of grinding
-    /// through its whole grid one quarantine at a time. `None` (the
-    /// default) disables shedding — batch figure drivers run every point.
-    pub fault_budget: Option<u32>,
 }
 
 impl Default for SupervisePolicy {
     fn default() -> Self {
-        SupervisePolicy { budget: RunBudget::none(), max_retries: 2, fault_budget: None }
+        SupervisePolicy { budget: RunBudget::none(), max_retries: 2 }
     }
 }
 
@@ -62,13 +52,6 @@ impl SupervisePolicy {
     /// A policy with a cycle deadline of `cycles` for the first attempt.
     pub fn with_deadline(cycles: u64) -> Self {
         SupervisePolicy { budget: RunBudget::cycles(cycles), ..SupervisePolicy::default() }
-    }
-
-    /// The same policy shedding unstarted points after `failures` failed
-    /// ones.
-    pub fn with_fault_budget(mut self, failures: u32) -> Self {
-        self.fault_budget = Some(failures);
-        self
     }
 }
 
@@ -82,12 +65,8 @@ pub enum FailureKind {
     /// A fatal simulator error (wedge, cycle cap, missing handler, ...).
     Fatal,
     /// The point's budget token was cancelled mid-run. Not retried (the
-    /// token stays cancelled) and not counted against the fault budget
-    /// (stopping was requested, nothing failed).
+    /// token stays cancelled): stopping was requested, nothing failed.
     Cancelled,
-    /// The point never ran: the sweep's [`SupervisePolicy::fault_budget`]
-    /// was already exhausted when it came up.
-    Shed,
 }
 
 impl fmt::Display for FailureKind {
@@ -97,7 +76,6 @@ impl fmt::Display for FailureKind {
             FailureKind::Deadline => write!(f, "deadline"),
             FailureKind::Fatal => write!(f, "fatal"),
             FailureKind::Cancelled => write!(f, "cancelled"),
-            FailureKind::Shed => write!(f, "shed"),
         }
     }
 }
@@ -211,22 +189,6 @@ struct PointFailure {
     error: String,
 }
 
-/// Counts one failure on drop unless disarmed — the success, shed and
-/// cancelled paths disarm; error returns and panics (which unwind
-/// through the armed guard) count.
-struct FailTally<'a> {
-    failures: &'a AtomicU32,
-    armed: bool,
-}
-
-impl Drop for FailTally<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Run every `(key, point)` through `run` on the parallel sweep engine
 /// under `policy`, optionally resuming from / recording into `journal`.
 ///
@@ -262,27 +224,12 @@ where
     // `try_par_map` reports a panicking job only by its index.
     let meta: Vec<(usize, String)> =
         pending.iter().map(|(i, k, _)| (*i, k.clone())).collect();
-    // Sweep-wide failure tally for the fault budget. Counted via a drop
-    // guard so a panicking point (which unwinds straight through the
-    // closure into `try_par_map`'s catch) is tallied too.
-    let failures = AtomicU32::new(0);
     let results = gex_exec::try_par_map(pending, |(_, key, p)| {
-        let mut tally = FailTally { failures: &failures, armed: true };
-        if policy.fault_budget.is_some_and(|b| failures.load(Ordering::Relaxed) >= b) {
-            tally.armed = false;
-            return Err(PointFailure {
-                kind: FailureKind::Shed,
-                attempts: 0,
-                elapsed: Duration::ZERO,
-                error: "fault budget exhausted before the point started".to_string(),
-            });
-        }
         let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             match run(&p, &policy.budget.escalated(attempt)) {
                 Ok(cycles) => {
-                    tally.armed = false;
                     if let Some(j) = journal {
                         // Journal as soon as the point completes, so a
                         // killed campaign keeps everything it finished.
@@ -298,8 +245,6 @@ where
                 }
                 Err(e) => {
                     let kind = if e.is_cancelled() {
-                        // Stopping on request is not a fault.
-                        tally.armed = false;
                         FailureKind::Cancelled
                     } else if e.is_deadline() {
                         FailureKind::Deadline
@@ -349,6 +294,7 @@ where
 mod tests {
     use super::*;
     use gex_sim::{BudgetExceeded, DeadlineDiagnostic};
+    use std::sync::atomic::Ordering;
 
     fn deadline_err(cycle: u64) -> SimError {
         SimError::Deadline(Box::new(DeadlineDiagnostic {
@@ -452,57 +398,6 @@ mod tests {
         assert_eq!(r.attempts, 1, "cancellation must not be retried");
         assert_eq!(attempts.load(Ordering::Relaxed), 1);
         assert!(out.quarantine.to_string().contains("[cancelled]"));
-    }
-
-    #[test]
-    fn fault_budget_sheds_unstarted_points_after_too_many_failures() {
-        // Serial execution so "unstarted" is deterministic: with the
-        // budget at 2, points 0 and 1 fail for real, 2..6 shed unrun.
-        gex_exec::set_threads(1);
-        let policy = SupervisePolicy::default().with_fault_budget(2);
-        let ran = std::sync::atomic::AtomicU32::new(0);
-        let points: Vec<(String, u64)> = (0..6).map(|i| (format!("p{i}"), i)).collect();
-        let out = run_supervised(points, &policy, None, |_, _| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            Err(SimError::NoFaultHandler { pending_faults: 1 })
-        });
-        gex_exec::set_threads(0);
-        assert_eq!(ran.load(Ordering::Relaxed), 2, "only the first two points run");
-        assert_eq!(out.values, vec![None; 6]);
-        let kinds: Vec<FailureKind> = out.quarantine.records.iter().map(|r| r.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                FailureKind::Fatal,
-                FailureKind::Fatal,
-                FailureKind::Shed,
-                FailureKind::Shed,
-                FailureKind::Shed,
-                FailureKind::Shed,
-            ]
-        );
-        assert_eq!(out.quarantine.records[2].attempts, 0, "shed points never attempt");
-        assert!(out.quarantine.to_string().contains("[shed]"));
-    }
-
-    #[test]
-    fn panics_count_against_the_fault_budget() {
-        gex_exec::set_threads(1);
-        let policy = SupervisePolicy::default().with_fault_budget(1);
-        let points: Vec<(String, u64)> = (0..3).map(|i| (format!("p{i}"), i)).collect();
-        let out = run_supervised(points, &policy, None, |p, _| {
-            if *p == 0 {
-                panic!("first point explodes");
-            }
-            Ok(*p)
-        });
-        gex_exec::set_threads(0);
-        let kinds: Vec<FailureKind> = out.quarantine.records.iter().map(|r| r.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![FailureKind::Panic, FailureKind::Shed, FailureKind::Shed],
-            "a panic exhausts the budget of 1 and sheds the rest"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Arena-reuse determinism through the persistent worker pool.
 //!
 //! The sweep engine's workers keep a per-thread simulation arena (SMs,
-//! event wheels, wake queues, dispatch queues) that is recycled between
+//! event wheels, dispatch queues) that is recycled between
 //! points. The contract: running the *same point list twice* through the
 //! persistent pool — the first pass on cold arenas, the second on arenas
 //! warmed by the first, with the scheduling order shuffled — yields

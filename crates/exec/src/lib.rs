@@ -119,12 +119,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Per-index cells shared across sweep runners without per-cell locks.
 ///
-/// Exclusivity comes from the claim protocol, not a lock: the chunk
-/// counter in [`try_par_map`] hands each index range to exactly one
-/// runner, which takes the job out of its cell and writes the result in
-/// exactly once. The completion latch inside `pool::scope_run`
-/// (release-on-signal, acquire-on-check) orders every helper's writes
-/// before the caller collects.
+/// Exclusivity comes from the claim protocol, not a lock: the counter in
+/// [`try_par_map`] hands each index to exactly one runner, which takes
+/// the job out of its cell and writes the result in exactly once. The
+/// completion latch inside `pool::scope_run` (release-on-signal,
+/// acquire-on-check) orders every helper's writes before the caller
+/// collects.
 struct IndexCells<T> {
     cells: Vec<UnsafeCell<T>>,
 }
@@ -146,13 +146,6 @@ impl<T> IndexCells<T> {
     unsafe fn get_mut(&self, idx: usize) -> &mut T {
         unsafe { &mut *self.cells[idx].get() }
     }
-}
-
-/// Indices claimed per `fetch_add` on the sweep counter: enough to touch
-/// the shared counter once per batch instead of once per point, small
-/// enough that a straggler job cannot strand a long tail behind it.
-fn chunk_size(n_jobs: usize, n_workers: usize) -> usize {
-    (n_jobs / (n_workers * 4)).clamp(1, 64)
 }
 
 /// Map `f` over `items` on the persistent pool, returning results in
@@ -187,29 +180,30 @@ where
     // Jobs move into per-index cells so runners can take them without
     // cloning; results land in per-index cells, so output order is input
     // order no matter which thread ran what. No per-cell locks: index
-    // exclusivity comes from the chunked claim counter (see IndexCells).
+    // exclusivity comes from the claim counter (see IndexCells).
     let jobs: IndexCells<Option<I>> = IndexCells::new(items.into_iter().map(Some));
     let slots: IndexCells<Option<Result<T, JobError>>> =
         IndexCells::new((0..n_jobs).map(|_| None));
     let next = AtomicUsize::new(0);
-    let chunk = chunk_size(n_jobs, n_workers);
 
-    // Each runner (pooled helpers + the caller) claims chunks of indices
-    // from the shared counter until the sweep is drained. `run_one`
-    // catches the job's panic, so the runner itself never unwinds — a
-    // guarantee `pool::scope_run`'s safety argument relies on.
+    // Each runner (pooled helpers + the caller) claims one index at a
+    // time from the shared counter until the sweep is drained: every
+    // caller's jobs are simulation points (milliseconds each), so the
+    // counter is never contended and the tail is at most one point.
+    // `run_one` catches the job's panic, so the runner itself never
+    // unwinds — a guarantee `pool::scope_run`'s safety argument relies on.
     let runner = || loop {
-        let start = next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n_jobs {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= n_jobs {
             break;
         }
-        for idx in start..(start + chunk).min(n_jobs) {
-            // SAFETY: the fetch_add above handed [start, start+chunk) to
-            // this runner exclusively; each index is visited once.
-            let item = unsafe { jobs.get_mut(idx) }.take().expect("job index claimed twice");
-            let out = run_one(idx, item);
-            unsafe { *slots.get_mut(idx) = Some(out) };
-        }
+        // SAFETY: the fetch_add above handed `idx` to this runner
+        // exclusively (the counter only grows), and `idx < n_jobs` is
+        // in bounds for both cell vectors.
+        let item = unsafe { jobs.get_mut(idx) }.take().expect("job index claimed twice");
+        let out = run_one(idx, item);
+        // SAFETY: same exclusive claim on `idx` as above.
+        unsafe { *slots.get_mut(idx) = Some(out) };
     };
     pool::scope_run(n_workers - 1, &runner);
 
@@ -261,20 +255,6 @@ mod tests {
 
     /// Serialize tests that touch the process-wide override.
     static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn chunk_sizes_are_bounded_and_cover_all_jobs() {
-        assert_eq!(chunk_size(1, 8), 1, "tiny sweeps stay point-granular");
-        assert_eq!(chunk_size(7, 2), 1);
-        assert_eq!(chunk_size(64, 4), 4);
-        assert_eq!(chunk_size(100_000, 2), 64, "chunks cap so stragglers cannot strand a tail");
-        for jobs in [1usize, 2, 3, 63, 64, 65, 257] {
-            for workers in [2usize, 3, 8] {
-                let c = chunk_size(jobs, workers);
-                assert!((1..=64).contains(&c), "chunk {c} for {jobs} jobs / {workers} workers");
-            }
-        }
-    }
 
     #[test]
     fn preserves_input_order() {

@@ -31,10 +31,8 @@ pub mod phys;
 pub mod setassoc;
 pub mod system;
 pub mod tlb;
-pub mod wake;
 
 pub use config::{CacheConfig, Cycle, MemConfig, TlbConfig};
-pub use wake::WakeMemo;
 pub use fault::{FaultAdmission, FaultEntry, FaultKind, FaultQueue};
 pub use large::{
     default_page_size, frame_of, set_default_page_size, LpStats, PageSizePolicy,

@@ -180,7 +180,7 @@ enum Ev {
     /// A background coalesce pass on this 2 MB frame settles. Fired only
     /// under large-page policies; cancelled passes leave the event in the
     /// heap (lazy invalidation — the handler revalidates against the
-    /// pending map) so the push-wake contract never loses a wake.
+    /// pending map).
     CoalesceDone(u64),
 }
 
@@ -288,11 +288,6 @@ pub struct MemSystem {
     reqs: Vec<Req>,
     free_reqs: Vec<u32>,
     outbox: Vec<Vec<AccessEvent>>,
-    /// Set whenever the internal event heap changes shape (a schedule or
-    /// a pop); cleared by [`MemSystem::take_wake_update`]. Keeps the push
-    /// wake path O(1) on quiet queries.
-    wake_dirty: bool,
-    wake_memo: crate::wake::WakeMemo,
     /// Stall-mode: faulted requests parked per 64 KB region.
     parked: HashMap<u64, Vec<u32>>,
     stats: MemStats,
@@ -347,8 +342,6 @@ impl MemSystem {
             reqs: Vec::new(),
             free_reqs: Vec::new(),
             outbox: vec![Vec::new(); n],
-            wake_dirty: true,
-            wake_memo: crate::wake::WakeMemo::new(),
             parked: HashMap::new(),
             stats: MemStats::default(),
             tenant_accounting: false,
@@ -425,7 +418,6 @@ impl MemSystem {
 
     fn schedule(&mut self, cycle: Cycle, ev: Ev) {
         self.seq += 1;
-        self.wake_dirty = true;
         self.events.push(std::cmp::Reverse((cycle, self.seq, ev)));
     }
 
@@ -433,19 +425,6 @@ impl MemSystem {
     /// top-level simulator skip idle stretches.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
         self.events.peek().map(|std::cmp::Reverse((c, _, _))| *c)
-    }
-
-    /// Wake-queue hook: the current [`MemSystem::next_event_cycle`]
-    /// when it changed since the last take, `None` otherwise. The caller
-    /// pushes the returned cycle into its wake queue; the fast path (no
-    /// schedule or pop since last take) is a single flag test.
-    pub fn take_wake_update(&mut self) -> Option<Cycle> {
-        if !self.wake_dirty {
-            return None;
-        }
-        self.wake_dirty = false;
-        let current = self.next_event_cycle();
-        self.wake_memo.update(current)
     }
 
     /// True if no requests are in flight anywhere in the hierarchy.
@@ -735,7 +714,6 @@ impl MemSystem {
                 break;
             }
             let std::cmp::Reverse((t, _, ev)) = self.events.pop().expect("peeked event");
-            self.wake_dirty = true;
             self.dispatch(t, ev);
         }
     }

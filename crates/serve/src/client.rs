@@ -85,6 +85,9 @@ fn connect_once(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
             Ok(s) => {
                 s.set_read_timeout(Some(timeout))?;
                 s.set_write_timeout(Some(timeout))?;
+                // Request lines are tiny: without this, Nagle holds a
+                // segment for the peer's delayed ACK (tens of ms).
+                s.set_nodelay(true)?;
                 return Ok(s);
             }
             Err(e) => last = e,
@@ -125,9 +128,9 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) -> io::Result<()> {
+        // One write per request, so the line leaves as one segment.
         let stream = self.reader.get_mut();
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
+        stream.write_all(format!("{line}\n").as_bytes())?;
         stream.flush()
     }
 

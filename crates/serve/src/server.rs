@@ -60,9 +60,7 @@ pub struct ServerConfig {
     pub max_pending_points: usize,
     /// Admission bound on concurrently tracked campaigns.
     pub max_campaigns: usize,
-    /// Per-point supervision policy (budget, retries). Its `fault_budget`
-    /// field is ignored — fault budgets are per *tenant* here, see
-    /// [`ServerConfig::tenant_fault_budget`].
+    /// Per-point supervision policy (budget, retries).
     pub policy: SupervisePolicy,
     /// Per-tenant fault budget: once a tenant has accumulated this many
     /// failed points (panics, exhausted deadlines, fatal errors — not
@@ -109,7 +107,8 @@ enum PointState {
     Running,
     /// Completed, holding the value its journal stores (see [`decode`]).
     Done(u64),
-    /// Quarantined (`kind` is a [`FailureKind`] token, incl. `shed`).
+    /// Quarantined (`kind` is a [`FailureKind`] token, or `shed` for a
+    /// point dropped unrun by its tenant's quarantine).
     Quarantined { kind: String, error: String },
     /// Cancelled before or during its run.
     Cancelled,
@@ -669,6 +668,11 @@ fn notify(c: &mut Campaign, mut events: Vec<String>) {
     let st = c.state();
     if state::is_terminal(st) && !c.closed {
         c.closed = true;
+        // Every point is terminal, so nothing will be dispatched from
+        // this campaign again: let go of its workload traces (megabytes
+        // each) and keep only what `status` and `results` answer from.
+        c.grid = Vec::new();
+        c.sharing = None;
         events.push(Event::State { state: st.to_string() }.encode());
     }
     if events.is_empty() || c.watchers.is_empty() {
@@ -708,16 +712,14 @@ fn dispatch_loop(inner: &Inner) {
             continue;
         }
 
-        // Per-wave supervision on the persistent pool. The policy's
-        // fault budget is cleared: waves mix tenants, and tenant-level
-        // budgets are enforced by `apply_outcome` instead.
-        let policy =
-            SupervisePolicy { fault_budget: None, ..inner.cfg.policy.clone() };
+        // Per-wave supervision on the persistent pool. Waves mix
+        // tenants, so fault budgets are enforced per tenant by
+        // `apply_outcome`, not by the supervisor.
         let labelled: Vec<(String, WavePoint)> =
             wave.into_iter().map(|p| (format!("{}|{}", p.id, p.key), p)).collect();
         let order: Vec<(String, usize)> =
             labelled.iter().map(|(_, p)| (p.id.clone(), p.index)).collect();
-        let outcome = run_supervised(labelled, &policy, None, run_point);
+        let outcome = run_supervised(labelled, &inner.cfg.policy, None, run_point);
 
         let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
         apply_outcome(&mut st, &inner.cfg, &order, outcome);
@@ -852,6 +854,9 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
     // thread: reads (and writes) time out after `idle_timeout`.
     stream.set_read_timeout(Some(inner.cfg.idle_timeout))?;
     stream.set_write_timeout(Some(inner.cfg.idle_timeout))?;
+    // Replies are written fragment by fragment; Nagle would hold each
+    // trailing fragment for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {

@@ -66,6 +66,23 @@ fn healthy_campaign_matches_direct_simulation() {
 }
 
 #[test]
+fn request_lines_are_not_held_back_by_nagle() {
+    // A loopback round trip is tens of microseconds. Without TCP_NODELAY
+    // (or with a request split over two writes) every exchange waits out
+    // the peer's delayed ACK, ~40 ms each: 50 pings take about 2 s.
+    let handle = server::start(ServerConfig::default()).unwrap();
+    let mut c = fast_client(&handle.addr());
+    c.ping().expect("server answers ping");
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        c.ping().expect("server answers ping");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "50 pings took {elapsed:?}");
+    handle.join();
+}
+
+#[test]
 fn resubmitting_the_same_spec_attaches_instead_of_duplicating() {
     let handle = server::start(ServerConfig::default()).unwrap();
     let mut c = fast_client(&handle.addr());

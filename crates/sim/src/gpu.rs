@@ -25,15 +25,15 @@ use gex_isa::trace::{BlockTrace, KernelTrace};
 use gex_mem::phys::PhysAllocator;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, PageState};
-use gex_sm::{FaultNotice, KernelSetup, RunBudget, Scheme, Sm, SmStats, WakeQueue, WarpDiag};
+use gex_sm::{FaultNotice, KernelSetup, RunBudget, Scheme, Sm, SmStats, WarpDiag};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Reusable per-thread simulation state: every buffer a run grows once
 /// and a later run can reuse instead of reallocating — SMs (event wheels,
-/// token maps, scratch vectors), local schedulers, the wake queue and the
-/// dispatch queues. Sweeps run thousands of points per worker thread;
+/// token maps, scratch vectors), local schedulers and the dispatch
+/// queues. Sweeps run thousands of points per worker thread;
 /// recycling these is what makes the per-point cost allocation-free in
 /// steady state.
 ///
@@ -45,7 +45,6 @@ use std::sync::Arc;
 struct SimArena {
     sms: Vec<Sm>,
     scheds: Vec<LocalScheduler>,
-    wake: WakeQueue,
     notice_buf: Vec<FaultNotice>,
     /// Per-tenant dispatch queues (single-tenant runs use one).
     queues: Vec<VecDeque<Arc<BlockTrace>>>,
@@ -369,16 +368,6 @@ struct Engine {
     max_cycles: Cycle,
     watchdog_cycles: Cycle,
     budget: RunBudget,
-    /// Wake-event queue behind the idle skip: the memory system, the CPU
-    /// handler and the GPU-local handler publish their next wake cycle
-    /// through memoized [`gex_mem::WakeMemo`] hooks right after their
-    /// last mutation each iteration, and the per-SM schedulers push
-    /// save/restore completion cycles at the moment the transfer is
-    /// scheduled. SMs are deliberately *not* wake sources: the queue is
-    /// only consulted when every SM is stalled, and a stalled SM has an
-    /// empty internal event wheel (`is_stalled` ⇒ `next_event_cycle() ==
-    /// None`), so the scan oracle gets nothing from them either.
-    wake: WakeQueue,
     /// Reused scratch for draining SM fault notices without allocating.
     notice_buf: Vec<FaultNotice>,
     /// SMs currently stalled, maintained incrementally at every mutation
@@ -502,7 +491,6 @@ impl Engine {
         let SimArena {
             mut sms,
             mut scheds,
-            mut wake,
             mut notice_buf,
             mut queues,
             mut sm_owner,
@@ -528,7 +516,6 @@ impl Engine {
             s.reset();
         }
         scheds.resize_with(num_sms as usize, LocalScheduler::new);
-        wake.clear();
         notice_buf.clear();
         for q in &mut queues {
             q.clear();
@@ -563,7 +550,6 @@ impl Engine {
             max_cycles: gpu.cfg.max_cycles,
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
-            wake,
             notice_buf,
             stalled,
             done_sms,
@@ -577,7 +563,6 @@ impl Engine {
         SimArena {
             sms: self.sms,
             scheds: self.scheds,
-            wake: self.wake,
             notice_buf: self.notice_buf,
             queues: self.queues,
             sm_owner: self.sm_owner,
@@ -735,11 +720,6 @@ impl Engine {
                     last_progress = now;
                 }
             }
-            // Harvest the CPU handler's wake right after its tick — nothing
-            // later in the iteration mutates it.
-            if let Some(c) = self.cpu.as_mut().and_then(|c| c.take_wake_update()) {
-                self.wake.push(c);
-            }
             let local_done = self
                 .local
                 .as_mut()
@@ -753,11 +733,6 @@ impl Engine {
             self.tick_sms(now)?;
 
             self.handle_notices(now);
-            // The local handler's last mutators are its tick (above) and
-            // the claims made in `handle_notices`; harvest here.
-            if let Some(c) = self.local.as_mut().and_then(|l| l.take_wake_update()) {
-                self.wake.push(c);
-            }
             self.pump_switching(now);
             // Drain completions *before* dispatch so each completed block
             // is attributed to the SM's owner at completion time — an SM
@@ -798,13 +773,6 @@ impl Engine {
             if self.pending_blocks() != before_dispatch {
                 last_progress = now;
             }
-            // Single memory-system harvest per iteration, after its last
-            // mutator (its own tick, the handlers' resolves and the SM
-            // ticks all schedule into it earlier); the no-op path is one
-            // flag test.
-            if let Some(c) = self.mem.take_wake_update() {
-                self.wake.push(c);
-            }
 
             if self.finished() {
                 break;
@@ -840,20 +808,7 @@ impl Engine {
             );
             let all_stalled = self.stalled as usize == self.sms.len();
             if all_stalled {
-                let next = self.wake.earliest_after(now);
-                // Exactness contract, checked in debug builds: every
-                // pushed wake at or before `now` has been consumed, so
-                // the queue minimum is the scan minimum (see the
-                // WakeQueue docs). The scan is the O(components) cost per
-                // idle window the queue exists to avoid, so the oracle is
-                // compiled out of release builds (`#[cfg]`, not just
-                // `debug_assert!`).
-                #[cfg(debug_assertions)]
-                assert_eq!(
-                    next,
-                    self.next_event_cycle(),
-                    "wake queue diverged from the scan oracle at cycle {now}"
-                );
+                let next = self.next_event_cycle();
                 if let Some(next) = next {
                     if next > now + 1 {
                         // Never jump past the watchdog deadline, the
@@ -952,9 +907,6 @@ impl Engine {
                 };
                 self.switches += 1;
                 self.scheds[i].saving.push((done, saved));
-                // Push the exact save-completion cycle at the moment the
-                // transfer is scheduled.
-                self.wake.push(done);
             }
             // Finished saves park off-chip.
             let (parked, still_saving): (Vec<_>, Vec<_>) =
@@ -984,7 +936,6 @@ impl Engine {
                     self.mem.dram_mut().bulk_transfer(now, saved.context_bytes())
                 };
                 self.scheds[i].restoring.push((done, saved));
-                self.wake.push(done);
             }
         }
     }
@@ -1062,10 +1013,9 @@ impl Engine {
         self.tenants.iter().all(|t| t.completed == t.total || t.quarantined)
     }
 
-    /// The scan oracle for the wake queue: a full linear scan over every
-    /// component. Debug builds assert [`WakeQueue::earliest_after`] equal
-    /// to it at every idle window; release builds compile it out.
-    #[cfg(debug_assertions)]
+    /// The idle-skip query: the earliest cycle at which any component has
+    /// work, as the minimum of every component's own `next_event_cycle()`.
+    /// Asked only when every SM is stalled.
     fn next_event_cycle(&self) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Option<Cycle>| {
@@ -1074,9 +1024,11 @@ impl Engine {
             }
         };
         consider(self.mem.next_event_cycle());
-        for sm in &self.sms {
-            consider(sm.next_event_cycle());
-        }
+        // SMs are not a source here: a stalled SM's event wheel is empty.
+        debug_assert!(
+            self.sms.iter().all(|sm| sm.next_event_cycle().is_none()),
+            "a stalled SM reported a pending internal event"
+        );
         if let Some(cpu) = &self.cpu {
             consider(cpu.next_event_cycle());
         }

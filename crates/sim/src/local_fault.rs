@@ -42,7 +42,6 @@ pub struct LocalFaultState {
     cfg: LocalFaultConfig,
     running: Vec<(Cycle, u64)>,
     stats: LocalFaultStats,
-    wake_memo: gex_mem::WakeMemo,
 }
 
 impl LocalFaultState {
@@ -52,7 +51,6 @@ impl LocalFaultState {
             cfg,
             running: Vec::new(),
             stats: LocalFaultStats::default(),
-            wake_memo: gex_mem::WakeMemo::new(),
         }
     }
 
@@ -131,14 +129,6 @@ impl LocalFaultState {
     /// Earliest handler completion, for skip-ahead.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
         self.running.iter().map(|&(w, _)| w).min()
-    }
-
-    /// Wake-queue hook: the current
-    /// [`LocalFaultState::next_event_cycle`] when it moved since the last
-    /// take. Harvested after the claim/tick mutators each iteration.
-    pub fn take_wake_update(&mut self) -> Option<Cycle> {
-        let current = self.next_event_cycle();
-        self.wake_memo.update(current)
     }
 }
 

@@ -72,11 +72,9 @@ struct InFlight {
     /// and it is never NACKed (the original carries the retry state).
     dup: bool,
     /// A duplicate whose original was NACKed: it completes its round trip
-    /// (so `next_event_cycle` keeps reporting only live-or-past cycles)
-    /// but resolves nothing. Removing it early instead would delete a
-    /// *future* completion out from under the idle scan, violating the
-    /// wake-queue invariant that a recorded wake at or before `now` has
-    /// always been consumed.
+    /// but resolves nothing. Marked rather than removed, so the `tick`
+    /// walk that discovers the NACK never reorders `in_flight` under
+    /// itself.
     dead: bool,
 }
 
@@ -98,7 +96,6 @@ pub struct CpuHandler {
     /// Fault-injection state; `None` means exact, unperturbed timing.
     injector: Option<Injector>,
     stats: CpuHandlerStats,
-    wake_memo: gex_mem::WakeMemo,
 }
 
 impl CpuHandler {
@@ -113,7 +110,6 @@ impl CpuHandler {
             in_flight: Vec::new(),
             injector: None,
             stats: CpuHandlerStats::default(),
-            wake_memo: gex_mem::WakeMemo::new(),
         }
     }
 
@@ -395,15 +391,6 @@ impl CpuHandler {
             };
         }
         next
-    }
-
-    /// Wake-queue hook: the current [`CpuHandler::next_event_cycle`]
-    /// when it moved since the last take (the in-flight and deferred sets
-    /// are a handful of entries, so the recompute is cheap). Harvested by
-    /// the engine right after [`CpuHandler::tick`], the only mutator.
-    pub fn take_wake_update(&mut self) -> Option<Cycle> {
-        let current = self.next_event_cycle();
-        self.wake_memo.update(current)
     }
 }
 

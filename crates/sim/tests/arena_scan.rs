@@ -1,5 +1,5 @@
 //! Arena equivalence: a run that reuses the thread's recycled simulation
-//! arena (SMs, schedulers, wake queue, dispatch queues) must produce a
+//! arena (SMs, schedulers, dispatch queues) must produce a
 //! byte-identical [`GpuRunReport`](gex_sim::GpuRunReport) to a run on
 //! fresh state, including after the arena was disturbed by a run of a
 //! different shape (SM count, scheme, paging mode).

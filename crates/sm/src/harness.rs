@@ -12,10 +12,10 @@
 //! propagation from the SM pipeline and the memory system, surfaced via
 //! [`SingleSmHarness::try_run`].
 //!
-//! It also shares the engine's idle-skip machinery: when every resident
-//! warp is waiting on an in-flight memory response, the loop skips the
-//! SM tick and jumps the clock to the next event (see
-//! [`crate::wake_queue`]), clamped so the watchdog, cycle cap and budget
+//! It also idle-skips the way the engine does: when every resident warp
+//! is waiting on an in-flight memory response, the loop skips the SM
+//! tick and jumps the clock to the earlier of the memory system's and
+//! the SM's next event, clamped so the watchdog, cycle cap and budget
 //! deadline still fire at their exact cycles. End-to-end `cycles` and
 //! all architectural results are unchanged by the skip; `SmStats.cycles`
 //! and `idle_issue_cycles` now count only *ticked* cycles, matching the
@@ -27,7 +27,6 @@ use crate::error::SmError;
 use crate::scheme::Scheme;
 use crate::sm::{KernelSetup, ProbeEvent, Sm, WarpDiag};
 use crate::stats::SmStats;
-use crate::wake_queue::WakeQueue;
 use gex_isa::trace::KernelTrace;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, MemConfig, MemError, MemStats, PageState};
@@ -219,11 +218,6 @@ impl SingleSmHarness {
         let mut last_progress: Cycle = 0;
         let mut last_committed: u64 = 0;
         let mut meter = self.budget.start();
-        // The memory system is the only wake source — the queue is
-        // consulted only while the SM is stalled, and a stalled SM's
-        // internal event wheel is empty (`next_event_cycle() == None`),
-        // exactly what the scan oracle below sees.
-        let mut wake = WakeQueue::new();
         loop {
             if let Some(cause) = meter.check(now) {
                 return Err(HarnessError::Budget {
@@ -251,11 +245,6 @@ impl SingleSmHarness {
                 }
                 sm.drain_completed();
             }
-            // Harvest after the last memory mutator of the iteration (its
-            // own tick above, plus any accesses the SM started).
-            if let Some(c) = mem.take_wake_update() {
-                wake.push(c);
-            }
             if sm.is_empty() && pending.is_empty() {
                 break;
             }
@@ -277,18 +266,10 @@ impl SingleSmHarness {
             // the cycle cap and the budget deadline each fire at their
             // exact cycle (the engine's contract).
             if stalled {
-                let next = wake.earliest_after(now);
-                // The linear scan the queue replaces, kept as the debug
-                // oracle: compiled out of release builds.
-                #[cfg(debug_assertions)]
-                assert_eq!(
-                    next,
-                    match (mem.next_event_cycle(), sm.next_event_cycle()) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    },
-                    "wake queue diverged from the scan oracle at cycle {now}"
-                );
+                let next = match (mem.next_event_cycle(), sm.next_event_cycle()) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
                 if let Some(next) = next {
                     if next > now + 1 {
                         let mut deadline =

@@ -33,7 +33,6 @@ pub mod scheme;
 pub mod scoreboard;
 pub mod sm;
 pub mod stats;
-pub mod wake_queue;
 
 pub use budget::{BudgetExceeded, BudgetMeter, CancelToken, RunBudget};
 pub use config::SmConfig;
@@ -44,4 +43,3 @@ pub use sm::{
     FaultNotice, KernelSetup, ProbeEvent, ProbeStage, SavedBlock, Sm, WarpDiag, WarpState,
 };
 pub use stats::SmStats;
-pub use wake_queue::WakeQueue;

@@ -184,18 +184,13 @@ pub fn stream(preset: Preset) -> Workload {
     finish("halloc-stream", a, nblocks, ptr_out, out_len)
 }
 
-/// All four allocator benchmarks.
-pub fn all(preset: Preset) -> Vec<Workload> {
-    vec![fixed(preset), prob(preset), chain(preset), stream(preset)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_variants_allocate_heap() {
-        for w in all(Preset::Test) {
+        for w in [fixed, prob, chain, stream].map(|build| build(Preset::Test)) {
             assert!(w.heap_bytes > 0, "{} must malloc", w.name);
             assert!(w.func.mallocs > 0, "{}", w.name);
             // heap pages are part of the trace's touched pages

@@ -2,37 +2,52 @@
 
 use crate::types::{Preset, Workload};
 
+/// A workload's paper name and its builder.
+type Entry = (&'static str, fn(Preset) -> Workload);
+
+/// Every workload by its paper name, in figure order: the eleven
+/// Parboil-like benchmarks, then the Figure 13 set.
+const REGISTRY: [Entry; 16] = [
+    ("bfs", crate::bfs::build),
+    ("cutcp", crate::cutcp::build),
+    ("histo", crate::histo::build),
+    ("lbm", crate::lbm::build),
+    ("mri-gridding", crate::mri_gridding::build),
+    ("mri-q", crate::mri_q::build),
+    ("sad", crate::sad::build),
+    ("sgemm", crate::sgemm::build),
+    ("spmv", crate::spmv::build),
+    ("stencil", crate::stencil::build),
+    ("tpacf", crate::tpacf::build),
+    ("halloc-fixed", crate::halloc::fixed),
+    ("halloc-prob", crate::halloc::prob),
+    ("halloc-chain", crate::halloc::chain),
+    ("halloc-stream", crate::halloc::stream),
+    ("quad-tree", crate::quadtree::build),
+];
+
+/// How many leading [`REGISTRY`] entries are Parboil benchmarks.
+const PARBOIL_LEN: usize = 11;
+
+fn build_all(entries: &[Entry], preset: Preset) -> Vec<Workload> {
+    entries.iter().map(|(_, build)| build(preset)).collect()
+}
+
 /// The eleven Parboil-like benchmarks, in the paper's figure order.
 pub fn parboil(preset: Preset) -> Vec<Workload> {
-    vec![
-        crate::bfs::build(preset),
-        crate::cutcp::build(preset),
-        crate::histo::build(preset),
-        crate::lbm::build(preset),
-        crate::mri_gridding::build(preset),
-        crate::mri_q::build(preset),
-        crate::sad::build(preset),
-        crate::sgemm::build(preset),
-        crate::spmv::build(preset),
-        crate::stencil::build(preset),
-        crate::tpacf::build(preset),
-    ]
+    build_all(&REGISTRY[..PARBOIL_LEN], preset)
 }
 
 /// The Halloc-style allocator benchmarks plus the quad-tree sample — the
 /// Figure 13 set.
 pub fn halloc(preset: Preset) -> Vec<Workload> {
-    let mut v = crate::halloc::all(preset);
-    v.push(crate::quadtree::build(preset));
-    v
+    build_all(&REGISTRY[PARBOIL_LEN..], preset)
 }
 
-/// Build one workload by its paper name, searching every suite.
+/// Build one workload by its paper name, searching every suite. Only the
+/// named workload is built.
 pub fn by_name(name: &str, preset: Preset) -> Option<Workload> {
-    parboil(preset)
-        .into_iter()
-        .chain(halloc(preset))
-        .find(|w| w.name == name)
+    REGISTRY.iter().find(|(key, _)| *key == name).map(|(_, build)| build(preset))
 }
 
 #[cfg(test)]
@@ -50,8 +65,14 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(halloc(Preset::Test).len(), 5, "4 halloc benchmarks + quad-tree");
-        assert!(by_name("quad-tree", Preset::Test).is_some());
+        let fig13 = halloc(Preset::Test);
+        assert_eq!(fig13.len(), 5, "4 halloc benchmarks + quad-tree");
+        // Every key names the workload its builder produces, and the table
+        // order is the suites' order.
+        let built: Vec<&str> = ws.iter().chain(&fig13).map(|w| w.name.as_str()).collect();
+        let keys: Vec<&str> = REGISTRY.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, built);
+        assert_eq!(by_name("quad-tree", Preset::Test).unwrap().name, "quad-tree");
         assert!(by_name("nope", Preset::Test).is_none());
     }
 
