@@ -12,7 +12,9 @@
 //!   states demand paging needs, and the fill unit's global
 //!   [pending-fault queue](fault::FaultQueue);
 //! * a [physical-frame allocator](phys::PhysAllocator) used by both the
-//!   CPU-driver and GPU-local fault handlers.
+//!   CPU-driver and GPU-local fault handlers;
+//! * the simulator's one event queue, the [`EventWheel`] timing wheel that
+//!   both [`MemSystem`] and the SM pipeline schedule on.
 //!
 //! The central type is [`MemSystem`], which SMs drive
 //! with coalesced warp accesses and which reports the three events the
@@ -31,6 +33,7 @@ pub mod phys;
 pub mod setassoc;
 pub mod system;
 pub mod tlb;
+pub mod wheel;
 
 pub use config::{CacheConfig, Cycle, MemConfig, TlbConfig};
 pub use fault::{FaultAdmission, FaultEntry, FaultKind, FaultQueue};
@@ -41,3 +44,4 @@ pub use large::{
 pub use page_table::{region_of, PageState, PageTable, REGION_BYTES, REGION_PAGES};
 pub use system::{AccessEvent, AccessKind, AccessToken, FaultMode, MemError, MemStats, MemSystem};
 pub use tlb::TlbSizeStats;
+pub use wheel::EventWheel;

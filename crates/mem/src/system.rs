@@ -32,8 +32,9 @@ use crate::mshr::{MshrAlloc, MshrTable};
 use crate::page_table::{region_of, PageState, PageTable, REGION_BYTES};
 use crate::setassoc::SetAssoc;
 use crate::tlb::{Tlb, TlbSizeStats};
+use crate::wheel::EventWheel;
 use gex_isa::{page_of, LINE_BYTES};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Identifies one in-flight warp access; unique while the access is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,20 +167,22 @@ pub struct MemStats {
     pub denied_requests: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     StartTranslate(u32),
     L2TlbLookup(u32),
     TransOk(u32),
     WalkDone(u64),
-    DataRetry(u32),
+    /// A load re-polls the L1 MSHR table it found full; `fills` is the
+    /// L1's [`Cache::fills`] at that poll.
+    DataRetry { r: u32, fills: u32 },
     L2Lookup { line: u64, sm: u32 },
     L2Resp { line: u64, sm: u32 },
     DramReady { line: u64 },
     LineDone(u32),
     /// A background coalesce pass on this 2 MB frame settles. Fired only
     /// under large-page policies; cancelled passes leave the event in the
-    /// heap (lazy invalidation — the handler revalidates against the
+    /// wheel (lazy invalidation — the handler revalidates against the
     /// pending map).
     CoalesceDone(u64),
 }
@@ -213,6 +216,11 @@ struct Cache {
     tags: SetAssoc,
     mshr: MshrTable,
     latency: Cycle,
+    /// L1 only: bumped by [`MemSystem::ev_l2_resp`], the one place an L1
+    /// line fills and an L1 MSHR entry frees. While it stands still, a
+    /// full MSHR table stays full with the same keys and nothing enters
+    /// the tags, so a load that found the table full finds it full again.
+    fills: u32,
 }
 
 impl Cache {
@@ -221,6 +229,7 @@ impl Cache {
             tags: SetAssoc::new(cfg.sets(), cfg.ways),
             mshr: MshrTable::new(cfg.mshrs),
             latency: cfg.latency,
+            fills: 0,
         }
     }
 }
@@ -281,8 +290,7 @@ pub struct MemSystem {
     pub page_table: PageTable,
     /// The fill unit's pending fault queue (public: handlers drain it).
     pub fault_queue: FaultQueue,
-    events: BinaryHeap<std::cmp::Reverse<(Cycle, u64, Ev)>>,
-    seq: u64,
+    events: EventWheel<Ev>,
     accesses: Vec<Access>,
     free_accesses: Vec<u32>,
     reqs: Vec<Req>,
@@ -335,8 +343,7 @@ impl MemSystem {
             dram: Dram::new(cfg.dram_latency, cfg.dram_bytes_per_cycle),
             page_table: PageTable::new(),
             fault_queue: FaultQueue::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventWheel::new(Self::wheel_horizon(&cfg)),
             accesses: Vec::new(),
             free_accesses: Vec::new(),
             reqs: Vec::new(),
@@ -416,15 +423,23 @@ impl MemSystem {
         (hits, misses)
     }
 
+    /// The event-wheel horizon: the longest fixed-latency delay a handler
+    /// schedules, a page walk queued behind the L2 TLB lookup or a load
+    /// missing to DRAM. Only DRAM queueing and coalesce passes land beyond
+    /// it.
+    fn wheel_horizon(cfg: &MemConfig) -> Cycle {
+        (cfg.l2_tlb.latency + cfg.walk_latency)
+            .max(cfg.l1.latency + cfg.l2.latency + cfg.dram_latency + 1)
+    }
+
     fn schedule(&mut self, cycle: Cycle, ev: Ev) {
-        self.seq += 1;
-        self.events.push(std::cmp::Reverse((cycle, self.seq, ev)));
+        self.events.push(cycle, ev);
     }
 
     /// The cycle of the earliest pending internal event, if any — lets the
     /// top-level simulator skip idle stretches.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.events.peek().map(|std::cmp::Reverse((c, _, _))| *c)
+        self.events.next_cycle()
     }
 
     /// True if no requests are in flight anywhere in the hierarchy.
@@ -545,7 +560,7 @@ impl MemSystem {
         if let Some(lp) = &mut self.lp {
             let frame = frame_of(addr);
             if lp.pending.remove(&frame).is_some() {
-                // Lazy cancellation: the settle event stays in the heap and
+                // Lazy cancellation: the settle event stays in the wheel and
                 // revalidates, so held faults still drain when it fires.
                 lp.stats.cancelled += 1;
             }
@@ -709,11 +724,7 @@ impl MemSystem {
     /// Advance the hierarchy to cycle `now`, processing every event due at
     /// or before it.
     pub fn tick(&mut self, now: Cycle) {
-        while let Some(std::cmp::Reverse((c, _, _))) = self.events.peek() {
-            if *c > now {
-                break;
-            }
-            let std::cmp::Reverse((t, _, ev)) = self.events.pop().expect("peeked event");
+        while let Some((t, ev)) = self.events.pop_due(now) {
             self.dispatch(t, ev);
         }
     }
@@ -724,7 +735,7 @@ impl MemSystem {
             Ev::L2TlbLookup(r) => self.ev_l2_tlb_lookup(t, r),
             Ev::TransOk(r) => self.ev_trans_ok(t, r),
             Ev::WalkDone(page) => self.ev_walk_done(t, page),
-            Ev::DataRetry(r) => self.ev_data_phase(t, r),
+            Ev::DataRetry { r, fills } => self.ev_data_retry(t, r, fills),
             Ev::L2Lookup { line, sm } => self.ev_l2_lookup(t, line, sm),
             Ev::L2Resp { line, sm } => self.ev_l2_resp(t, line, sm),
             Ev::DramReady { line } => self.ev_dram_ready(t, line),
@@ -1067,10 +1078,26 @@ impl MemSystem {
                         // Not a new miss: the request retries until an MSHR
                         // frees.
                         self.stats.mshr_retries += 1;
-                        self.schedule(t + 8, Ev::DataRetry(r));
+                        let fills = self.l1[sm].fills;
+                        self.schedule(t + 8, Ev::DataRetry { r, fills });
                     }
                 }
             }
+        }
+    }
+
+    /// A load re-polls a full L1 MSHR table. If no fill reached the L1
+    /// since the last poll, the poll is `Full` again (see [`Cache::fills`]):
+    /// count it and re-arm without the tag probe or the table lookup.
+    /// Skipping the probe's LRU tick is exact, because stamps stay strictly
+    /// increasing in access order.
+    fn ev_data_retry(&mut self, t: Cycle, r: u32, fills: u32) {
+        let sm = self.accesses[self.reqs[r as usize].access as usize].sm as usize;
+        if self.l1[sm].fills == fills {
+            self.stats.mshr_retries += 1;
+            self.schedule(t + 8, Ev::DataRetry { r, fills });
+        } else {
+            self.ev_data_phase(t, r);
         }
     }
 
@@ -1095,8 +1122,10 @@ impl MemSystem {
     }
 
     fn ev_l2_resp(&mut self, t: Cycle, line: u64, sm: u32) {
-        self.l1[sm as usize].tags.fill(line_tag(line));
-        for w in self.l1[sm as usize].mshr.complete(line) {
+        let l1 = &mut self.l1[sm as usize];
+        l1.fills = l1.fills.wrapping_add(1);
+        l1.tags.fill(line_tag(line));
+        for w in l1.mshr.complete(line) {
             self.schedule(t, Ev::LineDone(w as u32));
         }
     }

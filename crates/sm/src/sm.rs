@@ -43,10 +43,11 @@
 //!   ([`BlockTrace::warp`] returns a subslice), so the issue/fetch/commit
 //!   paths index into a single contiguous allocation.
 //! * Internal pipeline events (source release, fixed-latency completes,
-//!   trap returns) live in a timing wheel ([`EventWheel`]) instead of a
-//!   binary heap: every delay is bounded by a config latency, so
-//!   scheduling is a bucket push and a tick drains exactly the elapsed
-//!   buckets, in the same `(cycle, seq)` order a heap would produce.
+//!   trap returns) live in the simulator's one event queue,
+//!   [`gex_mem::EventWheel`], which the memory hierarchy uses too: every
+//!   delay is bounded by a config latency, so scheduling is a bucket push
+//!   and a tick drains exactly the elapsed buckets, in the same
+//!   `(cycle, seq)` order a heap would produce.
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::error::{SmError, SmStage};
@@ -59,7 +60,7 @@ use gex_isa::op::{Opcode, Space, Unit};
 use gex_isa::reg::RegId;
 use gex_isa::trace::{BlockTrace, DynInstr, DynKind};
 use gex_mem::system::{AccessEvent, AccessKind, AccessToken, MemSystem};
-use gex_mem::{region_of, Cycle};
+use gex_mem::{region_of, Cycle, EventWheel};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -345,7 +346,7 @@ pub struct ProbeEvent {
     pub cycle: Cycle,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum SmEv {
     /// Fixed-latency instruction completes (commit).
     Complete { slot: u32, warp: u32, idx: usize },
@@ -354,123 +355,6 @@ enum SmEv {
     /// The arithmetic-exception handler finishes; the warp resumes and
     /// replays the trapped instruction.
     TrapDone { slot: u32, warp: u32 },
-}
-
-/// Timing wheel holding the SM's internal pipeline events.
-///
-/// Every event an SM schedules lands a small, config-bounded number of
-/// cycles ahead — source release at `+1`, completes at one pipeline
-/// latency, the trap handler the furthest — so a power-of-two ring of
-/// per-cycle buckets replaces a binary heap: scheduling is a `Vec` push
-/// and a tick drains exactly the buckets of the elapsed cycles.
-/// Equivalence with a heap's `(cycle, seq)` order is structural: buckets
-/// are visited in cycle order and each bucket preserves insertion order.
-#[derive(Debug)]
-struct EventWheel {
-    /// One bucket per cycle residue; the length is a power of two sized
-    /// from the largest configured latency.
-    buckets: Vec<Vec<(Cycle, SmEv)>>,
-    mask: u64,
-    /// Every cycle `<= drained` has been dispatched; pending events lie
-    /// in `(drained, drained + buckets.len()]`.
-    drained: Cycle,
-    pending: usize,
-    /// Lower bound on the earliest pending cycle (never above the true
-    /// minimum), so drains and queries skip empty stretches.
-    min_hint: Cycle,
-}
-
-impl EventWheel {
-    fn new(max_delay: Cycle) -> Self {
-        let len = max_delay.max(1).next_power_of_two() as usize;
-        EventWheel {
-            buckets: vec![Vec::new(); len],
-            mask: len as u64 - 1,
-            drained: 0,
-            pending: 0,
-            min_hint: Cycle::MAX,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// Schedule `ev` at `cycle` (strictly after the drain point). Delays
-    /// beyond the horizon grow the wheel; that never happens in practice
-    /// because the horizon is sized from the largest config latency.
-    fn push(&mut self, cycle: Cycle, ev: SmEv) {
-        debug_assert!(cycle > self.drained);
-        if cycle - self.drained > self.buckets.len() as u64 {
-            self.grow(cycle);
-        }
-        self.buckets[(cycle & self.mask) as usize].push((cycle, ev));
-        self.pending += 1;
-        if cycle < self.min_hint {
-            self.min_hint = cycle;
-        }
-    }
-
-    /// Double the wheel until `cycle` fits the horizon, re-bucketing the
-    /// pending events. Per-cycle order is preserved: a cycle's events all
-    /// live in one bucket, and the move keeps each bucket's order.
-    #[cold]
-    fn grow(&mut self, cycle: Cycle) {
-        let mut len = self.buckets.len();
-        while cycle - self.drained > len as u64 {
-            len *= 2;
-        }
-        let mask = len as u64 - 1;
-        let mut buckets = vec![Vec::new(); len];
-        for b in &mut self.buckets {
-            for (c, ev) in b.drain(..) {
-                buckets[(c & mask) as usize].push((c, ev));
-            }
-        }
-        self.buckets = buckets;
-        self.mask = mask;
-    }
-
-    /// Reset to empty at cycle 0, keeping the bucket allocation — the
-    /// arena-reuse path between simulation points. The wheel re-sizes
-    /// only if the new horizon exceeds the current one: a wheel longer
-    /// than needed assigns different bucket residues but dispatches in
-    /// the same `(cycle, insertion)` order, so results are unchanged.
-    fn reset(&mut self, max_delay: Cycle) {
-        let len = max_delay.max(1).next_power_of_two() as usize;
-        if len > self.buckets.len() {
-            self.buckets = vec![Vec::new(); len];
-            self.mask = len as u64 - 1;
-        } else if self.pending > 0 {
-            // Only a run abandoned mid-flight (error paths) leaves
-            // events behind; a finished run drained everything.
-            for b in &mut self.buckets {
-                b.clear();
-            }
-        }
-        self.drained = 0;
-        self.pending = 0;
-        self.min_hint = Cycle::MAX;
-    }
-
-    /// Earliest pending cycle. O(wheel size) in the worst case, but only
-    /// consulted on idle-skip paths, where the wheel is usually empty
-    /// (O(1) via the pending count).
-    fn next_cycle(&self) -> Option<Cycle> {
-        if self.pending == 0 {
-            return None;
-        }
-        let start = (self.drained + 1).max(self.min_hint);
-        for c in start..=self.drained + self.buckets.len() as u64 {
-            // The pending window is one wheel turn wide, so a bucket
-            // holds exactly one pending cycle: its head entry's.
-            if let Some(&(cycle, _)) = self.buckets[(c & self.mask) as usize].first() {
-                debug_assert_eq!(cycle, c);
-                return Some(cycle);
-            }
-        }
-        unreachable!("pending events, but no bucket within the horizon")
-    }
 }
 
 /// One streaming multiprocessor. See the [module docs](self).
@@ -484,7 +368,7 @@ pub struct Sm {
     slots: Vec<Option<BlockSlot>>,
     log: Option<OperandLog>,
     exec: ExecUnits,
-    events: EventWheel,
+    events: EventWheel<SmEv>,
     tokens: TokenMap<(u32, u32, usize)>,
     completed: Vec<u32>,
     notices: Vec<FaultNotice>,
@@ -516,9 +400,10 @@ pub struct Sm {
 }
 
 impl Sm {
-    /// The event-wheel horizon must cover every delay `schedule` can
-    /// see: completes land at `now + 1 + fixed_latency`, the trap
-    /// handler at `now + trap_handler_cycles`.
+    /// The event-wheel horizon covers every delay `schedule` can see, so
+    /// the SM never uses the wheel's overflow: completes land at
+    /// `now + 1 + fixed_latency`, the trap handler at
+    /// `now + trap_handler_cycles`.
     fn wheel_horizon(cfg: &SmConfig) -> Cycle {
         cfg.trap_handler_cycles.max(
             1 + cfg
@@ -534,7 +419,7 @@ impl Sm {
     /// A new SM with the given id, configuration and exception scheme.
     pub fn new(sm_id: u32, cfg: SmConfig, scheme: Scheme) -> Self {
         let exec = ExecUnits::new(cfg.math_units, cfg.sfu_units, cfg.ldst_units, cfg.branch_units);
-        let max_delay = Self::wheel_horizon(&cfg);
+        let events = EventWheel::new(Self::wheel_horizon(&cfg));
         Sm {
             sm_id,
             cfg,
@@ -543,7 +428,7 @@ impl Sm {
             slots: Vec::new(),
             log: None,
             exec,
-            events: EventWheel::new(max_delay),
+            events,
             tokens: TokenMap::default(),
             completed: Vec::new(),
             notices: Vec::new(),
@@ -569,7 +454,7 @@ impl Sm {
     /// The exhaustive destructuring is deliberate: adding a field to `Sm`
     /// without deciding its recycle story becomes a compile error.
     pub fn recycle(&mut self, sm_id: u32, cfg: SmConfig, scheme: Scheme) {
-        let max_delay = Self::wheel_horizon(&cfg);
+        let horizon = Self::wheel_horizon(&cfg);
         let new_exec =
             ExecUnits::new(cfg.math_units, cfg.sfu_units, cfg.ldst_units, cfg.branch_units);
         let Sm {
@@ -605,7 +490,7 @@ impl Sm {
         slots.clear();
         *log = None;
         *exec = new_exec;
-        events.reset(max_delay);
+        events.reset(horizon);
         tokens.clear();
         completed.clear();
         notices.clear();
@@ -1017,53 +902,12 @@ impl Sm {
         self.events.push(cycle, ev);
     }
 
+    /// Dispatch every internal event due by `now`. Events left over from
+    /// cycles the SM was not ticked (an idle jump) dispatch at `now`.
     fn drain_internal(&mut self, now: Cycle) {
-        if self.events.pending == 0 {
-            self.events.drained = now;
-            self.events.min_hint = Cycle::MAX;
-            return;
+        while let Some((_, ev)) = self.events.pop_due(now) {
+            self.dispatch_ev(now, ev);
         }
-        let from = self.events.drained;
-        // Advance the drain point up front: handlers schedule relative to
-        // `now`, so the wheel's horizon check must be against `now` even
-        // while older buckets are still being dispatched.
-        self.events.drained = now;
-        // Pending events never lie beyond one wheel turn from the old
-        // drain point, so the walk is bounded even across an idle jump.
-        let last = now.min(from + self.events.buckets.len() as u64);
-        let mut cur = (from + 1).max(self.events.min_hint);
-        while cur <= last && self.events.pending > 0 {
-            let idx = (cur & self.events.mask) as usize;
-            if self.events.buckets[idx].is_empty() {
-                cur += 1;
-                continue;
-            }
-            let mut bucket = std::mem::take(&mut self.events.buckets[idx]);
-            let mut i = 0;
-            while i < bucket.len() && bucket[i].0 <= now {
-                debug_assert_eq!(bucket[i].0, cur);
-                let ev = bucket[i].1;
-                self.events.pending -= 1;
-                self.dispatch_ev(now, ev);
-                i += 1;
-            }
-            if i < bucket.len() {
-                // The tail is a future lap of this bucket; it stays ahead
-                // of anything a handler pushed while it was detached.
-                bucket.drain(..i);
-                let appended = std::mem::replace(&mut self.events.buckets[idx], bucket);
-                self.events.buckets[idx].extend(appended);
-            } else if self.events.buckets[idx].capacity() == 0 {
-                bucket.clear();
-                self.events.buckets[idx] = bucket;
-            }
-            cur += 1;
-        }
-        self.events.min_hint = if self.events.pending == 0 {
-            Cycle::MAX
-        } else {
-            self.events.min_hint.max(now + 1)
-        };
     }
 
     fn dispatch_ev(&mut self, now: Cycle, ev: SmEv) {
