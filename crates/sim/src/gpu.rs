@@ -344,6 +344,18 @@ impl Gpu {
     }
 }
 
+/// The earlier of two optional cycles.
+fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    a.into_iter().chain(b).min()
+}
+
+/// An SM's idle-skip standing: whether it is stalled, and whether it is
+/// idle (stalled, or holding a quiet-tick record).
+fn sm_standing(sm: &Sm) -> (bool, bool) {
+    let stalled = sm.is_stalled();
+    (stalled, stalled || sm.quiet_until().is_some())
+}
+
 struct Engine {
     scheme_fault_mode: FaultMode,
     mem: MemSystem,
@@ -374,6 +386,9 @@ struct Engine {
     /// site (tick, region resolution, drain/save/restore, dispatch) so
     /// the per-cycle `all_stalled` test is O(1) instead of an SM scan.
     stalled: u32,
+    /// SMs stalled or holding a quiet-tick record ([`Sm::quiet_until`]),
+    /// maintained beside `stalled` so the quiet-jump test is O(1) too.
+    idle: u32,
     /// See [`SimArena::done_sms`].
     done_sms: Vec<usize>,
 }
@@ -531,6 +546,7 @@ impl Engine {
         // Seed the incremental stalled counter from actual SM state (a
         // freshly configured SM with no resident blocks is stalled).
         let stalled = sms.iter().filter(|s| s.is_stalled()).count() as u32;
+        let idle = sms.iter().filter(|s| sm_standing(s).1).count() as u32;
         Engine {
             scheme_fault_mode: fault_mode,
             mem,
@@ -552,6 +568,7 @@ impl Engine {
             budget: gpu.budget.clone(),
             notice_buf,
             stalled,
+            idle,
             done_sms,
         }
     }
@@ -577,27 +594,23 @@ impl Engine {
 
     fn broadcast_resolved(&mut self, region: u64) {
         for i in 0..self.sms.len() {
-            let was = self.sms[i].is_stalled();
+            let was = sm_standing(&self.sms[i]);
             self.sms[i].on_region_resolved(region);
-            self.note_sm_stall_change(i, was);
+            self.note_sm_change(i, was);
         }
         for sched in &mut self.scheds {
             sched.resolve_region(region);
         }
     }
 
-    /// Fold one SM's stall transition into the incremental [`Engine::stalled`]
-    /// counter. `was` is the SM's `is_stalled()` captured immediately
-    /// before the mutation; called immediately after it.
-    fn note_sm_stall_change(&mut self, i: usize, was: bool) {
-        let now_stalled = self.sms[i].is_stalled();
-        if was != now_stalled {
-            if now_stalled {
-                self.stalled += 1;
-            } else {
-                self.stalled -= 1;
-            }
-        }
+    /// Fold one SM's transitions into the incremental [`Engine::stalled`]
+    /// and [`Engine::idle`] counters. `was` is the SM's [`sm_standing`]
+    /// captured immediately before the mutation; called immediately after
+    /// it.
+    fn note_sm_change(&mut self, i: usize, was: (bool, bool)) {
+        let now = sm_standing(&self.sms[i]);
+        self.stalled = self.stalled + now.0 as u32 - was.0 as u32;
+        self.idle = self.idle + now.1 as u32 - was.1 as u32;
     }
 
     /// Tick every SM for one cycle, in SM-index order: each [`Sm::tick`]
@@ -610,12 +623,12 @@ impl Engine {
             // its internal event wheel is empty, so the whole tick
             // (issue/fetch/drain) is skipped. `is_stalled` is O(1) — the
             // active-warp count is kept incrementally.
-            let was = self.sms[i].is_stalled();
-            if was && !self.mem.has_pending_events(i as u32) {
+            let was = sm_standing(&self.sms[i]);
+            if was.0 && !self.mem.has_pending_events(i as u32) {
                 continue;
             }
             self.sms[i].tick(now, &mut self.mem);
-            self.note_sm_stall_change(i, was);
+            self.note_sm_change(i, was);
             if self.sms[i].has_completions() {
                 self.done_sms.push(i);
             }
@@ -798,34 +811,27 @@ impl Engine {
 
             // Idle skip: when every SM waits on external events, jump to
             // the next one (fault resolutions are tens of microseconds).
-            // The incrementally maintained counter replaces the former
-            // per-cycle `.iter().all(is_stalled)` scan; the debug
-            // cross-check pins it to the scan's answer.
+            // When every SM is stalled or quiet, jump too, and account the
+            // quiet SMs' skipped ticks from their records. The
+            // incrementally maintained counters replace per-cycle SM
+            // scans; the debug cross-check pins them to the scans' answers.
             debug_assert_eq!(
-                self.stalled as usize,
-                self.sms.iter().filter(|s| s.is_stalled()).count(),
-                "incremental stalled counter diverged from SM state at cycle {now}"
+                (self.stalled as usize, self.idle as usize),
+                (
+                    self.sms.iter().filter(|s| s.is_stalled()).count(),
+                    self.sms.iter().filter(|s| sm_standing(s).1).count()
+                ),
+                "incremental stalled/idle counters diverged from SM state at cycle {now}"
             );
             let all_stalled = self.stalled as usize == self.sms.len();
-            if all_stalled {
+            let next = if all_stalled {
+                debug_assert!(
+                    self.sms.iter().all(|sm| sm.next_event_cycle().is_none()),
+                    "a stalled SM reported a pending internal event"
+                );
                 let next = self.next_event_cycle();
-                if let Some(next) = next {
-                    if next > now + 1 {
-                        // Never jump past the watchdog deadline, the
-                        // cycle cap or the budget's cycle deadline: each
-                        // must fire at its exact cycle.
-                        let mut deadline = (last_progress + self.watchdog_cycles)
-                            .min(self.max_cycles);
-                        if let Some(d) = meter.deadline_cycles() {
-                            deadline = deadline.min(d);
-                        }
-                        let target = next.min(deadline);
-                        if target > now {
-                            now = target;
-                            continue;
-                        }
-                    }
-                } else if self.scheme_fault_mode == FaultMode::StallReplay
+                if next.is_none()
+                    && self.scheme_fault_mode == FaultMode::StallReplay
                     && self.cpu.is_none()
                     && !self.mem.quiescent()
                 {
@@ -835,6 +841,28 @@ impl Engine {
                         pending_faults: self.mem.fault_queue.len()
                             + self.mem.fault_queue.in_service_count(),
                     });
+                }
+                next
+            } else if self.idle as usize == self.sms.len() {
+                self.quiet_horizon(now)
+            } else {
+                None
+            };
+            if let Some(next) = next.filter(|&next| next > now + 1) {
+                // Never jump past the watchdog deadline, the cycle cap or
+                // the budget's cycle deadline: each must fire at its exact
+                // cycle.
+                let mut deadline = (last_progress + self.watchdog_cycles).min(self.max_cycles);
+                if let Some(d) = meter.deadline_cycles() {
+                    deadline = deadline.min(d);
+                }
+                let target = next.min(deadline);
+                if target > now {
+                    if !all_stalled {
+                        self.skip_quiet_cycles(target - now - 1);
+                    }
+                    now = target;
+                    continue;
                 }
             }
             now += 1;
@@ -874,9 +902,9 @@ impl Engine {
                         && !sched.draining.contains(&n.slot)
                         && self.sms[i].block_has_pending_fault(n.slot)
                     {
-                        let was = self.sms[i].is_stalled();
+                        let was = sm_standing(&self.sms[i]);
                         self.sms[i].begin_drain(n.slot);
-                        self.note_sm_stall_change(i, was);
+                        self.note_sm_change(i, was);
                         self.scheds[i].draining.push(n.slot);
                     }
                 }
@@ -897,9 +925,9 @@ impl Engine {
                 .collect();
             for slot in drained {
                 self.scheds[i].draining.retain(|&s| s != slot);
-                let was = self.sms[i].is_stalled();
+                let was = sm_standing(&self.sms[i]);
                 let saved = self.sms[i].take_block(slot);
-                self.note_sm_stall_change(i, was);
+                self.note_sm_change(i, was);
                 let done = if cfg.ideal {
                     now + 1
                 } else {
@@ -918,9 +946,9 @@ impl Engine {
                 self.scheds[i].restoring.drain(..).partition(|(when, _)| *when <= now);
             self.scheds[i].restoring = still_restoring;
             for (_, saved) in ready {
-                let was = self.sms[i].is_stalled();
+                let was = sm_standing(&self.sms[i]);
                 self.sms[i].restore_block(saved);
-                self.note_sm_stall_change(i, was);
+                self.note_sm_change(i, was);
             }
             // Start restores for resolved off-chip blocks while capacity
             // lasts.
@@ -974,9 +1002,9 @@ impl Engine {
                     };
                     let Some(t) = next else { continue };
                     self.sm_owner[i] = t;
-                    let was = self.sms[i].is_stalled();
+                    let was = sm_standing(&self.sms[i]);
                     self.sms[i].configure_kernel(self.tenants[t].setup);
-                    self.note_sm_stall_change(i, was);
+                    self.note_sm_change(i, was);
                     owner = t;
                 }
                 let used = self.sms[i].resident_blocks() + self.scheds[i].slots_in_transit();
@@ -994,9 +1022,9 @@ impl Engine {
                     self.scheds[i].extra_brought += 1;
                 }
                 let b = self.queues[owner].pop_front().expect("checked non-empty");
-                let was = self.sms[i].is_stalled();
+                let was = sm_standing(&self.sms[i]);
                 self.sms[i].assign_block(b);
-                self.note_sm_stall_change(i, was);
+                self.note_sm_change(i, was);
                 assigned_any = true;
             }
             self.dispatch_rr = self.dispatch_rr.wrapping_add(1);
@@ -1013,22 +1041,56 @@ impl Engine {
         self.tenants.iter().all(|t| t.completed == t.total || t.quarantined)
     }
 
+    /// Account the `k` cycles a quiet jump skips: each SM that is not
+    /// stalled would have replayed its quiet record in each of them, and
+    /// with blocks pending each would have run one dispatch pass that
+    /// assigned nothing.
+    fn skip_quiet_cycles(&mut self, k: Cycle) {
+        for sm in &mut self.sms {
+            if !sm.is_stalled() {
+                sm.skip_quiet(k);
+            }
+        }
+        if self.pending_blocks() > 0 {
+            self.dispatch_rr = self.dispatch_rr.wrapping_add(k as usize);
+        }
+    }
+
+    /// The quiet-jump query, asked when every SM is stalled or quiet: the
+    /// earliest of [`Engine::next_event_cycle`], every quiet SM's record
+    /// expiry and the CPU stage's next admission. `None` while an SM has a
+    /// delivery waiting.
+    fn quiet_horizon(&self, now: Cycle) -> Option<Cycle> {
+        let mut next = self.next_event_cycle();
+        for (i, sm) in self.sms.iter().enumerate() {
+            if self.mem.has_pending_events(i as u32) {
+                return None;
+            }
+            if !sm.is_stalled() {
+                next = earliest(next, Some(sm.quiet_until()?));
+            }
+        }
+        // `CpuHandler::tick` admits a queued fault as soon as its stage is
+        // free, a cycle its `next_event_cycle` does not report. The
+        // all-stalled jump leaves that cycle out and admits late, a known
+        // bug that moves the demand-paging figures. This jump skips cycles
+        // the loop would otherwise run one by one, so it must stop there.
+        // ROADMAP item 1 fixes both paths in `next_event_cycle` and
+        // removes this special case.
+        if let Some(cpu) = &self.cpu {
+            next = earliest(next, cpu.next_admission_cycle(&self.mem).map(|c| c.max(now + 1)));
+        }
+        next
+    }
+
     /// The idle-skip query: the earliest cycle at which any component has
     /// work, as the minimum of every component's own `next_event_cycle()`.
-    /// Asked only when every SM is stalled.
+    /// SMs are not a source: a stalled SM's event wheel is empty, and a
+    /// quiet one's record expires no later than its next event.
     fn next_event_cycle(&self) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
-        let mut consider = |c: Option<Cycle>| {
-            if let Some(c) = c {
-                next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            }
-        };
+        let mut consider = |c: Option<Cycle>| next = earliest(next, c);
         consider(self.mem.next_event_cycle());
-        // SMs are not a source here: a stalled SM's event wheel is empty.
-        debug_assert!(
-            self.sms.iter().all(|sm| sm.next_event_cycle().is_none()),
-            "a stalled SM reported a pending internal event"
-        );
         if let Some(cpu) = &self.cpu {
             consider(cpu.next_event_cycle());
         }

@@ -42,6 +42,18 @@ impl ExecUnits {
         self.pool(unit).iter().any(|&busy| busy <= now)
     }
 
+    /// The first cycle after `now` at which [`ExecUnits::available`] can
+    /// change its answer: the earliest cycle at which a unit class whose
+    /// every instance is busy at `now` gets one back. `None` if no class
+    /// is fully busy. Availability only ever turns from busy to free as
+    /// time passes, so every answer stands until then.
+    pub fn next_free_after(&self, now: Cycle) -> Option<Cycle> {
+        [&self.math, &self.sfu, &self.ldst, &self.branch]
+            .into_iter()
+            .filter_map(|pool| pool.iter().copied().min().filter(|&free| free > now))
+            .min()
+    }
+
     /// Reserve an instance of `unit` for `interval` cycles starting at
     /// `now`. Returns false (and reserves nothing) if all are busy.
     pub fn reserve(&mut self, unit: Unit, now: Cycle, interval: Cycle) -> bool {
@@ -83,5 +95,28 @@ mod tests {
         assert!(u.reserve(Unit::Branch, 0, 1));
         assert!(u.reserve(Unit::Math, 0, 1));
         assert!(!u.available(Unit::LdSt, 16), "coalescer busy");
+    }
+
+    #[test]
+    fn next_free_after_is_the_first_class_to_free_up() {
+        let mut u = ExecUnits::new(2, 1, 1, 1);
+        assert_eq!(u.next_free_after(0), None, "nothing busy");
+        // One of two math units busy: the class stays available, so its
+        // free cycle is not a change point.
+        assert!(u.reserve(Unit::Math, 0, 5));
+        assert_eq!(u.next_free_after(0), None);
+        assert!(u.reserve(Unit::Math, 0, 3));
+        assert!(u.reserve(Unit::LdSt, 0, 32));
+        assert!(u.reserve(Unit::Sfu, 0, 8));
+        // Math frees first (its earlier instance at 3), then SFU, then ld/st.
+        assert_eq!(u.next_free_after(0), Some(3));
+        assert_eq!(u.next_free_after(2), Some(3));
+        assert_eq!(u.next_free_after(3), Some(8));
+        assert_eq!(u.next_free_after(8), Some(32));
+        assert_eq!(u.next_free_after(32), None);
+        // Every cycle before the answer sees the same availability.
+        for t in 3..8 {
+            assert!(u.available(Unit::Math, t) && !u.available(Unit::Sfu, t));
+        }
     }
 }

@@ -20,6 +20,11 @@
 //! all architectural results are unchanged by the skip; `SmStats.cycles`
 //! and `idle_issue_cycles` now count only *ticked* cycles, matching the
 //! multi-SM engine's long-standing accounting.
+//!
+//! The cycles it does tick get quiet ticks the same way the engine does,
+//! inside [`Sm::tick`]: a tick that would repeat the last one that issued
+//! and fetched nothing is replayed from its record (see "Quiet ticks" in
+//! [`crate::sm`]), so the loop here needs no code of its own for it.
 
 use crate::budget::{BudgetExceeded, RunBudget};
 use crate::config::SmConfig;

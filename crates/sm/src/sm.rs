@@ -48,6 +48,39 @@
 //!   delay is bounded by a config latency, so scheduling is a bucket push
 //!   and a tick drains exactly the elapsed buckets, in the same
 //!   `(cycle, seq)` order a heap would produce.
+//!
+//! # Quiet ticks
+//!
+//! Most ticks of a busy SM change nothing: every warp is blocked on a
+//! scoreboard, unit, operand-log or fetch hazard, so the tick only counts
+//! the cycle, bumps the stall counters and moves the round-robin cursors.
+//! A tick that issues nothing, fetches nothing and raises no error leaves
+//! a `QuietTick` record: the issue/fetch counter deltas it produced,
+//! how far it moved `issue_rr` and `fetch_rr`, and the cycle the record
+//! expires. A later tick before that cycle whose memory outbox is empty
+//! replays the record instead of draining, issuing and fetching.
+//!
+//! The replay is exact by construction. With nothing issued, the issue
+//! loop tests every warp in `order` once, so its counts do not depend on
+//! where the cursor starts; the fetch loop likewise visits every warp
+//! when no warp fetches. What those tests read changes only
+//!
+//! * in a drain: an internal event (the record expires at the wheel's
+//!   next cycle) or a memory delivery (the replay requires an empty
+//!   outbox);
+//! * with time: [`ExecUnits::available`] is the only time-dependent gate,
+//!   and the record expires at [`ExecUnits::next_free_after`];
+//! * from outside the tick, through an entry point that clears the
+//!   record: [`Sm::configure_kernel`], [`Sm::assign_block`],
+//!   [`Sm::begin_drain`], [`Sm::take_block`], [`Sm::restore_block`],
+//!   [`Sm::on_region_resolved`] and [`Sm::recycle`].
+//!
+//! A caller that jumps its clock over cycles in which the SM would only
+//! replay credits them at once with [`Sm::skip_quiet`], bounded by
+//! [`Sm::quiet_until`]. Debug builds never replay inside [`Sm::tick`]: a
+//! tick that qualifies runs in full and asserts that it was quiet again
+//! with the same record, and that the replay would have left the same
+//! counters and cursors.
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::error::{SmError, SmStage};
@@ -357,6 +390,24 @@ enum SmEv {
     TrapDone { slot: u32, warp: u32 },
 }
 
+/// What a quiet tick did besides counting its cycle. See "Quiet ticks" in
+/// the [module docs](self).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct QuietTick {
+    /// The first cycle the record may not hold at: the SM's next internal
+    /// event or the next execution-unit free cycle, whichever is earlier.
+    until: Cycle,
+    idle_issue_cycles: u64,
+    stall_raw: u64,
+    stall_war: u64,
+    stall_unit: u64,
+    stall_log: u64,
+    fetch_blocked: u64,
+    /// Cursor moves.
+    issue_rr: usize,
+    fetch_rr: usize,
+}
+
 /// One streaming multiprocessor. See the [module docs](self).
 #[derive(Debug)]
 pub struct Sm {
@@ -397,6 +448,8 @@ pub struct Sm {
     retired: HashMap<(u32, u32), u64>,
     /// First fatal pipeline error (the run must abort).
     error: Option<SmError>,
+    /// The last tick, if it was quiet and nothing has changed since.
+    quiet: Option<QuietTick>,
 }
 
 impl Sm {
@@ -444,6 +497,7 @@ impl Sm {
             active_warps: 0,
             retired: HashMap::new(),
             error: None,
+            quiet: None,
         }
     }
 
@@ -481,6 +535,7 @@ impl Sm {
             active_warps,
             retired,
             error,
+            quiet,
         } = self;
         *id = sm_id;
         *c = cfg;
@@ -506,6 +561,7 @@ impl Sm {
         *active_warps = 0;
         retired.clear();
         *error = None;
+        *quiet = None;
     }
 
     /// Record per-instruction stage transitions (issue, last TLB check,
@@ -604,6 +660,7 @@ impl Sm {
         self.log = self.scheme.log_slots().map(|s| OperandLog::new(s, setup.occupancy_blocks));
         self.setup = Some(setup);
         self.order_dirty = true;
+        self.quiet = None;
     }
 
     /// Index of a free block slot, if any.
@@ -642,6 +699,7 @@ impl Sm {
             cold: (0..n).map(|_| WarpCold::default()).collect(),
         });
         self.order_dirty = true;
+        self.quiet = None;
         slot
     }
 
@@ -716,6 +774,25 @@ impl Sm {
         self.events.next_cycle()
     }
 
+    /// If the last tick was quiet and nothing has changed since, the cycle
+    /// its record expires: every tick before it that finds the memory
+    /// outbox empty repeats that tick (see "Quiet ticks" in the
+    /// [module docs](self)).
+    pub fn quiet_until(&self) -> Option<Cycle> {
+        self.quiet.map(|q| q.until)
+    }
+
+    /// Account `k` ticks that each repeat the last quiet tick, for a
+    /// caller that jumps over them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SM holds no quiet record.
+    pub fn skip_quiet(&mut self, k: u64) {
+        let q = self.quiet.expect("skip_quiet needs a quiet record");
+        self.replay_quiet(q, k);
+    }
+
     // ------------------------------------------------- context switching
 
     /// Begin draining `slot` for a context switch: fetch and issue stop,
@@ -728,6 +805,7 @@ impl Sm {
             }
             b.run_state = BlockState::Draining;
             self.order_dirty = true;
+            self.quiet = None;
         }
     }
 
@@ -752,6 +830,7 @@ impl Sm {
                 b.state.iter().filter(|&&s| s == WarpState::Active).count() as u32;
         }
         self.order_dirty = true;
+        self.quiet = None;
         if let Some(log) = &mut self.log {
             log.reset_partition(slot);
         }
@@ -838,6 +917,7 @@ impl Sm {
             cold,
         });
         self.order_dirty = true;
+        self.quiet = None;
         self.stats.blocks_restored += 1;
         slot
     }
@@ -871,6 +951,7 @@ impl Sm {
     /// Faulted warps waiting only on it become runnable again and will
     /// replay their squashed instructions.
     pub fn on_region_resolved(&mut self, region: u64) {
+        self.quiet = None;
         for b in self.slots.iter_mut().flatten() {
             for w in 0..b.num_warps() {
                 b.cold[w].waiting_regions.retain(|&r| r != region);
@@ -889,13 +970,74 @@ impl Sm {
 
     // ------------------------------------------------------------- tick
 
-    /// Advance the SM by one cycle.
+    /// Advance the SM by one cycle. A tick that provably repeats the last
+    /// quiet one replays its record instead (see "Quiet ticks" in the
+    /// [module docs](self)).
     pub fn tick(&mut self, now: Cycle, mem: &mut MemSystem) {
+        let Some(q) = self.quiet.filter(|q| now < q.until && !mem.has_pending_events(self.sm_id))
+        else {
+            self.tick_full(now, mem);
+            return;
+        };
+        if !cfg!(debug_assertions) {
+            self.replay_quiet(q, 1);
+            return;
+        }
+        // The oracle: run the tick in full and hold it to the replay.
+        let sm = self.sm_id;
+        debug_assert!(
+            self.events.next_cycle().is_none_or(|c| c > now),
+            "SM {sm} replayable at {now} with an internal event due"
+        );
+        let before = (self.stats, self.issue_rr, self.fetch_rr);
+        self.tick_full(now, mem);
+        debug_assert_eq!(self.quiet, Some(q), "SM {sm} at {now}: not the same quiet tick");
+        let full = (self.stats, self.issue_rr, self.fetch_rr);
+        (self.stats, self.issue_rr, self.fetch_rr) = before;
+        self.replay_quiet(q, 1);
+        debug_assert_eq!(
+            (self.stats, self.issue_rr, self.fetch_rr),
+            full,
+            "SM {sm} at {now}: replay differs from the full tick"
+        );
+    }
+
+    fn tick_full(&mut self, now: Cycle, mem: &mut MemSystem) {
         self.stats.cycles += 1;
         self.drain_internal(now);
         self.drain_memory(now, mem);
+        let (s, issue_rr, fetch_rr) = (self.stats, self.issue_rr, self.fetch_rr);
         self.issue(now, mem);
-        self.fetch(now);
+        let fetched = self.fetch();
+        self.quiet = (self.stats.issued == s.issued && !fetched && self.error.is_none()).then(|| {
+            let next = self.events.next_cycle().into_iter().chain(self.exec.next_free_after(now));
+            let t = &self.stats;
+            QuietTick {
+                until: next.min().unwrap_or(Cycle::MAX),
+                idle_issue_cycles: t.idle_issue_cycles - s.idle_issue_cycles,
+                stall_raw: t.stall_raw - s.stall_raw,
+                stall_war: t.stall_war - s.stall_war,
+                stall_unit: t.stall_unit - s.stall_unit,
+                stall_log: t.stall_log - s.stall_log,
+                fetch_blocked: t.fetch_blocked - s.fetch_blocked,
+                issue_rr: self.issue_rr.wrapping_sub(issue_rr),
+                fetch_rr: self.fetch_rr.wrapping_sub(fetch_rr),
+            }
+        });
+    }
+
+    /// Account `k` ticks that each repeat the quiet tick `q`.
+    fn replay_quiet(&mut self, q: QuietTick, k: u64) {
+        let s = &mut self.stats;
+        s.cycles += k;
+        s.idle_issue_cycles += k * q.idle_issue_cycles;
+        s.stall_raw += k * q.stall_raw;
+        s.stall_war += k * q.stall_war;
+        s.stall_unit += k * q.stall_unit;
+        s.stall_log += k * q.stall_log;
+        s.fetch_blocked += k * q.fetch_blocked;
+        self.issue_rr = self.issue_rr.wrapping_add((k as usize).wrapping_mul(q.issue_rr));
+        self.fetch_rr = self.fetch_rr.wrapping_add((k as usize).wrapping_mul(q.fetch_rr));
     }
 
     fn schedule(&mut self, cycle: Cycle, ev: SmEv) {
@@ -1478,13 +1620,14 @@ impl Sm {
 
     // ------------------------------------------------------------ fetch
 
-    fn fetch(&mut self, _now: Cycle) {
+    /// Returns whether a warp fetched.
+    fn fetch(&mut self) -> bool {
         // One warp per cycle refills its buffered window with up to
         // fetch_width instructions.
         self.ensure_order();
         let len = self.order.len();
         if len == 0 {
-            return;
+            return false;
         }
         let mut i = self.fetch_rr % len;
         self.fetch_rr = self.fetch_rr.wrapping_add(1);
@@ -1529,7 +1672,8 @@ impl Sm {
                     break;
                 }
             }
-            break; // only one warp fetches per cycle
+            return true; // only one warp fetches per cycle
         }
+        false
     }
 }
