@@ -50,8 +50,10 @@ fn fig12_and_fig13_parallel_match_serial() {
 #[test]
 fn raw_reports_from_par_map_match_serial_runs() {
     let _g = THREADS_LOCK.lock().unwrap();
-    // Beyond the rendered figures: the full per-run reports out of the
-    // sweep engine must equal one-at-a-time simulation, field by field.
+    // Beyond the rendered figures: every full report out of the sweep
+    // engine must equal one-at-a-time simulation, with the jobs submitted
+    // in order and reversed — a run keeps no state on its worker thread,
+    // so no report may depend on the points that ran there before it.
     let ws = suite::parboil(Preset::Test);
     let cfg = GpuConfig::kepler_k20().with_sms(2);
     let run_one = |wi: usize, scheme: Scheme| {
@@ -62,23 +64,13 @@ fn raw_reports_from_par_map_match_serial_runs() {
         .flat_map(|i| [(i, Scheme::Baseline), (i, Scheme::ReplayQueue)])
         .collect();
     let swept = with_threads(8, || gex::exec::par_map(jobs.clone(), |(i, s)| run_one(i, s)));
-    for ((wi, scheme), par) in jobs.iter().zip(&swept) {
+    let reversed_jobs: Vec<(usize, Scheme)> = jobs.iter().rev().copied().collect();
+    let mut reversed =
+        with_threads(8, || gex::exec::par_map(reversed_jobs, |(i, s)| run_one(i, s)));
+    reversed.reverse();
+    for (((wi, scheme), par), rev) in jobs.iter().zip(&swept).zip(&reversed) {
         let ser = run_one(*wi, *scheme);
-        assert_eq!(ser.cycles, par.cycles, "{}/{scheme}: cycles drifted", ws[*wi].name);
-        assert_eq!(
-            ser.sm.committed, par.sm.committed,
-            "{}/{scheme}: committed drifted",
-            ws[*wi].name
-        );
-        assert_eq!(
-            ser.warp_retired, par.warp_retired,
-            "{}/{scheme}: per-warp retirement drifted",
-            ws[*wi].name
-        );
-        assert_eq!(
-            ser.mem.faulted_accesses, par.mem.faulted_accesses,
-            "{}/{scheme}: fault count drifted",
-            ws[*wi].name
-        );
+        assert_eq!(&ser, par, "{}/{scheme}: pooled report drifted", ws[*wi].name);
+        assert_eq!(&ser, rev, "{}/{scheme}: reversed pooled report drifted", ws[*wi].name);
     }
 }

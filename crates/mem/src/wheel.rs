@@ -60,34 +60,19 @@ impl<E: Copy> EventWheel<E> {
     /// An empty wheel at cycle 0 whose ring holds every event scheduled at
     /// most `horizon` cycles past the cycle being drained; later ones take
     /// the overflow map.
+    /// The ring's length changes where events wait, never the order they
+    /// come out in.
     pub fn new(horizon: Cycle) -> Self {
-        let mut w = EventWheel {
-            buckets: Vec::new(),
-            mask: 0,
+        let len = (horizon + 1).next_power_of_two() as usize;
+        EventWheel {
+            buckets: vec![EMPTY; len],
+            mask: len as u64 - 1,
             nodes: Vec::new(),
             free: NIL,
             cur: 0,
             near: 0,
             far: BTreeMap::new(),
-        };
-        w.reset(horizon);
-        w
-    }
-
-    /// Empty the wheel and rewind it to cycle 0, keeping its allocations —
-    /// the arena-reuse path between simulation points. The ring is resized
-    /// to `horizon`; its length changes where events wait, never the order
-    /// they come out in.
-    pub fn reset(&mut self, horizon: Cycle) {
-        let len = (horizon + 1).next_power_of_two() as usize;
-        self.buckets.clear();
-        self.buckets.resize(len, EMPTY);
-        self.mask = len as u64 - 1;
-        self.nodes.clear();
-        self.free = NIL;
-        self.cur = 0;
-        self.near = 0;
-        self.far.clear();
+        }
     }
 
     /// True if no event is pending.

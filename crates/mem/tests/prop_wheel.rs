@@ -2,8 +2,7 @@
 //! random schedules both dispatch the same `(cycle, event)` sequence and
 //! report the same next pending cycle after every step. The schedules push
 //! at the cycle being drained, far beyond the horizon, from inside and
-//! outside a drain, jump idle stretches through `next_cycle`, and reset to
-//! smaller and larger horizons mid-run.
+//! outside a drain, and jump idle stretches through `next_cycle`.
 
 use gex_mem::{Cycle, EventWheel};
 use gex_testkit::prelude::*;
@@ -47,8 +46,6 @@ enum Op {
     Drain(Cycle, Vec<Cycle>),
     /// The idle skip: drain through `next_cycle()`, children as above.
     Jump(Vec<Cycle>),
-    /// Start over at cycle 0 with this horizon.
-    Reset(Cycle),
 }
 
 fn delay() -> impl Strategy<Value = Cycle> {
@@ -62,7 +59,6 @@ fn op() -> impl Strategy<Value = Op> {
         (prop_oneof![1u64..4, 4u64..500], collection::vec(delay(), 0..6))
             .prop_map(|(step, children)| Op::Drain(step, children)),
         collection::vec(delay(), 0..6).prop_map(Op::Jump),
-        (0u64..300).prop_map(Op::Reset),
     ]
 }
 
@@ -112,11 +108,6 @@ proptest! {
                     if let Some(next) = p.heap.next_cycle() {
                         p.drain(next, children);
                     }
-                }
-                Op::Reset(h) => {
-                    p.wheel.reset(*h);
-                    p.heap = Heap::default();
-                    p.floor = 0;
                 }
             }
             prop_assert_eq!(p.wheel.next_cycle(), p.heap.next_cycle());

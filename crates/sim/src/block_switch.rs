@@ -69,16 +69,6 @@ impl LocalScheduler {
         LocalScheduler::default()
     }
 
-    /// Reset to fresh state keeping the vector allocations — the
-    /// arena-reuse path between sweep points.
-    pub fn reset(&mut self) {
-        self.draining.clear();
-        self.saving.clear();
-        self.restoring.clear();
-        self.off_chip.clear();
-        self.extra_brought = 0;
-    }
-
     /// Block-slot capacity consumed by switching machinery (contexts in
     /// transit occupy their slots' register file and shared memory).
     pub fn slots_in_transit(&self) -> u32 {

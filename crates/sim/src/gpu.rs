@@ -26,43 +26,8 @@ use gex_mem::phys::PhysAllocator;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, PageState};
 use gex_sm::{FaultNotice, KernelSetup, RunBudget, Scheme, Sm, SmStats, WarpDiag};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Reusable per-thread simulation state: every buffer a run grows once
-/// and a later run can reuse instead of reallocating — SMs (event wheels,
-/// token maps, scratch vectors), local schedulers and the dispatch
-/// queues. Sweeps run thousands of points per worker thread;
-/// recycling these is what makes the per-point cost allocation-free in
-/// steady state.
-///
-/// Reuse is *observably* equivalent to fresh state: every component is
-/// reset through its `recycle`/`reset`/`clear` path before a run touches
-/// it, and the equivalence suite locks byte-identical reports between a
-/// new thread's empty arena and a reused one.
-#[derive(Debug, Default)]
-struct SimArena {
-    sms: Vec<Sm>,
-    scheds: Vec<LocalScheduler>,
-    notice_buf: Vec<FaultNotice>,
-    /// Per-tenant dispatch queues (single-tenant runs use one).
-    queues: Vec<VecDeque<Arc<BlockTrace>>>,
-    /// Per-SM owning tenant index.
-    sm_owner: Vec<usize>,
-    /// SMs that completed at least one block this cycle: the completion
-    /// drain walks only these instead of scanning every SM every cycle.
-    done_sms: Vec<usize>,
-}
-
-thread_local! {
-    /// One arena per worker thread, taken for the duration of a run and
-    /// put back afterwards. The take/replace pattern (instead of a held
-    /// `RefCell` borrow) means a reentrant run — e.g. a simulation started
-    /// from inside a panic hook or a nested helper — simply sees an empty
-    /// arena instead of a borrow panic.
-    static ARENA: RefCell<SimArena> = RefCell::new(SimArena::default());
-}
 
 /// The GPU simulator front end. Construct once, [`Gpu::run`] per launch.
 #[derive(Debug, Clone)]
@@ -170,15 +135,7 @@ impl Gpu {
         if self.cfg.num_sms() == 0 {
             return Err(SimError::Oversubscribed { tenants: 1, sms: 0 });
         }
-        // Take the thread's arena for the run's duration, put it back
-        // afterwards (grown buffers and all). A panicking run drops the
-        // arena with the unwinding engine; the slot's replacement default
-        // means the next run on this thread just starts cold.
-        let arena = ARENA.with(|slot| slot.take());
-        let mut engine = Engine::new(self, trace, residency, arena);
-        let result = engine.run(trace);
-        ARENA.with(|slot| slot.replace(engine.into_arena()));
-        result
+        Engine::new(self, &[(trace, residency)]).run(trace)
     }
 
     /// Execute several tenants' kernel streams concurrently under
@@ -253,8 +210,7 @@ impl Gpu {
                 }
             })
             .collect();
-        let arena = ARENA.with(|slot| slot.take());
-        let mut engine = Engine::new_multi(&gpu, &streams, arena);
+        let mut engine = Engine::new(&gpu, &streams);
         engine.mem.set_tenant_shift(TENANT_SHIFT);
         if policy == PartitionPolicy::Quarantine {
             for (i, t) in tenants.iter().enumerate() {
@@ -263,7 +219,7 @@ impl Gpu {
                 }
             }
         }
-        let result = engine.run_loop().map(|end| SharedRunReport {
+        engine.run_loop().map(|end| SharedRunReport {
             policy,
             cycles: end,
             tenants: tenants
@@ -289,9 +245,7 @@ impl Gpu {
                     }
                 })
                 .collect(),
-        });
-        ARENA.with(|slot| slot.replace(engine.into_arena()));
-        result
+        })
     }
 
     /// [`PartitionPolicy::Static`]: fixed SM slices, each tenant an
@@ -389,7 +343,8 @@ struct Engine {
     /// SMs stalled or holding a quiet-tick record ([`Sm::quiet_until`]),
     /// maintained beside `stalled` so the quiet-jump test is O(1) too.
     idle: u32,
-    /// See [`SimArena::done_sms`].
+    /// SMs that completed at least one block this cycle: the completion
+    /// drain walks only these instead of scanning every SM every cycle.
     done_sms: Vec<usize>,
 }
 
@@ -411,14 +366,9 @@ struct TenantCtx {
 }
 
 impl Engine {
-    fn new(gpu: &Gpu, trace: &KernelTrace, residency: &Residency, arena: SimArena) -> Self {
-        Engine::new_multi(gpu, &[(trace, residency)], arena)
-    }
-
-    /// Build an engine over several concurrent kernel streams (tenants).
-    /// Streams must already live in disjoint address windows; single-stream
-    /// construction via [`Engine::new`] is the unchanged fast path.
-    fn new_multi(gpu: &Gpu, streams: &[(&KernelTrace, &Residency)], arena: SimArena) -> Self {
+    /// Build an engine over one or more concurrent kernel streams
+    /// (tenants). Streams must already live in disjoint address windows.
+    fn new(gpu: &Gpu, streams: &[(&KernelTrace, &Residency)]) -> Self {
         let num_sms = gpu.cfg.num_sms();
         assert!(!streams.is_empty(), "a run needs at least one kernel stream");
         assert!(
@@ -476,73 +426,29 @@ impl Engine {
         }
         let tenants: Vec<TenantCtx> = streams
             .iter()
-            .map(|(trace, _)| {
-                let occupancy = gpu.cfg.sm.blocks_per_sm(
-                    trace.warps_per_block,
-                    trace.regs_per_thread,
-                    trace.shared_bytes,
-                );
-                assert!(occupancy > 0, "kernel does not fit on the SM");
-                TenantCtx {
-                    setup: KernelSetup {
-                        warps_per_block: trace.warps_per_block,
-                        regs_per_thread: trace.regs_per_thread,
-                        shared_bytes: trace.shared_bytes,
-                        occupancy_blocks: occupancy,
-                    },
-                    total: trace.blocks.len() as u64,
-                    completed: 0,
-                    finished_at: None,
-                    quarantined: false,
-                }
+            .map(|(trace, _)| TenantCtx {
+                setup: KernelSetup::for_trace(&gpu.cfg.sm, trace),
+                total: trace.blocks.len() as u64,
+                completed: 0,
+                finished_at: None,
+                quarantined: false,
             })
             .collect();
-        // Recycle the arena's state in place of building it fresh: every
-        // component goes through its reset path, so a reused arena is
-        // observably identical to `SimArena::default()`. The exhaustive
-        // destructure is deliberate — adding a field to `SimArena` (e.g.
-        // new per-tenant state) fails compilation here until its recycle
-        // path exists.
-        let SimArena {
-            mut sms,
-            mut scheds,
-            mut notice_buf,
-            mut queues,
-            mut sm_owner,
-            mut done_sms,
-        } = arena;
-        done_sms.clear();
-        sms.truncate(num_sms as usize);
-        for (i, sm) in sms.iter_mut().enumerate() {
-            sm.recycle(i as u32, gpu.cfg.sm.clone(), gpu.scheme);
-        }
-        for i in sms.len() as u32..num_sms {
-            sms.push(Sm::new(i, gpu.cfg.sm.clone(), gpu.scheme));
-        }
+        let mut sms: Vec<Sm> =
+            (0..num_sms).map(|i| Sm::new(i, gpu.cfg.sm.clone(), gpu.scheme)).collect();
         // Initial SM ownership: round-robin over the tenants, each SM
         // configured with its owner's kernel geometry.
-        sm_owner.clear();
-        sm_owner.extend((0..num_sms as usize).map(|i| i % streams.len()));
-        for (i, sm) in sms.iter_mut().enumerate() {
-            sm.configure_kernel(tenants[sm_owner[i]].setup);
+        let sm_owner: Vec<usize> = (0..num_sms as usize).map(|i| i % streams.len()).collect();
+        for (sm, &owner) in sms.iter_mut().zip(&sm_owner) {
+            sm.configure_kernel(tenants[owner].setup);
         }
-        scheds.truncate(num_sms as usize);
-        for s in &mut scheds {
-            s.reset();
-        }
-        scheds.resize_with(num_sms as usize, LocalScheduler::new);
-        notice_buf.clear();
-        for q in &mut queues {
-            q.clear();
-        }
-        queues.truncate(streams.len());
-        queues.resize_with(streams.len(), VecDeque::new);
-        // Each trace memoizes its Arc-wrapped blocks, so refilling the
+        // Each trace memoizes its Arc-wrapped blocks, so filling the
         // dispatch queues is `blocks` cheap Arc clones, not a deep copy of
         // every instruction vector.
-        for (q, (trace, _)) in queues.iter_mut().zip(streams) {
-            q.extend(trace.arc_blocks().iter().cloned());
-        }
+        let queues: Vec<VecDeque<_>> = streams
+            .iter()
+            .map(|(trace, _)| trace.arc_blocks().iter().cloned().collect())
+            .collect();
         // Seed the incremental stalled counter from actual SM state (a
         // freshly configured SM with no resident blocks is stalled).
         let stalled = sms.iter().filter(|s| s.is_stalled()).count() as u32;
@@ -551,7 +457,7 @@ impl Engine {
             scheme_fault_mode: fault_mode,
             mem,
             sms,
-            scheds,
+            scheds: (0..num_sms).map(|_| LocalScheduler::new()).collect(),
             cpu,
             local,
             block_cfg,
@@ -566,24 +472,10 @@ impl Engine {
             max_cycles: gpu.cfg.max_cycles,
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
-            notice_buf,
+            notice_buf: Vec::new(),
             stalled,
             idle,
-            done_sms,
-        }
-    }
-
-    /// Return the reusable state to an arena once the run is over (the
-    /// non-arena fields — memory system, handlers, allocator — are
-    /// rebuilt per run and simply dropped).
-    fn into_arena(self) -> SimArena {
-        SimArena {
-            sms: self.sms,
-            scheds: self.scheds,
-            notice_buf: self.notice_buf,
-            queues: self.queues,
-            sm_owner: self.sm_owner,
-            done_sms: self.done_sms,
+            done_sms: Vec::new(),
         }
     }
 

@@ -36,7 +36,6 @@ use gex_isa::trace::KernelTrace;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, MemConfig, MemError, MemStats, PageState};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Result of a single-SM run.
 #[derive(Debug, Clone)]
@@ -204,20 +203,8 @@ impl SingleSmHarness {
         if self.probe {
             sm.enable_probe();
         }
-        let occupancy = self.sm_cfg.blocks_per_sm(
-            trace.warps_per_block,
-            trace.regs_per_thread,
-            trace.shared_bytes,
-        );
-        assert!(occupancy > 0, "kernel does not fit on the SM");
-        sm.configure_kernel(KernelSetup {
-            warps_per_block: trace.warps_per_block,
-            regs_per_thread: trace.regs_per_thread,
-            shared_bytes: trace.shared_bytes,
-            occupancy_blocks: occupancy,
-        });
-        let mut pending: VecDeque<Arc<_>> =
-            trace.blocks.iter().cloned().map(Arc::new).collect();
+        sm.configure_kernel(KernelSetup::for_trace(&self.sm_cfg, trace));
+        let mut pending: VecDeque<_> = trace.arc_blocks().iter().cloned().collect();
 
         let mut now: Cycle = 0;
         let mut last_progress: Cycle = 0;

@@ -72,8 +72,8 @@
 //!   and the record expires at [`ExecUnits::next_free_after`];
 //! * from outside the tick, through an entry point that clears the
 //!   record: [`Sm::configure_kernel`], [`Sm::assign_block`],
-//!   [`Sm::begin_drain`], [`Sm::take_block`], [`Sm::restore_block`],
-//!   [`Sm::on_region_resolved`] and [`Sm::recycle`].
+//!   [`Sm::begin_drain`], [`Sm::take_block`], [`Sm::restore_block`] and
+//!   [`Sm::on_region_resolved`].
 //!
 //! A caller that jumps its clock over cycles in which the SM would only
 //! replay credits them at once with [`Sm::skip_quiet`], bounded by
@@ -91,7 +91,7 @@ use crate::scoreboard::{Hazard, Scoreboard};
 use crate::stats::SmStats;
 use gex_isa::op::{Opcode, Space, Unit};
 use gex_isa::reg::RegId;
-use gex_isa::trace::{BlockTrace, DynInstr, DynKind};
+use gex_isa::trace::{BlockTrace, DynInstr, DynKind, KernelTrace};
 use gex_mem::system::{AccessEvent, AccessKind, AccessToken, MemSystem};
 use gex_mem::{region_of, Cycle, EventWheel};
 use std::collections::{HashMap, VecDeque};
@@ -264,6 +264,24 @@ pub struct KernelSetup {
     /// Concurrent blocks per SM (occupancy; also the operand-log partition
     /// count).
     pub occupancy_blocks: u32,
+}
+
+impl KernelSetup {
+    /// The geometry of `trace`'s kernel on an SM configured as `cfg`.
+    /// [`Sm::configure_kernel`] rejects a kernel of which not even one
+    /// block fits.
+    pub fn for_trace(cfg: &SmConfig, trace: &KernelTrace) -> Self {
+        KernelSetup {
+            warps_per_block: trace.warps_per_block,
+            regs_per_thread: trace.regs_per_thread,
+            shared_bytes: trace.shared_bytes,
+            occupancy_blocks: cfg.blocks_per_sm(
+                trace.warps_per_block,
+                trace.regs_per_thread,
+                trace.shared_bytes,
+            ),
+        }
+    }
 }
 
 /// A preempted block's architectural state, held off-chip (use case 1).
@@ -499,69 +517,6 @@ impl Sm {
             error: None,
             quiet: None,
         }
-    }
-
-    /// Reset this SM to the observable state of a fresh [`Sm::new`] while
-    /// keeping its heap allocations (event-wheel buckets, token map,
-    /// scratch buffers) — the arena-reuse path between sweep points.
-    ///
-    /// The exhaustive destructuring is deliberate: adding a field to `Sm`
-    /// without deciding its recycle story becomes a compile error.
-    pub fn recycle(&mut self, sm_id: u32, cfg: SmConfig, scheme: Scheme) {
-        let horizon = Self::wheel_horizon(&cfg);
-        let new_exec =
-            ExecUnits::new(cfg.math_units, cfg.sfu_units, cfg.ldst_units, cfg.branch_units);
-        let Sm {
-            sm_id: id,
-            cfg: c,
-            scheme: s,
-            setup,
-            slots,
-            log,
-            exec,
-            events,
-            tokens,
-            completed,
-            notices,
-            fetch_rr,
-            issue_rr,
-            greedy_warp,
-            stats,
-            probe_on,
-            probe,
-            order,
-            order_dirty,
-            mem_evt_buf,
-            active_warps,
-            retired,
-            error,
-            quiet,
-        } = self;
-        *id = sm_id;
-        *c = cfg;
-        *s = scheme;
-        *setup = None;
-        // `configure_kernel` rebuilds the slot vector and operand log.
-        slots.clear();
-        *log = None;
-        *exec = new_exec;
-        events.reset(horizon);
-        tokens.clear();
-        completed.clear();
-        notices.clear();
-        *fetch_rr = 0;
-        *issue_rr = 0;
-        *greedy_warp = None;
-        *stats = SmStats::default();
-        *probe_on = false;
-        probe.clear();
-        order.clear();
-        *order_dirty = true;
-        mem_evt_buf.clear();
-        *active_warps = 0;
-        retired.clear();
-        *error = None;
-        *quiet = None;
     }
 
     /// Record per-instruction stage transitions (issue, last TLB check,

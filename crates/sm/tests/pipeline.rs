@@ -223,13 +223,7 @@ fn run_with_faults(scheme: Scheme, t: &KernelTrace) -> (u64, gex_sm::SmStats) {
     mem.page_table.add_lazy_range(0x4000_0000, 1 << 20);
     let cfg = SmConfig::kepler_k20();
     let mut sm = Sm::new(0, cfg.clone(), scheme);
-    let occ = cfg.blocks_per_sm(t.warps_per_block, t.regs_per_thread, t.shared_bytes);
-    sm.configure_kernel(KernelSetup {
-        warps_per_block: t.warps_per_block,
-        regs_per_thread: t.regs_per_thread,
-        shared_bytes: t.shared_bytes,
-        occupancy_blocks: occ,
-    });
+    sm.configure_kernel(KernelSetup::for_trace(&cfg, t));
     let mut pending: Vec<Arc<_>> = t.blocks.iter().cloned().map(Arc::new).collect();
     pending.reverse();
     let mut now = 0u64;
