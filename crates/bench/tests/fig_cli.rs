@@ -6,7 +6,6 @@ fn fig(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fig"))
         .args(args)
         .env("GEX_SMS", "2")
-        .env_remove("GEX_SIM_CACHE")
         .output()
         .expect("fig runs")
 }

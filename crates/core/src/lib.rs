@@ -74,7 +74,7 @@ pub use gex_workloads::{Preset, Workload};
 /// outputs CPU-clean, heap lazy).
 ///
 /// Answers from the process-wide [`cache`] when an identical point has
-/// already simulated (set `GEX_SIM_CACHE=0` to disable).
+/// already simulated (`cache::set_enabled(false)` turns it off).
 pub fn run_workload(
     workload: &Workload,
     scheme: Scheme,

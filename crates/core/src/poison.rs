@@ -11,27 +11,11 @@
 //! flush), so the data behind a poisoned lock is still consistent; we
 //! recover the guard and carry on.
 
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Lock `m`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Acquire `l` shared, recovering the guard if a writer panicked.
-pub(crate) fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    match l.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Acquire `l` exclusive, recovering the guard if a holder panicked.
-pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    match l.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -62,18 +46,5 @@ mod tests {
         assert_eq!(*lock(&m), 7, "recovered guard still reads the value");
         *lock(&m) += 1;
         assert_eq!(*lock(&m), 8);
-    }
-
-    #[test]
-    fn rwlock_recovers_after_a_writer_panics() {
-        let l = std::sync::RwLock::new(3u32);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = l.write().unwrap();
-            panic!("poison the rwlock");
-        }));
-        assert!(l.is_poisoned(), "the panic above must have poisoned the lock");
-        assert_eq!(*read(&l), 3, "recovered read guard still sees the value");
-        *write(&l) += 1;
-        assert_eq!(*read(&l), 4);
     }
 }

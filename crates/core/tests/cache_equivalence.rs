@@ -139,45 +139,6 @@ fn fig10_render_identical_cache_on_vs_off() {
     assert_eq!(cached, warm, "a fully warm render changed Figure 10");
 }
 
-/// Restores the previous capacity on drop (see [`EnabledGuard`]).
-struct CapGuard(usize);
-
-impl CapGuard {
-    fn set(cap: usize) -> Self {
-        let prev = cache::cap();
-        cache::set_cap(cap);
-        CapGuard(prev)
-    }
-}
-
-impl Drop for CapGuard {
-    fn drop(&mut self) {
-        cache::set_cap(self.0);
-    }
-}
-
-/// A capacity far below the sweep's point count forces constant LRU
-/// eviction mid-campaign — the figure must still render byte-identically,
-/// because an evicted entry only costs a re-simulation, never a different
-/// answer.
-#[test]
-fn fig10_render_identical_under_tiny_cap() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _on = EnabledGuard::set(true);
-
-    cache::clear();
-    let unbounded = fig10_render();
-
-    let _cap = CapGuard::set(2);
-    cache::clear();
-    let before = cache::stats();
-    let tiny = fig10_render();
-    let d = delta_since(&before);
-
-    assert!(d.evictions > 0, "a 2-entry cap must evict during a figure sweep: {d:?}");
-    assert_eq!(unbounded, tiny, "eviction pressure changed Figure 10");
-}
-
 /// The acceptance criterion: a Figure 11 campaign run after Figure 10
 /// simulates each workload's stall-on-fault baseline exactly once per
 /// process — every one of its 11 baseline points answers from the cache,

@@ -631,15 +631,8 @@ fn quarantine_tenant(st: &mut State, tenant: &str, dir: Option<&PathBuf>) {
     if !st.quarantined_tenants.iter().any(|t| t == tenant) {
         st.quarantined_tenants.push(tenant.to_string());
     }
-    let ids: Vec<String> = st
-        .campaigns
-        .iter()
-        .filter(|(_, c)| c.tenant == tenant)
-        .map(|(id, _)| id.clone())
-        .collect();
-    for id in ids {
-        let dropped = st.sched.drop_campaign(&id);
-        let c = st.campaigns.get_mut(&id).expect("campaign listed above");
+    for (id, c) in st.campaigns.iter_mut().filter(|(_, c)| c.tenant == tenant) {
+        let dropped = st.sched.drop_campaign(id);
         c.token.cancel();
         let mut events = Vec::new();
         for job in dropped {
@@ -1011,19 +1004,18 @@ fn handle_submit(
 
 fn handle_cancel(inner: &Inner, out: &mut impl Write, id: &str) -> io::Result<()> {
     let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
-    if !st.campaigns.contains_key(id) {
+    let st = &mut *st;
+    let Some(c) = st.campaigns.get_mut(id) else {
         return reply_err(out, "unknown campaign");
-    }
+    };
     // Cancelling a campaign that already reached a terminal state is an
     // idempotent no-op: a finished sweep must not be re-labelled
     // `cancelled` (nor gain a durable cancel marker) after the fact.
-    if state::is_terminal(st.campaigns[id].state()) {
-        let c = &st.campaigns[id];
+    if state::is_terminal(c.state()) {
         let reply = c.status(id).encode();
         return writeln!(out, "{reply}");
     }
     let dropped = st.sched.drop_campaign(id);
-    let c = st.campaigns.get_mut(id).expect("checked above");
     c.cancelled = true;
     c.token.cancel();
     for job in dropped {
