@@ -48,7 +48,13 @@ pub use gex_isa as isa;
 pub use gex_mem as mem;
 pub use gex_power as power;
 pub use gex_sim as sim;
-pub use gex_sm as sm;
+/// The SM pipeline (`gex-sm`). Also re-exports `gex-sim`'s single-SM
+/// harness, so `gex::sm::SingleSmHarness` resolves for callers not yet
+/// importing it from `gex::sim`.
+pub mod sm {
+    pub use gex_sim::{SingleSmHarness, SingleSmRun};
+    pub use gex_sm::*;
+}
 pub use gex_workloads as workloads;
 
 pub use gex_sim::{

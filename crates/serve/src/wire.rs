@@ -434,7 +434,7 @@ impl StatusReply {
         format!(
             "{{\"ok\":1,\"campaign\":\"{}\",\"state\":\"{}\",\"points\":{},\"done\":{},\"quarantined\":{},\"cancelled\":{},\"resumed\":{}}}",
             json_escape(&self.id),
-            self.state,
+            json_escape(&self.state),
             self.points,
             self.done,
             self.quarantined,
@@ -595,7 +595,9 @@ impl Event {
                 json_escape(kind),
                 json_escape(error)
             ),
-            Event::State { state } => format!("{{\"event\":\"state\",\"state\":\"{state}\"}}"),
+            Event::State { state } => {
+                format!("{{\"event\":\"state\",\"state\":\"{}\"}}", json_escape(state))
+            }
         }
     }
 

@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// The GPU simulator front end. Construct once, [`Gpu::run`] per launch.
 #[derive(Debug, Clone)]
 pub struct Gpu {
-    cfg: GpuConfig,
+    pub(crate) cfg: GpuConfig,
     scheme: Scheme,
     paging: PagingMode,
     inject: Option<InjectionPlan>,
@@ -310,10 +310,10 @@ fn sm_standing(sm: &Sm) -> (bool, bool) {
     (stalled, stalled || sm.quiet_until().is_some())
 }
 
-struct Engine {
+pub(crate) struct Engine {
     scheme_fault_mode: FaultMode,
     mem: MemSystem,
-    sms: Vec<Sm>,
+    pub(crate) sms: Vec<Sm>,
     scheds: Vec<LocalScheduler>,
     cpu: Option<CpuHandler>,
     local: Option<LocalFaultState>,
@@ -368,7 +368,7 @@ struct TenantCtx {
 impl Engine {
     /// Build an engine over one or more concurrent kernel streams
     /// (tenants). Streams must already live in disjoint address windows.
-    fn new(gpu: &Gpu, streams: &[(&KernelTrace, &Residency)]) -> Self {
+    pub(crate) fn new(gpu: &Gpu, streams: &[(&KernelTrace, &Residency)]) -> Self {
         let num_sms = gpu.cfg.num_sms();
         assert!(!streams.is_empty(), "a run needs at least one kernel stream");
         assert!(
@@ -543,7 +543,7 @@ impl Engine {
         out
     }
 
-    fn run(&mut self, trace: &KernelTrace) -> Result<GpuRunReport, SimError> {
+    pub(crate) fn run(&mut self, trace: &KernelTrace) -> Result<GpuRunReport, SimError> {
         let now = self.run_loop()?;
         let mut sm_stats = SmStats::default();
         let mut warp_retired: BTreeMap<(u32, u32), u64> = BTreeMap::new();
@@ -860,7 +860,7 @@ impl Engine {
         }
     }
 
-    fn dispatch_blocks(&mut self) {
+    pub(crate) fn dispatch_blocks(&mut self) {
         // Round-robin over SMs, one block per SM per pass, so no SM hoards
         // its pending queue when slots churn (the global scheduler hands
         // out blocks fairly). Each SM draws from its owning tenant's

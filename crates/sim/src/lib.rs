@@ -14,7 +14,9 @@
 //!
 //! Entry point: build a [`Gpu`] with a [`GpuConfig`], a
 //! [`Scheme`](gex_sm::Scheme) and a [`PagingMode`], then [`Gpu::run`] a
-//! kernel trace with its initial [`Residency`].
+//! kernel trace with its initial [`Residency`]. [`SingleSmHarness`] is
+//! the same engine on a one-SM GPU with every page resident, for
+//! pipeline-level tests and timing diagrams.
 
 #![warn(missing_docs)]
 
@@ -22,6 +24,7 @@ pub mod block_switch;
 pub mod config;
 pub mod error;
 pub mod gpu;
+pub mod harness;
 pub mod inject;
 pub mod interconnect;
 pub mod local_fault;
@@ -36,6 +39,7 @@ pub use gex_mem::{default_page_size, set_default_page_size, LpStats, PageSizePol
 pub use error::{DeadlineDiagnostic, SimError, WatchdogDiagnostic};
 pub use gex_sm::{BudgetExceeded, CancelToken, RunBudget};
 pub use gpu::Gpu;
+pub use harness::{SingleSmHarness, SingleSmRun};
 pub use inject::{InjectionPlan, InjectionStats, Injector};
 pub use interconnect::{Interconnect, CYCLES_PER_US};
 pub use local_fault::LocalFaultConfig;

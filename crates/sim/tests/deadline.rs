@@ -17,9 +17,9 @@ use gex_isa::reg::Reg;
 use gex_isa::trace::KernelTrace;
 use gex_sim::{
     BudgetExceeded, CancelToken, Gpu, GpuConfig, Interconnect, PagingMode, Residency,
-    RunBudget, SimError,
+    RunBudget, SimError, SingleSmHarness,
 };
-use gex_sm::{HarnessError, Scheme, SingleSmHarness};
+use gex_sm::Scheme;
 
 const IN: u64 = 0x100_0000;
 
@@ -151,9 +151,9 @@ fn single_sm_harness_honours_cycle_budgets_too() {
         .try_run(&trace)
         .expect_err("10 cycles cannot finish anything");
     match err {
-        HarnessError::Budget { cause, cycle, .. } => {
-            assert_eq!(cause, BudgetExceeded::Cycles { deadline: 10 });
-            assert_eq!(cycle, 10);
+        SimError::Deadline(d) => {
+            assert_eq!(d.cause, BudgetExceeded::Cycles { deadline: 10 });
+            assert_eq!(d.cycle, 10);
         }
         other => panic!("expected a budget abort, got {other:?}"),
     }

@@ -11,9 +11,10 @@ use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
 use gex_sim::{
     BlockSwitchConfig, Gpu, GpuConfig, GpuRunReport, Interconnect, LocalFaultConfig, PagingMode,
-    Residency,
+    Residency, SimError, SingleSmHarness,
 };
 use gex_sm::Scheme;
+use gex_workloads::{suite, Preset};
 
 const IN: u64 = 0x100_0000; // input buffer
 const OUT: u64 = 0x800_0000; // output buffer
@@ -373,4 +374,37 @@ fn oversubscribed_memory_swaps_and_completes() {
     .run(&t, &res);
     assert_eq!(ample.cpu.evictions, 0);
     assert!(ample.cycles <= r.cycles);
+}
+
+/// The single-SM harness is a one-SM `Gpu` run: same `SmStats` and
+/// `MemStats`, and exactly one cycle shorter, because the harness fills
+/// the SM before its first cycle while the engine dispatches at the end
+/// of each cycle, so a plain run's cycle 0 is always empty.
+#[test]
+fn single_sm_harness_is_a_one_sm_gpu() {
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::WdCommit,
+        Scheme::WdLastCheck,
+        Scheme::ReplayQueue,
+        Scheme::OperandLog { bytes: 8192 },
+    ];
+    for name in ["lbm", "sgemm", "mri-gridding"] {
+        let w = suite::by_name(name, Preset::Test).expect("known benchmark");
+        for scheme in schemes {
+            let h = SingleSmHarness::new(scheme).run(&w.trace);
+            let g = Gpu::new(GpuConfig::kepler_k20().with_sms(1), scheme, PagingMode::AllResident)
+                .run(&w.trace, &Residency::new());
+            assert_eq!(h.cycles + 1, g.cycles, "{name} {scheme}");
+            assert_eq!(h.sm_stats, g.sm, "{name} {scheme}");
+            assert_eq!(h.mem_stats, g.mem, "{name} {scheme}");
+        }
+    }
+    // Its aborts are the engine's typed errors.
+    let lbm = suite::by_name("lbm", Preset::Test).expect("known benchmark");
+    let err = SingleSmHarness::new(Scheme::Baseline)
+        .max_cycles(1_000)
+        .try_run(&lbm.trace)
+        .expect_err("lbm cannot finish in 1 000 cycles");
+    assert!(matches!(err, SimError::CycleLimit { limit: 1_000, .. }), "{err:?}");
 }

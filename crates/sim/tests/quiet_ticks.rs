@@ -25,10 +25,11 @@ use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
 use gex_sim::{
     BlockSwitchConfig, Gpu, GpuConfig, GpuRunReport, InjectionPlan, Interconnect,
-    LocalFaultConfig, PagingMode, PartitionPolicy, Residency, TenantId, TenantWorkload,
+    LocalFaultConfig, PagingMode, PartitionPolicy, Residency, SingleSmHarness, TenantId,
+    TenantWorkload,
 };
 use gex_sm::config::SchedulerPolicy;
-use gex_sm::{Scheme, SingleSmHarness};
+use gex_sm::Scheme;
 use gex_workloads::{suite, Preset};
 
 const SMS: u32 = 4;

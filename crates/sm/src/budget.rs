@@ -2,9 +2,9 @@
 //!
 //! A supervised sweep gives every simulation point a budget — a simulated
 //! -cycle deadline, a wall-clock limit, or an externally triggered
-//! [`CancelToken`] — and the tick loops (the whole-GPU engine in
-//! `gex-sim` and the single-SM harness here) check it cooperatively each
-//! iteration. A blown budget surfaces as a structured error rather than a
+//! [`CancelToken`] — and the one tick loop (the whole-GPU engine in
+//! `gex-sim`, which the single-SM harness also runs) checks it
+//! cooperatively each iteration. A blown budget surfaces as a structured error rather than a
 //! hang, so a runaway point costs its budget and nothing more.
 //!
 //! The budget is deliberately separate from the `max_cycles` runaway

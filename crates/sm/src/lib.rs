@@ -27,7 +27,6 @@ pub mod budget;
 pub mod config;
 pub mod error;
 pub mod exec;
-pub mod harness;
 pub mod operand_log;
 pub mod scheme;
 pub mod scoreboard;
@@ -37,7 +36,6 @@ pub mod stats;
 pub use budget::{BudgetExceeded, BudgetMeter, CancelToken, RunBudget};
 pub use config::SmConfig;
 pub use error::{SmError, SmStage};
-pub use harness::{HarnessError, SingleSmHarness, SingleSmRun};
 pub use scheme::Scheme;
 pub use sm::{
     FaultNotice, KernelSetup, ProbeEvent, ProbeStage, SavedBlock, Sm, WarpDiag, WarpState,

@@ -10,7 +10,8 @@ use gex_isa::trace::KernelTrace;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, MemConfig, PageState};
 use gex_sm::sm::KernelSetup;
-use gex_sm::{ProbeStage, Scheme, SingleSmHarness, Sm, SmConfig};
+use gex_sim::SingleSmHarness;
+use gex_sm::{ProbeStage, Scheme, Sm, SmConfig};
 use std::sync::Arc;
 
 const BUF: u64 = 0x10_0000;
@@ -139,7 +140,7 @@ fn figure3_kernel() -> (KernelTrace, [usize; 4]) {
     (trace_of(a, 1, 32, vec![], 16), [4, 5, 6, 7])
 }
 
-fn stage_cycle(run: &gex_sm::SingleSmRun, idx: usize, stage: ProbeStage) -> Cycle {
+fn stage_cycle(run: &gex_sim::SingleSmRun, idx: usize, stage: ProbeStage) -> Cycle {
     run.probe
         .iter()
         .find(|e| e.idx == idx && e.stage == stage)

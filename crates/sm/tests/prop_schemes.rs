@@ -8,7 +8,8 @@ use gex_isa::kernel::{Dim3, KernelBuilder};
 use gex_isa::mem_image::MemImage;
 use gex_isa::reg::Reg;
 use gex_isa::trace::KernelTrace;
-use gex_sm::{Scheme, SingleSmHarness};
+use gex_sim::SingleSmHarness;
+use gex_sm::Scheme;
 use gex_testkit::prelude::*;
 
 const BUF: u64 = 0x10_0000;

@@ -7,7 +7,8 @@ use gex_isa::kernel::{Dim3, KernelBuilder};
 use gex_isa::mem_image::MemImage;
 use gex_isa::reg::Reg;
 use gex_isa::trace::KernelTrace;
-use gex_sm::{Scheme, SingleSmHarness};
+use gex_sim::SingleSmHarness;
+use gex_sm::Scheme;
 
 /// Every thread divides by (tid % 2): half the lanes divide by zero, so
 /// every div instruction traps on some lane.

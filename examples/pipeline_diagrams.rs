@@ -12,7 +12,8 @@ use gex::isa::func::FuncSim;
 use gex::isa::kernel::{Dim3, KernelBuilder};
 use gex::isa::mem_image::MemImage;
 use gex::isa::reg::Reg;
-use gex::sm::{ProbeStage, Scheme, SingleSmHarness};
+use gex::sim::SingleSmHarness;
+use gex::sm::{ProbeStage, Scheme};
 
 const BUF: u64 = 0x10_0000;
 
