@@ -10,7 +10,8 @@
 //!
 //! Every panel runs under sweep supervision ([`gex::experiments::sweep`]):
 //! `--deadline N` budgets each point, `--resume` / `--journal PATH` make
-//! the campaign resumable (one journal file per panel), and failed points
+//! the campaign resumable (one journal file per panel), `--pagesize P`
+//! sets the page-size policy every panel runs on, and failed points
 //! print as `NaN` with a quarantine report instead of taking the whole
 //! run down. Each panel's reference point (plain / baseline / CPU-handled)
 //! rides in its grid, so even the normalizer is supervised. Exits 2 if
@@ -32,7 +33,7 @@ fn cycles(v: Option<Outcome>) -> String {
 
 fn main() {
     let args = gex_bench::BenchArgs::parse();
-    args.apply_max_cycles();
+    args.apply_defaults();
     let preset = args.preset();
     let sms = gex_bench::sms_from_env();
     let cfg = GpuConfig::kepler_k20().with_sms(sms);

@@ -102,8 +102,7 @@ fn main() {
         eprintln!("fig: unknown id {unknown:?} (valid ids: {})", IDS.join(", "));
         std::process::exit(2);
     }
-    args.apply_max_cycles();
-    args.apply_page_size();
+    args.apply_defaults();
     let preset = args.preset();
     let sms = sms_from_env();
     let healthy = ids.iter().fold(true, |healthy, id| run(id, &args, preset, sms) & healthy);

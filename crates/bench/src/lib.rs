@@ -17,7 +17,7 @@
 //! runs exit with the watchdog diagnostic instead of spinning forever.
 
 use gex::workloads::Preset;
-use gex::{RunBudget, SweepOptions};
+use gex::{PageSizePolicy, RunBudget, SweepOptions};
 use std::path::PathBuf;
 
 /// Everything `fig` and `ablation` accept on the command line, parsed
@@ -42,7 +42,7 @@ pub struct BenchArgs {
     /// `--pagesize P` / `--pagesize=P`: page-size policy
     /// (`small` / `transparent` / `hugeonly`) applied as the process-wide
     /// default, like the `GEX_PAGE_SIZE` environment variable.
-    pub pagesize: Option<String>,
+    pub pagesize: Option<PageSizePolicy>,
 }
 
 impl BenchArgs {
@@ -59,9 +59,10 @@ impl BenchArgs {
     }
 
     /// Parse an explicit argument list (the testable form of [`parse`]).
-    /// An unknown `-flag`, a flag missing its value and a cycle count that
-    /// is not a `u64` are errors: a cap that silently fails to apply lets
-    /// the run it was meant to bound run unbounded.
+    /// An unknown `-flag`, a flag missing its value, a cycle count that
+    /// is not a `u64` and an unknown page-size policy are errors: a cap
+    /// that silently fails to apply lets the run it was meant to bound run
+    /// unbounded, and a dropped policy runs on pages nobody asked for.
     ///
     /// [`parse`]: BenchArgs::parse
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
@@ -86,12 +87,16 @@ impl BenchArgs {
             let cycles = |v: String| {
                 v.parse::<u64>().map_err(|_| format!("{flag}: {v:?} is not a cycle count"))
             };
+            let policy = |v: String| {
+                PageSizePolicy::parse(&v)
+                    .ok_or_else(|| format!("{flag}: {v:?} is not small, transparent or hugeonly"))
+            };
             match flag {
                 "--resume" if inline.is_none() => out.resume = true,
                 "--max-cycles" => out.max_cycles = Some(cycles(value()?)?),
                 "--deadline" => out.deadline = Some(cycles(value()?)?),
                 "--journal" => out.journal = Some(value()?),
-                "--pagesize" => out.pagesize = Some(value()?),
+                "--pagesize" => out.pagesize = Some(policy(value()?)?),
                 _ => return Err(format!("unknown flag {a:?}")),
             }
         }
@@ -108,26 +113,17 @@ impl BenchArgs {
         }
     }
 
-    /// Apply `--max-cycles` (if given) as the process-wide default cycle
-    /// cap, so every `GpuConfig` the experiment drivers build inherits
-    /// it. Call once at the top of each harness binary's `main`.
-    pub fn apply_max_cycles(&self) {
+    /// Apply `--max-cycles` and `--pagesize` (each if given) as the
+    /// process-wide cycle cap and page-size policy, so every `GpuConfig`
+    /// the experiment drivers build inherits them. Call once at the top of
+    /// each harness binary's `main`: one call, so no binary parses a flag
+    /// and then drops it.
+    pub fn apply_defaults(&self) {
         if let Some(c) = self.max_cycles {
             gex::sim::config::set_default_max_cycles(c);
         }
-    }
-
-    /// Apply `--pagesize` (if given and well-formed) as the process-wide
-    /// default page-size policy; unknown tokens are reported and ignored
-    /// so a typo degrades to the `Small` baseline instead of aborting.
-    pub fn apply_page_size(&self) {
-        if let Some(p) = &self.pagesize {
-            match gex::PageSizePolicy::parse(p) {
-                Some(policy) => gex::set_default_page_size(policy),
-                None => eprintln!(
-                    "warning: unknown --pagesize {p:?} (expected small/transparent/hugeonly)"
-                ),
-            }
+        if let Some(policy) = self.pagesize {
+            gex::set_default_page_size(policy);
         }
     }
 
@@ -180,7 +176,7 @@ mod tests {
         let a = parse(&["test", "--max-cycles", "5000", "--pagesize=transparent"]);
         assert_eq!(a.preset(), Preset::Test);
         assert_eq!(a.max_cycles, Some(5000));
-        assert_eq!(a.pagesize.as_deref(), Some("transparent"));
+        assert_eq!(a.pagesize, Some(PageSizePolicy::Transparent));
         assert_eq!(a.positional, vec!["test"]);
     }
 
@@ -214,6 +210,8 @@ mod tests {
             (&["--deadline=-1"][..], "--deadline"),
             (&["test", "--max-cycles"][..], "--max-cycles"),
             (&["--journal"][..], "--journal"),
+            (&["test", "--pagesize=giant"][..], "--pagesize"),
+            (&["--pagesize"][..], "--pagesize"),
         ] {
             let err = try_parse(args).unwrap_err();
             assert!(err.contains(names), "{args:?}: {err}");

@@ -23,12 +23,13 @@ fn an_unknown_id_exits_2_and_lists_the_valid_ids() {
 }
 
 /// A cap that does not parse must not degrade to an uncapped run, and a
-/// mistyped flag must not be dropped.
+/// mistyped flag or page-size policy must not be dropped.
 #[test]
 fn a_malformed_command_line_exits_2_before_anything_runs() {
     for (args, names) in [
         (&["10", "test", "--max-cycles=abc"][..], "--max-cycles"),
         (&["10", "test", "--bogus"][..], "--bogus"),
+        (&["10", "test", "--pagesize=giant"][..], "--pagesize"),
     ] {
         let out = fig(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -17,7 +17,7 @@
 //! | [`sim`] | whole GPU: scheduler, demand paging, both use cases |
 //! | [`workloads`] | Parboil-like, Halloc-like and quad-tree benchmarks |
 //! | [`power`] | operand-log area/power model (Table 2) |
-//! | [`exec`] | parallel sweep engine (work-stealing `par_map`) |
+//! | [`exec`] | parallel sweep engine (scoped-thread `par_map`) |
 //! | [`point`] | the one point runner: `PointSpec` → `run_point` → `Outcome` |
 //! | [`experiments`] | drivers for Figures 10-14 and both tables |
 //!

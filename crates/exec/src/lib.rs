@@ -6,38 +6,34 @@
 //! function of its inputs (the simulator is deterministic and shares no
 //! state between runs), so the sweep is embarrassingly parallel. This
 //! crate provides the primitive everything routes through: [`par_map`], a
-//! pooled map that preserves input order, plus its supervised form
+//! parallel map that preserves input order, plus its supervised form
 //! [`try_par_map`], which isolates per-job panics as typed [`JobError`]s
 //! instead of letting one poisoned point abort the whole sweep.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism.** Results are written into per-index slots and
-//!    collected in input order, so the output of `par_map(items, f)` is
+//! 1. **Determinism.** Every result carries its job's index and is
+//!    placed back in input order, so the output of `par_map(items, f)` is
 //!    byte-identical to `items.into_iter().map(f).collect()` regardless of
 //!    thread count or scheduling. The differential tests assert this.
-//! 2. **Std only.** The workspace builds offline; no rayon/crossbeam. The
-//!    pool is plain threads parked on a condvar plus an atomic next-index
-//!    counter per sweep, which is plenty for jobs that each run millions
-//!    of simulated cycles.
-//! 3. **Persistent.** Workers are spawned once (lazily) and reused across
-//!    sweeps, so the many small grids in the test suite stop paying
-//!    thread-spawn cost per call; the serial fast path (1 worker or 1
-//!    job) never touches the pool at all.
+//! 2. **Std only.** The workspace builds offline; no rayon/crossbeam. A
+//!    sweep is one mutex-guarded job queue drained by plain threads,
+//!    which is plenty for jobs that each run millions of simulated cycles.
+//! 3. **Scoped.** The parallel path runs on the caller's thread plus
+//!    helpers spawned in a [`std::thread::scope`] for that one sweep:
+//!    tens of microseconds against milliseconds per point, and no thread
+//!    outlives the call. The serial path (1 worker or 1 job) spawns none.
 //! 4. **Observable.** [`threads`] reports the effective worker count so
-//!    a measurement can record it, [`set_threads`] lets the same process
-//!    time serial and parallel sweeps back to back, and
-//!    [`pooled_workers`] exposes the persistent pool's size.
+//!    a measurement can record it, and [`set_threads`] lets the same
+//!    process time serial and parallel sweeps back to back.
 //!
 //! Thread-count resolution order: [`set_threads`] override, then the
 //! `GEX_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-mod pool;
-
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Process-wide override set by [`set_threads`]; 0 means "no override".
@@ -70,13 +66,6 @@ pub fn threads() -> usize {
 /// --threads`.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Worker threads alive in the persistent pool. Workers are spawned on
-/// first parallel use, grow to the largest concurrency any sweep asked
-/// for, and are parked (not joined) between sweeps.
-pub fn pooled_workers() -> usize {
-    pool::Pool::global().spawned_workers()
 }
 
 /// One sweep job panicked. The panic was caught at the job boundary —
@@ -117,54 +106,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-index cells shared across sweep runners without per-cell locks.
-///
-/// Exclusivity comes from the claim protocol, not a lock: the counter in
-/// [`try_par_map`] hands each index to exactly one runner, which takes
-/// the job out of its cell and writes the result in exactly once. The
-/// completion latch inside `pool::scope_run` (release-on-signal,
-/// acquire-on-check) orders every helper's writes before the caller
-/// collects.
-struct IndexCells<T> {
-    cells: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: cells are only accessed through the exclusive-claim protocol
-// above; `T: Send` is required because claimed values move across the
-// worker threads.
-unsafe impl<T: Send> Sync for IndexCells<T> {}
-
-impl<T> IndexCells<T> {
-    fn new(values: impl Iterator<Item = T>) -> Self {
-        IndexCells { cells: values.map(UnsafeCell::new).collect() }
-    }
-
-    /// # Safety
-    /// The caller must hold the exclusive claim on `idx` (no other thread
-    /// may touch this index between claim and latch release).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, idx: usize) -> &mut T {
-        unsafe { &mut *self.cells[idx].get() }
-    }
-}
-
-/// Map `f` over `items` on the persistent pool, returning results in
-/// input order with every job's panic isolated as a [`JobError`].
+/// Map `f` over `items` in parallel, returning results in input order
+/// with every job's panic isolated as a [`JobError`].
 ///
 /// This is the supervised primitive: a panicking job never takes down its
 /// siblings or the caller — the caller decides what a poisoned point
 /// means (the campaign supervisor quarantines it). With one worker (or at
 /// most one item) jobs run serially on the caller's thread — same code
-/// path, same result order, no pool — which is the determinism anchor:
-/// the parallel path must and does reproduce it byte for byte.
+/// path, same result order, no helper threads — which is the determinism
+/// anchor: the parallel path must and does reproduce it byte for byte.
 pub fn try_par_map<I, T, F>(items: Vec<I>, f: F) -> Vec<Result<T, JobError>>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let n_jobs = items.len();
-    let n_workers = threads().min(n_jobs.max(1));
+    let n_workers = threads().min(items.len());
     let run_one = |index: usize, item: I| -> Result<T, JobError> {
         let start = Instant::now();
         catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| JobError {
@@ -173,51 +130,37 @@ where
             elapsed: start.elapsed(),
         })
     };
-    if n_workers <= 1 || n_jobs <= 1 {
+    if n_workers <= 1 {
         return items.into_iter().enumerate().map(|(i, item)| run_one(i, item)).collect();
     }
 
-    // Jobs move into per-index cells so runners can take them without
-    // cloning; results land in per-index cells, so output order is input
-    // order no matter which thread ran what. No per-cell locks: index
-    // exclusivity comes from the claim counter (see IndexCells).
-    let jobs: IndexCells<Option<I>> = IndexCells::new(items.into_iter().map(Some));
-    let slots: IndexCells<Option<Result<T, JobError>>> =
-        IndexCells::new((0..n_jobs).map(|_| None));
-    let next = AtomicUsize::new(0);
-
-    // Each runner (pooled helpers + the caller) claims one index at a
-    // time from the shared counter until the sweep is drained: every
-    // caller's jobs are simulation points (milliseconds each), so the
-    // counter is never contended and the tail is at most one point.
-    // `run_one` catches the job's panic, so the runner itself never
-    // unwinds — a guarantee `pool::scope_run`'s safety argument relies on.
-    let runner = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= n_jobs {
-            break;
+    // The caller and `n_workers - 1` scoped helpers each claim one job at
+    // a time (jobs are milliseconds each, so the lock is never contended
+    // and the tail is at most one point). The guard drops inside `claim`,
+    // before the job runs; no runner ever unwinds.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let claim = || queue.lock().expect("no runner panics holding the queue").next();
+    let runner = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = claim() {
+            done.push((i, run_one(i, item)));
         }
-        // SAFETY: the fetch_add above handed `idx` to this runner
-        // exclusively (the counter only grows), and `idx < n_jobs` is
-        // in bounds for both cell vectors.
-        let item = unsafe { jobs.get_mut(idx) }.take().expect("job index claimed twice");
-        let out = run_one(idx, item);
-        // SAFETY: same exclusive claim on `idx` as above.
-        unsafe { *slots.get_mut(idx) = Some(out) };
+        done
     };
-    pool::scope_run(n_workers - 1, &runner);
-
-    slots
-        .cells
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("every job index produced exactly one result")
-        })
-        .collect()
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..n_workers).map(|_| s.spawn(runner)).collect();
+        let mut done = runner();
+        for h in helpers {
+            done.extend(h.join().expect("sweep runners never unwind"));
+        }
+        done
+    });
+    // Indices are unique, so placing each result by index is a sort.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Map `f` over `items` on the persistent pool, returning results in
-/// input order.
+/// Map `f` over `items` in parallel, returning results in input order.
 ///
 /// A panic in `f` propagates to the caller (after every other job of the
 /// sweep has finished); use [`try_par_map`] to supervise panics instead.
@@ -227,31 +170,18 @@ where
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let mut first_panic: Option<JobError> = None;
-    let out: Vec<Option<T>> = try_par_map(items, f)
+    // The first panic in input order wins; re-raise it with the original
+    // message so assertion failures inside sweeps read the same as they
+    // would single-threaded.
+    try_par_map(items, f)
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => Some(v),
-            Err(e) => {
-                if first_panic.is_none() {
-                    first_panic = Some(e);
-                }
-                None
-            }
-        })
-        .collect();
-    if let Some(e) = first_panic {
-        // Re-raise with the original message so assertion failures inside
-        // sweeps read the same as they would single-threaded.
-        std::panic::panic_any(e.payload);
-    }
-    out.into_iter().map(|v| v.expect("no panic implies every slot filled")).collect()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| std::panic::panic_any(e.payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     /// Serialize tests that touch the process-wide override.
     static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
@@ -339,27 +269,42 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_persistent_across_sweeps() {
+    fn one_worker_runs_every_job_on_the_callers_thread() {
         let _g = OVERRIDE_GUARD.lock().unwrap();
-        set_threads(4);
-        let _ = par_map((0..32).collect::<Vec<u32>>(), |x| x + 1);
-        let after_first = pooled_workers();
-        assert!(after_first >= 3, "a 4-worker sweep keeps >= 3 pooled helpers");
-        for _ in 0..5 {
-            let _ = par_map((0..32).collect::<Vec<u32>>(), |x| x + 1);
-        }
+        let caller = std::thread::current().id();
+        set_threads(1);
+        let serial = par_map((0..16).collect::<Vec<u32>>(), |_| std::thread::current().id());
+        set_threads(8);
+        let single = par_map(vec![0u32], |_| std::thread::current().id());
         set_threads(0);
-        // Re-running at the same concurrency reuses the parked workers
-        // rather than spawning fresh threads per sweep.
-        assert_eq!(pooled_workers(), after_first, "same concurrency must not respawn");
+        assert!(serial.iter().chain(&single).all(|&id| id == caller), "serial path spawned");
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_order() {
+        let _g = OVERRIDE_GUARD.lock().unwrap();
+        set_threads(3);
+        let start = std::sync::Barrier::new(4);
+        let sweep = |c: u64| {
+            start.wait();
+            par_map((0..50).collect(), move |x: u64| c * 1000 + x)
+        };
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4).map(|c| (c, s.spawn(move || sweep(c)))).collect();
+            for (c, h) in callers {
+                let want: Vec<u64> = (0..50).map(|x| c * 1000 + x).collect();
+                assert_eq!(h.join().unwrap(), want, "caller {c} got another caller's order");
+            }
+        });
+        set_threads(0);
     }
 
     #[test]
     fn nested_sweeps_cannot_deadlock() {
         let _g = OVERRIDE_GUARD.lock().unwrap();
         set_threads(2);
-        // Outer jobs each run an inner sweep; the caller-participates rule
-        // guarantees progress even with every pooled worker occupied.
+        // Outer jobs each run an inner sweep; each inner sweep spawns its
+        // own scoped helpers, so no sweep waits on another's threads.
         let out = par_map(vec![10u32, 20, 30], |base| {
             par_map((0..4u32).collect::<Vec<_>>(), move |i| base + i).into_iter().sum::<u32>()
         });

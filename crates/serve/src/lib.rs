@@ -2,7 +2,7 @@
 //!
 //! A long-running daemon that accepts simulation campaigns (grids of
 //! `workload x scheme` points) over a line-oriented TCP protocol and runs
-//! them on the persistent `gex-exec` worker pool under the full
+//! them in parallel sweeps (`gex-exec`) under the full
 //! [`gex::supervise`] stack: panic isolation, deadline retry with budget
 //! escalation, and per-point quarantine.
 //!

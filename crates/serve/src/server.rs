@@ -2,8 +2,8 @@
 //!
 //! One listener thread accepts TCP connections and spawns a
 //! line-protocol handler per client; one dispatcher thread pulls waves of
-//! points off the [`TenantScheduler`] and runs each wave on the
-//! persistent `gex-exec` pool through [`gex::run_supervised`], so every
+//! points off the [`TenantScheduler`] and runs each wave in parallel
+//! (`gex-exec`) through [`gex::run_supervised`], so every
 //! supervision property of the batch drivers — panic isolation, deadline
 //! retry with budget escalation, per-point quarantine — holds per wave
 //! here too. All shared state sits behind one mutex; simulation happens
@@ -278,9 +278,10 @@ struct WavePoint {
     /// Shared-GPU points: the spec's partitioning policy and the neighbor
     /// sharing the GPU; `None` keeps the classic exclusive simulation.
     sharing: Option<(PartitionPolicy, Arc<TenantWorkload>)>,
-    /// Page-size policy for the point's GPU (from the spec); `None`
-    /// keeps the simulator default (4 KB pages).
-    pagesize: Option<gex::PageSizePolicy>,
+    /// Page-size policy for the point's GPU: the spec's, or 4 KB pages
+    /// when it names none — never the process default (`GEX_PAGE_SIZE`),
+    /// since the campaign digest must name the pages a point ran on.
+    pagesize: gex::PageSizePolicy,
     /// Owning tenant — becomes the stream's simulator [`TenantId`] on
     /// partitioned points.
     tenant: String,
@@ -329,10 +330,7 @@ fn run_point(p: &WavePoint, budget: &RunBudget) -> Result<u64, SimError> {
         }
         None => {}
     }
-    let mut config = GpuConfig::kepler_k20().with_sms(p.sms);
-    if let Some(policy) = p.pagesize {
-        config = config.with_page_size(policy);
-    }
+    let config = GpuConfig::kepler_k20().with_sms(p.sms).with_page_size(p.pagesize);
     let (paging, residency) = match p.sharing {
         Some(_) => (PagingMode::demand(Interconnect::nvlink()), p.workload.demand_residency()),
         None => (PagingMode::AllResident, Residency::new()),
@@ -705,7 +703,7 @@ fn dispatch_loop(inner: &Inner) {
             continue;
         }
 
-        // Per-wave supervision on the persistent pool. Waves mix
+        // Per-wave supervision, one parallel sweep per wave. Waves mix
         // tenants, so fault budgets are enforced per tenant by
         // `apply_outcome`, not by the supervisor.
         let labelled: Vec<(String, WavePoint)> =
@@ -746,7 +744,7 @@ fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
             seed: c.spec.seed,
             inject: c.spec.inject,
             sharing: c.sharing.clone(),
-            pagesize: c.spec.pagesize,
+            pagesize: c.spec.pagesize.unwrap_or_default(),
             tenant: c.tenant.clone(),
             stream_budget: cfg.stream_fault_budget,
             token: c.token.clone(),

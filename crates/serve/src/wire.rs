@@ -100,9 +100,10 @@ pub struct CampaignSpec {
     pub partition: Option<PartitionPolicy>,
     /// Optional page-size policy for the simulated GPU's demand paging
     /// (`small` | `transparent` | `hugeonly`, see [`PageSizePolicy`]).
-    /// `None` leaves the server's default (4 KB pages) in place — old
-    /// spec lines parse and re-encode unchanged, so campaign digests
-    /// (and therefore crash/resume identity) are unaffected.
+    /// `None` means 4 KB pages whatever the server process's default
+    /// (`GEX_PAGE_SIZE`) is — old spec lines parse and re-encode
+    /// unchanged, so campaign digests (and therefore crash/resume
+    /// identity) are unaffected.
     pub pagesize: Option<PageSizePolicy>,
     /// Ignored. Earlier builds let a spec pick an intra-run SM worker
     /// count; that engine is gone, but the spec line is stored verbatim
