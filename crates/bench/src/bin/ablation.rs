@@ -10,19 +10,20 @@
 //!
 //! Every panel runs under sweep supervision ([`gex::experiments::sweep`]):
 //! `--deadline N` budgets each point, `--resume` / `--journal PATH` make
-//! the campaign resumable (one journal file per panel), `--pagesize P`
-//! sets the page-size policy every panel runs on, and failed points
+//! the campaign resumable (one journal file per panel), and failed points
 //! print as `NaN` with a quarantine report instead of taking the whole
-//! run down. Each panel's reference point (plain / baseline / CPU-handled)
-//! rides in its grid, so even the normalizer is supervised. Exits 2 if
-//! anything was quarantined, and before anything runs on a malformed
-//! command line.
+//! run down. Every panel runs on the one simulated GPU the command line
+//! builds ([`gex_bench::BenchArgs::gpu_config`]: Table 1's machine with
+//! `GEX_SMS` SMs, `--pagesize P` and `--max-cycles N`). Each panel's
+//! reference point (plain / baseline / CPU-handled) rides in its grid,
+//! so even the normalizer is supervised. Exits 2 if anything was
+//! quarantined, and before anything runs on a malformed command line.
 
 use gex::experiments::{ratio, sweep, GridPoint};
 use gex::sm::config::SchedulerPolicy;
 use gex::workloads::{halloc, suite};
 use gex::{
-    BlockSwitchConfig, GpuConfig, Interconnect, LocalFaultConfig, Outcome, PagingMode, PointSpec,
+    BlockSwitchConfig, Interconnect, LocalFaultConfig, Outcome, PagingMode, PointSpec,
     QuarantineReport, Scheme,
 };
 
@@ -32,16 +33,14 @@ fn cycles(v: Option<Outcome>) -> String {
 }
 
 fn main() {
-    let args = gex_bench::BenchArgs::parse();
-    args.apply_defaults();
-    let preset = args.preset();
-    let sms = gex_bench::sms_from_env();
-    let cfg = GpuConfig::kepler_k20().with_sms(sms);
+    let args = gex_bench::BenchArgs::parse(&[]);
+    let preset = args.preset;
+    let cfg = args.gpu_config();
     let mut quarantine = QuarantineReport::default();
     // Run one panel's grid as its own resumable campaign.
     let mut panel = |name: &str, grid: Vec<GridPoint<'_>>| {
         let opts = args.sweep_options("ablation").panel(name);
-        let out = sweep(&format!("ablation-{name}|{preset:?}|sms={sms}"), grid, &opts);
+        let out = sweep(&format!("ablation-{name}|{preset:?}"), grid, &opts);
         quarantine.absorb(name, out.quarantine);
         out.fig
     };

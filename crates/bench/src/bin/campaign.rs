@@ -138,12 +138,9 @@ fn main() {
                             .collect()
                     }
                     "--preset" => {
-                        spec.preset = match value("a preset").as_str() {
-                            "test" => Preset::Test,
-                            "bench" => Preset::Bench,
-                            "paper" => Preset::Paper,
-                            other => fail(format!("unknown preset {other:?}")),
-                        }
+                        let v = value("a preset");
+                        let unknown = || fail(format!("unknown preset {v:?}"));
+                        spec.preset = Preset::parse(v).unwrap_or_else(unknown)
                     }
                     "--sms" => {
                         spec.sms = value("a count").parse().unwrap_or_else(|e| fail(e))

@@ -20,18 +20,23 @@
 //! Several ids run in one process, so later figures answer shared points
 //! from the result cache (`fig 10,11`: every Figure 11 baseline).
 //!
+//! Every figure runs on one simulated GPU, built once from the command
+//! line ([`BenchArgs::gpu_config`]): Table 1's machine with `GEX_SMS`
+//! SMs (default 16), `--pagesize P` and `--max-cycles N`. Table 1 prints
+//! that machine; `scalability` varies only its SM count.
+//!
 //! Every figure runs under sweep supervision: `--deadline N` budgets each
 //! point, `--resume` / `--journal PATH` make the campaign resumable (one
 //! journal file per sweep: per figure, per interconnect panel, per inner
 //! sweep of `scalability`), and failed points are quarantined (reported
 //! below the figure) instead of taking the run down. Exits 2 if anything
-//! was quarantined, and before anything runs on an unknown id, an unknown
-//! flag or a flag value that does not parse.
+//! was quarantined, and before anything runs on an unknown id, preset or
+//! flag, an extra argument, a flag value that does not parse or a
+//! `GEX_SMS` that is not a positive integer.
 
 use gex::experiments::{self, Supervised};
-use gex::workloads::Preset;
-use gex::Interconnect;
-use gex_bench::{sms_from_env, BenchArgs};
+use gex::{GpuConfig, Interconnect};
+use gex_bench::BenchArgs;
 use std::fmt::Display;
 
 const IDS: [&str; 10] =
@@ -57,21 +62,22 @@ fn panels<F: Display>(
 }
 
 /// Regenerate `id`; true if every point was healthy.
-fn run(id: &str, args: &BenchArgs, preset: Preset, sms: u32) -> bool {
+fn run(id: &str, args: &BenchArgs, cfg: &GpuConfig) -> bool {
+    let preset = args.preset;
     match id {
         "10" => {
-            println!("{}", experiments::table1());
-            show(experiments::fig10(preset, sms, &args.sweep_options("fig10")))
+            println!("{}", experiments::table1(cfg));
+            show(experiments::fig10(preset, cfg, &args.sweep_options("fig10")))
         }
-        "11" => show(experiments::fig11(preset, sms, &args.sweep_options("fig11"))),
-        "12" => panels(args, "fig12", |ic, opts| experiments::fig12(preset, sms, ic, opts)),
-        "13" => panels(args, "fig13", |ic, opts| experiments::fig13(preset, sms, ic, opts)),
-        "14" => panels(args, "fig14", |ic, opts| experiments::fig14(preset, sms, ic, opts)),
-        "lp" => show(experiments::fig_lp(preset, sms, &args.sweep_options("figlp"))),
-        "mt" => show(experiments::fig_mt(preset, sms, &args.sweep_options("figmt"))),
+        "11" => show(experiments::fig11(preset, cfg, &args.sweep_options("fig11"))),
+        "12" => panels(args, "fig12", |ic, opts| experiments::fig12(preset, cfg, ic, opts)),
+        "13" => panels(args, "fig13", |ic, opts| experiments::fig13(preset, cfg, ic, opts)),
+        "14" => panels(args, "fig14", |ic, opts| experiments::fig14(preset, cfg, ic, opts)),
+        "lp" => show(experiments::fig_lp(preset, cfg, &args.sweep_options("figlp"))),
+        "mt" => show(experiments::fig_mt(preset, cfg, &args.sweep_options("figmt"))),
         "scalability" => {
             let opts = args.sweep_options("scalability");
-            let sweep = experiments::scalability(preset, &[4, 8, 16, 32], &opts).map(|rows| {
+            let sweep = experiments::scalability(preset, cfg, &[4, 8, 16, 32], &opts).map(|rows| {
                 let mut table = "Section 5.5: scalability with SM count\n".to_string();
                 table += &format!("{:<6} {:>14} {:>16}\n", "SMs", "replay-queue", "local-handling");
                 for row in &rows {
@@ -83,29 +89,21 @@ fn run(id: &str, args: &BenchArgs, preset: Preset, sms: u32) -> bool {
             sweep.quarantine.is_empty()
         }
         "table1" => {
-            println!("{}", experiments::table1());
+            println!("{}", experiments::table1(cfg));
             true
         }
         "table2" => {
             println!("{}", experiments::table2());
             true
         }
-        other => unreachable!("main validated the ids, got {other:?}"),
+        other => unreachable!("BenchArgs validated the ids, got {other:?}"),
     }
 }
 
 fn main() {
-    let mut args = BenchArgs::parse();
-    let ids = if args.positional.is_empty() { String::new() } else { args.positional.remove(0) };
-    let ids: Vec<&str> = ids.split(',').collect();
-    if let Some(unknown) = ids.iter().find(|id| !IDS.contains(id)) {
-        eprintln!("fig: unknown id {unknown:?} (valid ids: {})", IDS.join(", "));
-        std::process::exit(2);
-    }
-    args.apply_defaults();
-    let preset = args.preset();
-    let sms = sms_from_env();
-    let healthy = ids.iter().fold(true, |healthy, id| run(id, &args, preset, sms) & healthy);
+    let args = BenchArgs::parse(&IDS);
+    let cfg = args.gpu_config();
+    let healthy = args.ids.iter().fold(true, |healthy, id| run(id, &args, &cfg) & healthy);
     if !healthy {
         std::process::exit(2);
     }

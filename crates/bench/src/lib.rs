@@ -12,21 +12,28 @@
 //!
 //! Shared argument parsing for `fig` and `ablation` lives here:
 //! [`BenchArgs`] walks argv exactly once and rejects what it cannot
-//! parse. Both accept a positional preset (`test` / `bench` / `paper`)
-//! and `--max-cycles N`, which caps simulated cycles so misconfigured
-//! runs exit with the watchdog diagnostic instead of spinning forever.
+//! parse, and [`BenchArgs::gpu_config`] builds the one simulated GPU
+//! every figure of the run is passed. Both binaries accept a positional
+//! preset (`test` / `bench` / `paper`), `GEX_SMS`, `--pagesize P` and
+//! `--max-cycles N`, which caps simulated cycles so misconfigured runs
+//! exit with the watchdog diagnostic instead of spinning forever.
 
 use gex::workloads::Preset;
-use gex::{PageSizePolicy, RunBudget, SweepOptions};
+use gex::{GpuConfig, PageSizePolicy, RunBudget, SweepOptions};
 use std::path::PathBuf;
 
 /// Everything `fig` and `ablation` accept on the command line, parsed
 /// from argv in a single pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
-    /// Non-flag arguments in order: the figure ids (`fig` only), then a
-    /// preset name.
-    pub positional: Vec<String>,
+    /// The figure ids (`fig` only): its first positional argument, split
+    /// on `,`.
+    pub ids: Vec<String>,
+    /// The next positional argument: `test`, `bench` or `paper` (the
+    /// default).
+    pub preset: Preset,
+    /// `GEX_SMS`: SM count of the simulated GPU (else Table 1's 16).
+    pub sms: Option<u32>,
     /// `--max-cycles N` / `--max-cycles=N`: simulated-cycle cap.
     pub max_cycles: Option<u64>,
     /// `--deadline N` / `--deadline=N`: per-point cycle budget for
@@ -40,37 +47,47 @@ pub struct BenchArgs {
     /// (implies `--resume` semantics with an explicit path).
     pub journal: Option<String>,
     /// `--pagesize P` / `--pagesize=P`: page-size policy
-    /// (`small` / `transparent` / `hugeonly`) applied as the process-wide
-    /// default, like the `GEX_PAGE_SIZE` environment variable.
+    /// (`small` / `transparent` / `hugeonly`) of the simulated GPU.
     pub pagesize: Option<PageSizePolicy>,
 }
 
 impl BenchArgs {
-    /// Parse the process arguments (excluding the binary name). A command
-    /// line [`parse_from`] rejects is reported on stderr and the process
-    /// exits 2 before anything runs.
+    /// Parse the process arguments (excluding the binary name) and
+    /// `GEX_SMS`; `ids` as for [`parse_from`]. A command line or SM count
+    /// that does not parse is reported on stderr and the process exits 2
+    /// before anything runs.
     ///
     /// [`parse_from`]: BenchArgs::parse_from
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+    pub fn parse(ids: &[&str]) -> Self {
+        let sms = std::env::var("GEX_SMS").ok();
+        Self::parse_from(std::env::args().skip(1), ids)
+            .and_then(|args| Ok(BenchArgs { sms: parse_sms(sms.as_deref())?, ..args }))
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            })
     }
 
     /// Parse an explicit argument list (the testable form of [`parse`]).
-    /// An unknown `-flag`, a flag missing its value, a cycle count that
-    /// is not a `u64` and an unknown page-size policy are errors: a cap
-    /// that silently fails to apply lets the run it was meant to bound run
-    /// unbounded, and a dropped policy runs on pages nobody asked for.
+    /// A binary that takes figure ids passes the valid ones as `ids`; its
+    /// first positional argument is then a `,`-separated list of them.
+    /// An unknown id, preset or `-flag`, a positional argument beyond the
+    /// preset, a flag missing its value, a cycle count that is not a `u64`
+    /// and an unknown page-size policy are errors: a cap that silently
+    /// fails to apply lets the run it was meant to bound run unbounded,
+    /// and a dropped preset or policy runs a machine nobody asked for.
     ///
     /// [`parse`]: BenchArgs::parse
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        ids: &[&str],
+    ) -> Result<Self, String> {
         let mut out = BenchArgs::default();
+        let mut positional = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if !a.starts_with('-') {
-                out.positional.push(a);
+                positional.push(a);
                 continue;
             }
             let (flag, inline) = match a.split_once('=') {
@@ -100,31 +117,39 @@ impl BenchArgs {
                 _ => return Err(format!("unknown flag {a:?}")),
             }
         }
+        let mut positional = positional.into_iter();
+        if !ids.is_empty() {
+            let list = positional.next().unwrap_or_default();
+            out.ids = list.split(',').map(str::to_string).collect();
+            if let Some(unknown) = out.ids.iter().find(|id| !ids.contains(&id.as_str())) {
+                return Err(format!("unknown id {unknown:?} (valid ids: {})", ids.join(", ")));
+            }
+        }
+        if let Some(p) = positional.next() {
+            out.preset = Preset::parse(&p)
+                .ok_or_else(|| format!("unknown preset {p:?} (test, bench or paper)"))?;
+        }
+        if let Some(extra) = positional.next() {
+            return Err(format!("unexpected argument {extra:?} after the preset"));
+        }
         Ok(out)
     }
 
-    /// The preset named by the first positional argument; harness
-    /// binaries default to `paper`.
-    pub fn preset(&self) -> Preset {
-        match self.positional.first().map(String::as_str) {
-            Some("test") => Preset::Test,
-            Some("bench") => Preset::Bench,
-            _ => Preset::Paper,
-        }
-    }
-
-    /// Apply `--max-cycles` and `--pagesize` (each if given) as the
-    /// process-wide cycle cap and page-size policy, so every `GpuConfig`
-    /// the experiment drivers build inherits them. Call once at the top of
-    /// each harness binary's `main`: one call, so no binary parses a flag
-    /// and then drops it.
-    pub fn apply_defaults(&self) {
-        if let Some(c) = self.max_cycles {
-            gex::sim::config::set_default_max_cycles(c);
+    /// The simulated GPU every figure of the run is passed: Table 1's
+    /// machine with `GEX_SMS`, `--pagesize` and `--max-cycles` applied
+    /// when given.
+    pub fn gpu_config(&self) -> GpuConfig {
+        let mut cfg = GpuConfig::kepler_k20();
+        if let Some(n) = self.sms {
+            cfg = cfg.with_sms(n);
         }
         if let Some(policy) = self.pagesize {
-            gex::set_default_page_size(policy);
+            cfg = cfg.with_page_size(policy);
         }
+        if let Some(c) = self.max_cycles {
+            cfg = cfg.with_max_cycles(c);
+        }
+        cfg
     }
 
     /// Supervision options for the sweep of campaign `name`:
@@ -147,9 +172,13 @@ impl BenchArgs {
     }
 }
 
-/// SM count for harness runs: the paper's 16, unless `GEX_SMS` overrides.
-pub fn sms_from_env() -> u32 {
-    std::env::var("GEX_SMS").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
+/// The SM count a `GEX_SMS` of `value` names: anything but a positive
+/// integer is an error naming the variable.
+fn parse_sms(value: Option<&str>) -> Result<Option<u32>, String> {
+    let count = |v: &str| v.parse().ok().filter(|&n| n > 0);
+    value
+        .map(|v| count(v).ok_or_else(|| format!("GEX_SMS: {v:?} is not a positive SM count")))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -161,30 +190,45 @@ mod tests {
     }
 
     fn try_parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::parse_from(args.iter().map(|s| s.to_string()))
+        BenchArgs::parse_from(args.iter().map(|s| s.to_string()), &[])
+    }
+
+    const IDS: [&str; 2] = ["10", "table1"];
+
+    fn try_parse_ids(args: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::parse_from(args.iter().map(|s| s.to_string()), &IDS)
     }
 
     #[test]
     fn preset_defaults_to_paper_under_test_harness() {
         let args = parse(&[]);
-        assert_eq!(args.preset(), Preset::Paper);
+        assert_eq!(args.preset, Preset::Paper);
         assert!(args.max_cycles.is_none());
+        assert_eq!(args.gpu_config(), GpuConfig::kepler_k20(), "no flags: the Table 1 machine");
     }
 
     #[test]
     fn one_pass_parse_covers_all_consumers() {
         let a = parse(&["test", "--max-cycles", "5000", "--pagesize=transparent"]);
-        assert_eq!(a.preset(), Preset::Test);
+        assert_eq!(a.preset, Preset::Test);
         assert_eq!(a.max_cycles, Some(5000));
         assert_eq!(a.pagesize, Some(PageSizePolicy::Transparent));
-        assert_eq!(a.positional, vec!["test"]);
+        let cfg = BenchArgs { sms: Some(4), ..a }.gpu_config();
+        assert_eq!(
+            cfg,
+            GpuConfig::kepler_k20()
+                .with_sms(4)
+                .with_page_size(PageSizePolicy::Transparent)
+                .with_max_cycles(5000)
+        );
     }
 
     #[test]
     fn flag_values_never_leak_into_positionals() {
-        let a = parse(&["--max-cycles", "9", "--journal", "test", "fig10"]);
-        assert_eq!(a.positional, vec!["fig10"]);
-        assert_eq!(a.preset(), Preset::Paper);
+        let a = try_parse_ids(&["--max-cycles", "9", "--journal", "test", "10,table1", "bench"])
+            .unwrap();
+        assert_eq!(a.ids, ["10", "table1"]);
+        assert_eq!(a.preset, Preset::Bench);
         assert_eq!(a.max_cycles, Some(9));
         assert_eq!(a.journal.as_deref(), Some("test"));
     }
@@ -193,7 +237,7 @@ mod tests {
     fn unknown_flags_and_equals_forms_parse() {
         let a = parse(&["--max-cycles=77", "bench"]);
         assert_eq!(a.max_cycles, Some(77));
-        assert_eq!(a.preset(), Preset::Bench);
+        assert_eq!(a.preset, Preset::Bench);
         // Unknown flags, typos included, are errors naming the argument.
         for bad in ["--bench", "--max-cycle", "-x", "--resume=1", "--samples=3"] {
             let err = try_parse(&["test", bad, "5000"]).unwrap_err();
@@ -212,10 +256,28 @@ mod tests {
             (&["--journal"][..], "--journal"),
             (&["test", "--pagesize=giant"][..], "--pagesize"),
             (&["--pagesize"][..], "--pagesize"),
+            (&["tset"][..], "\"tset\""),
+            (&["Test"][..], "\"Test\""),
+            (&["test", "extra"][..], "\"extra\""),
         ] {
             let err = try_parse(args).unwrap_err();
             assert!(err.contains(names), "{args:?}: {err}");
         }
+        for (args, names) in [
+            (&["10", "tset"][..], "\"tset\""),
+            (&["table1", "test", "extra"][..], "\"extra\""),
+            (&["10,15", "test"][..], "\"15\""),
+            (&[][..], "unknown id \"\""),
+        ] {
+            let err = try_parse_ids(args).unwrap_err();
+            assert!(err.contains(names), "{args:?}: {err}");
+        }
+        for sms in ["abc", "0", "-4", "", "2.5"] {
+            let err = parse_sms(Some(sms)).unwrap_err();
+            assert!(err.contains("GEX_SMS"), "{sms:?}: {err}");
+        }
+        assert_eq!(parse_sms(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_sms(None), Ok(None));
     }
 
     #[test]

@@ -3,9 +3,13 @@
 use std::process::{Command, Output};
 
 fn fig(args: &[&str]) -> Output {
+    fig_on(args, "2")
+}
+
+fn fig_on(args: &[&str], sms: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fig"))
         .args(args)
-        .env("GEX_SMS", "2")
+        .env("GEX_SMS", sms)
         .output()
         .expect("fig runs")
 }
@@ -23,15 +27,21 @@ fn an_unknown_id_exits_2_and_lists_the_valid_ids() {
 }
 
 /// A cap that does not parse must not degrade to an uncapped run, and a
-/// mistyped flag or page-size policy must not be dropped.
+/// mistyped flag, preset, page-size policy or SM count must not be
+/// dropped.
 #[test]
 fn a_malformed_command_line_exits_2_before_anything_runs() {
-    for (args, names) in [
-        (&["10", "test", "--max-cycles=abc"][..], "--max-cycles"),
-        (&["10", "test", "--bogus"][..], "--bogus"),
-        (&["10", "test", "--pagesize=giant"][..], "--pagesize"),
+    for (sms, args, names) in [
+        ("2", &["10", "test", "--max-cycles=abc"][..], "--max-cycles"),
+        ("2", &["10", "test", "--bogus"][..], "--bogus"),
+        ("2", &["10", "test", "--pagesize=giant"][..], "--pagesize"),
+        ("2", &["10", "tset"][..], "\"tset\""),
+        ("2", &["table2", "tset", "extra"][..], "\"tset\""),
+        ("2", &["table2", "test", "extra"][..], "\"extra\""),
+        ("abc", &["table1", "test"][..], "GEX_SMS"),
+        ("0", &["table1", "test"][..], "GEX_SMS"),
     ] {
-        let out = fig(args);
+        let out = fig_on(args, sms);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed before the flags were validated");
         let err = String::from_utf8(out.stderr).unwrap();
@@ -51,6 +61,7 @@ fn fig_10_11_answers_every_fig11_baseline_from_the_result_cache() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.starts_with("Table 1:"), "fig 10 leads with Table 1");
+    assert!(text.contains("Number of SMs        2\n"), "Table 1 shows the simulated GPU");
     let sweeps: Vec<&str> = text.lines().filter(|l| l.starts_with("sweep:")).collect();
     assert_eq!(
         sweeps,

@@ -116,18 +116,20 @@ impl<'a> GridPoint<'a> {
 
 /// Run `grid` through [`run_point`] under sweep supervision. With
 /// `opts.journal` set the campaign is resumable: the journal is keyed by
-/// a digest of `campaign` plus the full ordered key list, and an unusable
-/// path degrades to running without resumption rather than failing the
-/// sweep. Outcomes come back in grid order, `None` for quarantined
-/// points.
+/// a digest of `campaign` plus every point's key and simulated GPU, in
+/// grid order (so a journal written on another machine configuration is
+/// never resumed), and an unusable path degrades to running without
+/// resumption rather than failing the sweep. Outcomes come back in grid
+/// order, `None` for quarantined points.
 pub fn sweep(
     campaign: &str,
     grid: Vec<GridPoint<'_>>,
     opts: &SweepOptions,
 ) -> Supervised<Vec<Option<Outcome>>> {
     let journal = opts.journal.as_ref().and_then(|path| {
-        let keys: Vec<&str> = grid.iter().map(|p| p.key.as_str()).collect();
-        let d = digest(&format!("{campaign}|{}", keys.join(",")));
+        let points: Vec<String> =
+            grid.iter().map(|p| format!("{}={:?}", p.key, p.spec.config)).collect();
+        let d = digest(&format!("{campaign}|{}", points.join(",")));
         CampaignJournal::open(path, d)
             .map_err(|e| {
                 eprintln!(
@@ -207,14 +209,12 @@ fn resident_inputs(preset: Preset) -> Inputs {
 /// `workload/label`.
 fn grid<'a>(
     inputs: &'a Inputs,
-    sms: u32,
+    cfg: &GpuConfig,
     variants: &[(String, Scheme, PagingMode)],
 ) -> Vec<GridPoint<'a>> {
-    let cfg = GpuConfig::kepler_k20().with_sms(sms);
     inputs
         .iter()
         .flat_map(|(w, res)| {
-            let cfg = &cfg;
             variants.iter().map(move |(label, scheme, paging)| {
                 GridPoint::new(
                     format!("{}/{label}", w.name),
@@ -226,17 +226,21 @@ fn grid<'a>(
 }
 
 /// The fault-free [`grid`] of Figures 10 and 11: one variant per scheme.
-fn resident_grid<'a>(inputs: &'a Inputs, sms: u32, schemes: &[Scheme]) -> Vec<GridPoint<'a>> {
+fn resident_grid<'a>(
+    inputs: &'a Inputs,
+    cfg: &GpuConfig,
+    schemes: &[Scheme],
+) -> Vec<GridPoint<'a>> {
     let variants: Vec<_> =
         schemes.iter().map(|&s| (format!("{s:?}"), s, PagingMode::AllResident)).collect();
-    grid(inputs, sms, &variants)
+    grid(inputs, cfg, &variants)
 }
 
 /// The replay-queue demand-paging [`grid`] of Figures 12-14: one variant
 /// per `(label, block switching, local handling)` triple.
 fn demand_grid<'a>(
     inputs: &'a Inputs,
-    sms: u32,
+    cfg: &GpuConfig,
     interconnect: Interconnect,
     variants: &[(&str, Option<BlockSwitchConfig>, Option<LocalFaultConfig>)],
 ) -> Vec<GridPoint<'a>> {
@@ -247,7 +251,7 @@ fn demand_grid<'a>(
             (label.to_string(), Scheme::ReplayQueue, paging)
         })
         .collect();
-    grid(inputs, sms, &variants)
+    grid(inputs, cfg, &variants)
 }
 
 /// A figure's rows: one per workload, from that workload's run of
@@ -302,21 +306,17 @@ impl Fig10 {
 const FIG10_SCHEMES: [Scheme; 4] =
     [Scheme::Baseline, Scheme::WdCommit, Scheme::WdLastCheck, Scheme::ReplayQueue];
 
-/// Figure 10's grid: every Parboil workload under the baseline and the
-/// three preemptible pipelines.
-fn fig10_grid(inputs: &Inputs, sms: u32) -> Vec<GridPoint<'_>> {
-    resident_grid(inputs, sms, &FIG10_SCHEMES)
-}
-
-/// Run the Figure 10 sweep. Every `(workload, scheme)` point is an
+/// Run the Figure 10 sweep: every Parboil workload under the baseline and
+/// the three preemptible pipelines. Every `(workload, scheme)` point is an
 /// independent simulation, so the grid is flattened onto the parallel
 /// sweep engine and rows are reassembled in workload order. Failed points
 /// are quarantined (their rows show `NaN`), deadline overruns retry with
 /// escalated budgets, and an attached journal makes the campaign
-/// resumable.
-pub fn fig10(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig10> {
+/// resumable. Every point runs on `cfg`.
+pub fn fig10(preset: Preset, cfg: &GpuConfig, opts: &SweepOptions) -> Supervised<Fig10> {
     let inputs = resident_inputs(preset);
-    sweep(&format!("fig10|{preset:?}|sms={sms}"), fig10_grid(&inputs, sms), opts).map(|out| Fig10 {
+    let grid = resident_grid(&inputs, cfg, &FIG10_SCHEMES);
+    sweep(&format!("fig10|{preset:?}"), grid, opts).map(|out| Fig10 {
         rows: rows(&inputs, &out, |benchmark, o| Fig10Row {
             benchmark,
             wd_commit: ratio(o[0], o[1]),
@@ -378,22 +378,17 @@ impl Fig11 {
     }
 }
 
-/// Figure 11's grid: per Parboil workload, the baseline plus one
-/// operand-log run per entry of `sizes` (bytes).
-fn fig11_grid<'a>(inputs: &'a Inputs, sms: u32, sizes: &[u32]) -> Vec<GridPoint<'a>> {
+/// Run the Figure 11 sweep: per Parboil workload, the baseline plus one
+/// operand-log run per studied log size (see [`fig10`] for the
+/// supervision contract).
+pub fn fig11(preset: Preset, cfg: &GpuConfig, opts: &SweepOptions) -> Supervised<Fig11> {
+    let sizes: Vec<u32> = gex_power::studied_sizes().to_vec();
+    let inputs = resident_inputs(preset);
     let schemes: Vec<Scheme> = std::iter::once(Scheme::Baseline)
         .chain(sizes.iter().map(|&bytes| Scheme::OperandLog { bytes }))
         .collect();
-    resident_grid(inputs, sms, &schemes)
-}
-
-/// Run the Figure 11 sweep over the paper's four log sizes (see
-/// [`fig10`] for the supervision contract).
-pub fn fig11(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<Fig11> {
-    let sizes: Vec<u32> = gex_power::studied_sizes().to_vec();
-    let inputs = resident_inputs(preset);
-    let grid = fig11_grid(&inputs, sms, &sizes);
-    sweep(&format!("fig11|{preset:?}|sms={sms}"), grid, opts).map(|out| Fig11 {
+    let grid = resident_grid(&inputs, cfg, &schemes);
+    sweep(&format!("fig11|{preset:?}"), grid, opts).map(|out| Fig11 {
         rows: rows(&inputs, &out, |benchmark, o| Fig11Row {
             benchmark,
             by_size: o[1..].iter().map(|&v| ratio(o[0], v)).collect(),
@@ -448,31 +443,27 @@ pub struct Fig12 {
     pub rows: Vec<Fig12Row>,
 }
 
-/// Figure 12's grid. Per workload: plain demand paging, default
-/// switching, ideal switching — three independent simulation points.
-fn fig12_grid(inputs: &Inputs, sms: u32, interconnect: Interconnect) -> Vec<GridPoint<'_>> {
-    let variants = [
-        ("demand", None, None),
-        ("switch", Some(BlockSwitchConfig::default()), None),
-        ("ideal", Some(BlockSwitchConfig::ideal()), None),
-    ];
-    demand_grid(inputs, sms, interconnect, &variants)
-}
-
 /// Run one Figure 12 panel (see [`fig10`] for the supervision contract).
-/// The baseline supports preemptible faults with the replay queue but
-/// performs no switching, exactly as in Section 5.1.
+/// Per workload: plain demand paging, default switching, ideal switching
+/// — three independent simulation points. The baseline supports
+/// preemptible faults with the replay queue but performs no switching,
+/// exactly as in Section 5.1.
 pub fn fig12(
     preset: Preset,
-    sms: u32,
+    cfg: &GpuConfig,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<Fig12> {
     // Demand paging reads the residency, so each workload needs its real
     // page set — one per workload, shared by its three points.
     let inputs = with_residency(suite::parboil(preset), Workload::demand_residency);
-    let campaign = format!("fig12|{preset:?}|sms={sms}|{interconnect}");
-    sweep(&campaign, fig12_grid(&inputs, sms, interconnect), opts).map(|out| Fig12 {
+    let variants = [
+        ("demand", None, None),
+        ("switch", Some(BlockSwitchConfig::default()), None),
+        ("ideal", Some(BlockSwitchConfig::ideal()), None),
+    ];
+    let grid = demand_grid(&inputs, cfg, interconnect, &variants);
+    sweep(&format!("fig12|{preset:?}|{interconnect}"), grid, opts).map(|out| Fig12 {
         interconnect,
         rows: rows(&inputs, &out, |benchmark, o| Fig12Row {
             benchmark,
@@ -539,27 +530,19 @@ impl LocalHandlingFig {
     }
 }
 
-/// The grid of Figures 13 and 14. Per workload: CPU-handled and
-/// GPU-local-handled demand paging.
-fn local_handling_grid(
-    inputs: &Inputs,
-    sms: u32,
-    interconnect: Interconnect,
-) -> Vec<GridPoint<'_>> {
-    let variants = [("cpu", None, None), ("local", None, Some(LocalFaultConfig::default()))];
-    demand_grid(inputs, sms, interconnect, &variants)
-}
-
+/// Figure 13 or 14. Per workload: CPU-handled and GPU-local-handled
+/// demand paging.
 fn local_handling_fig(
     figure: &'static str,
     preset: Preset,
     inputs: Inputs,
-    sms: u32,
+    cfg: &GpuConfig,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    let campaign = format!("fig{figure}|{preset:?}|sms={sms}|{interconnect}");
-    sweep(&campaign, local_handling_grid(&inputs, sms, interconnect), opts).map(|out| {
+    let variants = [("cpu", None, None), ("local", None, Some(LocalFaultConfig::default()))];
+    let grid = demand_grid(&inputs, cfg, interconnect, &variants);
+    sweep(&format!("fig{figure}|{preset:?}|{interconnect}"), grid, opts).map(|out| {
         LocalHandlingFig {
             figure,
             interconnect,
@@ -586,22 +569,22 @@ fn fig14_inputs(preset: Preset) -> Inputs {
 /// memory (see [`fig10`] for the supervision contract).
 pub fn fig13(
     preset: Preset,
-    sms: u32,
+    cfg: &GpuConfig,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    local_handling_fig("13", preset, fig13_inputs(preset), sms, interconnect, opts)
+    local_handling_fig("13", preset, fig13_inputs(preset), cfg, interconnect, opts)
 }
 
 /// Figure 14: local handling of faults on kernel output pages (see
 /// [`fig10`] for the supervision contract).
 pub fn fig14(
     preset: Preset,
-    sms: u32,
+    cfg: &GpuConfig,
     interconnect: Interconnect,
     opts: &SweepOptions,
 ) -> Supervised<LocalHandlingFig> {
-    local_handling_fig("14", preset, fig14_inputs(preset), sms, interconnect, opts)
+    local_handling_fig("14", preset, fig14_inputs(preset), cfg, interconnect, opts)
 }
 
 impl fmt::Display for LocalHandlingFig {
@@ -631,9 +614,8 @@ impl fmt::Display for LocalHandlingFig {
 
 // ----------------------------------------------------------------- Tables
 
-/// Render Table 1 (the simulation parameters) from the live configuration.
-pub fn table1() -> String {
-    let c = GpuConfig::kepler_k20();
+/// Render Table 1 (the simulation parameters) of the simulated GPU `c`.
+pub fn table1(c: &GpuConfig) -> String {
     let mut s = String::new();
     use std::fmt::Write;
     let _ = writeln!(s, "Table 1: simulation parameters");
@@ -720,9 +702,10 @@ pub struct ScalabilityRow {
     pub local_handling: f64,
 }
 
-/// Section 5.5: sweep the SM count and observe that local handling gains
-/// grow with it while the pipeline-scheme ordering is preserved. Each SM
-/// count runs one Figure 10 and one Figure 13 (NVLink) campaign;
+/// Section 5.5: sweep the SM count of `cfg` and observe that local
+/// handling gains grow with it while the pipeline-scheme ordering is
+/// preserved. Each SM count runs one Figure 10 and one Figure 13 (NVLink)
+/// campaign;
 /// journal-backed runs give every inner sweep its own file via
 /// [`SweepOptions::panel`] (`"4sm-fig10"`, `"4sm-fig13"`, ...), since
 /// journals are digest-keyed per campaign and cannot be shared.
@@ -730,6 +713,7 @@ pub struct ScalabilityRow {
 /// rows over quarantined points render as `NaN`.
 pub fn scalability(
     preset: Preset,
+    cfg: &GpuConfig,
     sm_counts: &[u32],
     opts: &SweepOptions,
 ) -> Supervised<Vec<ScalabilityRow>> {
@@ -738,9 +722,10 @@ pub fn scalability(
     let mut quarantine = QuarantineReport::default();
     let (mut resumed, mut simulated) = (0, 0);
     for &sms in sm_counts {
-        let f10 = fig10(preset, sms, &opts.panel(&format!("{sms}sm-fig10")));
+        let cfg = cfg.clone().with_sms(sms);
+        let f10 = fig10(preset, &cfg, &opts.panel(&format!("{sms}sm-fig10")));
         let f13 =
-            fig13(preset, sms, Interconnect::nvlink(), &opts.panel(&format!("{sms}sm-fig13")));
+            fig13(preset, &cfg, Interconnect::nvlink(), &opts.panel(&format!("{sms}sm-fig13")));
         rows.push(ScalabilityRow {
             sms,
             replay_queue: f10.fig.geomeans().2,
@@ -824,7 +809,7 @@ const FIVE_SCHEMES: [Scheme; 5] = [
 /// every [`FigMt::POLICIES`] entry plus a solo victim reference. Each
 /// point journals the victim's cycles with the noisy tenant's lockout
 /// flag.
-pub fn fig_mt(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigMt> {
+pub fn fig_mt(preset: Preset, cfg: &GpuConfig, opts: &SweepOptions) -> Supervised<FigMt> {
     /// Solo reference plus the three policies: the per-scheme mode grid.
     const MODES: [Option<PartitionPolicy>; 4] = [
         None,
@@ -844,13 +829,8 @@ pub fn fig_mt(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigMt
         .iter()
         .flat_map(|&s| MODES.iter().map(move |&m| (s, m)))
         .map(|(s, mode)| {
-            let solo = PointSpec::new(
-                &victim,
-                s,
-                GpuConfig::kepler_k20().with_sms(sms),
-                PagingMode::demand(Interconnect::nvlink()),
-                &res,
-            );
+            let paging = PagingMode::demand(Interconnect::nvlink());
+            let solo = PointSpec::new(&victim, s, cfg.clone(), paging, &res);
             match mode {
                 None => GridPoint::new(format!("{s:?}/solo"), solo),
                 Some(policy) => GridPoint::new(
@@ -860,7 +840,7 @@ pub fn fig_mt(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigMt
             }
         })
         .collect();
-    let campaign = format!("figmt|{preset:?}|sms={sms}|{}+{}", victim.name, noisy.name);
+    let campaign = format!("figmt|{preset:?}|{}+{}", victim.name, noisy.name);
     sweep(&campaign, grid, opts).map(|out| {
         let rows = FIVE_SCHEMES
             .iter()
@@ -974,8 +954,9 @@ impl FigLp {
 /// five schemes × the three page-size policies, plus the two
 /// splinter-storm legs. Grid points journal `(cycles, faulted_requests)`
 /// pairs; the storm legs journal `(victim cycles, lockout)` like the
-/// multi-tenant figure.
-pub fn fig_lp(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigLp> {
+/// multi-tenant figure. Each point runs on `cfg` under its own policy,
+/// whatever `cfg`'s page size.
+pub fn fig_lp(preset: Preset, cfg: &GpuConfig, opts: &SweepOptions) -> Supervised<FigLp> {
     let w = suite::by_name("lbm", preset).expect("lbm in suite");
     let noisy = suite::by_name("histo", preset).expect("histo in suite");
     let res = w.demand_residency();
@@ -984,7 +965,7 @@ pub fn fig_lp(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigLp
         PointSpec::new(
             &w,
             s,
-            GpuConfig::kepler_k20().with_sms(sms).with_page_size(policy),
+            cfg.clone().with_page_size(policy),
             PagingMode::demand(Interconnect::nvlink()),
             &res,
         )
@@ -1008,7 +989,7 @@ pub fn fig_lp(preset: Preset, sms: u32, opts: &SweepOptions) -> Supervised<FigLp
             point(Scheme::ReplayQueue, p).shared(storm),
         ));
     }
-    let campaign = format!("figlp|{preset:?}|sms={sms}|{}+{}", w.name, noisy.name);
+    let campaign = format!("figlp|{preset:?}|{}+{}", w.name, noisy.name);
     sweep(&campaign, grid, opts).map(|out| {
         let (grid, storm) = out.split_at(FIVE_SCHEMES.len() * FigLp::POLICIES.len());
         let column = |o: &[Option<Outcome>], f: fn(Outcome) -> u64| -> Vec<f64> {
@@ -1074,9 +1055,12 @@ mod tests {
 
     #[test]
     fn table_renderers_mention_key_parameters() {
-        let t1 = table1();
+        let t1 = table1(&GpuConfig::kepler_k20());
         assert!(t1.contains("Max Warps            64"));
         assert!(t1.contains("Number of PT walkers 64"));
+        assert!(t1.contains("Number of SMs        16"));
+        let t1 = table1(&GpuConfig::kepler_k20().with_sms(4));
+        assert!(t1.contains("Number of SMs        4\n"), "{t1}");
         let t2 = table2();
         assert!(t2.contains("1.04%"));
         assert!(t2.contains("2.37%"));
@@ -1088,7 +1072,8 @@ mod tests {
         let _serial = cache::serialize_cache_tests();
         let histo = vec![suite::by_name("histo", Preset::Test).unwrap()];
         let inputs = with_residency(histo, |_| Residency::new());
-        let out = sweep("unit", fig10_grid(&inputs, 2), &SweepOptions::default()).expect_healthy();
+        let grid = resident_grid(&inputs, &GpuConfig::kepler_k20().with_sms(2), &FIG10_SCHEMES);
+        let out = sweep("unit", grid, &SweepOptions::default()).expect_healthy();
         let wd_commit = ratio(out[0], out[1]);
         assert!(wd_commit <= 1.001 && wd_commit > 0.3);
     }

@@ -58,10 +58,10 @@ pub mod sm {
 pub use gex_workloads as workloads;
 
 pub use gex_sim::{
-    default_page_size, geomean, set_default_max_cycles, set_default_page_size, BlockSwitchConfig, BudgetExceeded, CancelToken, DeadlineDiagnostic, Gpu,
-    GpuConfig, GpuRunReport, InjectionPlan, InjectionStats, Interconnect, LocalFaultConfig,
-    LpStats, PageSizePolicy, PagingMode, PartitionPolicy, Residency, RunBudget, SharedRunReport,
-    SimError, TenantId, TenantRunReport, TenantWorkload, WatchdogDiagnostic, TENANT_SHIFT,
+    geomean, BlockSwitchConfig, BudgetExceeded, CancelToken, DeadlineDiagnostic, Gpu, GpuConfig,
+    GpuRunReport, InjectionPlan, InjectionStats, Interconnect, LocalFaultConfig, LpStats,
+    PageSizePolicy, PagingMode, PartitionPolicy, Residency, RunBudget, SharedRunReport, SimError,
+    TenantId, TenantRunReport, TenantWorkload, WatchdogDiagnostic, TENANT_SHIFT,
 };
 pub use gex_sm::Scheme;
 pub use journal::{CampaignJournal, CampaignManifest};

@@ -40,7 +40,8 @@ impl Drop for EnabledGuard {
 /// Figure 10 at the Test preset on 4 SMs, rendered; panics on a
 /// quarantined point.
 fn fig10_render() -> String {
-    experiments::fig10(Preset::Test, 4, &SweepOptions::default()).expect_healthy().to_string()
+    let cfg = GpuConfig::kepler_k20().with_sms(4);
+    experiments::fig10(Preset::Test, &cfg, &SweepOptions::default()).expect_healthy().to_string()
 }
 
 fn delta_since(before: &CacheStats) -> CacheStats {
@@ -149,10 +150,10 @@ fn fig11_after_fig10_reuses_every_baseline() {
     let _on = EnabledGuard::set(true);
     cache::clear();
 
-    let opts = SweepOptions::default();
+    let (cfg, opts) = (GpuConfig::kepler_k20().with_sms(4), SweepOptions::default());
     let n = suite::parboil(Preset::Test).len();
 
-    let f10 = experiments::fig10(Preset::Test, 4, &opts);
+    let f10 = experiments::fig10(Preset::Test, &cfg, &opts);
     assert!(f10.quarantine.is_empty());
     assert_eq!(
         (f10.cache.hits, f10.cache.misses),
@@ -161,7 +162,7 @@ fn fig11_after_fig10_reuses_every_baseline() {
         f10.cache
     );
 
-    let f11 = experiments::fig11(Preset::Test, 4, &opts);
+    let f11 = experiments::fig11(Preset::Test, &cfg, &opts);
     assert!(f11.quarantine.is_empty());
     assert_eq!(
         f11.cache.hits,
@@ -177,7 +178,7 @@ fn fig11_after_fig10_reuses_every_baseline() {
     );
 
     // A repeat of the whole campaign is fully cached: zero simulations.
-    let again = experiments::fig11(Preset::Test, 4, &opts);
+    let again = experiments::fig11(Preset::Test, &cfg, &opts);
     assert!(again.quarantine.is_empty());
     assert_eq!(
         (again.cache.hits, again.cache.misses),

@@ -24,8 +24,8 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 #[test]
 fn fig10_parallel_is_byte_identical_to_serial() {
     let _g = THREADS_LOCK.lock().unwrap();
-    let opts = SweepOptions::default();
-    let fig10 = || experiments::fig10(Preset::Test, 4, &opts).expect_healthy().to_string();
+    let (cfg, opts) = (GpuConfig::kepler_k20().with_sms(4), SweepOptions::default());
+    let fig10 = || experiments::fig10(Preset::Test, &cfg, &opts).expect_healthy().to_string();
     let serial = with_threads(1, fig10);
     let parallel = with_threads(8, fig10);
     assert_eq!(serial, parallel, "fig10 must not depend on worker count");
@@ -36,9 +36,9 @@ fn fig10_parallel_is_byte_identical_to_serial() {
 fn fig12_and_fig13_parallel_match_serial() {
     let _g = THREADS_LOCK.lock().unwrap();
     let ic = Interconnect::nvlink();
-    let opts = SweepOptions::default();
-    let fig12 = || experiments::fig12(Preset::Test, 2, ic, &opts).expect_healthy().to_string();
-    let fig13 = || experiments::fig13(Preset::Test, 2, ic, &opts).expect_healthy().to_string();
+    let (cfg, opts) = (GpuConfig::kepler_k20().with_sms(2), SweepOptions::default());
+    let fig12 = || experiments::fig12(Preset::Test, &cfg, ic, &opts).expect_healthy().to_string();
+    let fig13 = || experiments::fig13(Preset::Test, &cfg, ic, &opts).expect_healthy().to_string();
     let s12 = with_threads(1, fig12);
     let p12 = with_threads(8, fig12);
     assert_eq!(s12, p12, "fig12 must not depend on worker count");

@@ -9,8 +9,8 @@
 
 use gex::workloads::{suite, Preset};
 use gex::{
-    run_supervised, CampaignJournal, FailureKind, Gpu, GpuConfig, PagingMode, Residency,
-    RunBudget, Scheme, SimError, SupervisePolicy, SweepOptions, Workload,
+    run_supervised, CampaignJournal, FailureKind, Gpu, GpuConfig, Interconnect, PageSizePolicy,
+    PagingMode, Residency, RunBudget, Scheme, SimError, SupervisePolicy, SweepOptions, Workload,
 };
 use std::path::PathBuf;
 
@@ -110,9 +110,10 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
     // trusted and not fatal.
     std::fs::write(&path, "garbage left by some other tool\n").unwrap();
 
+    let cfg = GpuConfig::kepler_k20().with_sms(2);
     let opts =
         SweepOptions { journal: Some(path.clone()), ..SweepOptions::default() };
-    let full = gex::experiments::fig10(Preset::Test, 2, &opts);
+    let full = gex::experiments::fig10(Preset::Test, &cfg, &opts);
     assert!(full.quarantine.is_empty(), "{}", full.quarantine);
     assert_eq!(full.resumed, 0, "a corrupt journal must not resume anything");
     let total = full.simulated;
@@ -130,7 +131,7 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
     truncated.push('\n');
     std::fs::write(&path, truncated).unwrap();
 
-    let resumed = gex::experiments::fig10(Preset::Test, 2, &opts);
+    let resumed = gex::experiments::fig10(Preset::Test, &cfg, &opts);
     assert_eq!(resumed.resumed, total / 2, "journaled points are not re-simulated");
     assert_eq!(resumed.simulated, total - total / 2, "only the missing points run");
     assert!(resumed.quarantine.is_empty(), "{}", resumed.quarantine);
@@ -141,7 +142,7 @@ fn killed_campaign_resumes_byte_identically_simulating_only_missing_points() {
     );
 
     // Fully journaled now: a third run answers everything from the file.
-    let replayed = gex::experiments::fig10(Preset::Test, 2, &opts);
+    let replayed = gex::experiments::fig10(Preset::Test, &cfg, &opts);
     assert_eq!((replayed.resumed, replayed.simulated), (total, 0));
     assert_eq!(replayed.fig.to_string(), rendered);
     let _ = std::fs::remove_file(&path);
@@ -157,7 +158,8 @@ fn scalability_sweep_supervises_and_resumes_each_panel() {
         journal: Some(journal_path("scalability")),
         ..SweepOptions::default()
     };
-    let first = gex::experiments::scalability(Preset::Test, &[2], &opts);
+    let cfg = GpuConfig::kepler_k20();
+    let first = gex::experiments::scalability(Preset::Test, &cfg, &[2], &opts);
     assert!(first.quarantine.is_empty(), "{}", first.quarantine);
     assert_eq!(first.resumed, 0);
     assert!(
@@ -177,7 +179,7 @@ fn scalability_sweep_supervises_and_resumes_each_panel() {
 
     // Both panels fully journaled: a re-run simulates nothing and
     // reproduces the row byte-identically.
-    let second = gex::experiments::scalability(Preset::Test, &[2], &opts);
+    let second = gex::experiments::scalability(Preset::Test, &cfg, &[2], &opts);
     assert_eq!(
         (second.resumed, second.simulated),
         (first.simulated, 0),
@@ -213,5 +215,27 @@ fn a_stale_journal_from_a_different_grid_is_rebuilt_not_reused() {
     let out = run_supervised(grid(&ws), &policy, Some(&j), run);
     assert_eq!((out.resumed, out.simulated), (0, 8), "every point re-simulates");
     assert_eq!(j.len(), 8, "the rebuilt journal holds the new campaign's points");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_journal_written_on_another_machine_is_not_resumed() {
+    // The campaign digest covers every point's simulated GPU, so a journal
+    // of Figure 14 on 2 MB pages must not answer the 4 KB figure.
+    let path = journal_path("machine");
+    let journaled = SweepOptions { journal: Some(path.clone()), ..SweepOptions::default() };
+    let (preset, nvlink) = (Preset::Test, Interconnect::nvlink());
+    let small = GpuConfig::kepler_k20().with_sms(2);
+    let huge = small.clone().with_page_size(PageSizePolicy::HugeOnly);
+
+    let first = gex::experiments::fig14(preset, &huge, nvlink, &journaled);
+    assert!(first.quarantine.is_empty(), "{}", first.quarantine);
+    assert!(first.simulated > 0);
+
+    let second = gex::experiments::fig14(preset, &small, nvlink, &journaled);
+    assert_eq!(second.resumed, 0, "a HugeOnly journal must not answer a 4 KB point");
+    assert_eq!(second.simulated, first.simulated, "every point re-simulates");
+    let fresh = gex::experiments::fig14(preset, &small, nvlink, &SweepOptions::default());
+    assert_eq!(second.fig.to_string(), fresh.expect_healthy().to_string());
     let _ = std::fs::remove_file(&path);
 }

@@ -111,7 +111,7 @@ impl MemConfig {
             dram_latency: 200,
             dram_bytes_per_cycle: 256,
             gpu_mem_bytes: 4 * 1024 * 1024 * 1024,
-            page_size: crate::large::default_page_size(),
+            page_size: PageSizePolicy::Small,
             coalesce: true,
         }
     }

@@ -1,5 +1,4 @@
-//! Large-page (2 MB) support: constants, the page-size policy knob and
-//! the process-wide default.
+//! Large-page (2 MB) support: constants and the page-size policy knob.
 //!
 //! Mosaic-style application-transparent huge pages: the memory system
 //! keeps 4 KB pages as the base translation granularity and *coalesces*
@@ -14,7 +13,6 @@
 
 use crate::config::Cycle;
 use gex_isa::PAGE_BYTES;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Bytes per large page (the x86/ARM 2 MB leaf).
 pub const LARGE_PAGE_BYTES: u64 = 2 * 1024 * 1024;
@@ -99,45 +97,6 @@ impl PageSizePolicy {
 impl std::fmt::Display for PageSizePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.token())
-    }
-}
-
-/// Process-wide default policy: 0 = unset (consult `GEX_PAGE_SIZE`, then
-/// [`PageSizePolicy::Small`]), 1..=3 = an explicit
-/// [`set_default_page_size`] call. Mirrors the `--max-cycles` default
-/// plumbing: harness binaries write it once, `MemConfig::kepler_k20`
-/// reads it, explicit builder calls always win.
-static DEFAULT_PAGE_SIZE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(p: PageSizePolicy) -> u8 {
-    match p {
-        PageSizePolicy::Small => 1,
-        PageSizePolicy::Transparent => 2,
-        PageSizePolicy::HugeOnly => 3,
-    }
-}
-
-/// Set the process-wide default page-size policy that freshly built
-/// configurations inherit (the `--pagesize` flag). Configs built before
-/// the call are unaffected.
-pub fn set_default_page_size(p: PageSizePolicy) {
-    DEFAULT_PAGE_SIZE.store(encode(p), Ordering::Relaxed);
-}
-
-/// The current default policy: an explicit [`set_default_page_size`]
-/// call wins, else the `GEX_PAGE_SIZE` environment variable
-/// (`small` / `transparent` / `hugeonly`), else
-/// [`PageSizePolicy::Small`]. Unknown env values fall back to `Small`
-/// rather than failing a run at config time.
-pub fn default_page_size() -> PageSizePolicy {
-    match DEFAULT_PAGE_SIZE.load(Ordering::Relaxed) {
-        1 => PageSizePolicy::Small,
-        2 => PageSizePolicy::Transparent,
-        3 => PageSizePolicy::HugeOnly,
-        _ => std::env::var("GEX_PAGE_SIZE")
-            .ok()
-            .and_then(|v| PageSizePolicy::parse(&v))
-            .unwrap_or(PageSizePolicy::Small),
     }
 }
 

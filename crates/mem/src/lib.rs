@@ -38,8 +38,7 @@ pub mod wheel;
 pub use config::{CacheConfig, Cycle, MemConfig, TlbConfig};
 pub use fault::{FaultAdmission, FaultEntry, FaultKind, FaultQueue};
 pub use large::{
-    default_page_size, frame_of, set_default_page_size, LpStats, PageSizePolicy,
-    LARGE_PAGE_BYTES, REGIONS_PER_LARGE, SUBPAGES_PER_LARGE,
+    frame_of, LpStats, PageSizePolicy, LARGE_PAGE_BYTES, REGIONS_PER_LARGE, SUBPAGES_PER_LARGE,
 };
 pub use page_table::{region_of, PageState, PageTable, REGION_BYTES, REGION_PAGES};
 pub use system::{AccessEvent, AccessKind, AccessToken, FaultMode, MemError, MemStats, MemSystem};

@@ -279,8 +279,7 @@ struct WavePoint {
     /// sharing the GPU; `None` keeps the classic exclusive simulation.
     sharing: Option<(PartitionPolicy, Arc<TenantWorkload>)>,
     /// Page-size policy for the point's GPU: the spec's, or 4 KB pages
-    /// when it names none — never the process default (`GEX_PAGE_SIZE`),
-    /// since the campaign digest must name the pages a point ran on.
+    /// when it names none.
     pagesize: gex::PageSizePolicy,
     /// Owning tenant — becomes the stream's simulator [`TenantId`] on
     /// partitioned points.

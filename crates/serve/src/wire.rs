@@ -100,8 +100,7 @@ pub struct CampaignSpec {
     pub partition: Option<PartitionPolicy>,
     /// Optional page-size policy for the simulated GPU's demand paging
     /// (`small` | `transparent` | `hugeonly`, see [`PageSizePolicy`]).
-    /// `None` means 4 KB pages whatever the server process's default
-    /// (`GEX_PAGE_SIZE`) is — old spec lines parse and re-encode
+    /// `None` means 4 KB pages — old spec lines parse and re-encode
     /// unchanged, so campaign digests (and therefore crash/resume
     /// identity) are unaffected.
     pub pagesize: Option<PageSizePolicy>,
@@ -122,12 +121,8 @@ fn preset_token(p: Preset) -> &'static str {
 }
 
 fn parse_preset(s: &str) -> Result<Preset, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "test" => Ok(Preset::Test),
-        "bench" => Ok(Preset::Bench),
-        "paper" => Ok(Preset::Paper),
-        other => Err(format!("unknown preset {other:?} (test|bench|paper)")),
-    }
+    let token = s.to_ascii_lowercase();
+    Preset::parse(&token).ok_or_else(|| format!("unknown preset {token:?} (test|bench|paper)"))
 }
 
 /// Compact scheme token for spec lines: `Baseline`, `WdCommit`,

@@ -5,34 +5,14 @@ use crate::interconnect::Interconnect;
 use crate::local_fault::LocalFaultConfig;
 use gex_mem::{Cycle, MemConfig, PageSizePolicy};
 use gex_sm::SmConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide default for [`GpuConfig::max_cycles`]; 0 means unset.
-/// Written once by harness binaries parsing `--max-cycles`, consulted by
-/// [`GpuConfig::kepler_k20`]. Explicit builder calls always win.
-static DEFAULT_MAX_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Built-in runaway guard when neither the CLI nor the builder sets one.
+/// Built-in runaway guard unless [`GpuConfig::with_max_cycles`] sets one.
 const MAX_CYCLES_FALLBACK: Cycle = 2_000_000_000;
 
 /// Default forward-progress window: generous against the longest
 /// legitimate stall (a PCIe fault round trip is ~25k cycles; block-switch
 /// transfers are tens of thousands), tiny against the fallback cycle cap.
 const WATCHDOG_FALLBACK: Cycle = 5_000_000;
-
-/// Set the process-wide default cycle cap that freshly built
-/// [`GpuConfig`]s inherit. Harness binaries call this once when the user
-/// passes `--max-cycles N`; configs built before the call are unaffected.
-pub fn set_default_max_cycles(c: Cycle) {
-    DEFAULT_MAX_CYCLES.store(c, Ordering::Relaxed);
-}
-
-fn default_max_cycles() -> Cycle {
-    match DEFAULT_MAX_CYCLES.load(Ordering::Relaxed) {
-        0 => MAX_CYCLES_FALLBACK,
-        c => c,
-    }
-}
 
 /// Full GPU configuration: Table 1's SM and system sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +35,7 @@ impl GpuConfig {
         GpuConfig {
             sm: SmConfig::kepler_k20(),
             mem: MemConfig::kepler_k20(),
-            max_cycles: default_max_cycles(),
+            max_cycles: MAX_CYCLES_FALLBACK,
             watchdog_cycles: WATCHDOG_FALLBACK,
         }
     }
@@ -149,6 +129,7 @@ mod tests {
         let c = GpuConfig::kepler_k20();
         assert_eq!(c.max_cycles, MAX_CYCLES_FALLBACK);
         assert_eq!(c.watchdog_cycles, WATCHDOG_FALLBACK);
+        assert_eq!(c.mem.page_size, PageSizePolicy::Small);
         let c = c.with_max_cycles(123).with_watchdog_cycles(45);
         assert_eq!(c.max_cycles, 123);
         assert_eq!(c.watchdog_cycles, 45);

@@ -34,8 +34,8 @@ pub mod residency;
 pub mod tenant;
 
 pub use block_switch::BlockSwitchConfig;
-pub use config::{set_default_max_cycles, GpuConfig, PagingMode};
-pub use gex_mem::{default_page_size, set_default_page_size, LpStats, PageSizePolicy};
+pub use config::{GpuConfig, PagingMode};
+pub use gex_mem::{LpStats, PageSizePolicy};
 pub use error::{DeadlineDiagnostic, SimError, WatchdogDiagnostic};
 pub use gex_sm::{BudgetExceeded, CancelToken, RunBudget};
 pub use gpu::Gpu;

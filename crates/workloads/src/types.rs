@@ -33,7 +33,7 @@ pub struct BufferSpec {
 }
 
 /// Dataset scale of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Preset {
     /// Tiny, for unit tests.
     Test,
@@ -41,7 +41,20 @@ pub enum Preset {
     /// memory system.
     Bench,
     /// The figure-regeneration size used by the harness binaries.
+    #[default]
     Paper,
+}
+
+impl Preset {
+    /// Parse a lowercase preset token: `test`, `bench` or `paper`.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "test" => Some(Preset::Test),
+            "bench" => Some(Preset::Bench),
+            "paper" => Some(Preset::Paper),
+            _ => None,
+        }
+    }
 }
 
 /// A fully built workload: functional trace, buffers, heap usage.

@@ -75,14 +75,15 @@ fn main() {
     let journal = std::env::temp_dir().join("gex-supervised-campaign.jsonl");
     let _ = std::fs::remove_file(&journal);
     let opts = SweepOptions { journal: Some(journal.clone()), ..SweepOptions::default() };
+    let cfg = GpuConfig::kepler_k20().with_sms(2);
 
     println!("part 2: fig10 with a campaign journal at {}", journal.display());
-    let first = gex::experiments::fig10(Preset::Test, 2, &opts);
+    let first = gex::experiments::fig10(Preset::Test, &cfg, &opts);
     println!(
         "first pass:  {} simulated, {} resumed from journal",
         first.simulated, first.resumed
     );
-    let second = gex::experiments::fig10(Preset::Test, 2, &opts);
+    let second = gex::experiments::fig10(Preset::Test, &cfg, &opts);
     println!(
         "second pass: {} simulated, {} resumed from journal",
         second.simulated, second.resumed

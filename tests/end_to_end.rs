@@ -138,14 +138,14 @@ fn local_handling_wins_on_halloc_storms() {
 /// aggregates.
 #[test]
 fn experiment_drivers_are_consistent() {
-    let opts = gex::SweepOptions::default();
-    let f10 = gex::experiments::fig10(Preset::Test, 2, &opts).expect_healthy();
+    let (cfg, opts) = (GpuConfig::kepler_k20().with_sms(2), gex::SweepOptions::default());
+    let f10 = gex::experiments::fig10(Preset::Test, &cfg, &opts).expect_healthy();
     assert_eq!(f10.rows.len(), 11);
     let (wd, wdl, rq) = f10.geomeans();
     assert!(wd <= wdl && wdl <= rq && rq <= 1.02, "({wd}, {wdl}, {rq})");
 
     let f13 =
-        gex::experiments::fig13(Preset::Test, 2, Interconnect::pcie(), &opts).expect_healthy();
+        gex::experiments::fig13(Preset::Test, &cfg, Interconnect::pcie(), &opts).expect_healthy();
     assert_eq!(f13.rows.len(), 5);
     // At test scale faults are sparse, so the 20 us GPU handler has little
     // concurrency to exploit; just require sanity here (the bench harness
