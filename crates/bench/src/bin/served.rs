@@ -7,31 +7,37 @@
 //!
 //! ```text
 //! cargo run -p gex-bench --release --bin gex-served -- \
-//!     [--addr HOST:PORT] [--journal-dir DIR] [--batch N] \
+//!     [--addr HOST:PORT] [--journal-dir DIR] [--workers N] \
 //!     [--max-pending N] [--max-campaigns N] [--fault-budget N] \
 //!     [--stream-fault-budget N] [--deadline-cycles N] [--retries N] \
-//!     [--idle-timeout-ms N] [--threads N]
+//!     [--idle-timeout-ms N]
 //! ```
 //!
 //! Defaults: `127.0.0.1:0` (a free port — the bound address is printed as
 //! the first stdout line, `gex-served listening on ADDR`, so wrappers and
-//! tests can scrape it), no journal directory (in-memory only), batch =
-//! one point per pool worker, 1024 queued points, 64 campaigns, tenant
-//! fault budget 4, in-run stream fault budget 64 (partitioned points),
+//! tests can scrape it), no journal directory (in-memory only), one
+//! worker per core (`GEX_THREADS` overrides; each worker simulates one
+//! point at a time), 1024 queued points, 64 live campaigns, tenant fault
+//! budget 4, in-run stream fault budget 64 (partitioned points),
 //! unlimited per-point budget, 30 s socket timeout.
 
-use gex::{RunBudget, SupervisePolicy};
+use gex::RunBudget;
 use gex_serve::server::{self, ServerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gex-served [--addr HOST:PORT] [--journal-dir DIR] [--batch N] \
+        "usage: gex-served [--addr HOST:PORT] [--journal-dir DIR] [--workers N] \
          [--max-pending N] [--max-campaigns N] [--fault-budget N] \
          [--stream-fault-budget N] [--deadline-cycles N] [--retries N] \
-         [--idle-timeout-ms N] [--threads N]"
+         [--idle-timeout-ms N]"
     );
     std::process::exit(2);
+}
+
+/// `text` as a number, or the usage message and exit 2.
+fn number<T: std::str::FromStr>(text: String) -> T {
+    text.parse().unwrap_or_else(|_| usage())
 }
 
 fn main() {
@@ -47,32 +53,18 @@ fn main() {
         match flag.as_str() {
             "--addr" => cfg.addr = value("an address"),
             "--journal-dir" => cfg.journal_dir = Some(value("a directory").into()),
-            "--batch" => cfg.batch = value("a count").parse().unwrap_or_else(|_| usage()),
-            "--max-pending" => {
-                cfg.max_pending_points = value("a count").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-campaigns" => {
-                cfg.max_campaigns = value("a count").parse().unwrap_or_else(|_| usage())
-            }
-            "--fault-budget" => {
-                cfg.tenant_fault_budget = value("a count").parse().unwrap_or_else(|_| usage())
-            }
-            "--stream-fault-budget" => {
-                cfg.stream_fault_budget = value("a count").parse().unwrap_or_else(|_| usage())
-            }
+            "--workers" => cfg.workers = number(value("a count")),
+            "--max-pending" => cfg.max_pending_points = number(value("a count")),
+            "--max-campaigns" => cfg.max_campaigns = number(value("a count")),
+            "--fault-budget" => cfg.tenant_fault_budget = number(value("a count")),
+            "--stream-fault-budget" => cfg.stream_fault_budget = number(value("a count")),
             "--deadline-cycles" => {
-                let n: u64 = value("a cycle count").parse().unwrap_or_else(|_| usage());
-                cfg.policy = SupervisePolicy { budget: RunBudget::cycles(n), ..cfg.policy };
+                cfg.policy.budget = RunBudget::cycles(number(value("a cycle count")))
             }
-            "--retries" => {
-                cfg.policy.max_retries = value("a count").parse().unwrap_or_else(|_| usage())
-            }
+            "--retries" => cfg.policy.max_retries = number(value("a count")),
             "--idle-timeout-ms" => {
-                let ms: u64 = value("milliseconds").parse().unwrap_or_else(|_| usage());
+                let ms: u64 = number(value("milliseconds"));
                 cfg.idle_timeout = Duration::from_millis(ms.max(1));
-            }
-            "--threads" => {
-                gex_exec::set_threads(value("a count").parse().unwrap_or_else(|_| usage()))
             }
             "--help" | "-h" => usage(),
             other => {
@@ -83,7 +75,7 @@ fn main() {
     }
 
     // Worker panics are an expected, supervised event (poisoned points
-    // are caught at the job boundary and quarantined); a full backtrace
+    // are caught at the point boundary and quarantined); a full backtrace
     // per panicking point would drown the log. One line each.
     std::panic::set_hook(Box::new(|info| {
         eprintln!("gex-served: supervised panic: {info}");

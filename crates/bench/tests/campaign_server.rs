@@ -37,11 +37,9 @@ fn start_daemon(journal_dir: &std::path::Path) -> Daemon {
             "127.0.0.1:0",
             "--journal-dir",
             journal_dir.to_str().unwrap(),
-            "--batch",
+            "--workers",
             "1",
             "--fault-budget",
-            "2",
-            "--threads",
             "2",
         ])
         .stdout(Stdio::piped())
@@ -171,6 +169,7 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
     // numbers.
     let (_, points) = c.results("alice", "big").expect("results");
     assert_eq!(points.len(), 12);
+    let two_sms = GpuConfig::kepler_k20().with_sms(2);
     for p in &points {
         let PointResult::Done { key, cycles } = p else {
             panic!("healthy campaign must have no failed points: {p:?}")
@@ -178,7 +177,7 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
         let (wname, sdbg) = key.split_once('/').unwrap();
         let scheme = *schemes.iter().find(|s| format!("{s:?}") == sdbg).unwrap();
         let w = suite::by_name(wname, Preset::Test).unwrap();
-        let reference = gex::run_workload(&w, scheme, PagingMode::AllResident, 2);
+        let reference = gex::run_workload(&w, scheme, PagingMode::AllResident, &two_sms);
         assert_eq!(
             reference.cycles, *cycles,
             "{key}: post-crash result must equal the serial reference"
@@ -274,13 +273,15 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
     assert_eq!(smt_done.state, "done", "sm-threads campaign: {smt_done:?}");
     assert_eq!(smt_done.done, 2);
     let (_, points) = c.results("erin", "smt").expect("smt results");
+    let four_sms = GpuConfig::kepler_k20().with_sms(4);
     for p in &points {
         let PointResult::Done { key, cycles } = p else {
             panic!("sm-threads campaign must have no failed points: {p:?}")
         };
         let wname = key.split_once('/').unwrap().0;
         let w = suite::by_name(wname, Preset::Test).unwrap();
-        let reference = gex::run_workload(&w, Scheme::WdLastCheck, PagingMode::AllResident, 4);
+        let reference =
+            gex::run_workload(&w, Scheme::WdLastCheck, PagingMode::AllResident, &four_sms);
         assert_eq!(
             reference.cycles, *cycles,
             "{key}: an sm_threads campaign must journal exactly the reference cycles"

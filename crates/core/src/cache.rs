@@ -9,7 +9,7 @@
 //! [`GpuRunReport`] — so this module memoizes completed runs
 //! process-wide and hands out shared [`Arc`]s instead of re-simulating.
 //!
-//! * **Keyed by simulation identity only.** Run budgets (wall clocks,
+//! * **Keyed by simulation identity only.** Run budgets (cycle
 //!   deadlines, cancel tokens) are supervision policy, not physics, so a
 //!   point simulated under one budget answers every later budget; only
 //!   successful runs are cached. Under [`PagingMode::AllResident`] the

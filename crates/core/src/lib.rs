@@ -24,11 +24,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use gex::{Scheme, PagingMode, run_workload};
+//! use gex::{GpuConfig, Scheme, PagingMode, run_workload};
 //! use gex::workloads::{suite, Preset};
 //!
 //! let w = suite::by_name("sgemm", Preset::Test).expect("known benchmark");
-//! let report = run_workload(&w, Scheme::ReplayQueue, PagingMode::AllResident, 16);
+//! let k20 = GpuConfig::kepler_k20();
+//! let report = run_workload(&w, Scheme::ReplayQueue, PagingMode::AllResident, &k20);
 //! assert!(report.cycles > 0);
 //! assert_eq!(report.sm.committed, w.trace.dyn_instrs());
 //! ```
@@ -73,7 +74,8 @@ pub use supervise::{
 };
 pub use gex_workloads::{Preset, Workload};
 
-/// Run `workload` on a `sms`-SM GPU under `scheme` and `paging`.
+/// Run `workload` on the GPU `config` describes under `scheme` and
+/// `paging`.
 ///
 /// For [`PagingMode::AllResident`] every touched page is pre-mapped; demand
 /// modes use the workload's Figure 12 residency (inputs dirty on the CPU,
@@ -85,11 +87,10 @@ pub fn run_workload(
     workload: &Workload,
     scheme: Scheme,
     paging: PagingMode,
-    sms: u32,
+    config: &GpuConfig,
 ) -> GpuRunReport {
     let residency = workload.demand_residency();
-    let config = GpuConfig::kepler_k20().with_sms(sms);
-    let spec = PointSpec::new(workload, scheme, config, paging, &residency);
+    let spec = PointSpec::new(workload, scheme, config.clone(), paging, &residency);
     match point::run_solo(&spec, &RunBudget::none()) {
         Ok(report) => (*report).clone(),
         Err(e) => panic!("{e}"),
@@ -98,14 +99,15 @@ pub fn run_workload(
 
 /// Normalized performance of `scheme` on `workload`: baseline (stall on
 /// fault) cycles divided by `scheme` cycles in the fault-free
-/// configuration — the y-axis of Figures 10 and 11 (1.0 = baseline speed).
+/// configuration on the GPU `config` describes — the y-axis of Figures 10
+/// and 11 (1.0 = baseline speed).
 ///
 /// The baseline run is shared through the [`cache`] across calls (and
 /// with any figure campaign in the same process) instead of being
 /// re-simulated per invocation.
-pub fn normalized_performance(workload: &Workload, scheme: Scheme, sms: u32) -> f64 {
-    let base = run_workload(workload, Scheme::Baseline, PagingMode::AllResident, sms);
-    let this = run_workload(workload, scheme, PagingMode::AllResident, sms);
+pub fn normalized_performance(workload: &Workload, scheme: Scheme, config: &GpuConfig) -> f64 {
+    let base = run_workload(workload, Scheme::Baseline, PagingMode::AllResident, config);
+    let this = run_workload(workload, scheme, PagingMode::AllResident, config);
     base.cycles as f64 / this.cycles as f64
 }
 
@@ -118,7 +120,8 @@ mod tests {
     fn facade_runs_a_workload_end_to_end() {
         let _serial = cache::serialize_cache_tests();
         let w = suite::by_name("histo", Preset::Test).unwrap();
-        let r = run_workload(&w, Scheme::operand_log_kib(16), PagingMode::AllResident, 4);
+        let config = GpuConfig::kepler_k20().with_sms(4);
+        let r = run_workload(&w, Scheme::operand_log_kib(16), PagingMode::AllResident, &config);
         assert_eq!(r.sm.committed, w.trace.dyn_instrs());
     }
 
@@ -126,7 +129,8 @@ mod tests {
     fn normalized_performance_is_at_most_one_ish() {
         let _serial = cache::serialize_cache_tests();
         let w = suite::by_name("lbm", Preset::Test).unwrap();
-        let p = normalized_performance(&w, Scheme::WdCommit, 4);
+        let config = GpuConfig::kepler_k20().with_sms(4);
+        let p = normalized_performance(&w, Scheme::WdCommit, &config);
         assert!(p > 0.1 && p <= 1.001, "wd-commit relative perf {p}");
     }
 }

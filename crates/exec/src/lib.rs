@@ -62,8 +62,7 @@ pub fn threads() -> usize {
 /// process, overriding `GEX_THREADS`. Pass 0 to clear the override.
 ///
 /// Used by the repo benchmark (`benchmark/`) to time the serial and
-/// parallel paths of the same sweep in one process, and by `gex-served
-/// --threads`.
+/// parallel paths of the same sweep in one process.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }

@@ -280,7 +280,7 @@ impl Client {
         }
     }
 
-    /// Ask the daemon to stop (in-flight waves finish and journal).
+    /// Ask the daemon to stop (in-flight points finish and journal).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         // No reconnect-retry here: replaying shutdown against a daemon
         // that just restarted would kill the fresh instance.

@@ -2,14 +2,16 @@
 //!
 //! A long-running daemon that accepts simulation campaigns (grids of
 //! `workload x scheme` points) over a line-oriented TCP protocol and runs
-//! them in parallel sweeps (`gex-exec`) under the full
-//! [`gex::supervise`] stack: panic isolation, deadline retry with budget
-//! escalation, and per-point quarantine.
+//! them on a fixed set of worker threads, one point per worker at a time,
+//! under the full [`gex::supervise`] stack: panic isolation, deadline
+//! retry with budget escalation, and per-point quarantine. A point's
+//! result is applied as soon as it finishes, so one tenant's slow point
+//! never holds back another tenant's fast one.
 //!
 //! On top of the batch supervisor it adds the properties a *shared*,
 //! *long-lived* service needs:
 //!
-//! * **Admission control** — queue depth and campaign count are bounded;
+//! * **Admission control** — queue depth and live campaigns are bounded;
 //!   a submit past either bound is load-shed with an explicit `shed`
 //!   reply instead of being silently queued into unbounded memory.
 //! * **Tenant fairness** — pending points are dispatched by credit-based

@@ -1,13 +1,14 @@
 //! The campaign daemon: admission, dispatch, quarantine, crash recovery.
 //!
 //! One listener thread accepts TCP connections and spawns a
-//! line-protocol handler per client; one dispatcher thread pulls waves of
-//! points off the [`TenantScheduler`] and runs each wave in parallel
-//! (`gex-exec`) through [`gex::run_supervised`], so every
+//! line-protocol handler per client. [`ServerConfig::workers`] worker
+//! threads each take one point at a time off the [`TenantScheduler`] and
+//! run it through [`gex::run_supervised`] as a one-point grid, so every
 //! supervision property of the batch drivers — panic isolation, deadline
-//! retry with budget escalation, per-point quarantine — holds per wave
-//! here too. All shared state sits behind one mutex; simulation happens
-//! strictly outside it.
+//! retry with budget escalation, per-point quarantine — holds per point
+//! here too, and a finished point is applied at once, whatever its
+//! neighbours on the other workers are doing. All shared state sits
+//! behind one mutex; simulation happens strictly outside it.
 //!
 //! ## Durability
 //!
@@ -29,8 +30,8 @@ use gex::workloads::suite;
 use gex::{
     run_supervised, BudgetExceeded, CampaignJournal, CampaignManifest, CancelToken,
     DeadlineDiagnostic, FailureKind, GpuConfig, InjectionPlan, Interconnect, JournalForm, Outcome,
-    PagingMode, PartitionPolicy, PointSpec, Residency, RunBudget, Sharing, SimError,
-    SupervisePolicy, TenantId, TenantWorkload, Workload,
+    PagingMode, PartitionPolicy, PointSpec, QuarantineRecord, Residency, RunBudget, Sharing,
+    SimError, SupervisePolicy, TenantId, TenantWorkload, Workload,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -52,13 +53,14 @@ pub struct ServerConfig {
     /// cancel markers live here. `None` runs fully in memory (no crash
     /// recovery).
     pub journal_dir: Option<PathBuf>,
-    /// Points dispatched per supervised wave; `0` means one per pool
-    /// worker ([`gex_exec::threads`]).
-    pub batch: usize,
+    /// Worker threads, each simulating one point at a time; `0` means
+    /// [`gex_exec::threads`] (`GEX_THREADS`, else one per core).
+    pub workers: usize,
     /// Admission bound: a submit whose grid would push the queued-point
     /// total past this is load-shed with an explicit `shed` reply.
     pub max_pending_points: usize,
-    /// Admission bound on concurrently tracked campaigns.
+    /// Admission bound on live campaigns: finished, quarantined and
+    /// cancelled ones do not count.
     pub max_campaigns: usize,
     /// Per-point supervision policy (budget, retries).
     pub policy: SupervisePolicy,
@@ -87,7 +89,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             journal_dir: None,
-            batch: 0,
+            workers: 0,
             max_pending_points: 1024,
             max_campaigns: 64,
             policy: SupervisePolicy::default(),
@@ -103,7 +105,7 @@ impl Default for ServerConfig {
 enum PointState {
     /// Queued in the tenant scheduler (or waiting to be).
     Pending,
-    /// Dispatched into the current wave.
+    /// Claimed by a worker and simulating.
     Running,
     /// Completed, holding the value its journal stores (see [`decode`]).
     Done(u64),
@@ -208,26 +210,16 @@ impl Campaign {
     /// Events replaying everything that already happened, for a watcher
     /// attaching mid-campaign.
     fn replay(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (key, p) in self.keys.iter().zip(&self.points) {
-            match p {
-                PointState::Done(cycles) => {
-                    out.push(
-                        Event::Point { key: key.clone(), cycles: decode(*cycles).cycles }.encode(),
-                    );
+        self.results()
+            .into_iter()
+            .filter_map(|r| match r {
+                PointResult::Done { key, cycles } => Some(Event::Point { key, cycles }.encode()),
+                PointResult::Quarantined { key, kind, error } => {
+                    Some(Event::Quarantine { key, kind, error }.encode())
                 }
-                PointState::Quarantined { kind, error } => out.push(
-                    Event::Quarantine {
-                        key: key.clone(),
-                        kind: kind.clone(),
-                        error: error.clone(),
-                    }
-                    .encode(),
-                ),
-                _ => {}
-            }
-        }
-        out
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -265,22 +257,21 @@ fn decode(stored: u64) -> Outcome {
     Outcome::from_journal(stored, JournalForm::Cycles)
 }
 
-/// What one wave entry needs to simulate its point, self-contained so the
-/// dispatcher holds no lock while the pool runs.
-struct WavePoint {
+/// What a worker needs to simulate one point, self-contained so it holds
+/// no lock while the point runs.
+struct Task {
     id: String,
     index: usize,
     workload: Arc<Workload>,
     scheme: gex::Scheme,
-    sms: u32,
+    /// The point's GPU: the spec's SM count and page-size policy (4 KB
+    /// pages when it names none).
+    config: GpuConfig,
     seed: Option<u64>,
     inject: Option<Inject>,
     /// Shared-GPU points: the spec's partitioning policy and the neighbor
     /// sharing the GPU; `None` keeps the classic exclusive simulation.
     sharing: Option<(PartitionPolicy, Arc<TenantWorkload>)>,
-    /// Page-size policy for the point's GPU: the spec's, or 4 KB pages
-    /// when it names none.
-    pagesize: gex::PageSizePolicy,
     /// Owning tenant — becomes the stream's simulator [`TenantId`] on
     /// partitioned points.
     tenant: String,
@@ -309,9 +300,9 @@ fn cancelled_err() -> SimError {
 /// server's background neighbor; a journaled value with bit 63 set
 /// records that the stream blew its in-run fault budget and was
 /// quarantined inside the run, so the charge survives crash/resume.
-/// Completed points are journaled (flushed) *here*, before the dispatcher
-/// ever sees the result — the kill-window guarantee.
-fn run_point(p: &WavePoint, budget: &RunBudget) -> Result<u64, SimError> {
+/// Completed points are journaled (flushed) *here*, before the result is
+/// applied — the kill-window guarantee.
+fn run_point(p: &Task, budget: &RunBudget) -> Result<u64, SimError> {
     if p.token.is_cancelled() {
         return Err(cancelled_err());
     }
@@ -329,12 +320,11 @@ fn run_point(p: &WavePoint, budget: &RunBudget) -> Result<u64, SimError> {
         }
         None => {}
     }
-    let config = GpuConfig::kepler_k20().with_sms(p.sms).with_page_size(p.pagesize);
     let (paging, residency) = match p.sharing {
         Some(_) => (PagingMode::demand(Interconnect::nvlink()), p.workload.demand_residency()),
         None => (PagingMode::AllResident, Residency::new()),
     };
-    let mut spec = PointSpec::new(&p.workload, p.scheme, config, paging, &residency);
+    let mut spec = PointSpec::new(&p.workload, p.scheme, p.config.clone(), paging, &residency);
     spec.inject = p.seed.map(InjectionPlan::light);
     spec.sharing = p.sharing.as_ref().map(|(policy, neighbor)| Sharing {
         policy: *policy,
@@ -363,7 +353,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Ask the server to stop: in-flight waves finish and are journaled,
+    /// Ask the server to stop: in-flight points finish and are journaled,
     /// queued points stay queued (and resume on the next start when a
     /// journal directory is configured).
     pub fn shutdown(&self) {
@@ -373,7 +363,7 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Shut down and wait for the listener and dispatcher to exit.
+    /// Shut down and wait for the listener and the workers to exit.
     pub fn join(mut self) {
         self.shutdown();
         for t in self.threads.drain(..) {
@@ -391,7 +381,7 @@ impl ServerHandle {
 }
 
 /// Start a server with `cfg`: bind, recover any campaigns from the
-/// journal directory, then spawn the dispatcher and listener threads.
+/// journal directory, then spawn the workers and the listener thread.
 pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -411,15 +401,18 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
     });
 
-    let dispatcher = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || dispatch_loop(&inner))
-    };
-    let acceptor = {
+    let workers = if inner.cfg.workers == 0 { gex_exec::threads() } else { inner.cfg.workers };
+    let mut threads: Vec<JoinHandle<()>> = (0..workers)
+        .map(|_| {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || worker_loop(&inner))
+        })
+        .collect();
+    threads.push({
         let inner = Arc::clone(&inner);
         std::thread::spawn(move || accept_loop(&inner, listener))
-    };
-    Ok(ServerHandle { addr, inner, threads: vec![dispatcher, acceptor] })
+    });
+    Ok(ServerHandle { addr, inner, threads })
 }
 
 // ---------------------------------------------------------- durability
@@ -470,9 +463,9 @@ fn build_campaign(
     let digest = campaign_digest(id, &spec);
     // Reject unschedulable GPU shapes up front with a clean wire error:
     // these would otherwise surface as panics (or typed SimErrors that
-    // quarantine every point) deep inside the simulator pool. Manifests
-    // only persist after this validation passes, so `recover()` never
-    // sees a spec these checks would refuse.
+    // quarantine every point) deep inside a worker. Manifests only
+    // persist after this validation passes, so `recover()` never sees a
+    // spec these checks would refuse.
     if spec.sms == 0 {
         return Err("spec needs at least one SM".to_string());
     }
@@ -550,24 +543,25 @@ fn build_campaign(
     }
     let pending: Vec<usize> =
         (0..points.len()).filter(|&i| points[i] == PointState::Pending).collect();
-    Ok((
-        Campaign {
-            tenant: tenant.to_string(),
-            spec,
-            keys,
-            grid,
-            sharing,
-            points,
-            digest,
-            journal,
-            token: CancelToken::new(),
-            watchers: Vec::new(),
-            cancelled,
-            resumed,
-            closed: false,
-        },
-        pending,
-    ))
+    let mut campaign = Campaign {
+        tenant: tenant.to_string(),
+        spec,
+        keys,
+        grid,
+        sharing,
+        points,
+        digest,
+        journal,
+        token: CancelToken::new(),
+        watchers: Vec::new(),
+        cancelled,
+        resumed,
+        closed: false,
+    };
+    // A campaign whose every point is already settled on disk has
+    // nothing left to run: close it now.
+    notify(&mut campaign, Vec::new());
+    Ok((campaign, pending))
 }
 
 /// Reload every campaign in `dir` and requeue its unfinished points —
@@ -582,20 +576,15 @@ fn recover(st: &mut State, dir: &PathBuf, tenant_fault_budget: u32) {
         // count), so a tenant that was quarantined stays quarantined
         // across the restart. Completed points whose journaled value
         // carries the storm flag recharge too.
-        let failed: u32 = campaign
+        let faults = campaign
             .points
             .iter()
-            .filter(|p| {
-                matches!(p, PointState::Quarantined { kind, .. }
-                    if kind != "shed" && kind != "cancelled")
+            .filter(|p| match p {
+                PointState::Quarantined { kind, .. } => kind != "shed" && kind != "cancelled",
+                PointState::Done(v) => decode(*v).locked_out,
+                _ => false,
             })
             .count() as u32;
-        let storms = campaign
-            .points
-            .iter()
-            .filter(|p| matches!(p, PointState::Done(v) if decode(*v).locked_out))
-            .count() as u32;
-        let faults = failed + storms;
         if faults > 0 {
             *st.tenant_faults.entry(m.tenant.clone()).or_insert(0) += faults;
         }
@@ -619,7 +608,7 @@ fn recover(st: &mut State, dir: &PathBuf, tenant_fault_budget: u32) {
     }
 }
 
-// ------------------------------------------------------------ dispatch
+// ------------------------------------------------------------- workers
 
 /// Quarantine every campaign of `tenant`: cancel running points, shed
 /// queued ones (persisted so they stay shed across restarts), reject the
@@ -660,35 +649,34 @@ fn notify(c: &mut Campaign, mut events: Vec<String>) {
         c.closed = true;
         // Every point is terminal, so nothing will be dispatched from
         // this campaign again: let go of its workload traces (megabytes
-        // each) and keep only what `status` and `results` answer from.
+        // each) and its journal file, and keep only what `status` and
+        // `results` answer from.
         c.grid = Vec::new();
         c.sharing = None;
+        c.journal = None;
         events.push(Event::State { state: st.to_string() }.encode());
     }
-    if events.is_empty() || c.watchers.is_empty() {
-        if c.closed {
-            c.watchers.clear();
-        }
-        return;
+    if !events.is_empty() {
+        c.watchers.retain(|w| events.iter().all(|e| w.send(e.clone()).is_ok()));
     }
-    c.watchers.retain(|w| events.iter().all(|e| w.send(e.clone()).is_ok()));
     if c.closed {
         c.watchers.clear();
     }
 }
 
-/// The dispatcher: collect a wave under the lock, simulate it on the
-/// pool without the lock, apply the outcome under the lock, repeat.
-fn dispatch_loop(inner: &Inner) {
+/// One worker: claim the next runnable point under the lock, simulate it
+/// without the lock, fold its result back under the lock, repeat until
+/// shutdown.
+fn worker_loop(inner: &Inner) {
     loop {
-        let wave = {
+        let task = {
             let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if st.sched.pending() > 0 {
-                    break;
+                if let Some(task) = next_task(&mut st, &inner.cfg) {
+                    break task;
                 }
                 let (guard, _) = inner
                     .work
@@ -696,34 +684,29 @@ fn dispatch_loop(inner: &Inner) {
                     .unwrap_or_else(|p| p.into_inner());
                 st = guard;
             }
-            collect_wave(&mut st, &inner.cfg)
         };
-        if wave.is_empty() {
-            continue;
-        }
 
-        // Per-wave supervision, one parallel sweep per wave. Waves mix
-        // tenants, so fault budgets are enforced per tenant by
-        // `apply_outcome`, not by the supervisor.
-        let labelled: Vec<(String, WavePoint)> =
-            wave.into_iter().map(|p| (format!("{}|{}", p.id, p.key), p)).collect();
-        let order: Vec<(String, usize)> =
-            labelled.iter().map(|(_, p)| (p.id.clone(), p.index)).collect();
-        let outcome = run_supervised(labelled, &inner.cfg.policy, None, run_point);
+        // A one-point supervised grid takes the supervisor's serial path:
+        // this thread, a `catch_unwind` around the point, and deadline
+        // retry with escalation. Fault budgets are per tenant, so
+        // `apply_result` enforces them, not the supervisor.
+        let (id, index) = (task.id.clone(), task.index);
+        let mut outcome =
+            run_supervised(vec![(task.key.clone(), task)], &inner.cfg.policy, None, run_point);
+        let result = outcome.values[0].ok_or_else(|| outcome.quarantine.records.remove(0));
 
         let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
-        apply_outcome(&mut st, &inner.cfg, &order, outcome);
+        apply_result(&mut st, &inner.cfg, &id, index, result);
     }
 }
 
-/// Pop up to a wave's worth of runnable jobs. Jobs whose campaign was
-/// cancelled or whose tenant got quarantined between enqueue and now are
-/// finalized inline instead of simulated.
-fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
-    let batch = if cfg.batch == 0 { gex_exec::threads().max(1) } else { cfg.batch };
-    let mut wave = Vec::with_capacity(batch);
-    while wave.len() < batch {
-        let Some(job) = st.sched.dequeue() else { break };
+/// Pop the next runnable job and claim it, or `None` once the queue is
+/// empty. Jobs whose campaign was cancelled or whose tenant got
+/// quarantined between enqueue and now are finalized inline instead of
+/// simulated.
+fn next_task(st: &mut State, cfg: &ServerConfig) -> Option<Task> {
+    loop {
+        let job = st.sched.dequeue()?;
         let Some(c) = st.campaigns.get_mut(&job.campaign) else { continue };
         if c.points[job.index] != PointState::Pending {
             continue;
@@ -734,16 +717,17 @@ fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
             continue;
         }
         c.points[job.index] = PointState::Running;
-        wave.push(WavePoint {
-            id: job.campaign.clone(),
+        return Some(Task {
+            id: job.campaign,
             index: job.index,
             workload: Arc::clone(&c.grid[job.index].0),
             scheme: c.grid[job.index].1,
-            sms: c.spec.sms,
+            config: GpuConfig::kepler_k20()
+                .with_sms(c.spec.sms)
+                .with_page_size(c.spec.pagesize.unwrap_or_default()),
             seed: c.spec.seed,
             inject: c.spec.inject,
             sharing: c.sharing.clone(),
-            pagesize: c.spec.pagesize.unwrap_or_default(),
             tenant: c.tenant.clone(),
             stream_budget: cfg.stream_fault_budget,
             token: c.token.clone(),
@@ -751,72 +735,51 @@ fn collect_wave(st: &mut State, cfg: &ServerConfig) -> Vec<WavePoint> {
             key: c.keys[job.index].clone(),
         });
     }
-    wave
 }
 
-/// Fold a wave's [`gex::SweepOutcome`] back into campaign state: record
-/// completions, persist quarantines, charge tenant fault budgets, and
-/// quarantine tenants that blew theirs.
-fn apply_outcome(
+/// Fold one point's supervised result back into campaign state: record a
+/// completion, persist a quarantine, charge the tenant's fault budget,
+/// and quarantine the tenant once it is spent.
+fn apply_result(
     st: &mut State,
     cfg: &ServerConfig,
-    order: &[(String, usize)],
-    outcome: gex::SweepOutcome,
+    id: &str,
+    index: usize,
+    result: Result<u64, QuarantineRecord>,
 ) {
-    // Quarantine records are keyed by the wave label `id|key`.
-    let mut failed: HashMap<String, (String, String)> = outcome
-        .quarantine
-        .records
-        .into_iter()
-        .map(|r| (r.key, (r.kind.to_string(), r.error)))
-        .collect();
-    let mut blown: Vec<String> = Vec::new();
-    for (slot, (id, index)) in order.iter().enumerate() {
-        let Some(c) = st.campaigns.get_mut(id) else { continue };
-        let key = c.keys[*index].clone();
-        let mut events = Vec::new();
-        // Failed points charge the tenant fault budget, and so do
-        // completed partitioned points carrying the in-run storm flag in
-        // bit 63: the tenant's stream blew its fault budget inside the
-        // shared run.
-        let charged = match outcome.values[slot] {
-            Some(stored) => {
-                c.points[*index] = PointState::Done(stored);
-                let point = decode(stored);
-                events.push(Event::Point { key, cycles: point.cycles }.encode());
-                point.locked_out
-            }
-            None => {
-                let (kind, error) = failed
-                    .remove(&format!("{id}|{key}"))
-                    .unwrap_or_else(|| ("unknown".to_string(), "missing record".to_string()));
-                if kind == FailureKind::Cancelled.to_string() {
-                    c.points[*index] = PointState::Cancelled;
-                    false
-                } else {
-                    c.points[*index] =
-                        PointState::Quarantined { kind: kind.clone(), error: error.clone() };
-                    persist_quarantine(cfg.journal_dir.as_ref(), c.digest, &key, &kind, &error);
-                    events.push(Event::Quarantine { key, kind, error }.encode());
-                    true
-                }
-            }
-        };
-        let tenant = c.tenant.clone();
-        notify(c, events);
-        if charged {
-            let n = st.tenant_faults.entry(tenant.clone()).or_insert(0);
-            *n += 1;
-            if *n >= cfg.tenant_fault_budget
-                && !st.quarantined_tenants.contains(&tenant)
-                && !blown.contains(&tenant)
-            {
-                blown.push(tenant);
-            }
+    let Some(c) = st.campaigns.get_mut(id) else { return };
+    let key = c.keys[index].clone();
+    let mut events = Vec::new();
+    // Failed points charge the tenant fault budget, and so do completed
+    // partitioned points carrying the in-run storm flag in bit 63: the
+    // tenant's stream blew its fault budget inside the shared run.
+    let charged = match result {
+        Ok(stored) => {
+            c.points[index] = PointState::Done(stored);
+            let point = decode(stored);
+            events.push(Event::Point { key, cycles: point.cycles }.encode());
+            point.locked_out
         }
-    }
-    for tenant in blown {
-        quarantine_tenant(st, &tenant, cfg.journal_dir.as_ref());
+        Err(r) if r.kind == FailureKind::Cancelled => {
+            c.points[index] = PointState::Cancelled;
+            false
+        }
+        Err(r) => {
+            let kind = r.kind.to_string();
+            c.points[index] = PointState::Quarantined { kind: kind.clone(), error: r.error.clone() };
+            persist_quarantine(cfg.journal_dir.as_ref(), c.digest, &key, &kind, &r.error);
+            events.push(Event::Quarantine { key, kind, error: r.error }.encode());
+            true
+        }
+    };
+    let tenant = c.tenant.clone();
+    notify(c, events);
+    if charged {
+        let n = st.tenant_faults.entry(tenant.clone()).or_insert(0);
+        *n += 1;
+        if *n >= cfg.tenant_fault_budget && !st.quarantined_tenants.contains(&tenant) {
+            quarantine_tenant(st, &tenant, cfg.journal_dir.as_ref());
+        }
     }
 }
 
@@ -949,7 +912,7 @@ fn handle_submit(
     // Admission control: bounded campaign count and queue depth, with
     // explicit load-shed replies so clients can back off instead of
     // timing out against an overloaded server.
-    if st.campaigns.len() >= inner.cfg.max_campaigns {
+    if st.campaigns.values().filter(|c| !c.closed).count() >= inner.cfg.max_campaigns {
         return writeln!(
             out,
             "{{\"ok\":0,\"shed\":1,\"error\":\"campaign limit reached ({})\"}}",
@@ -1012,16 +975,11 @@ fn handle_cancel(inner: &Inner, out: &mut impl Write, id: &str) -> io::Result<()
         let reply = c.status(id).encode();
         return writeln!(out, "{reply}");
     }
-    let dropped = st.sched.drop_campaign(id);
+    st.sched.drop_campaign(id);
     c.cancelled = true;
+    // Running points stop at their next budget check; every point not
+    // yet claimed by a worker is cancelled right here.
     c.token.cancel();
-    for job in dropped {
-        if !c.points[job.index].is_terminal() {
-            c.points[job.index] = PointState::Cancelled;
-        }
-    }
-    // Pending points that were mid-collection resolve via the token;
-    // points never dispatched are cancelled right here.
     for p in &mut c.points {
         if *p == PointState::Pending {
             *p = PointState::Cancelled;

@@ -1,10 +1,11 @@
 //! Integration tests for the campaign server: full TCP round trips
 //! against in-process server instances — admission, fairness-adjacent
-//! scheduling behaviour, tenant quarantine isolation, cancellation, and
-//! shutdown/restart resumption from the journal directory.
+//! scheduling behaviour, tenant quarantine isolation, cancellation,
+//! shutdown/restart resumption from the journal directory, and the
+//! release of finished campaigns' resources.
 
 use gex::workloads::suite;
-use gex::{PagingMode, Preset, Scheme};
+use gex::{GpuConfig, PagingMode, Preset, Scheme};
 use gex_serve::server::{self, ServerConfig};
 use gex_serve::wire::Inject;
 use gex_serve::{CampaignSpec, Client, ClientConfig, ClientError, Event, PointResult};
@@ -29,6 +30,18 @@ fn spec(workloads: &[&str], schemes: &[Scheme]) -> CampaignSpec {
         workloads.iter().map(|s| s.to_string()).collect(),
         schemes.to_vec(),
     )
+}
+
+/// The GPU every [`spec`] grid runs on.
+fn two_sms() -> GpuConfig {
+    GpuConfig::kepler_k20().with_sms(2)
+}
+
+/// One `lbm` point at the Bench preset: about half a second of
+/// simulation on 2 SMs, long enough to still be running while a test
+/// does something else.
+fn slow_spec(scheme: Scheme) -> CampaignSpec {
+    CampaignSpec::new(Preset::Bench, 2, vec!["lbm".to_string()], vec![scheme])
 }
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -59,7 +72,7 @@ fn healthy_campaign_matches_direct_simulation() {
         let (wname, sdbg) = key.split_once('/').unwrap();
         let scheme = *schemes.iter().find(|s| format!("{s:?}") == sdbg).unwrap();
         let w = suite::by_name(wname, Preset::Test).unwrap();
-        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, 2);
+        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, &two_sms());
         assert_eq!(direct.cycles, *cycles, "{key}: server must reproduce the simulator exactly");
     }
     handle.join();
@@ -103,9 +116,9 @@ fn resubmitting_the_same_spec_attaches_instead_of_duplicating() {
 fn admission_control_sheds_explicitly_past_the_queue_bound() {
     let handle = server::start(ServerConfig {
         max_pending_points: 3,
-        // No dispatch drain during the test: batch of 1 and a grid big
+        // No dispatch drain during the test: one worker and a grid big
         // enough that the queue stays over the bound.
-        batch: 1,
+        workers: 1,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -128,23 +141,102 @@ fn admission_control_sheds_explicitly_past_the_queue_bound() {
 
 #[test]
 fn campaign_count_bound_sheds_too() {
-    let handle = server::start(ServerConfig { max_campaigns: 1, ..ServerConfig::default() })
-        .unwrap();
+    let handle = server::start(ServerConfig {
+        max_campaigns: 1,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
     let mut c = fast_client(&handle.addr());
-    c.submit("a", "one", &spec(&["histo"], &[Scheme::Baseline])).expect("first");
+    // The slow point keeps the first campaign live while the second
+    // submit arrives.
+    c.submit("a", "one", &slow_spec(Scheme::WdCommit)).expect("first");
     match c.submit("a", "two", &spec(&["lbm"], &[Scheme::Baseline])) {
         Err(ClientError::Shed(m)) => assert!(m.contains("campaign limit"), "{m}"),
         other => panic!("second campaign must shed, got {other:?}"),
     }
+    c.cancel("a", "one").expect("cancel");
+    let done = c.wait("a", "one", Duration::from_millis(20)).expect("drain");
+    assert_eq!(done.state, "cancelled");
     handle.join();
 }
 
 #[test]
+fn the_campaign_bound_counts_only_live_campaigns() {
+    let handle = server::start(ServerConfig { max_campaigns: 1, ..ServerConfig::default() })
+        .unwrap();
+    let mut c = fast_client(&handle.addr());
+    c.submit("a", "one", &spec(&["histo"], &[Scheme::Baseline])).expect("first");
+    assert_eq!(c.wait("a", "one", Duration::from_millis(20)).expect("finish").state, "done");
+    c.submit("a", "two", &spec(&["sad"], &[Scheme::Baseline]))
+        .expect("a finished campaign no longer counts against the bound");
+    assert_eq!(c.wait("a", "two", Duration::from_millis(20)).expect("finish").state, "done");
+    handle.join();
+}
+
+/// Each worker applies its point the moment it finishes: a tenant's
+/// 3 ms point reaches `done` while another tenant's half-second point is
+/// still running on the other worker.
+#[test]
+fn a_slow_tenant_point_does_not_delay_another_tenants_result() {
+    let handle = server::start(ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
+    let mut c = fast_client(&handle.addr());
+    c.submit("slow", "lbm", &slow_spec(Scheme::Baseline)).expect("admit slow");
+    c.submit("fast", "histo", &spec(&["histo"], &[Scheme::ReplayQueue])).expect("admit fast");
+    let fast = c.wait("fast", "histo", Duration::from_millis(2)).expect("finish");
+    assert_eq!(fast.state, "done");
+    let slow = c.status("slow", "lbm").expect("status");
+    assert_eq!(slow.done, 0, "the fast result must not wait for the slow point: {slow:?}");
+    c.cancel("slow", "lbm").expect("cancel");
+    let slow = c.wait("slow", "lbm", Duration::from_millis(20)).expect("drain");
+    assert_eq!(slow.state, "cancelled");
+    handle.join();
+}
+
+/// Descriptors of this process open on a file under `dir`.
+#[cfg(target_os = "linux")]
+fn fds_into(dir: &std::path::Path) -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list /proc/self/fd")
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(dir))
+        .count()
+}
+
+/// A finished campaign lets go of its journal file, both when it
+/// finishes and when a restart recovers it already finished, so a
+/// long-lived daemon does not run out of descriptors.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_campaigns_do_not_hold_their_journal_open() {
+    const CAMPAIGNS: usize = 5;
+    let dir = temp_dir("journal-fds");
+    let cfg = ServerConfig { journal_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let first = server::start(cfg.clone()).unwrap();
+    let mut c = fast_client(&first.addr());
+    for i in 0..CAMPAIGNS {
+        let name = format!("c{i}");
+        c.submit("fd", &name, &spec(&["histo"], &[Scheme::WdLastCheck])).expect("admit");
+        assert_eq!(c.wait("fd", &name, Duration::from_millis(20)).expect("finish").state, "done");
+    }
+    let real = dir.canonicalize().expect("journal dir exists");
+    assert_eq!(fds_into(&real), 0, "finished campaigns must close their journals");
+    first.join();
+
+    let second = server::start(cfg).unwrap();
+    let mut c = fast_client(&second.addr());
+    assert_eq!(c.status("fd", "c0").expect("recovered").state, "done");
+    assert_eq!(fds_into(&real), 0, "recovery must not hold finished journals open");
+    second.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_poisoned_tenant_is_quarantined_while_the_healthy_one_completes() {
-    // Serialize dispatch (batch 1) so the fault budget trips after
+    // Serialize dispatch (one worker) so the fault budget trips after
     // exactly two failed points and the rest shed deterministically.
     let handle = server::start(ServerConfig {
-        batch: 1,
+        workers: 1,
         tenant_fault_budget: 2,
         ..ServerConfig::default()
     })
@@ -202,9 +294,9 @@ fn a_poisoned_tenant_is_quarantined_while_the_healthy_one_completes() {
 /// fault budget, locking the tenant out.
 #[test]
 fn partitioned_points_share_the_gpu_and_in_run_storms_charge_the_tenant() {
-    use gex::{Gpu, GpuConfig, Interconnect, PartitionPolicy, TenantId, TenantWorkload};
+    use gex::{Gpu, Interconnect, PartitionPolicy, TenantId, TenantWorkload};
     let handle = server::start(ServerConfig {
-        batch: 1,
+        workers: 1,
         // `histo` opens ~3 fresh fault regions under the Test preset and
         // stays under the stream budget; `lbm` opens ~20 and storms.
         stream_fault_budget: 8,
@@ -360,7 +452,7 @@ fn manifest_carrying_sm_threads_recovers_under_the_same_digest() {
     assert_eq!((done.points, done.resumed), (2, 1), "{done:?}");
     let (_, points) = c.results("erin", "smt").expect("results");
     let sad = suite::by_name("sad", Preset::Test).unwrap();
-    let direct = gex::run_workload(&sad, Scheme::WdLastCheck, PagingMode::AllResident, 2);
+    let direct = gex::run_workload(&sad, Scheme::WdLastCheck, PagingMode::AllResident, &two_sms());
     assert_eq!(
         points,
         vec![
@@ -375,7 +467,7 @@ fn manifest_carrying_sm_threads_recovers_under_the_same_digest() {
 
 #[test]
 fn cancel_drops_queued_points_and_is_terminal() {
-    let handle = server::start(ServerConfig { batch: 1, ..ServerConfig::default() }).unwrap();
+    let handle = server::start(ServerConfig { workers: 1, ..ServerConfig::default() }).unwrap();
     let mut c = fast_client(&handle.addr());
     let s = spec(&["histo", "lbm", "sgemm"], &[Scheme::Baseline, Scheme::WdCommit]);
     c.submit("t", "big", &s).expect("admit");
@@ -438,7 +530,7 @@ fn shutdown_and_restart_resume_from_the_journal_byte_identically() {
     // Phase 1: admit, let at least one point finish, stop the server.
     let first = server::start(ServerConfig {
         journal_dir: Some(dir.clone()),
-        batch: 1,
+        workers: 1,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -475,7 +567,7 @@ fn shutdown_and_restart_resume_from_the_journal_byte_identically() {
         let (wname, sdbg) = key.split_once('/').unwrap();
         let scheme = *schemes.iter().find(|s| format!("{s:?}") == sdbg).unwrap();
         let w = suite::by_name(wname, Preset::Test).unwrap();
-        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, 2);
+        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, &two_sms());
         assert_eq!(direct.cycles, *cycles, "{key} must survive the restart bit-for-bit");
     }
 

@@ -601,7 +601,7 @@ impl Engine {
         // fault resolution, block completion or block dispatch.
         let mut last_progress: Cycle = 0;
         let mut last_committed: u64 = 0;
-        let mut meter = self.budget.start();
+        let meter = self.budget.start();
         loop {
             if let Some(cause) = meter.check(now) {
                 return Err(SimError::Deadline(Box::new(DeadlineDiagnostic {

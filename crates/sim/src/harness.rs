@@ -65,8 +65,8 @@ impl SingleSmHarness {
         self
     }
 
-    /// Attach a cooperative [`RunBudget`] (cycle deadline, wall limit,
-    /// cancellation token), checked every iteration of the engine loop.
+    /// Attach a cooperative [`RunBudget`] (cycle deadline, cancellation
+    /// token), checked every iteration of the engine loop.
     pub fn budget(mut self, b: RunBudget) -> Self {
         self.gpu = self.gpu.budget(b);
         self

@@ -1,11 +1,11 @@
 //! Cooperative run budgets and cancellation.
 //!
 //! A supervised sweep gives every simulation point a budget — a simulated
-//! -cycle deadline, a wall-clock limit, or an externally triggered
-//! [`CancelToken`] — and the one tick loop (the whole-GPU engine in
-//! `gex-sim`, which the single-SM harness also runs) checks it
-//! cooperatively each iteration. A blown budget surfaces as a structured error rather than a
-//! hang, so a runaway point costs its budget and nothing more.
+//! -cycle deadline or an externally triggered [`CancelToken`] — and the
+//! one tick loop (the whole-GPU engine in `gex-sim`, which the single-SM
+//! harness also runs) checks it cooperatively each iteration. A blown
+//! budget surfaces as a structured error rather than a hang, so a runaway
+//! point costs its budget and nothing more.
 //!
 //! The budget is deliberately separate from the `max_cycles` runaway
 //! guard: `max_cycles` is a fail-safe against simulator bugs, while a
@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A shared cancellation flag. Cloning shares the flag: cancelling any
 /// clone cancels every run holding one.
@@ -49,11 +48,6 @@ pub enum BudgetExceeded {
         /// The configured deadline in simulated cycles.
         deadline: u64,
     },
-    /// The wall-clock limit elapsed.
-    WallClock {
-        /// The configured limit in milliseconds.
-        limit_ms: u64,
-    },
     /// The attached [`CancelToken`] was cancelled.
     Cancelled,
 }
@@ -63,9 +57,6 @@ impl std::fmt::Display for BudgetExceeded {
         match self {
             BudgetExceeded::Cycles { deadline } => {
                 write!(f, "cycle deadline of {deadline} simulated cycles exceeded")
-            }
-            BudgetExceeded::WallClock { limit_ms } => {
-                write!(f, "wall-clock limit of {limit_ms} ms exceeded")
             }
             BudgetExceeded::Cancelled => write!(f, "run cancelled"),
         }
@@ -78,9 +69,6 @@ impl std::fmt::Display for BudgetExceeded {
 pub struct RunBudget {
     /// Abort once the simulated clock reaches this cycle.
     pub deadline_cycles: Option<u64>,
-    /// Abort once this much wall-clock time has elapsed (measured from
-    /// the first budget check of the run).
-    pub wall_limit: Option<Duration>,
     /// Abort when this token is cancelled.
     pub token: Option<CancelToken>,
 }
@@ -96,11 +84,6 @@ impl RunBudget {
         RunBudget { deadline_cycles: Some(n), ..RunBudget::default() }
     }
 
-    /// Budget of `d` wall-clock time.
-    pub fn wall(d: Duration) -> Self {
-        RunBudget { wall_limit: Some(d), ..RunBudget::default() }
-    }
-
     /// Attach a cancellation token.
     pub fn with_token(mut self, token: CancelToken) -> Self {
         self.token = Some(token);
@@ -109,7 +92,7 @@ impl RunBudget {
 
     /// True if no limit of any kind is configured.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline_cycles.is_none() && self.wall_limit.is_none() && self.token.is_none()
+        self.deadline_cycles.is_none() && self.token.is_none()
     }
 
     /// The same budget with the cycle deadline multiplied by
@@ -122,45 +105,29 @@ impl RunBudget {
         if let Some(d) = b.deadline_cycles {
             b.deadline_cycles = Some(d.saturating_mul(1u64 << attempt.min(32)));
         }
-        if let Some(w) = b.wall_limit {
-            b.wall_limit = Some(w.saturating_mul(1u32 << attempt.min(16)));
-        }
         b
     }
 
     /// Start metering this budget for one run.
     pub fn start(&self) -> BudgetMeter {
-        BudgetMeter {
-            deadline_cycles: self.deadline_cycles,
-            wall_limit: self.wall_limit,
-            token: self.token.clone(),
-            started: Instant::now(),
-            checks: 0,
-        }
+        BudgetMeter { deadline_cycles: self.deadline_cycles, token: self.token.clone() }
     }
 }
 
-/// How many cooperative checks elapse between `Instant::now()` calls for
-/// the wall-clock limit (timestamps are comparatively expensive; cycle
-/// and token checks are branch-and-load cheap and run every time).
-const WALL_CHECK_INTERVAL: u32 = 1 << 14;
-
-/// Live budget state for one run; created by [`RunBudget::start`] and
-/// polled from the tick loop via [`BudgetMeter::check`].
+/// One run's budget as its tick loop checks it; created by
+/// [`RunBudget::start`] and polled once per iteration via
+/// [`BudgetMeter::check`].
 #[derive(Debug, Clone)]
 pub struct BudgetMeter {
     deadline_cycles: Option<u64>,
-    wall_limit: Option<Duration>,
     token: Option<CancelToken>,
-    started: Instant,
-    checks: u32,
 }
 
 impl BudgetMeter {
     /// Cooperative check, called once per tick-loop iteration with the
     /// current simulated cycle. Returns the first limit that tripped.
     #[inline]
-    pub fn check(&mut self, now_cycles: u64) -> Option<BudgetExceeded> {
+    pub fn check(&self, now_cycles: u64) -> Option<BudgetExceeded> {
         if let Some(d) = self.deadline_cycles {
             if now_cycles >= d {
                 return Some(BudgetExceeded::Cycles { deadline: d });
@@ -169,12 +136,6 @@ impl BudgetMeter {
         if let Some(t) = &self.token {
             if t.is_cancelled() {
                 return Some(BudgetExceeded::Cancelled);
-            }
-        }
-        if let Some(w) = self.wall_limit {
-            self.checks = self.checks.wrapping_add(1);
-            if self.checks.is_multiple_of(WALL_CHECK_INTERVAL) && self.started.elapsed() >= w {
-                return Some(BudgetExceeded::WallClock { limit_ms: w.as_millis() as u64 });
             }
         }
         None
@@ -194,7 +155,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_trips() {
-        let mut m = RunBudget::none().start();
+        let m = RunBudget::none().start();
         assert!(RunBudget::none().is_unlimited());
         for c in [0, 1_000_000, u64::MAX] {
             assert_eq!(m.check(c), None);
@@ -203,7 +164,7 @@ mod tests {
 
     #[test]
     fn cycle_deadline_trips_at_exactly_its_cycle() {
-        let mut m = RunBudget::cycles(100).start();
+        let m = RunBudget::cycles(100).start();
         assert_eq!(m.check(99), None);
         assert_eq!(m.check(100), Some(BudgetExceeded::Cycles { deadline: 100 }));
         assert_eq!(m.deadline_cycles(), Some(100));
@@ -212,20 +173,11 @@ mod tests {
     #[test]
     fn cancel_token_is_shared_across_clones() {
         let token = CancelToken::new();
-        let mut m = RunBudget::none().with_token(token.clone()).start();
+        let m = RunBudget::none().with_token(token.clone()).start();
         assert!(!RunBudget::none().with_token(token.clone()).is_unlimited());
         assert_eq!(m.check(5), None);
         token.cancel();
         assert_eq!(m.check(6), Some(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
-    fn wall_limit_trips_on_a_throttled_check() {
-        let mut m = RunBudget::wall(Duration::from_nanos(1)).start();
-        std::thread::sleep(Duration::from_millis(2));
-        // The wall clock is consulted every WALL_CHECK_INTERVAL checks.
-        let tripped = (0..2 * WALL_CHECK_INTERVAL as u64).any(|c| m.check(c).is_some());
-        assert!(tripped, "an elapsed wall limit must trip within one interval");
     }
 
     #[test]
@@ -240,7 +192,6 @@ mod tests {
     #[test]
     fn exceeded_renders_its_cause() {
         assert!(BudgetExceeded::Cycles { deadline: 7 }.to_string().contains('7'));
-        assert!(BudgetExceeded::WallClock { limit_ms: 9 }.to_string().contains("9 ms"));
         assert!(BudgetExceeded::Cancelled.to_string().contains("cancelled"));
     }
 }

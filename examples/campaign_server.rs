@@ -15,7 +15,7 @@
 //! ```
 
 use gex::workloads::suite;
-use gex::{PagingMode, Preset, Scheme};
+use gex::{GpuConfig, PagingMode, Preset, Scheme};
 use gex_serve::{server, CampaignSpec, Client, ClientConfig, Event};
 use std::time::Duration;
 
@@ -37,8 +37,10 @@ fn main() {
         vec!["histo".to_string(), "lbm".to_string()],
         schemes.clone(),
     );
+    // Bench-preset points take a tenth of a second and more, so bob's
+    // grid is still running when he cancels it.
     let mut bob_spec = CampaignSpec::new(
-        Preset::Test,
+        Preset::Bench,
         2,
         vec!["sgemm".to_string(), "spmv".to_string(), "stencil".to_string()],
         schemes.clone(),
@@ -66,7 +68,7 @@ fn main() {
         })
     };
 
-    // Client two: bob submits at weight 2, lets a little progress happen,
+    // Client two: bob submits at weight 2, waits for his first point,
     // then cancels — queued points drop immediately, running points stop
     // at their next budget check, and the cancellation is durable.
     let bob = {
@@ -75,7 +77,9 @@ fn main() {
             let mut c = Client::connect(&addr, ClientConfig::default()).expect("connect");
             let admitted = c.submit("bob", "big-sweep", &bob_spec).expect("admit");
             println!("[bob] admitted: {} points at weight 2", admitted.points);
-            std::thread::sleep(Duration::from_millis(300));
+            while c.status("bob", "big-sweep").expect("status").done == 0 {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             let after = c.cancel("bob", "big-sweep").expect("cancel");
             println!(
                 "[bob] cancelled with {} done / {} cancelled of {} points",
@@ -92,6 +96,7 @@ fn main() {
 
     // The server's numbers are the simulator's numbers, point for point.
     println!("verifying alice's results against direct simulation...");
+    let config = GpuConfig::kepler_k20().with_sms(2);
     for p in &alice_points {
         let gex_serve::PointResult::Done { key, cycles } = p else {
             panic!("alice's campaign should have no failed points, got {p:?}");
@@ -99,7 +104,7 @@ fn main() {
         let (workload, scheme_dbg) = key.split_once('/').expect("key format");
         let scheme = *schemes.iter().find(|s| format!("{s:?}") == scheme_dbg).expect("scheme");
         let w = suite::by_name(workload, Preset::Test).expect("workload");
-        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, 2);
+        let direct = gex::run_workload(&w, scheme, PagingMode::AllResident, &config);
         assert_eq!(direct.cycles, *cycles, "{key} must match a direct run");
     }
     println!("all {} of alice's points byte-identical to direct runs", alice_points.len());

@@ -12,9 +12,10 @@ use gex::{
 /// exactly its trace (sparse-replay safety at full-stack scale).
 #[test]
 fn full_matrix_commits_exactly_once() {
+    let config = GpuConfig::kepler_k20().with_sms(4);
     for w in suite::parboil(Preset::Test).into_iter().chain(suite::halloc(Preset::Test)) {
         for scheme in [Scheme::Baseline, Scheme::WdLastCheck, Scheme::operand_log_kib(16)] {
-            let r = run_workload(&w, scheme, PagingMode::AllResident, 4);
+            let r = run_workload(&w, scheme, PagingMode::AllResident, &config);
             assert_eq!(
                 r.sm.committed,
                 w.trace.dyn_instrs(),
@@ -30,8 +31,10 @@ fn full_matrix_commits_exactly_once() {
 /// input footprint (at 64 KB granularity).
 #[test]
 fn demand_paging_migrates_every_input() {
+    let config = GpuConfig::kepler_k20().with_sms(4);
     for w in suite::parboil(Preset::Test) {
-        let r = run_workload(&w, Scheme::ReplayQueue, PagingMode::demand(Interconnect::nvlink()), 4);
+        let paging = PagingMode::demand(Interconnect::nvlink());
+        let r = run_workload(&w, Scheme::ReplayQueue, paging, &config);
         assert_eq!(r.sm.committed, w.trace.dyn_instrs(), "{}", w.name);
         assert!(
             r.cpu.resolved() > 0,
@@ -45,11 +48,12 @@ fn demand_paging_migrates_every_input() {
 /// benchmark: in (0, 1.02] and ordered by scheme aggressiveness.
 #[test]
 fn scheme_ordering_holds_across_the_suite() {
+    let config = GpuConfig::kepler_k20().with_sms(4);
     for w in suite::parboil(Preset::Test) {
-        let wd = normalized_performance(&w, Scheme::WdCommit, 4);
-        let wdl = normalized_performance(&w, Scheme::WdLastCheck, 4);
-        let rq = normalized_performance(&w, Scheme::ReplayQueue, 4);
-        let ol = normalized_performance(&w, Scheme::operand_log_kib(32), 4);
+        let wd = normalized_performance(&w, Scheme::WdCommit, &config);
+        let wdl = normalized_performance(&w, Scheme::WdLastCheck, &config);
+        let rq = normalized_performance(&w, Scheme::ReplayQueue, &config);
+        let ol = normalized_performance(&w, Scheme::operand_log_kib(32), &config);
         let eps = 1.02; // dual-issue scheduling noise
         assert!(wd <= wdl * eps, "{}: wd-commit {wd} vs wd-lastcheck {wdl}", w.name);
         assert!(wdl <= rq * eps, "{}: wd-lastcheck {wdl} vs replay-queue {rq}", w.name);
