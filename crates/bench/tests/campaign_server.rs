@@ -113,17 +113,13 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
     );
     paged.partition = Some(PartitionPolicy::Quarantine);
     paged.pagesize = Some(PageSizePolicy::Transparent);
-    // A fifth campaign carries the spec's legacy `sm_threads` key. The
-    // value is ignored, but it is part of the spec line and so of the
-    // campaign digest: the restarted daemon must find the manifest and
-    // journal it wrote under that digest.
-    let mut threaded = CampaignSpec::new(
+    // A fifth campaign runs on a 4-SM GPU.
+    let four_sm = CampaignSpec::new(
         Preset::Test,
         4,
         vec!["sad".to_string(), "spmv".to_string()],
         vec![Scheme::WdLastCheck],
     );
-    threaded.sm_threads = Some(2);
 
     // Phase 1: submit all five campaigns, wait for partial progress,
     // SIGKILL.
@@ -135,7 +131,7 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
         c.submit("chaos", "bomb", &poisoned).expect("admit poisoned");
         c.submit("bob", "shared", &shared).expect("admit partitioned");
         c.submit("dana", "paged", &paged).expect("admit large-page campaign");
-        c.submit("erin", "smt", &threaded).expect("admit sm-threads campaign");
+        c.submit("erin", "smt", &four_sm).expect("admit 4-SM campaign");
 
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
@@ -264,19 +260,18 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
         );
     }
 
-    // The sm_threads=2 campaign resumed under its digest and reports
-    // cycles byte-identical to this process's reference: the key is
-    // durable on the wire and has no effect on the simulation.
+    // The 4-SM campaign resumed and reports cycles byte-identical to
+    // this process's reference.
     let smt_done = c
         .wait("erin", "smt", Duration::from_millis(25))
-        .expect("sm-threads campaign finishes after restart");
-    assert_eq!(smt_done.state, "done", "sm-threads campaign: {smt_done:?}");
+        .expect("4-SM campaign finishes after restart");
+    assert_eq!(smt_done.state, "done", "4-SM campaign: {smt_done:?}");
     assert_eq!(smt_done.done, 2);
     let (_, points) = c.results("erin", "smt").expect("smt results");
     let four_sms = GpuConfig::kepler_k20().with_sms(4);
     for p in &points {
         let PointResult::Done { key, cycles } = p else {
-            panic!("sm-threads campaign must have no failed points: {p:?}")
+            panic!("4-SM campaign must have no failed points: {p:?}")
         };
         let wname = key.split_once('/').unwrap().0;
         let w = suite::by_name(wname, Preset::Test).unwrap();
@@ -284,7 +279,7 @@ fn sigkill_mid_campaign_resumes_byte_identically_and_keeps_quarantine() {
             gex::run_workload(&w, Scheme::WdLastCheck, PagingMode::AllResident, &four_sms);
         assert_eq!(
             reference.cycles, *cycles,
-            "{key}: an sm_threads campaign must journal exactly the reference cycles"
+            "{key}: a 4-SM campaign must journal exactly the reference cycles"
         );
     }
 

@@ -15,12 +15,16 @@
 //! (the tail of a killed campaign's last write) is skipped; every fully
 //! written entry before it is honoured.
 //!
-//! The format is hand-rolled JSON (this workspace builds offline, with no
-//! serialization dependency): one object per line, string keys escaped
-//! minimally.
+//! Every line is one flat JSON object whose members are strings or
+//! unsigned integers, written by [`Line`] and read by [`Fields::parse`]
+//! (this workspace builds offline, with no serialization dependency). The
+//! accepted grammar is standard JSON in that shape: unknown keys are
+//! ignored, duplicate keys are rejected. The campaign server's wire
+//! protocol speaks the same dialect through the same writer and reader.
 
 use crate::poison;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -39,77 +43,239 @@ pub fn digest(input: &str) -> u64 {
 }
 
 /// Escape `s` for embedding in a double-quoted JSON string: quotes,
-/// backslashes and control characters only (the journal and the campaign
-/// server's wire protocol both speak this minimal dialect).
+/// backslashes and control characters only, the form [`Line`] writes.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.find(|c: char| c == '"' || c == '\\' || c < ' ') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out
 }
 
-/// Undo [`json_escape`].
+/// Undo [`json_escape`], or any other JSON escaping of a string body,
+/// lossily: an escape [`Fields::parse`] would reject becomes U+FFFD.
 pub fn json_unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
+        out.push(match c {
+            '\\' => unescape(&mut chars).unwrap_or(char::REPLACEMENT_CHARACTER),
+            c => c,
+        });
     }
     out
 }
 
-/// Extract the string field `name` from a one-line JSON object, honouring
-/// escapes. Returns `None` if the field is absent or malformed.
-pub fn field_str(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
+/// Decode one escape whose backslash `chars` has just yielded: every
+/// RFC 8259 escape, a UTF-16 surrogate pair as its one character.
+fn unescape(chars: &mut std::str::Chars<'_>) -> Result<char, String> {
+    fn hex4(chars: &mut std::str::Chars<'_>) -> Result<u32, String> {
+        (0..4).try_fold(0, |v, _| {
+            let digit = chars.next().and_then(|c| c.to_digit(16));
+            digit.map(|d| v * 16 + d).ok_or_else(|| "\\u needs four hex digits".to_string())
+        })
     }
-    Some(json_unescape(&rest[..end?]))
+    Ok(match chars.next() {
+        Some('"') => '"',
+        Some('\\') => '\\',
+        Some('/') => '/',
+        Some('b') => '\u{8}',
+        Some('f') => '\u{c}',
+        Some('n') => '\n',
+        Some('r') => '\r',
+        Some('t') => '\t',
+        Some('u') => {
+            let mut code = hex4(chars)?;
+            if (0xd800..0xdc00).contains(&code) && chars.as_str().starts_with("\\u") {
+                chars.nth(1);
+                let low = hex4(chars)?;
+                if (0xdc00..0xe000).contains(&low) {
+                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                }
+            }
+            char::from_u32(code).ok_or_else(|| format!("unpaired surrogate \\u{code:04x}"))?
+        }
+        other => return Err(format!("bad escape {other:?}")),
+    })
 }
 
-/// Extract the unsigned integer field `name` from a one-line JSON object.
-pub fn field_u64(line: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String =
-        line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
+/// One JSON line, read once: a flat object whose members are strings or
+/// unsigned integers — every line the journal, the manifest and the
+/// campaign server's wire carry.
+///
+/// The grammar is standard JSON (RFC 8259) in that shape: whitespace
+/// between tokens, every escape including surrogate pairs. Unknown keys
+/// are kept, and callers ignore them. Duplicate keys, bytes after the
+/// closing `}`, any other value (signs, fractions, exponents, leading
+/// zeros, `true`, `null`, arrays, objects), an integer past `u64` and an
+/// unescaped control character are errors, never a partial read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fields(Vec<(String, Value)>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Value {
+    Str(String),
+    U64(u64),
+}
+
+impl Fields {
+    /// Read `line` as one flat object.
+    pub fn parse(line: &str) -> Result<Fields, String> {
+        let mut r = Reader { line, at: 0 };
+        let mut members = Vec::new();
+        r.expect(b'{')?;
+        let mut more = r.peek() != Some(b'}');
+        while more {
+            let key = r.string()?;
+            r.expect(b':')?;
+            let value = match r.peek() {
+                Some(b'"') => Value::Str(r.string()?),
+                Some(b'0'..=b'9') => Value::U64(r.number()?),
+                _ => return Err(format!("{key:?} is not a string or an unsigned integer")),
+            };
+            members.push((key, value));
+            more = r.peek() == Some(b',');
+            if more {
+                r.at += 1;
+            }
+        }
+        r.expect(b'}')?;
+        if r.peek().is_some() {
+            return Err(format!("bytes after the object at offset {}", r.at));
+        }
+        members.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if let Some(w) = members.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("duplicate key {:?}", w[0].0));
+        }
+        Ok(Fields(members))
     }
-    digits.parse().ok()
+
+    fn get(&self, key: &str) -> Option<&Value> {
+        let i = self.0.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The string member `key`; `None` when absent or not a string.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            Value::Str(s) => Some(s),
+            Value::U64(_) => None,
+        }
+    }
+
+    /// The integer member `key`; `None` when absent or not an integer.
+    pub fn u64(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            Value::U64(n) => Some(*n),
+            Value::Str(_) => None,
+        }
+    }
+}
+
+/// A cursor over one line for [`Fields::parse`].
+struct Reader<'a> {
+    line: &'a str,
+    at: usize,
+}
+
+impl Reader<'_> {
+    fn byte(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.at).copied()
+    }
+
+    /// The next byte after any whitespace, which is consumed.
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.at += 1;
+        }
+        self.byte()
+    }
+
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        if self.peek() != Some(want) {
+            return Err(format!("expected '{}' at offset {}", want as char, self.at));
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        let mut chars = self.line[self.at..].chars();
+        loop {
+            match chars.next() {
+                Some('"') => break,
+                Some('\\') => out.push(unescape(&mut chars)?),
+                Some(c) if c >= ' ' => out.push(c),
+                Some(c) => return Err(format!("unescaped control character {c:?}")),
+                None => return Err("unterminated string".to_string()),
+            }
+        }
+        self.at = self.line.len() - chars.as_str().len();
+        Ok(out)
+    }
+
+    fn number(&mut self) -> Result<u64, String> {
+        let rest = &self.line[self.at..];
+        let digits = &rest[..rest.bytes().take_while(u8::is_ascii_digit).count()];
+        self.at += digits.len();
+        if digits.len() > 1 && digits.starts_with('0') {
+            return Err(format!("leading zero in {digits}"));
+        }
+        if matches!(self.byte(), Some(b'.' | b'e' | b'E')) {
+            return Err(format!("{digits} is followed by a fraction or an exponent"));
+        }
+        digits.parse().map_err(|_| format!("{digits} does not fit 64 bits"))
+    }
+}
+
+/// Writes one line the way [`Fields::parse`] reads it: members in the
+/// order they are added, strings through [`json_escape`].
+#[derive(Debug, Default)]
+pub struct Line(String);
+
+impl Line {
+    /// Add the string member `key`.
+    pub fn str(mut self, key: &str, value: &str) -> Line {
+        self.key(key);
+        self.0.push('"');
+        self.0.push_str(&json_escape(value));
+        self.0.push('"');
+        self
+    }
+
+    /// Add the integer member `key`.
+    pub fn u64(mut self, key: &str, value: u64) -> Line {
+        self.key(key);
+        let _ = write!(self.0, "{value}");
+        self
+    }
+
+    /// Keys are the dialect's own identifiers, written as given.
+    fn key(&mut self, key: &str) {
+        self.0.push(if self.0.is_empty() { '{' } else { ',' });
+        let _ = write!(self.0, "\"{key}\":");
+    }
+
+    /// The finished line, without a newline.
+    pub fn end(mut self) -> String {
+        if self.0.is_empty() {
+            self.0.push('{');
+        }
+        self.0.push('}');
+        self.0
+    }
 }
 
 /// An append-only journal of completed sweep points, keyed by the
@@ -147,16 +313,15 @@ impl CampaignJournal {
             complete_len = complete.len() as u64;
             let mut lines = complete.lines();
             if let Some(header) = lines.next() {
-                valid = field_u64(header, "gex_campaign") == Some(1)
-                    && field_str(header, "digest").as_deref() == Some(&digest_hex);
+                valid = Fields::parse(header).is_ok_and(|h| {
+                    h.u64("gex_campaign") == Some(1) && h.str("digest") == Some(&digest_hex)
+                });
             }
             if valid {
-                for line in lines {
-                    // A complete line that fails to parse is skipped.
-                    if let (Some(key), Some(cycles)) =
-                        (field_str(line, "key"), field_u64(line, "cycles"))
-                    {
-                        entries.insert(key, cycles);
+                // A complete line that fails to parse is skipped.
+                for record in lines.filter_map(|line| Fields::parse(line).ok()) {
+                    if let (Some(key), Some(cycles)) = (record.str("key"), record.u64("cycles")) {
+                        entries.insert(key.to_string(), cycles);
                     }
                 }
             }
@@ -170,7 +335,8 @@ impl CampaignJournal {
         } else {
             entries.clear();
             let mut f = File::create(path)?;
-            writeln!(f, "{{\"gex_campaign\":1,\"digest\":\"{digest_hex}\"}}")?;
+            let header = Line::default().u64("gex_campaign", 1).str("digest", &digest_hex);
+            writeln!(f, "{}", header.end())?;
             f.flush()?;
             f
         };
@@ -194,7 +360,7 @@ impl CampaignJournal {
     pub fn record(&self, key: &str, cycles: u64) {
         poison::lock(&self.entries).insert(key.to_string(), cycles);
         let mut f = poison::lock(&self.file);
-        let _ = writeln!(f, "{{\"key\":\"{}\",\"cycles\":{cycles}}}", json_escape(key));
+        let _ = writeln!(f, "{}", Line::default().str("key", key).u64("cycles", cycles).end());
         let _ = f.flush();
     }
 
@@ -255,15 +421,14 @@ impl CampaignManifest {
         let path = manifest_path(dir, self.digest);
         let tmp = path.with_extension("manifest.tmp");
         {
+            let line = Line::default()
+                .u64("gex_manifest", 1)
+                .str("id", &self.id)
+                .str("tenant", &self.tenant)
+                .str("digest", &format!("{:016x}", self.digest))
+                .str("spec", &self.spec);
             let mut f = File::create(&tmp)?;
-            writeln!(
-                f,
-                "{{\"gex_manifest\":1,\"id\":\"{}\",\"tenant\":\"{}\",\"digest\":\"{:016x}\",\"spec\":\"{}\"}}",
-                json_escape(&self.id),
-                json_escape(&self.tenant),
-                self.digest,
-                json_escape(&self.spec),
-            )?;
+            writeln!(f, "{}", line.end())?;
             f.flush()?;
             f.sync_all()?;
         }
@@ -275,16 +440,15 @@ impl CampaignManifest {
     /// manifests — a torn or foreign file is skipped, never fatal.
     pub fn load(path: &Path) -> Option<CampaignManifest> {
         let content = std::fs::read_to_string(path).ok()?;
-        let line = content.lines().next()?;
-        if field_u64(line, "gex_manifest") != Some(1) {
+        let f = Fields::parse(content.lines().next()?).ok()?;
+        if f.u64("gex_manifest") != Some(1) {
             return None;
         }
-        let digest = u64::from_str_radix(&field_str(line, "digest")?, 16).ok()?;
         Some(CampaignManifest {
-            id: field_str(line, "id")?,
-            tenant: field_str(line, "tenant")?,
-            digest,
-            spec: field_str(line, "spec")?,
+            id: f.str("id")?.to_string(),
+            tenant: f.str("tenant")?.to_string(),
+            digest: u64::from_str_radix(f.str("digest")?, 16).ok()?,
+            spec: f.str("spec")?.to_string(),
         })
     }
 }
@@ -333,9 +497,47 @@ mod tests {
     fn escaping_round_trips() {
         for s in ["plain", "with \"quotes\"", "back\\slash", "ctl\u{1}char", "sgemm/OperandLog { bytes: 8192 }"] {
             let line = format!("{{\"key\":\"{}\",\"cycles\":7}}", json_escape(s));
-            assert_eq!(field_str(&line, "key").as_deref(), Some(s), "{line}");
-            assert_eq!(field_u64(&line, "cycles"), Some(7));
+            let f = Fields::parse(&line).unwrap();
+            assert_eq!(f.str("key"), Some(s), "{line}");
+            assert_eq!(f.u64("cycles"), Some(7));
         }
+    }
+
+    #[test]
+    fn the_reader_takes_standard_json_and_refuses_everything_else() {
+        let f = Fields::parse(
+            " { \"s\" : \"x\\u00e9\\ud83d\\ude00\\b\\f\\r\\/\" ,\"zero\":0,\t\"max\":18446744073709551615 } ",
+        )
+        .unwrap();
+        assert_eq!(f.str("s"), Some("xé\u{1f600}\u{8}\u{c}\r/"));
+        assert_eq!((f.u64("zero"), f.u64("max")), (Some(0), Some(u64::MAX)));
+        assert_eq!((f.str("zero"), f.u64("s"), f.str("absent")), (None, None, None));
+        assert!(Fields::parse("{}").is_ok());
+        for bad in [
+            "",
+            "{",
+            "{\"a\":1,}",
+            "{a:1}",
+            "{\"a\":01}",
+            "{\"a\":-1}",
+            "{\"a\":+1}",
+            "{\"a\":1.5}",
+            "{\"a\":1e3}",
+            "{\"a\":18446744073709551616}",
+            "{\"a\":true}",
+            "{\"a\":null}",
+            "{\"a\":[1]}",
+            "{\"a\":{}}",
+            "{\"a\":\"\\ud800\"}",
+            "{\"a\":\"\\udc00\"}",
+            "{\"a\":\"\\x\"}",
+            "{\"a\":\"raw\ttab\"}",
+            "{\"a\":1} x",
+            "{\"a\":1,\"b\":2,\"a\":3}",
+        ] {
+            assert!(Fields::parse(bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(json_unescape("a\\tb\\ud800c\\q"), "a\tb\u{fffd}c\u{fffd}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! load-shed rejections as their own error variant so callers can back
 //! off rather than treat shedding as failure.
 
-use crate::wire::{self, CampaignSpec, Event, PointResult, Request, StatusReply};
+use crate::wire::{self, CampaignSpec, Event, PointResult, Reply, Request, StatusReply};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -170,13 +170,15 @@ impl Client {
         }
     }
 
-    fn expect_status(reply: &str) -> Result<StatusReply, ClientError> {
-        StatusReply::parse(reply).map_err(|e| {
-            if wire::is_shed(reply) {
-                ClientError::Shed(e)
-            } else {
-                ClientError::Rejected(e)
-            }
+    /// Read `reply` with `parse`, or return the server's refusal.
+    fn expect<T>(
+        reply: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, ClientError> {
+        parse(reply).map_err(|e| match Reply::parse(reply) {
+            Ok(Reply::Shed(e)) => ClientError::Shed(e),
+            Ok(Reply::Error(e)) => ClientError::Rejected(e),
+            _ => ClientError::Protocol(e),
         })
     }
 
@@ -194,7 +196,7 @@ impl Client {
             campaign: campaign.to_string(),
             spec: spec.clone(),
         })?;
-        Client::expect_status(&reply)
+        Client::expect(&reply, StatusReply::parse)
     }
 
     /// Progress counters for a campaign.
@@ -203,7 +205,7 @@ impl Client {
             tenant: tenant.to_string(),
             campaign: campaign.to_string(),
         })?;
-        Client::expect_status(&reply)
+        Client::expect(&reply, StatusReply::parse)
     }
 
     /// Per-point results (cycles, quarantine diagnostics, or pending
@@ -217,11 +219,11 @@ impl Client {
             tenant: tenant.to_string(),
             campaign: campaign.to_string(),
         })?;
-        let header = Client::expect_status(&reply)?;
+        let header = Client::expect(&reply, StatusReply::parse)?;
         let mut points = Vec::with_capacity(header.points as usize);
         loop {
             let line = self.read_line()?;
-            if gex::journal::field_u64(&line, "end") == Some(1) {
+            if Reply::parse(&line) == Ok(Reply::End) {
                 return Ok((header, points));
             }
             points.push(PointResult::parse(&line).map_err(ClientError::Protocol)?);
@@ -234,7 +236,7 @@ impl Client {
             tenant: tenant.to_string(),
             campaign: campaign.to_string(),
         })?;
-        Client::expect_status(&reply)
+        Client::expect(&reply, StatusReply::parse)
     }
 
     /// Stream a campaign's events into `on_event` until it reaches a
@@ -251,13 +253,10 @@ impl Client {
             tenant: tenant.to_string(),
             campaign: campaign.to_string(),
         })?;
-        if gex::journal::field_str(&reply, "watching").is_none() {
-            return Err(if wire::is_shed(&reply) {
-                ClientError::Shed(wire::error_of(&reply))
-            } else {
-                ClientError::Rejected(wire::error_of(&reply))
-            });
-        }
+        Client::expect(&reply, |line| match Reply::parse(line)? {
+            Reply::Watching(_) => Ok(()),
+            _ => Err(format!("unexpected watch reply: {line}")),
+        })?;
         loop {
             let line = self.read_line()?;
             let event = Event::parse(&line).map_err(ClientError::Protocol)?;
@@ -273,7 +272,7 @@ impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         let reply = self.exchange(&Request::Ping)?;
-        if gex::journal::field_u64(&reply, "pong") == Some(1) {
+        if Reply::parse(&reply) == Ok(Reply::Pong) {
             Ok(())
         } else {
             Err(ClientError::Protocol(format!("unexpected ping reply: {reply}")))

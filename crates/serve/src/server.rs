@@ -24,8 +24,8 @@
 //! figure byte-identical to an uninterrupted run.
 
 use crate::tenant::{Job, TenantScheduler};
-use crate::wire::{state, CampaignSpec, Event, Inject, PointResult, Request, StatusReply};
-use gex::journal::{self, field_str, json_escape};
+use crate::wire::{state, CampaignSpec, Event, Inject, PointResult, Reply, Request, StatusReply};
+use gex::journal;
 use gex::workloads::suite;
 use gex::{
     run_supervised, BudgetExceeded, CampaignJournal, CampaignManifest, CancelToken,
@@ -136,7 +136,7 @@ struct Campaign {
     digest: u64,
     journal: Option<Arc<CampaignJournal>>,
     token: CancelToken,
-    watchers: Vec<mpsc::Sender<String>>,
+    watchers: Vec<mpsc::Sender<Event>>,
     cancelled: bool,
     resumed: u64,
     /// The terminal state event has been emitted (idempotence guard).
@@ -209,13 +209,13 @@ impl Campaign {
 
     /// Events replaying everything that already happened, for a watcher
     /// attaching mid-campaign.
-    fn replay(&self) -> Vec<String> {
+    fn replay(&self) -> Vec<Event> {
         self.results()
             .into_iter()
             .filter_map(|r| match r {
-                PointResult::Done { key, cycles } => Some(Event::Point { key, cycles }.encode()),
+                PointResult::Done { key, cycles } => Some(Event::Point { key, cycles }),
                 PointResult::Quarantined { key, kind, error } => {
-                    Some(Event::Quarantine { key, kind, error }.encode())
+                    Some(Event::Quarantine { key, kind, error })
                 }
                 _ => None,
             })
@@ -429,16 +429,12 @@ fn cancel_marker_path(dir: &std::path::Path, digest: u64) -> PathBuf {
 /// journal records: a quarantined point must not re-run after a crash).
 fn persist_quarantine(dir: Option<&PathBuf>, digest: u64, key: &str, kind: &str, error: &str) {
     let Some(dir) = dir else { return };
-    let line = format!(
-        "{{\"key\":\"{}\",\"kind\":\"{}\",\"error\":\"{}\"}}",
-        json_escape(key),
-        json_escape(kind),
-        json_escape(error)
-    );
+    let point =
+        PointResult::Quarantined { key: key.into(), kind: kind.into(), error: error.into() };
     if let Ok(mut f) =
         std::fs::OpenOptions::new().create(true).append(true).open(qfile_path(dir, digest))
     {
-        let _ = writeln!(f, "{line}");
+        let _ = writeln!(f, "{}", point.encode());
         let _ = f.flush();
     }
 }
@@ -450,17 +446,17 @@ fn campaign_digest(id: &str, spec: &CampaignSpec) -> u64 {
     journal::digest(&format!("{id}|{}", spec.encode()))
 }
 
-/// Build a `Campaign` from its spec: resolve the workload grid, open the
-/// journal (restoring completed points), load quarantined points from the
-/// sidecar and the cancel marker. Returns the campaign plus the indices
-/// still needing simulation, or an error string for unknown workloads.
+/// Build a `Campaign` from its spec under `digest`, which names its files:
+/// resolve the workload grid, open the journal (restoring completed
+/// points), load quarantined points from the sidecar and the cancel
+/// marker. Returns the campaign plus the indices still needing
+/// simulation, or an error string for unknown workloads.
 fn build_campaign(
     tenant: &str,
-    id: &str,
+    digest: u64,
     spec: CampaignSpec,
     dir: Option<&PathBuf>,
 ) -> Result<(Campaign, Vec<usize>), String> {
-    let digest = campaign_digest(id, &spec);
     // Reject unschedulable GPU shapes up front with a clean wire error:
     // these would otherwise surface as panics (or typed SimErrors that
     // quarantine every point) deep inside a worker. Manifests only
@@ -518,15 +514,12 @@ fn build_campaign(
     if let Some(dir) = dir {
         if let Ok(content) = std::fs::read_to_string(qfile_path(dir, digest)) {
             for line in content.lines() {
-                // Torn tails parse as missing fields and are skipped.
-                if let Some(key) = field_str(line, "key") {
+                // A torn tail does not parse and is skipped.
+                if let Ok(PointResult::Quarantined { key, kind, error }) = PointResult::parse(line)
+                {
                     if let Some(i) = keys.iter().position(|k| *k == key) {
                         if !points[i].is_terminal() {
-                            points[i] = PointState::Quarantined {
-                                kind: field_str(line, "kind")
-                                    .unwrap_or_else(|| "unknown".to_string()),
-                                error: field_str(line, "error").unwrap_or_default(),
-                            };
+                            points[i] = PointState::Quarantined { kind, error };
                         }
                     }
                 }
@@ -565,11 +558,14 @@ fn build_campaign(
 }
 
 /// Reload every campaign in `dir` and requeue its unfinished points —
-/// the restart half of the crash-safety contract.
+/// the restart half of the crash-safety contract. Each campaign keeps the
+/// digest its manifest stores, which names its journal and sidecar: a
+/// spec line written by an earlier build may carry keys this one ignores,
+/// so re-encoding it need not give back the same digest.
 fn recover(st: &mut State, dir: &PathBuf, tenant_fault_budget: u32) {
     for m in journal::list_manifests(dir) {
         let Ok(spec) = CampaignSpec::parse(&m.spec) else { continue };
-        let Ok((campaign, pending)) = build_campaign(&m.tenant, &m.id, spec, Some(dir)) else {
+        let Ok((campaign, pending)) = build_campaign(&m.tenant, m.digest, spec, Some(dir)) else {
             continue;
         };
         // Recount the tenant's real failures (shed/cancelled don't
@@ -627,14 +623,11 @@ fn quarantine_tenant(st: &mut State, tenant: &str, dir: Option<&PathBuf>) {
                 c.points[job.index] =
                     PointState::Quarantined { kind: "shed".to_string(), error: error.clone() };
                 persist_quarantine(dir, c.digest, &c.keys[job.index], "shed", &error);
-                events.push(
-                    Event::Quarantine {
-                        key: c.keys[job.index].clone(),
-                        kind: "shed".to_string(),
-                        error,
-                    }
-                    .encode(),
-                );
+                events.push(Event::Quarantine {
+                    key: c.keys[job.index].clone(),
+                    kind: "shed".to_string(),
+                    error,
+                });
             }
         }
         notify(c, events);
@@ -643,7 +636,7 @@ fn quarantine_tenant(st: &mut State, tenant: &str, dir: Option<&PathBuf>) {
 
 /// Send `events` (plus a terminal state event, once, if due) to the
 /// campaign's watchers, pruning disconnected ones.
-fn notify(c: &mut Campaign, mut events: Vec<String>) {
+fn notify(c: &mut Campaign, mut events: Vec<Event>) {
     let st = c.state();
     if state::is_terminal(st) && !c.closed {
         c.closed = true;
@@ -654,7 +647,7 @@ fn notify(c: &mut Campaign, mut events: Vec<String>) {
         c.grid = Vec::new();
         c.sharing = None;
         c.journal = None;
-        events.push(Event::State { state: st.to_string() }.encode());
+        events.push(Event::State { state: st.to_string() });
     }
     if !events.is_empty() {
         c.watchers.retain(|w| events.iter().all(|e| w.send(e.clone()).is_ok()));
@@ -757,7 +750,7 @@ fn apply_result(
         Ok(stored) => {
             c.points[index] = PointState::Done(stored);
             let point = decode(stored);
-            events.push(Event::Point { key, cycles: point.cycles }.encode());
+            events.push(Event::Point { key, cycles: point.cycles });
             point.locked_out
         }
         Err(r) if r.kind == FailureKind::Cancelled => {
@@ -766,9 +759,10 @@ fn apply_result(
         }
         Err(r) => {
             let kind = r.kind.to_string();
-            c.points[index] = PointState::Quarantined { kind: kind.clone(), error: r.error.clone() };
+            c.points[index] =
+                PointState::Quarantined { kind: kind.clone(), error: r.error.clone() };
             persist_quarantine(cfg.journal_dir.as_ref(), c.digest, &key, &kind, &r.error);
-            events.push(Event::Quarantine { key, kind, error: r.error }.encode());
+            events.push(Event::Quarantine { key, kind, error: r.error });
             true
         }
     };
@@ -798,8 +792,12 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
     }
 }
 
+fn reply(out: &mut impl Write, reply: Reply) -> io::Result<()> {
+    writeln!(out, "{}", reply.encode())
+}
+
 fn reply_err(out: &mut impl Write, msg: &str) -> io::Result<()> {
-    writeln!(out, "{{\"ok\":0,\"error\":\"{}\"}}", json_escape(msg))
+    reply(out, Reply::Error(msg.to_string()))
 }
 
 fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
@@ -828,9 +826,9 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
             }
         };
         match req {
-            Request::Ping => writeln!(out, "{{\"ok\":1,\"pong\":1}}")?,
+            Request::Ping => reply(&mut out, Reply::Pong)?,
             Request::Shutdown => {
-                writeln!(out, "{{\"ok\":1,\"stopping\":1}}")?;
+                reply(&mut out, Reply::Stopping)?;
                 inner.shutdown.store(true, Ordering::SeqCst);
                 inner.work.notify_all();
                 // An accepted connection's local address IS the listen
@@ -859,7 +857,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
                     st.campaigns.get(&id).map(|c| {
                         let mut ls = vec![c.status(&id).encode()];
                         ls.extend(c.results().iter().map(PointResult::encode));
-                        ls.push("{\"end\":1}".to_string());
+                        ls.push(Reply::End.encode());
                         ls
                     })
                 };
@@ -902,10 +900,7 @@ fn handle_submit(
         // crashed after submit, or one re-joining after a server restart)
         // binds to the live campaign instead of erroring.
         if existing.digest == digest {
-            let mut reply = existing.status(&id).encode();
-            reply.truncate(reply.len() - 1);
-            writeln!(out, "{reply},\"attached\":1}}")?;
-            return Ok(());
+            return writeln!(out, "{}", existing.status(&id).encode_attached());
         }
         return reply_err(out, "campaign name already in use with a different spec");
     }
@@ -913,20 +908,17 @@ fn handle_submit(
     // explicit load-shed replies so clients can back off instead of
     // timing out against an overloaded server.
     if st.campaigns.values().filter(|c| !c.closed).count() >= inner.cfg.max_campaigns {
-        return writeln!(
-            out,
-            "{{\"ok\":0,\"shed\":1,\"error\":\"campaign limit reached ({})\"}}",
-            inner.cfg.max_campaigns
-        );
+        let error = format!("campaign limit reached ({})", inner.cfg.max_campaigns);
+        return reply(out, Reply::Shed(error));
     }
     if st.sched.pending() + spec.points() > inner.cfg.max_pending_points {
-        return writeln!(
-            out,
-            "{{\"ok\":0,\"shed\":1,\"error\":\"queue full: {} pending + {} requested > {}\"}}",
+        let error = format!(
+            "queue full: {} pending + {} requested > {}",
             st.sched.pending(),
             spec.points(),
             inner.cfg.max_pending_points
         );
+        return reply(out, Reply::Shed(error));
     }
     // Durability order: manifest first (atomic), then acknowledge. A
     // crash after the ack can always rebuild the campaign.
@@ -941,7 +933,7 @@ fn handle_submit(
             return reply_err(out, &format!("cannot persist campaign manifest: {e}"));
         }
     }
-    match build_campaign(tenant, &id, spec, inner.cfg.journal_dir.as_ref()) {
+    match build_campaign(tenant, digest, spec, inner.cfg.journal_dir.as_ref()) {
         Ok((c, pending)) => {
             for i in pending {
                 st.sched.enqueue(tenant, c.spec.weight, Job { campaign: id.clone(), index: i });
@@ -994,7 +986,7 @@ fn handle_cancel(inner: &Inner, out: &mut impl Write, id: &str) -> io::Result<()
 }
 
 fn handle_watch(inner: &Arc<Inner>, out: &mut impl Write, id: &str) -> io::Result<()> {
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Event>();
     let (replay, live) = {
         let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
         let Some(c) = st.campaigns.get_mut(id) else {
@@ -1006,13 +998,13 @@ fn handle_watch(inner: &Arc<Inner>, out: &mut impl Write, id: &str) -> io::Resul
         if live {
             c.watchers.push(tx);
         } else {
-            replay.push(Event::State { state: s.to_string() }.encode());
+            replay.push(Event::State { state: s.to_string() });
         }
         (replay, live)
     };
-    writeln!(out, "{{\"ok\":1,\"watching\":\"{}\"}}", json_escape(id))?;
-    for line in &replay {
-        writeln!(out, "{line}")?;
+    reply(out, Reply::Watching(id.to_string()))?;
+    for event in &replay {
+        writeln!(out, "{}", event.encode())?;
     }
     out.flush()?;
     if !live {
@@ -1020,10 +1012,9 @@ fn handle_watch(inner: &Arc<Inner>, out: &mut impl Write, id: &str) -> io::Resul
     }
     loop {
         match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(line) => {
-                let terminal = Event::parse(&line)
-                    .is_ok_and(|e| matches!(e, Event::State { state: s } if state::is_terminal(&s)));
-                writeln!(out, "{line}")?;
+            Ok(event) => {
+                let terminal = matches!(&event, Event::State { state: s } if state::is_terminal(s));
+                writeln!(out, "{}", event.encode())?;
                 out.flush()?;
                 if terminal {
                     return Ok(());

@@ -1,14 +1,17 @@
 //! The campaign server's wire protocol: JSON lines over TCP.
 //!
-//! Every message is one line holding one JSON object with string and
-//! unsigned-integer fields only — the same minimal dialect the campaign
-//! journal speaks, parsed with the same [`gex::journal`] field helpers
-//! (this workspace builds offline; there is no serialization crate to
-//! lean on). Requests carry an `"op"` field; replies carry `"ok":1` or
-//! `"ok":0` plus an `"error"`. Campaign specs travel as one escaped
-//! spec-line inside the submit request and are stored verbatim in the
-//! on-disk [`gex::CampaignManifest`], so the bytes that admitted a
-//! campaign are the bytes that resume it after a crash.
+//! Every message is one line holding one flat JSON object with string and
+//! unsigned-integer members only — the dialect the campaign journal
+//! speaks, written by the same [`Line`] and read by the same
+//! [`Fields::parse`]. The accepted grammar is standard JSON in that
+//! shape: any whitespace between tokens and every escape are accepted,
+//! unknown keys are ignored, and duplicate keys, trailing bytes or any
+//! other value type reject the line. Requests carry an `"op"` field;
+//! replies carry `"ok":1` or `"ok":0` plus an `"error"`.
+//! Campaign specs travel as one escaped spec-line inside the submit
+//! request and are stored verbatim in the on-disk
+//! [`gex::CampaignManifest`], so the bytes that admitted a campaign are
+//! the bytes that resume it after a crash.
 //!
 //! ## Requests
 //!
@@ -30,9 +33,10 @@
 //!
 //! `results` answers with a header, one line per point, and an `"end"`
 //! marker; `watch` answers with `"ok":1` and then streams `"event"`
-//! lines until the campaign reaches a terminal state.
+//! lines until the campaign reaches a terminal state. Every other reply
+//! is a [`Reply`].
 
-use gex::journal::{field_str, field_u64, json_escape};
+use gex::journal::{Fields, Line};
 use gex::{PageSizePolicy, PartitionPolicy, Preset, Scheme};
 use std::fmt;
 
@@ -58,11 +62,11 @@ impl Inject {
         }
     }
 
-    fn parse(s: &str) -> Result<Inject, String> {
+    fn parse(s: &str) -> Option<Inject> {
         match s {
-            "panic" => Ok(Inject::Panic),
-            "deadline" => Ok(Inject::Deadline),
-            other => Err(format!("unknown inject mode {other:?} (panic|deadline)")),
+            "panic" => Some(Inject::Panic),
+            "deadline" => Some(Inject::Deadline),
+            _ => None,
         }
     }
 }
@@ -104,12 +108,6 @@ pub struct CampaignSpec {
     /// unchanged, so campaign digests (and therefore crash/resume
     /// identity) are unaffected.
     pub pagesize: Option<PageSizePolicy>,
-    /// Ignored. Earlier builds let a spec pick an intra-run SM worker
-    /// count; that engine is gone, but the spec line is stored verbatim
-    /// in the manifest and folded into the campaign digest, so the key
-    /// still parses and re-encodes byte-identically — a manifest written
-    /// by such a build keeps its digest and resumes.
-    pub sm_threads: Option<u32>,
 }
 
 fn preset_token(p: Preset) -> &'static str {
@@ -156,13 +154,16 @@ pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     }
 }
 
-/// The spec's `u32` field `key`, `None` when absent. A value that does
-/// not fit is an error naming the field, never a truncation: the wire is
-/// outside input, and `sms` 2^32 + 2 must not be admitted as 2 SMs.
-fn field_u32(line: &str, key: &str) -> Result<Option<u32>, String> {
-    field_u64(line, key)
-        .map(|n| u32::try_from(n).map_err(|_| format!("spec {key} = {n} does not fit 32 bits")))
-        .transpose()
+/// The optional token member `key`, read by `parse`; `choices` lists the
+/// tokens it accepts.
+fn token<T>(
+    f: &Fields,
+    key: &str,
+    parse: fn(&str) -> Option<T>,
+    choices: &str,
+) -> Result<Option<T>, String> {
+    let Some(s) = f.str(key) else { return Ok(None) };
+    parse(s).map(Some).ok_or_else(|| format!("unknown {key} {s:?} ({choices})"))
 }
 
 impl CampaignSpec {
@@ -178,7 +179,6 @@ impl CampaignSpec {
             inject: None,
             partition: None,
             pagesize: None,
-            sm_threads: None,
         }
     }
 
@@ -187,84 +187,60 @@ impl CampaignSpec {
     /// folded into the campaign digest, so byte stability is part of the
     /// resume contract.
     pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"preset\":\"{}\",\"sms\":{},\"weight\":{}",
-            preset_token(self.preset),
-            self.sms,
-            self.weight
-        );
-        let _ = write!(s, ",\"workloads\":\"{}\"", json_escape(&self.workloads.join(",")));
-        let tokens: Vec<String> = self.schemes.iter().map(|&x| scheme_token(x)).collect();
-        let _ = write!(s, ",\"schemes\":\"{}\"", tokens.join(","));
+        let schemes: Vec<String> = self.schemes.iter().map(|&x| scheme_token(x)).collect();
+        let mut line = Line::default()
+            .str("preset", preset_token(self.preset))
+            .u64("sms", self.sms.into())
+            .u64("weight", self.weight.into())
+            .str("workloads", &self.workloads.join(","))
+            .str("schemes", &schemes.join(","));
         if let Some(seed) = self.seed {
-            let _ = write!(s, ",\"seed\":{seed}");
+            line = line.u64("seed", seed);
         }
         if let Some(inject) = self.inject {
-            let _ = write!(s, ",\"inject\":\"{}\"", inject.token());
+            line = line.str("inject", inject.token());
         }
         if let Some(partition) = self.partition {
-            let _ = write!(s, ",\"partition\":\"{}\"", partition.token());
+            line = line.str("partition", partition.token());
         }
         if let Some(pagesize) = self.pagesize {
-            let _ = write!(s, ",\"pagesize\":\"{}\"", pagesize.token());
+            line = line.str("pagesize", pagesize.token());
         }
-        if let Some(sm_threads) = self.sm_threads {
-            let _ = write!(s, ",\"sm_threads\":{sm_threads}");
-        }
-        s.push('}');
-        s
+        line.end()
     }
 
     /// Parse an [`CampaignSpec::encode`]d spec line.
     pub fn parse(line: &str) -> Result<CampaignSpec, String> {
-        let preset = parse_preset(&field_str(line, "preset").ok_or("spec missing preset")?)?;
-        let sms = field_u32(line, "sms")?.ok_or("spec missing sms")?;
-        let weight = field_u32(line, "weight")?.unwrap_or(1).max(1);
-        let workloads: Vec<String> = field_str(line, "workloads")
-            .ok_or("spec missing workloads")?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        let schemes = field_str(line, "schemes")
-            .ok_or("spec missing schemes")?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(parse_scheme)
-            .collect::<Result<Vec<Scheme>, String>>()?;
+        let f = Fields::parse(line)?;
+        // A value that does not fit is an error naming the field, never a
+        // truncation: the wire is outside input, and `sms` 2^32 + 2 must
+        // not be admitted as 2 SMs.
+        let u32_of = |key: &str| -> Result<Option<u32>, String> {
+            let Some(n) = f.u64(key) else { return Ok(None) };
+            u32::try_from(n).map(Some).map_err(|_| format!("spec {key} = {n} does not fit 32 bits"))
+        };
+        let list = |key: &str| {
+            let s = f.str(key).ok_or_else(|| format!("spec missing {key}"))?;
+            Ok::<_, String>(s.split(',').filter(|s| !s.is_empty()))
+        };
+        let preset = parse_preset(f.str("preset").ok_or("spec missing preset")?)?;
+        let sms = u32_of("sms")?.ok_or("spec missing sms")?;
+        let weight = u32_of("weight")?.unwrap_or(1).max(1);
+        let workloads: Vec<String> = list("workloads")?.map(str::to_string).collect();
+        let schemes = list("schemes")?.map(parse_scheme).collect::<Result<Vec<_>, _>>()?;
         if workloads.is_empty() || schemes.is_empty() {
             return Err("spec needs at least one workload and one scheme".to_string());
         }
-        let inject = match field_str(line, "inject") {
-            Some(s) => Some(Inject::parse(&s)?),
-            None => None,
-        };
-        let partition = match field_str(line, "partition") {
-            Some(s) => Some(PartitionPolicy::parse(&s).ok_or_else(|| {
-                format!("unknown partition policy {s:?} (shared|static|quarantine)")
-            })?),
-            None => None,
-        };
-        let pagesize = match field_str(line, "pagesize") {
-            Some(s) => Some(PageSizePolicy::parse(&s).ok_or_else(|| {
-                format!("unknown page-size policy {s:?} (small|transparent|hugeonly)")
-            })?),
-            None => None,
-        };
         Ok(CampaignSpec {
             preset,
             sms,
             weight,
             workloads,
             schemes,
-            seed: field_u64(line, "seed"),
-            inject,
-            partition,
-            pagesize,
-            sm_threads: field_u32(line, "sm_threads")?,
+            seed: f.u64("seed"),
+            inject: token(&f, "inject", Inject::parse, "panic|deadline")?,
+            partition: token(&f, "partition", PartitionPolicy::parse, "shared|static|quarantine")?,
+            pagesize: token(&f, "pagesize", PageSizePolicy::parse, "small|transparent|hugeonly")?,
         })
     }
 
@@ -333,46 +309,39 @@ pub enum Request {
 impl Request {
     /// Encode the request as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let pair = |op: &str, t: &str, c: &str| {
-            format!(
-                "{{\"op\":\"{op}\",\"tenant\":\"{}\",\"campaign\":\"{}\"}}",
-                json_escape(t),
-                json_escape(c)
-            )
-        };
+        let op = |op| Line::default().str("op", op);
+        let pair = |o, t: &str, c: &str| op(o).str("tenant", t).str("campaign", c);
         match self {
-            Request::Submit { tenant, campaign, spec } => format!(
-                "{{\"op\":\"submit\",\"tenant\":\"{}\",\"campaign\":\"{}\",\"spec\":\"{}\"}}",
-                json_escape(tenant),
-                json_escape(campaign),
-                json_escape(&spec.encode())
-            ),
+            Request::Submit { tenant, campaign, spec } => {
+                pair("submit", tenant, campaign).str("spec", &spec.encode())
+            }
             Request::Status { tenant, campaign } => pair("status", tenant, campaign),
             Request::Results { tenant, campaign } => pair("results", tenant, campaign),
             Request::Watch { tenant, campaign } => pair("watch", tenant, campaign),
             Request::Cancel { tenant, campaign } => pair("cancel", tenant, campaign),
-            Request::Ping => "{\"op\":\"ping\"}".to_string(),
-            Request::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
+            Request::Ping => op("ping"),
+            Request::Shutdown => op("shutdown"),
         }
+        .end()
     }
 
     /// Parse one wire line into a request.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let op = field_str(line, "op").ok_or("request missing op")?;
+        let f = Fields::parse(line)?;
         let tenant_campaign = || -> Result<(String, String), String> {
-            let tenant = field_str(line, "tenant").ok_or("request missing tenant")?;
-            let campaign = field_str(line, "campaign").ok_or("request missing campaign")?;
+            let tenant = f.str("tenant").ok_or("request missing tenant")?;
+            let campaign = f.str("campaign").ok_or("request missing campaign")?;
             if tenant.is_empty() || campaign.is_empty() || tenant.contains('/') {
                 return Err("tenant and campaign must be non-empty; tenant may not contain '/'"
                     .to_string());
             }
-            Ok((tenant, campaign))
+            Ok((tenant.to_string(), campaign.to_string()))
         };
-        match op.as_str() {
+        match f.str("op").ok_or("request missing op")? {
             "submit" => {
                 let (tenant, campaign) = tenant_campaign()?;
-                let spec_line = field_str(line, "spec").ok_or("submit missing spec")?;
-                Ok(Request::Submit { tenant, campaign, spec: CampaignSpec::parse(&spec_line)? })
+                let spec = CampaignSpec::parse(f.str("spec").ok_or("submit missing spec")?)?;
+                Ok(Request::Submit { tenant, campaign, spec })
             }
             "status" => tenant_campaign().map(|(tenant, campaign)| Request::Status { tenant, campaign }),
             "results" => tenant_campaign().map(|(tenant, campaign)| Request::Results { tenant, campaign }),
@@ -427,44 +396,93 @@ pub struct StatusReply {
 impl StatusReply {
     /// Encode as a reply line.
     pub fn encode(&self) -> String {
-        format!(
-            "{{\"ok\":1,\"campaign\":\"{}\",\"state\":\"{}\",\"points\":{},\"done\":{},\"quarantined\":{},\"cancelled\":{},\"resumed\":{}}}",
-            json_escape(&self.id),
-            json_escape(&self.state),
-            self.points,
-            self.done,
-            self.quarantined,
-            self.cancelled,
-            self.resumed
-        )
+        self.line().end()
+    }
+
+    /// Encode as the reply to a submit that re-attached to the live
+    /// campaign of the same name and spec.
+    pub fn encode_attached(&self) -> String {
+        self.line().u64("attached", 1).end()
+    }
+
+    fn line(&self) -> Line {
+        Line::default()
+            .u64("ok", 1)
+            .str("campaign", &self.id)
+            .str("state", &self.state)
+            .u64("points", self.points)
+            .u64("done", self.done)
+            .u64("quarantined", self.quarantined)
+            .u64("cancelled", self.cancelled)
+            .u64("resumed", self.resumed)
     }
 
     /// Parse a reply line into counters.
     pub fn parse(line: &str) -> Result<StatusReply, String> {
-        if field_u64(line, "ok") != Some(1) {
-            return Err(error_of(line));
+        let f = Fields::parse(line)?;
+        if f.u64("ok") != Some(1) {
+            return Err(f.str("error").unwrap_or("not a status reply").to_string());
         }
         Ok(StatusReply {
-            id: field_str(line, "campaign").ok_or("reply missing campaign")?,
-            state: field_str(line, "state").ok_or("reply missing state")?,
-            points: field_u64(line, "points").ok_or("reply missing points")?,
-            done: field_u64(line, "done").unwrap_or(0),
-            quarantined: field_u64(line, "quarantined").unwrap_or(0),
-            cancelled: field_u64(line, "cancelled").unwrap_or(0),
-            resumed: field_u64(line, "resumed").unwrap_or(0),
+            id: f.str("campaign").ok_or("reply missing campaign")?.to_string(),
+            state: f.str("state").ok_or("reply missing state")?.to_string(),
+            points: f.u64("points").ok_or("reply missing points")?,
+            done: f.u64("done").unwrap_or(0),
+            quarantined: f.u64("quarantined").unwrap_or(0),
+            cancelled: f.u64("cancelled").unwrap_or(0),
+            resumed: f.u64("resumed").unwrap_or(0),
         })
     }
 }
 
-/// The server's rendered error for a `"ok":0` reply line.
-pub fn error_of(line: &str) -> String {
-    field_str(line, "error").unwrap_or_else(|| format!("malformed reply: {line}"))
+/// Every reply line that is neither a [`StatusReply`] nor a line of a
+/// `results` or `watch` stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// The request was refused, for the rendered reason.
+    Error(String),
+    /// Admission control load-shed the request, for the rendered reason:
+    /// valid back-pressure, to be retried later or at lower volume.
+    Shed(String),
+    /// Answers `ping`.
+    Pong,
+    /// Answers `shutdown`.
+    Stopping,
+    /// Answers `watch` for the campaign id; its event lines follow.
+    Watching(String),
+    /// Closes a `results` stream.
+    End,
 }
 
-/// True when the reply line is a load-shed rejection (admission control
-/// turned the campaign away; retry later or at lower volume).
-pub fn is_shed(line: &str) -> bool {
-    field_u64(line, "shed") == Some(1)
+impl Reply {
+    /// Encode as one reply line.
+    pub fn encode(&self) -> String {
+        let ok = |ok| Line::default().u64("ok", ok);
+        match self {
+            Reply::Error(e) => ok(0).str("error", e),
+            Reply::Shed(e) => ok(0).u64("shed", 1).str("error", e),
+            Reply::Pong => ok(1).u64("pong", 1),
+            Reply::Stopping => ok(1).u64("stopping", 1),
+            Reply::Watching(id) => ok(1).str("watching", id),
+            Reply::End => Line::default().u64("end", 1),
+        }
+        .end()
+    }
+
+    /// Parse one reply line.
+    pub fn parse(line: &str) -> Result<Reply, String> {
+        let f = Fields::parse(line)?;
+        let flag = |key: &str| f.u64(key) == Some(1);
+        Ok(match (f.u64("ok"), f.str("error"), f.str("watching")) {
+            (Some(0), Some(e), _) if flag("shed") => Reply::Shed(e.to_string()),
+            (Some(0), Some(e), _) => Reply::Error(e.to_string()),
+            (Some(1), _, _) if flag("pong") => Reply::Pong,
+            (Some(1), _, _) if flag("stopping") => Reply::Stopping,
+            (Some(1), _, Some(id)) => Reply::Watching(id.to_string()),
+            (None, _, _) if flag("end") => Reply::End,
+            _ => return Err(format!("unexpected reply: {line}")),
+        })
+    }
 }
 
 /// One point's outcome inside a `results` stream.
@@ -501,40 +519,35 @@ pub enum PointResult {
 impl PointResult {
     /// Encode as one stream line.
     pub fn encode(&self) -> String {
+        let line = Line::default().str("key", self.key());
         match self {
-            PointResult::Done { key, cycles } => {
-                format!("{{\"key\":\"{}\",\"cycles\":{cycles}}}", json_escape(key))
+            PointResult::Done { cycles, .. } => line.u64("cycles", *cycles),
+            PointResult::Quarantined { kind, error, .. } => {
+                line.str("kind", kind).str("error", error)
             }
-            PointResult::Quarantined { key, kind, error } => format!(
-                "{{\"key\":\"{}\",\"kind\":\"{}\",\"error\":\"{}\"}}",
-                json_escape(key),
-                json_escape(kind),
-                json_escape(error)
-            ),
-            PointResult::Cancelled { key } => {
-                format!("{{\"key\":\"{}\",\"cancelled\":1}}", json_escape(key))
-            }
-            PointResult::Pending { key } => {
-                format!("{{\"key\":\"{}\",\"pending\":1}}", json_escape(key))
-            }
+            PointResult::Cancelled { .. } => line.u64("cancelled", 1),
+            PointResult::Pending { .. } => line.u64("pending", 1),
         }
+        .end()
     }
 
     /// Parse one stream line.
     pub fn parse(line: &str) -> Result<PointResult, String> {
-        let key = field_str(line, "key").ok_or_else(|| format!("point line missing key: {line}"))?;
-        if let Some(cycles) = field_u64(line, "cycles") {
+        let f = Fields::parse(line)?;
+        let key =
+            f.str("key").ok_or_else(|| format!("point line missing key: {line}"))?.to_string();
+        if let Some(cycles) = f.u64("cycles") {
             return Ok(PointResult::Done { key, cycles });
         }
-        if field_u64(line, "cancelled") == Some(1) {
+        if f.u64("cancelled") == Some(1) {
             return Ok(PointResult::Cancelled { key });
         }
-        if field_u64(line, "pending") == Some(1) {
+        if f.u64("pending") == Some(1) {
             return Ok(PointResult::Pending { key });
         }
         Ok(PointResult::Quarantined {
-            kind: field_str(line, "kind").unwrap_or_else(|| "unknown".to_string()),
-            error: field_str(line, "error").unwrap_or_default(),
+            kind: f.str("kind").unwrap_or("unknown").to_string(),
+            error: f.str("error").unwrap_or_default().to_string(),
             key,
         })
     }
@@ -580,38 +593,32 @@ pub enum Event {
 impl Event {
     /// Encode as one stream line.
     pub fn encode(&self) -> String {
+        let event = |event| Line::default().str("event", event);
         match self {
-            Event::Point { key, cycles } => format!(
-                "{{\"event\":\"point\",\"key\":\"{}\",\"cycles\":{cycles}}}",
-                json_escape(key)
-            ),
-            Event::Quarantine { key, kind, error } => format!(
-                "{{\"event\":\"quarantine\",\"key\":\"{}\",\"kind\":\"{}\",\"error\":\"{}\"}}",
-                json_escape(key),
-                json_escape(kind),
-                json_escape(error)
-            ),
-            Event::State { state } => {
-                format!("{{\"event\":\"state\",\"state\":\"{}\"}}", json_escape(state))
+            Event::Point { key, cycles } => event("point").str("key", key).u64("cycles", *cycles),
+            Event::Quarantine { key, kind, error } => {
+                event("quarantine").str("key", key).str("kind", kind).str("error", error)
             }
+            Event::State { state } => event("state").str("state", state),
         }
+        .end()
     }
 
     /// Parse one stream line.
     pub fn parse(line: &str) -> Result<Event, String> {
-        match field_str(line, "event").ok_or_else(|| format!("not an event line: {line}"))?.as_str()
-        {
+        let f = Fields::parse(line)?;
+        match f.str("event").ok_or_else(|| format!("not an event line: {line}"))? {
             "point" => Ok(Event::Point {
-                key: field_str(line, "key").ok_or("point event missing key")?,
-                cycles: field_u64(line, "cycles").ok_or("point event missing cycles")?,
+                key: f.str("key").ok_or("point event missing key")?.to_string(),
+                cycles: f.u64("cycles").ok_or("point event missing cycles")?,
             }),
             "quarantine" => Ok(Event::Quarantine {
-                key: field_str(line, "key").ok_or("quarantine event missing key")?,
-                kind: field_str(line, "kind").unwrap_or_else(|| "unknown".to_string()),
-                error: field_str(line, "error").unwrap_or_default(),
+                key: f.str("key").ok_or("quarantine event missing key")?.to_string(),
+                kind: f.str("kind").unwrap_or("unknown").to_string(),
+                error: f.str("error").unwrap_or_default().to_string(),
             }),
             "state" => Ok(Event::State {
-                state: field_str(line, "state").ok_or("state event missing state")?,
+                state: f.str("state").ok_or("state event missing state")?.to_string(),
             }),
             other => Err(format!("unknown event {other:?}")),
         }
@@ -645,7 +652,6 @@ mod tests {
             inject: Some(Inject::Panic),
             partition: Some(PartitionPolicy::Quarantine),
             pagesize: Some(PageSizePolicy::Transparent),
-            sm_threads: Some(2),
         }
     }
 
@@ -679,7 +685,6 @@ mod tests {
         assert_eq!(s.inject, None);
         assert_eq!(s.partition, None);
         assert_eq!(s.pagesize, None);
-        assert_eq!(s.sm_threads, None);
         assert_eq!(s.encode(), line);
         assert!(
             CampaignSpec::parse(&line.replace('}', ",\"partition\":\"exclusive\"}")).is_err(),
@@ -692,17 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sm_threads_key_round_trips_verbatim() {
-        // The line a previous build wrote into a manifest for a campaign
-        // submitted with `sm_threads=2`: the value is ignored, but the
-        // bytes (and so the campaign digest) must survive parse/encode.
-        let line = "{\"preset\":\"Test\",\"sms\":4,\"weight\":1,\"workloads\":\"sad,spmv\",\"schemes\":\"WdLastCheck\",\"sm_threads\":2}";
-        let s = CampaignSpec::parse(line).unwrap();
-        assert_eq!(s.sm_threads, Some(2));
-        assert_eq!(s.encode(), line);
-    }
-
-    #[test]
     fn out_of_range_spec_integers_are_errors_naming_the_field() {
         let line = "{\"preset\":\"Test\",\"sms\":2,\"weight\":1,\"workloads\":\"histo\",\"schemes\":\"Baseline\",\"sm_threads\":2}";
         assert!(CampaignSpec::parse(line).is_ok());
@@ -710,7 +704,6 @@ mod tests {
         for (field, narrow, wide) in [
             ("sms", "\"sms\":2", "\"sms\":4294967298"),
             ("weight", "\"weight\":1", "\"weight\":4294967296"),
-            ("sm_threads", "\"sm_threads\":2", "\"sm_threads\":4294967298"),
         ] {
             let err = CampaignSpec::parse(&line.replace(narrow, wide)).expect_err(field);
             assert!(err.contains(field), "{field}: {err}");
@@ -773,8 +766,14 @@ mod tests {
             StatusReply::parse("{\"ok\":0,\"error\":\"queue full\",\"shed\":1}"),
             Err("queue full".to_string())
         );
-        assert!(is_shed("{\"ok\":0,\"error\":\"queue full\",\"shed\":1}"));
-        assert!(!is_shed("{\"ok\":0,\"error\":\"unknown campaign\"}"));
+        assert_eq!(
+            Reply::parse("{\"ok\":0,\"error\":\"queue full\",\"shed\":1}"),
+            Ok(Reply::Shed("queue full".to_string()))
+        );
+        assert_eq!(
+            Reply::parse("{\"ok\":0,\"error\":\"unknown campaign\"}"),
+            Ok(Reply::Error("unknown campaign".to_string()))
+        );
 
         for p in [
             PointResult::Done { key: "histo/Baseline".to_string(), cycles: 42 },
@@ -799,6 +798,166 @@ mod tests {
             Event::State { state: state::DONE.to_string() },
         ] {
             assert_eq!(Event::parse(&e.encode()), Ok(e));
+        }
+    }
+
+    #[test]
+    fn standard_json_spellings_are_read_and_broken_lines_refused() {
+        let submit = Request::Submit {
+            tenant: "t".to_string(),
+            campaign: "c".to_string(),
+            spec: CampaignSpec::new(
+                Preset::Test,
+                2,
+                vec!["histo".to_string()],
+                vec![Scheme::Baseline],
+            ),
+        };
+        let status =
+            Request::Status { tenant: "a\tb\nc".to_string(), campaign: "d/e\u{1f600}".to_string() };
+        let sms_2x = submit.encode().replace(r#"\"sms\":2,"#, r#"\"sms\":2x,"#);
+        let spaced = r#"{"op": "submit", "tenant": "t", "campaign": "c", "spec": "{\"preset\": \"Test\", \"sms\": 2, \"weight\": 1, \"workloads\": \"histo\", \"schemes\": \"Baseline\"}"}"#;
+        for (line, want) in [
+            (r#"{"op": "ping"}"#, Some(Request::Ping)),
+            (spaced, Some(submit)),
+            (r#"{"op":"status","tenant":"a\tb\nc","campaign":"d\/e\ud83d\ude00"}"#, Some(status)),
+            (r#"garbage "op":"ping" trailing"#, None),
+            (r#"{"op":"shutdown","op":"ping"}"#, None),
+            (r#"{"op":"ping"}}"#, None),
+            (&sms_2x, None),
+        ] {
+            assert_eq!(Request::parse(line).ok(), want, "{line}");
+        }
+    }
+
+    /// Every encoder's bytes, literally: campaign digests, journals and
+    /// manifests written by earlier builds keep resuming only while these
+    /// stay put.
+    #[test]
+    fn every_encoder_writes_the_pinned_bytes() {
+        let dir = std::env::temp_dir().join(format!("gex-wire-pins-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let minimal =
+            CampaignSpec::new(Preset::Test, 2, vec!["histo".to_string()], vec![Scheme::Baseline]);
+        let digest = gex::journal::digest("alice/fig10|grid");
+        let journal = dir.join("pins.jsonl");
+        gex::CampaignJournal::open(&journal, digest)
+            .unwrap()
+            .record("sgemm/OperandLog { bytes: 8192 }", 1_234_567);
+        let manifest = gex::CampaignManifest {
+            id: "alice/fig10".to_string(),
+            tenant: "alice".to_string(),
+            digest,
+            spec: minimal.encode(),
+        }
+        .save(&dir)
+        .unwrap();
+        let files = std::fs::read_to_string(&journal).unwrap()
+            + &std::fs::read_to_string(manifest).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let (t, c) = ("al\"ice".to_string(), "fig\u{1}10".to_string());
+        let status = StatusReply {
+            id: "alice/fig10".to_string(),
+            state: state::RUNNING.to_string(),
+            points: 8,
+            done: 3,
+            quarantined: 1,
+            cancelled: 0,
+            resumed: 2,
+        };
+        let replies = [
+            Reply::Error("unknown \"campaign\"".to_string()),
+            Reply::Shed("campaign limit reached (64)".to_string()),
+            Reply::Pong,
+            Reply::Stopping,
+            Reply::Watching("alice/fig10".to_string()),
+            Reply::End,
+        ];
+        for r in &replies {
+            assert_eq!(Reply::parse(&r.encode()).as_ref(), Ok(r));
+        }
+        let mut written: Vec<String> = [
+            Request::Submit { tenant: t.clone(), campaign: c.clone(), spec: spec() },
+            Request::Status { tenant: t.clone(), campaign: c.clone() },
+            Request::Results { tenant: t.clone(), campaign: c.clone() },
+            Request::Watch { tenant: t.clone(), campaign: c.clone() },
+            Request::Cancel { tenant: t, campaign: c },
+            Request::Ping,
+            Request::Shutdown,
+        ]
+        .iter()
+        .map(Request::encode)
+        .collect();
+        written.extend([spec().encode(), minimal.encode(), status.encode()]);
+        written.push(status.encode_attached());
+        written.extend(replies.iter().map(Reply::encode));
+        let quarantined = |kind: &str, error: &str| PointResult::Quarantined {
+            key: "lbm/ReplayQueue".to_string(),
+            kind: kind.to_string(),
+            error: error.to_string(),
+        };
+        written.extend(
+            [
+                PointResult::Done { key: "histo/Baseline".to_string(), cycles: 42 },
+                quarantined("panic", "injected \"panic\"\n"),
+                PointResult::Cancelled { key: "k".to_string() },
+                PointResult::Pending { key: "k".to_string() },
+            ]
+            .iter()
+            .map(PointResult::encode),
+        );
+        written.extend(
+            [
+                Event::Point { key: "histo/Baseline".to_string(), cycles: 42 },
+                Event::Quarantine {
+                    key: "k".to_string(),
+                    kind: "deadline".to_string(),
+                    error: "e".to_string(),
+                },
+                Event::State { state: state::DONE.to_string() },
+            ]
+            .iter()
+            .map(Event::encode),
+        );
+        written.extend(files.lines().map(str::to_string));
+        // The server's quarantine sidecar line.
+        written.push(quarantined("shed", "tenant fault budget exhausted").encode());
+
+        let pinned = [
+            r#"{"op":"submit","tenant":"al\"ice","campaign":"fig\u000110","spec":"{\"preset\":\"Test\",\"sms\":2,\"weight\":3,\"workloads\":\"histo,lbm\",\"schemes\":\"Baseline,OperandLog:8192\",\"seed\":7,\"inject\":\"panic\",\"partition\":\"quarantine\",\"pagesize\":\"transparent\"}"}"#,
+            r#"{"op":"status","tenant":"al\"ice","campaign":"fig\u000110"}"#,
+            r#"{"op":"results","tenant":"al\"ice","campaign":"fig\u000110"}"#,
+            r#"{"op":"watch","tenant":"al\"ice","campaign":"fig\u000110"}"#,
+            r#"{"op":"cancel","tenant":"al\"ice","campaign":"fig\u000110"}"#,
+            r#"{"op":"ping"}"#,
+            r#"{"op":"shutdown"}"#,
+            r#"{"preset":"Test","sms":2,"weight":3,"workloads":"histo,lbm","schemes":"Baseline,OperandLog:8192","seed":7,"inject":"panic","partition":"quarantine","pagesize":"transparent"}"#,
+            r#"{"preset":"Test","sms":2,"weight":1,"workloads":"histo","schemes":"Baseline"}"#,
+            r#"{"ok":1,"campaign":"alice/fig10","state":"running","points":8,"done":3,"quarantined":1,"cancelled":0,"resumed":2}"#,
+            r#"{"ok":1,"campaign":"alice/fig10","state":"running","points":8,"done":3,"quarantined":1,"cancelled":0,"resumed":2,"attached":1}"#,
+            r#"{"ok":0,"error":"unknown \"campaign\""}"#,
+            r#"{"ok":0,"shed":1,"error":"campaign limit reached (64)"}"#,
+            r#"{"ok":1,"pong":1}"#,
+            r#"{"ok":1,"stopping":1}"#,
+            r#"{"ok":1,"watching":"alice/fig10"}"#,
+            r#"{"end":1}"#,
+            r#"{"key":"histo/Baseline","cycles":42}"#,
+            r#"{"key":"lbm/ReplayQueue","kind":"panic","error":"injected \"panic\"\u000a"}"#,
+            r#"{"key":"k","cancelled":1}"#,
+            r#"{"key":"k","pending":1}"#,
+            r#"{"event":"point","key":"histo/Baseline","cycles":42}"#,
+            r#"{"event":"quarantine","key":"k","kind":"deadline","error":"e"}"#,
+            r#"{"event":"state","state":"done"}"#,
+            r#"{"gex_campaign":1,"digest":"1f873141467229e9"}"#,
+            r#"{"key":"sgemm/OperandLog { bytes: 8192 }","cycles":1234567}"#,
+            r#"{"gex_manifest":1,"id":"alice/fig10","tenant":"alice","digest":"1f873141467229e9","spec":"{\"preset\":\"Test\",\"sms\":2,\"weight\":1,\"workloads\":\"histo\",\"schemes\":\"Baseline\"}"}"#,
+            r#"{"key":"lbm/ReplayQueue","kind":"shed","error":"tenant fault budget exhausted"}"#,
+        ];
+        assert_eq!(written.len(), pinned.len());
+        for (line, pin) in written.iter().zip(pinned) {
+            assert_eq!(line, pin);
         }
     }
 

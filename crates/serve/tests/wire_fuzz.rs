@@ -7,7 +7,13 @@
 //! corpus carries escapes, a control character and non-ASCII text, so
 //! the mutations land on the escape handling as well as the framing, and
 //! every corpus line must re-encode to its own bytes.
+//!
+//! The same mutator, on its own seed, feeds the campaign journal and
+//! manifest readers from disk: they must never panic, a journal resumes
+//! only what complete record lines say, and a manifest they accept saves
+//! and loads back to itself.
 
+use gex::journal::{self, CampaignJournal, CampaignManifest, Fields};
 use gex::{PageSizePolicy, PartitionPolicy, Preset, Scheme};
 use gex_prng::Prng;
 use gex_serve::wire::{state, Inject};
@@ -16,6 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const SEED: u64 = 0x5eed_f022;
 const MUTATIONS_PER_LINE: usize = 7_000;
+const FILE_SEED: u64 = 0x5eed_f11e;
+const FILE_MUTATIONS: usize = 3_000;
 
 /// Characters that steer the hand-rolled JSON scanner.
 const INTERESTING: &[u8] = b"\"\\{}:,u0123456789 \x01\xc3\xa9";
@@ -31,7 +39,6 @@ fn full_spec() -> CampaignSpec {
         inject: Some(Inject::Deadline),
         partition: Some(PartitionPolicy::Quarantine),
         pagesize: Some(PageSizePolicy::Transparent),
-        sm_threads: Some(2),
     }
 }
 
@@ -185,4 +192,93 @@ fn mutated_lines_never_panic_and_accepted_ones_round_trip() {
     // The mutations must stay close enough to the grammar to reach the
     // accepting paths, or the round-trip half checks nothing.
     assert!(accepted * 10 > tried, "only {accepted} of {tried} mutated lines parsed");
+}
+
+#[test]
+fn mutated_journals_and_manifests_never_panic_and_resume_only_complete_records() {
+    let dir = std::env::temp_dir().join(format!("gex-journal-fuzz-{}", std::process::id()));
+    let (files, saved) = (dir.join("files"), dir.join("saved"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&files).unwrap();
+    let digest = journal::digest("ali\"ce/c→1|grid");
+    let path = journal::journal_path(&files, digest);
+    {
+        let j = CampaignJournal::open(&path, digest).unwrap();
+        j.record("histo/Baseline", 1_234_567);
+        j.record("lb\"m\\/OperandLog { bytes: 8192 }", u64::MAX);
+        j.record("sgémm\u{1}/WdCommit", 0);
+    }
+    let manifest = CampaignManifest {
+        id: "ali\"ce/c→1".to_string(),
+        tenant: "ali\"ce".to_string(),
+        digest,
+        spec: full_spec().encode(),
+    };
+    let journal_lines: Vec<String> =
+        std::fs::read_to_string(&path).unwrap().lines().map(str::to_string).collect();
+    let mut corpus = journal_lines.clone();
+    corpus.extend(
+        std::fs::read_to_string(manifest.save(&saved).unwrap())
+            .unwrap()
+            .lines()
+            .map(str::to_string),
+    );
+    // A quarantine sidecar line.
+    corpus.push(
+        PointResult::Quarantined {
+            key: "lbm/WdCommit".to_string(),
+            kind: "panic".to_string(),
+            error: "injected \"panic\"\u{1} ✗".to_string(),
+        }
+        .encode(),
+    );
+
+    let manifest_file = files.join("fuzzed.manifest");
+    let mut rng = Prng::seed_from_u64(FILE_SEED);
+    for _ in 0..FILE_MUTATIONS {
+        let k = rng.gen_range(0..corpus.len());
+        let line =
+            String::from_utf8_lossy(&mutate(&mut rng, corpus[k].as_bytes(), &corpus)).into_owned();
+
+        // The mutated line in its slot of the journal (or appended as one
+        // more record), with or without the final newline.
+        let mut lines = journal_lines.clone();
+        match lines.get_mut(k) {
+            Some(slot) => *slot = line.clone(),
+            None => lines.push(line.clone()),
+        }
+        let mut text = lines.join("\n");
+        if rng.gen_bool(0.5) {
+            text.push('\n');
+        }
+        std::fs::write(&path, &text).unwrap();
+        let j = catch_unwind(|| CampaignJournal::open(&path, digest))
+            .unwrap_or_else(|_| panic!("CampaignJournal::open panicked on {text:?}"))
+            .expect("a readable journal opens");
+        let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+        for (key, cycles) in j.entries() {
+            assert!(
+                complete.lines().skip(1).any(|l| Fields::parse(l)
+                    .is_ok_and(|f| f.str("key") == Some(&key) && f.u64("cycles") == Some(cycles))),
+                "{key:?} = {cycles} resumed from no complete record of {text:?}"
+            );
+        }
+        drop(j);
+        assert!(
+            std::fs::read_to_string(&path).unwrap().ends_with('\n'),
+            "after open, the next record starts on a line of its own: {text:?}"
+        );
+
+        std::fs::write(&manifest_file, format!("{line}\n")).unwrap();
+        let loaded = catch_unwind(|| CampaignManifest::load(&manifest_file))
+            .unwrap_or_else(|_| panic!("CampaignManifest::load panicked on {line:?}"));
+        let listed = catch_unwind(|| journal::list_manifests(&files))
+            .unwrap_or_else(|_| panic!("list_manifests panicked on {line:?}"));
+        assert_eq!(listed, loaded.clone().into_iter().collect::<Vec<_>>(), "{line:?}");
+        if let Some(m) = loaded {
+            let again = CampaignManifest::load(&m.save(&saved).unwrap());
+            assert_eq!(again.as_ref(), Some(&m), "{line:?} did not save and load back");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
