@@ -12,8 +12,9 @@
 //! register-machine ISA (an NVIDIA-like ISA with a large unified register
 //! file, predication, an explicitly managed divergence stack and
 //! fused-multiply-add — the features the paper calls out), executed
-//! functionally per thread, and the resulting [`trace::KernelTrace`] is what
-//! the cycle-level timing model in `gex-sm`/`gex-sim` consumes.
+//! functionally a warp at a time with per-thread results, and the resulting
+//! [`trace::KernelTrace`] is what the cycle-level timing model in
+//! `gex-sm`/`gex-sim` consumes.
 //!
 //! ## Quick tour
 //!

@@ -98,13 +98,6 @@ impl DynInstr {
     }
 }
 
-/// Trace of one warp: the dynamic instructions in issue (program) order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WarpTrace {
-    /// Dynamic instructions in program order.
-    pub instrs: Vec<DynInstr>,
-}
-
 /// Trace of one thread block, flattened for the timing hot path.
 ///
 /// All warps' dynamic instructions live in *one* contiguous array with a
@@ -124,15 +117,17 @@ pub struct BlockTrace {
 }
 
 impl BlockTrace {
-    /// Flatten per-warp traces (warp 0 holds threads 0..32, etc.) into
-    /// one contiguous block trace.
-    pub fn new(block_id: u32, warps: Vec<WarpTrace>) -> Self {
-        let total: usize = warps.iter().map(|w| w.instrs.len()).sum();
+    /// Flatten per-warp traces (warp 0 holds threads 0..32, etc., each
+    /// in program order) into one contiguous block trace. The warp
+    /// buffers are drained, not dropped, so a caller can reuse their
+    /// capacity for the next block.
+    pub fn new(block_id: u32, warps: &mut [Vec<DynInstr>]) -> Self {
+        let total: usize = warps.iter().map(Vec::len).sum();
         let mut instrs = Vec::with_capacity(total);
         let mut starts = Vec::with_capacity(warps.len() + 1);
         starts.push(0u32);
         for w in warps {
-            instrs.extend(w.instrs);
+            instrs.append(w);
             starts.push(instrs.len() as u32);
         }
         BlockTrace { block_id, instrs, starts }
@@ -350,7 +345,7 @@ mod tests {
         let d = mk_mem(Opcode::Ld(Space::Global, Width::B4), vec![8192], false, Space::Global);
         let kt = KernelTrace::new(
             "t".into(),
-            vec![BlockTrace::new(0, vec![WarpTrace { instrs: vec![d] }])],
+            vec![BlockTrace::new(0, &mut [vec![d]])],
             32,
             1,
             16,
@@ -367,12 +362,9 @@ mod tests {
         let a = mk_mem(Opcode::Ld(Space::Global, Width::B4), vec![0], false, Space::Global);
         let b = mk_mem(Opcode::St(Space::Global, Width::B4), vec![128], true, Space::Global);
         let c = mk_mem(Opcode::Ld(Space::Global, Width::B4), vec![4096], false, Space::Global);
-        let warps = vec![
-            WarpTrace { instrs: vec![a.clone(), b.clone()] },
-            WarpTrace { instrs: vec![] },
-            WarpTrace { instrs: vec![c.clone()] },
-        ];
-        let bt = BlockTrace::new(7, warps);
+        let mut warps = vec![vec![a.clone(), b.clone()], vec![], vec![c.clone()]];
+        let bt = BlockTrace::new(7, &mut warps);
+        assert!(warps.iter().all(Vec::is_empty), "the warp buffers are drained");
         assert_eq!(bt.block_id, 7);
         assert_eq!(bt.num_warps(), 3);
         assert_eq!(bt.dyn_instrs(), 3);
