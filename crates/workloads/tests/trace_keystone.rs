@@ -8,8 +8,9 @@
 //! counter moves them. A change that is meant to alter what the functional
 //! simulator computes re-pins them and says why.
 //!
-//! The Bench leg builds about 3 s of workloads in release and is ignored
-//! by default; run it with
+//! The Bench leg takes about 16 s in release (2.5 s of builds, the rest
+//! rendering ten million dynamic instructions for the digest) and is
+//! ignored by default; run it with
 //! `cargo test --release -p gex-workloads --test trace_keystone -- --include-ignored`.
 
 use gex_workloads::suite;
@@ -62,7 +63,7 @@ fn test_preset_traces_are_pinned() {
 }
 
 #[test]
-#[ignore = "about 3 s of release builds; CI runs it with --include-ignored"]
+#[ignore = "about 16 s in release; CI runs it with --include-ignored"]
 fn bench_preset_traces_are_pinned() {
     check(Preset::Bench, 0x8398_e6e2_a9b6_aaef);
 }
