@@ -2,8 +2,8 @@
 //!
 //! Pages live in a hash map keyed by page address with a multiplicative
 //! page-number hash. An access that lies inside one page looks its page up
-//! once and copies its bytes as a slice; an access that straddles two
-//! pages takes the byte-at-a-time path.
+//! once and moves one masked word; an access that straddles two pages
+//! takes the byte-at-a-time path.
 
 use crate::PAGE_BYTES;
 use std::collections::HashMap;
