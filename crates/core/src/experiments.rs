@@ -493,10 +493,14 @@ impl fmt::Display for Fig12 {
         }
         let g = geomean(&self.rows.iter().map(|r| r.switching).collect::<Vec<_>>());
         writeln!(f, "{:<14} {:>10.3}", "geomean", g)?;
-        writeln!(
-            f,
-            "paper (NVLink): sgemm +13%, stencil +7%, histo +11%; mri-gridding 0.85x; flat mean"
-        )
+        // The paper reports per-benchmark gains for NVLink only.
+        if self.interconnect == Interconnect::nvlink() {
+            writeln!(
+                f,
+                "paper (NVLink): sgemm +13%, stencil +7%, histo +11%; mri-gridding 0.85x; flat mean"
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -1064,6 +1068,25 @@ mod tests {
         let t2 = table2();
         assert!(t2.contains("1.04%"));
         assert!(t2.contains("2.37%"));
+    }
+
+    #[test]
+    fn fig12_paper_footer_is_on_the_nvlink_panel_only() {
+        let panel = |interconnect| {
+            let row = Fig12Row { benchmark: "sgemm".into(), switching: 1.25, ideal: 1.1 };
+            Fig12 { interconnect, rows: vec![row] }.to_string()
+        };
+        assert_eq!(
+            panel(Interconnect::pcie()),
+            "Figure 12 (PCIe): speedup of block switching over no-switching demand paging\n\
+             benchmark       switching   ideal-cs\n\
+             sgemm               1.250      1.100  |#################...|\n\
+             geomean             1.250\n"
+        );
+        assert!(panel(Interconnect::nvlink()).ends_with(
+            "geomean             1.250\npaper (NVLink): sgemm +13%, stencil +7%, histo +11%; \
+             mri-gridding 0.85x; flat mean\n"
+        ));
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl MemImage {
         v
     }
 
-    /// Total bytes backed by materialized pages.
-    pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_BYTES
-    }
-
     /// FNV-1a digest over the image contents (pages visited in address
     /// order, heap break included). Two images with identical bytes and
     /// heap state produce identical digests, so differential tests can

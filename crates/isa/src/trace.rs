@@ -6,6 +6,8 @@
 //! instruction and replaying it later simply re-visits the same trace entry,
 //! exactly like the paper's replay of the architectural instruction.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::op::{Opcode, Space, Unit};
 use crate::reg::RegId;
 
@@ -181,15 +183,17 @@ impl BlockTrace {
 
 /// Trace of a whole kernel launch.
 ///
-/// Traces are immutable once built by the functional simulator; the
-/// touched-page set is memoized on first query (every timing run of an
-/// all-resident launch asks for it).
+/// Traces are immutable once built by the functional simulator. Each
+/// block is wrapped in an `Arc` at construction, so cloning a trace and
+/// filling a run's dispatch queues copy pointers, never instructions.
+/// The touched-page set is memoized on first query (every timing run of
+/// an all-resident launch asks for it).
 #[derive(Debug, Clone)]
 pub struct KernelTrace {
     /// Kernel name, for reporting.
     pub name: String,
     /// Per-block traces in block-id order.
-    pub blocks: Vec<BlockTrace>,
+    pub blocks: Vec<Arc<BlockTrace>>,
     /// Threads per block (flattened).
     pub threads_per_block: u32,
     /// Warps per block.
@@ -200,10 +204,7 @@ pub struct KernelTrace {
     pub shared_bytes: u32,
     /// Memoized [`KernelTrace::touched_pages`] result (derived data, not
     /// part of the trace's identity).
-    pages_cache: std::sync::OnceLock<Vec<u64>>,
-    /// Memoized [`KernelTrace::arc_blocks`] result (derived data, not
-    /// part of the trace's identity).
-    arc_blocks_cache: std::sync::OnceLock<Vec<std::sync::Arc<BlockTrace>>>,
+    pages_cache: OnceLock<Vec<u64>>,
 }
 
 impl PartialEq for KernelTrace {
@@ -231,6 +232,10 @@ impl KernelTrace {
         regs_per_thread: u32,
         shared_bytes: u32,
     ) -> Self {
+        let mut blocks: Vec<_> = blocks.into_iter().map(Arc::new).collect();
+        // The collect reuses the `BlockTrace`-sized buffer, seven times
+        // what the pointers need.
+        blocks.shrink_to_fit();
         KernelTrace {
             name,
             blocks,
@@ -238,8 +243,7 @@ impl KernelTrace {
             warps_per_block,
             regs_per_thread,
             shared_bytes,
-            pages_cache: std::sync::OnceLock::new(),
-            arc_blocks_cache: std::sync::OnceLock::new(),
+            pages_cache: OnceLock::new(),
         }
     }
 
@@ -266,18 +270,9 @@ impl KernelTrace {
         })
     }
 
-    /// The block traces wrapped in `Arc`s, in block-id order, deep-copied
-    /// once and cached. Every timing run of the kernel shares these
-    /// handles instead of cloning the full instruction vectors per run —
-    /// the dominant allocation cost of repeated sweeps over one trace.
-    pub fn arc_blocks(&self) -> &[std::sync::Arc<BlockTrace>] {
-        self.arc_blocks_cache
-            .get_or_init(|| self.blocks.iter().cloned().map(std::sync::Arc::new).collect())
-    }
-
     /// A copy of this launch with every global-memory address offset by
-    /// `offset` (see [`BlockTrace::rebased`]). The copy memoizes its own
-    /// touched-page and `Arc`-block caches.
+    /// `offset` (see [`BlockTrace::rebased`]). The copy owns its blocks
+    /// and memoizes its own touched-page set.
     pub fn rebased(&self, offset: u64) -> KernelTrace {
         KernelTrace::new(
             self.name.clone(),
@@ -355,6 +350,32 @@ mod tests {
         assert_eq!(kt.touched_pages(), vec![8192]);
         // The second query returns the memoized slice.
         assert_eq!(kt.touched_pages().as_ptr(), kt.touched_pages().as_ptr());
+    }
+
+    fn two_block_trace() -> KernelTrace {
+        let ld = |line| {
+            mk_mem(Opcode::Ld(Space::Global, Width::B4), vec![line], false, Space::Global)
+        };
+        let blocks =
+            vec![BlockTrace::new(0, &mut [vec![ld(0)]]), BlockTrace::new(1, &mut [vec![ld(4096)]])];
+        KernelTrace::new("t".into(), blocks, 32, 1, 16, 0)
+    }
+
+    #[test]
+    fn cloning_a_trace_shares_every_block() {
+        let kt = two_block_trace();
+        let copy = kt.clone();
+        assert_eq!(copy, kt);
+        assert!(kt.blocks.iter().zip(&copy.blocks).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    #[test]
+    fn rebasing_copies_every_block() {
+        let kt = two_block_trace();
+        let moved = kt.rebased(1 << 40);
+        assert_eq!(moved.touched_pages(), vec![1 << 40, (1 << 40) + 4096]);
+        assert!(kt.blocks.iter().zip(&moved.blocks).all(|(a, b)| !Arc::ptr_eq(a, b)));
+        assert!(kt.blocks.iter().all(|b| Arc::strong_count(b) == 1));
     }
 
     #[test]

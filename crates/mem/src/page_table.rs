@@ -85,12 +85,11 @@ pub struct PageTable {
     splinters: u64,
 }
 
-/// One live 2 MB mapping: when it was promoted plus the parked per-subpage
-/// map timestamps, so [`PageTable::splinter`] is an exact inverse of
+/// One live 2 MB mapping: the parked per-subpage map timestamps, so
+/// [`PageTable::splinter`] is an exact inverse of
 /// [`PageTable::try_coalesce`].
 #[derive(Debug, Clone)]
 struct LargeMapping {
-    mapped_at: Cycle,
     sub_mapped_at: Vec<(u64, Cycle)>,
 }
 
@@ -197,13 +196,6 @@ impl PageTable {
         &self.region_order
     }
 
-    /// Regions currently resident that belong to `tenant` under the given
-    /// address shift (`tenant = region >> shift`) — per-tenant residency
-    /// accounting for multi-tenant runs.
-    pub fn tenant_resident_regions(&self, tenant: u32, shift: u32) -> usize {
-        self.region_order.iter().filter(|&&r| (r >> shift) as u32 == tenant).count()
-    }
-
     /// Number of present pages (subpages under a 2 MB mapping included).
     pub fn present_pages(&self) -> usize {
         self.pages.values().filter(|&&s| s == PageState::Present).count()
@@ -235,7 +227,7 @@ impl PageTable {
             self.pages.remove(&page);
             sub.push((page, self.mapped_at.remove(&page).unwrap_or(now)));
         }
-        self.large.insert(frame, LargeMapping { mapped_at: now, sub_mapped_at: sub });
+        self.large.insert(frame, LargeMapping { sub_mapped_at: sub });
         self.coalesces += 1;
         true
     }
@@ -294,17 +286,6 @@ impl PageTable {
     /// Large mappings splintered back to 4 KB so far.
     pub fn splintered_frames(&self) -> u64 {
         self.splinters
-    }
-
-    /// Live 2 MB mappings right now.
-    pub fn live_large_mappings(&self) -> usize {
-        self.large.len()
-    }
-
-    /// Promotion timestamp of the mapping covering `addr`, if any
-    /// (tests / stats).
-    pub fn large_mapped_at(&self, addr: u64) -> Option<Cycle> {
-        self.large.get(&frame_of(addr)).map(|m| m.mapped_at)
     }
 
     /// Pages of the 64 KB region containing `addr` that need a data

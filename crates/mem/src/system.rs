@@ -31,7 +31,7 @@ use crate::large::{frame_of, LpStats, PageSizePolicy, COALESCE_CYCLES, REGIONS_P
 use crate::mshr::{MshrAlloc, MshrTable};
 use crate::page_table::{region_of, PageState, PageTable, REGION_BYTES};
 use crate::setassoc::SetAssoc;
-use crate::tlb::{Tlb, TlbSizeStats};
+use crate::tlb::Tlb;
 use crate::wheel::EventWheel;
 use gex_isa::{page_of, LINE_BYTES};
 use std::collections::{BTreeMap, HashMap};
@@ -705,20 +705,6 @@ impl MemSystem {
         s.coalesced = self.page_table.coalesced_frames();
         s.splintered = self.page_table.splintered_frames();
         s
-    }
-
-    /// Per-size TLB counters summed over the L1 TLBs and the L2 TLB (all
-    /// zero under `PageSizePolicy::Small`).
-    pub fn tlb_size_stats(&self) -> TlbSizeStats {
-        let mut total = TlbSizeStats::default();
-        for tlb in self.l1_tlb.iter().chain(std::iter::once(&self.l2_tlb)) {
-            let s = tlb.size_stats();
-            total.small_hits += s.small_hits;
-            total.small_misses += s.small_misses;
-            total.large_hits += s.large_hits;
-            total.large_misses += s.large_misses;
-        }
-        total
     }
 
     /// Advance the hierarchy to cycle `now`, processing every event due at

@@ -89,11 +89,6 @@ impl Tlb {
         });
     }
 
-    /// True if the large side is enabled.
-    pub fn has_large_side(&self) -> bool {
-        self.large.is_some()
-    }
-
     /// Attribute future lookups to tenants: `shift` is the *address* shift
     /// (tenant = address >> shift), shared with the fault queue.
     pub fn set_tenant_shift(&mut self, shift: u32) {

@@ -122,11 +122,6 @@ impl Client {
         }
     }
 
-    /// Connect with the default config.
-    pub fn connect_default(addr: &str) -> io::Result<Client> {
-        Client::connect(addr, ClientConfig::default())
-    }
-
     fn send_line(&mut self, line: &str) -> io::Result<()> {
         // One write per request, so the line leaves as one segment.
         let stream = self.reader.get_mut();

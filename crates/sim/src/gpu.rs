@@ -442,12 +442,9 @@ impl Engine {
         for (sm, &owner) in sms.iter_mut().zip(&sm_owner) {
             sm.configure_kernel(tenants[owner].setup);
         }
-        // Each trace memoizes its Arc-wrapped blocks, so filling the
-        // dispatch queues is `blocks` cheap Arc clones, not a deep copy of
-        // every instruction vector.
         let queues: Vec<VecDeque<_>> = streams
             .iter()
-            .map(|(trace, _)| trace.arc_blocks().iter().cloned().collect())
+            .map(|(trace, _)| trace.blocks.iter().cloned().collect())
             .collect();
         // Seed the incremental stalled counter from actual SM state (a
         // freshly configured SM with no resident blocks is stalled).

@@ -179,6 +179,23 @@ fn all_resident_runs_to_completion_on_16_sms() {
 }
 
 #[test]
+fn a_finished_run_holds_no_block_of_its_trace() {
+    // The dispatch queues share the trace's own blocks; once a run is over
+    // (switched-out blocks included), the trace is their only owner again.
+    let (t, res) = phase_kernel(12, 850);
+    let switching = PagingMode::Demand {
+        interconnect: Interconnect::nvlink(),
+        block_switch: Some(BlockSwitchConfig::default()),
+        local_handling: None,
+    };
+    for paging in [PagingMode::AllResident, switching] {
+        let r = gpu(Scheme::ReplayQueue, paging, 4).run(&t, &res);
+        assert_complete(&r, &t);
+        assert!(t.blocks.iter().all(|b| std::sync::Arc::strong_count(b) == 1));
+    }
+}
+
+#[test]
 fn demand_paging_migrates_and_costs_time() {
     let (t, res) = region_compute_kernel(32, 8);
     let resident = gpu(Scheme::ReplayQueue, PagingMode::AllResident, 16).run(&t, &res);

@@ -439,7 +439,8 @@ pub struct Sm {
     exec: ExecUnits,
     events: EventWheel<SmEv>,
     tokens: TokenMap<(u32, u32, usize)>,
-    completed: Vec<u32>,
+    /// Blocks finished since the last [`Sm::drain_completed`].
+    completed: u64,
     notices: Vec<FaultNotice>,
     fetch_rr: usize,
     issue_rr: usize,
@@ -501,7 +502,7 @@ impl Sm {
             exec,
             events,
             tokens: TokenMap::default(),
-            completed: Vec::new(),
+            completed: 0,
             notices: Vec::new(),
             fetch_rr: 0,
             issue_rr: 0,
@@ -571,19 +572,10 @@ impl Sm {
     /// Snapshot of every resident warp's scheduling state, for the forward
     /// progress watchdog's diagnostics.
     ///
-    /// This clones per-warp state, so it must only be called when an error
-    /// is actually being constructed (the watchdog/abort path), never per
-    /// cycle. [`Sm::append_warp_diagnostics`] lets multi-SM callers reuse
-    /// one output vector.
-    pub fn warp_diagnostics(&self) -> Vec<WarpDiag> {
-        let mut out =
-            Vec::with_capacity(self.slots.iter().flatten().map(|b| b.num_warps()).sum());
-        self.append_warp_diagnostics(&mut out);
-        out
-    }
-
-    /// Append this SM's warp diagnostics to `out` (no intermediate vector
-    /// per SM when the engine snapshots the whole GPU).
+    /// Appends to `out`, so the engine snapshots the whole GPU into one
+    /// vector. This clones per-warp state, so it must only be called when
+    /// an error is actually being constructed (the watchdog/abort path),
+    /// never per cycle.
     pub fn append_warp_diagnostics(&self, out: &mut Vec<WarpDiag>) {
         for b in self.slots.iter().flatten() {
             for w in 0..b.num_warps() {
@@ -658,18 +650,9 @@ impl Sm {
         slot
     }
 
-    /// Block ids that finished since the last call.
-    pub fn take_completed(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Count and forget the blocks that finished since the last call —
-    /// the allocation-free variant of [`Sm::take_completed`] for callers
-    /// that only tally completions.
+    /// Count and forget the blocks that finished since the last call.
     pub fn drain_completed(&mut self) -> u64 {
-        let n = self.completed.len() as u64;
-        self.completed.clear();
-        n
+        std::mem::take(&mut self.completed)
     }
 
     /// True if completed blocks are waiting to be drained. The engine's
@@ -677,17 +660,13 @@ impl Sm {
     /// `after_progress`), so checking this right after ticking an SM
     /// replaces the per-cycle sweep over every SM.
     pub fn has_completions(&self) -> bool {
-        !self.completed.is_empty()
+        self.completed > 0
     }
 
-    /// Fault notifications since the last call (drives the local scheduler
-    /// of use case 1 and the GPU-local handler of use case 2).
-    pub fn take_fault_notices(&mut self) -> Vec<FaultNotice> {
-        std::mem::take(&mut self.notices)
-    }
-
-    /// Move pending fault notifications into `out` without giving up the
-    /// internal buffer's capacity (allocation-free in steady state).
+    /// Move the fault notifications since the last call into `out` (they
+    /// drive the local scheduler of use case 1 and the GPU-local handler
+    /// of use case 2), keeping the internal buffer's capacity so the
+    /// steady state allocates nothing.
     pub fn drain_fault_notices(&mut self, out: &mut Vec<FaultNotice>) {
         out.append(&mut self.notices);
     }
@@ -1280,13 +1259,12 @@ impl Sm {
                     *self.retired.entry((b.block_id, i as u32)).or_insert(0) += n;
                 }
             }
-            let id = b.block_id;
             self.slots[slot as usize] = None;
             self.order_dirty = true;
             if let Some(log) = &mut self.log {
                 log.reset_partition(slot);
             }
-            self.completed.push(id);
+            self.completed += 1;
             self.stats.blocks_completed += 1;
         }
     }

@@ -12,7 +12,6 @@ use gex_mem::{Cycle, MemConfig, PageState};
 use gex_sm::sm::KernelSetup;
 use gex_sim::SingleSmHarness;
 use gex_sm::{ProbeStage, Scheme, Sm, SmConfig};
-use std::sync::Arc;
 
 const BUF: u64 = 0x10_0000;
 
@@ -225,7 +224,7 @@ fn run_with_faults(scheme: Scheme, t: &KernelTrace) -> (u64, gex_sm::SmStats) {
     let cfg = SmConfig::kepler_k20();
     let mut sm = Sm::new(0, cfg.clone(), scheme);
     sm.configure_kernel(KernelSetup::for_trace(&cfg, t));
-    let mut pending: Vec<Arc<_>> = t.blocks.iter().cloned().map(Arc::new).collect();
+    let mut pending = t.blocks.clone();
     pending.reverse();
     let mut now = 0u64;
     // Faults resolve after a fixed 2000-cycle handler latency.
@@ -236,7 +235,7 @@ fn run_with_faults(scheme: Scheme, t: &KernelTrace) -> (u64, gex_sm::SmStats) {
         }
         mem.tick(now);
         sm.tick(now, &mut mem);
-        for _ in sm.take_fault_notices() {}
+        sm.drain_fault_notices(&mut Vec::new());
         while let Some(e) = mem.fault_queue.pop() {
             resolutions.push((now + 2000, e.region));
         }
@@ -314,7 +313,7 @@ fn context_switch_roundtrip_preserves_progress() {
         shared_bytes: t.shared_bytes,
         occupancy_blocks: 4,
     });
-    let slot = sm.assign_block(Arc::new(t.blocks[0].clone()));
+    let slot = sm.assign_block(t.blocks[0].clone());
     let mut now = 0u64;
     // Run a little, then drain and switch out.
     for _ in 0..30 {

@@ -90,7 +90,6 @@ fn trapped_warp_survives_a_context_switch() {
     use gex_mem::{MemConfig, PageState};
     use gex_sm::sm::KernelSetup;
     use gex_sm::{Sm, SmConfig, WarpState};
-    use std::sync::Arc;
 
     let t: KernelTrace = div_kernel(true);
     let mut mem = MemSystem::new(MemConfig::kepler_k20().with_sms(1), FaultMode::SquashNotify);
@@ -105,7 +104,7 @@ fn trapped_warp_survives_a_context_switch() {
         shared_bytes: t.shared_bytes,
         occupancy_blocks: 4,
     });
-    let slot = sm.assign_block(Arc::new(t.blocks[0].clone()));
+    let slot = sm.assign_block(t.blocks[0].clone());
     // Run until some warp traps, then switch the block out mid-handler.
     let mut now = 0u64;
     while sm.stats().traps == 0 {

@@ -2,11 +2,13 @@
 //!
 //! Every registry workload is built at a preset and its dynamic trace,
 //! final memory-image digest and functional counters are folded into one
-//! FNV-1a digest (the bytes of `format!("{:?}|{}|{:?}", trace,
-//! image_digest, func)` per workload, in registry order). The digests are
-//! pinned: any change to a trace byte, a memory byte, the heap break or a
-//! counter moves them. A change that is meant to alter what the functional
-//! simulator computes re-pins them and says why.
+//! FNV-1a digest, in registry order. Per workload the bytes hashed are the
+//! trace's *content* — name, blocks, launch geometry and touched pages —
+//! then the image digest and the counters; a trace's memo fields are not
+//! part of it, so adding or dropping a cache cannot move the digest. The
+//! digests are pinned: any change to a trace byte, a memory byte, the heap
+//! break or a counter moves them. A change that is meant to alter what the
+//! functional simulator computes re-pins them and says why.
 //!
 //! The Bench leg takes about 16 s in release (2.5 s of builds, the rest
 //! rendering ten million dynamic instructions for the digest) and is
@@ -40,7 +42,21 @@ fn digests(preset: Preset) -> (u64, Vec<(String, u64)>) {
         for w in ws {
             let mut one = Fnv(0xcbf2_9ce4_8422_2325);
             for h in [&mut all, &mut one] {
-                write!(h, "{:?}|{}|{:?}", w.trace, w.image_digest, w.func).unwrap();
+                let t = &w.trace;
+                write!(
+                    h,
+                    "{}|{:?}|{}|{}|{}|{}|{:?}|{}|{:?}",
+                    t.name,
+                    t.blocks,
+                    t.threads_per_block,
+                    t.warps_per_block,
+                    t.regs_per_thread,
+                    t.shared_bytes,
+                    t.touched_pages(),
+                    w.image_digest,
+                    w.func
+                )
+                .unwrap();
             }
             each.push((w.name, one.0));
         }
@@ -59,11 +75,11 @@ fn check(preset: Preset, pinned: u64) {
 
 #[test]
 fn test_preset_traces_are_pinned() {
-    check(Preset::Test, 0xd5ed_d65f_91ee_8336);
+    check(Preset::Test, 0x5be2_45ca_fd3d_a5c2);
 }
 
 #[test]
 #[ignore = "about 16 s in release; CI runs it with --include-ignored"]
 fn bench_preset_traces_are_pinned() {
-    check(Preset::Bench, 0x8398_e6e2_a9b6_aaef);
+    check(Preset::Bench, 0xb59e_5cd2_18cd_968c);
 }
