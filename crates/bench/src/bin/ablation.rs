@@ -9,12 +9,12 @@
 //!    greedy-then-oldest) under each exception scheme.
 //!
 //! Every panel runs under sweep supervision ([`gex::experiments::sweep`]):
-//! `--deadline N` budgets each point, `--resume` / `--journal PATH` make
+//! `--deadline N` budgets each point to N simulated cycles, `--resume` / `--journal PATH` make
 //! the campaign resumable (one journal file per panel), and failed points
 //! print as `NaN` with a quarantine report instead of taking the whole
 //! run down. Every panel runs on the one simulated GPU the command line
 //! builds ([`gex_bench::BenchArgs::gpu_config`]: Table 1's machine with
-//! `GEX_SMS` SMs, `--pagesize P` and `--max-cycles N`). Each panel's
+//! `GEX_SMS` SMs and `--pagesize P`). Each panel's
 //! reference point (plain / baseline / CPU-handled) rides in its grid,
 //! so even the normalizer is supervised. Exits 2 if anything was
 //! quarantined, and before anything runs on a malformed command line.

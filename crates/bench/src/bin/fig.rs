@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p gex-bench --release --bin fig -- <id>[,<id>...] [test|bench|paper] \
-//!     [--deadline N] [--resume] [--journal PATH] [--pagesize P] [--max-cycles N]
+//!     [--deadline N] [--resume] [--journal PATH] [--pagesize P]
 //! ```
 //!
 //! | id | prints |
@@ -22,11 +22,12 @@
 //!
 //! Every figure runs on one simulated GPU, built once from the command
 //! line ([`BenchArgs::gpu_config`]): Table 1's machine with `GEX_SMS`
-//! SMs (default 16), `--pagesize P` and `--max-cycles N`. Table 1 prints
-//! that machine; `scalability` varies only its SM count.
+//! SMs (default 16) and `--pagesize P`. Table 1 prints that machine;
+//! `scalability` varies only its SM count.
 //!
 //! Every figure runs under sweep supervision: `--deadline N` budgets each
-//! point, `--resume` / `--journal PATH` make the campaign resumable (one
+//! point to N simulated cycles (the one cycle bound; each point runs once),
+//! `--resume` / `--journal PATH` make the campaign resumable (one
 //! journal file per sweep: per figure, per interconnect panel, per inner
 //! sweep of `scalability`), and failed points are quarantined (reported
 //! below the figure) instead of taking the run down. Exits 2 if anything

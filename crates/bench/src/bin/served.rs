@@ -9,8 +9,7 @@
 //! cargo run -p gex-bench --release --bin gex-served -- \
 //!     [--addr HOST:PORT] [--journal-dir DIR] [--workers N] \
 //!     [--max-pending N] [--max-campaigns N] [--fault-budget N] \
-//!     [--stream-fault-budget N] [--deadline-cycles N] [--retries N] \
-//!     [--idle-timeout-ms N]
+//!     [--stream-fault-budget N] [--deadline-cycles N] [--idle-timeout-ms N]
 //! ```
 //!
 //! Defaults: `127.0.0.1:0` (a free port — the bound address is printed as
@@ -19,7 +18,9 @@
 //! worker per core (`GEX_THREADS` overrides; each worker simulates one
 //! point at a time), 1024 queued points, 64 live campaigns, tenant fault
 //! budget 4, in-run stream fault budget 64 (partitioned points),
-//! unlimited per-point budget, 30 s socket timeout.
+//! no per-point deadline (the run budget's fallback bound applies), 30 s
+//! socket timeout. Each point runs once: an overrun is quarantined, not
+//! re-run.
 
 use gex::RunBudget;
 use gex_serve::server::{self, ServerConfig};
@@ -29,8 +30,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: gex-served [--addr HOST:PORT] [--journal-dir DIR] [--workers N] \
          [--max-pending N] [--max-campaigns N] [--fault-budget N] \
-         [--stream-fault-budget N] [--deadline-cycles N] [--retries N] \
-         [--idle-timeout-ms N]"
+         [--stream-fault-budget N] [--deadline-cycles N] [--idle-timeout-ms N]"
     );
     std::process::exit(2);
 }
@@ -61,7 +61,6 @@ fn main() {
             "--deadline-cycles" => {
                 cfg.policy.budget = RunBudget::cycles(number(value("a cycle count")))
             }
-            "--retries" => cfg.policy.max_retries = number(value("a count")),
             "--idle-timeout-ms" => {
                 let ms: u64 = number(value("milliseconds"));
                 cfg.idle_timeout = Duration::from_millis(ms.max(1));

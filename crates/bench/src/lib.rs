@@ -15,8 +15,8 @@
 //! parse, and [`BenchArgs::gpu_config`] builds the one simulated GPU
 //! every figure of the run is passed. Both binaries accept a positional
 //! preset (`test` / `bench` / `paper`), `GEX_SMS`, `--pagesize P` and
-//! `--max-cycles N`, which caps simulated cycles so misconfigured runs
-//! exit with the watchdog diagnostic instead of spinning forever.
+//! `--deadline N`, the one cycle bound: it budgets each point, and a point
+//! that overruns it is quarantined instead of spinning on.
 
 use gex::workloads::Preset;
 use gex::{GpuConfig, PageSizePolicy, RunBudget, SweepOptions};
@@ -34,10 +34,8 @@ pub struct BenchArgs {
     pub preset: Preset,
     /// `GEX_SMS`: SM count of the simulated GPU (else Table 1's 16).
     pub sms: Option<u32>,
-    /// `--max-cycles N` / `--max-cycles=N`: simulated-cycle cap.
-    pub max_cycles: Option<u64>,
     /// `--deadline N` / `--deadline=N`: per-point cycle budget for
-    /// supervised figure sweeps (retried with escalation, then
+    /// supervised figure sweeps (a point that overruns it is
     /// quarantined).
     pub deadline: Option<u64>,
     /// `--resume`: journal the campaign (default path per figure) and
@@ -110,7 +108,6 @@ impl BenchArgs {
             };
             match flag {
                 "--resume" if inline.is_none() => out.resume = true,
-                "--max-cycles" => out.max_cycles = Some(cycles(value()?)?),
                 "--deadline" => out.deadline = Some(cycles(value()?)?),
                 "--journal" => out.journal = Some(value()?),
                 "--pagesize" => out.pagesize = Some(policy(value()?)?),
@@ -136,8 +133,7 @@ impl BenchArgs {
     }
 
     /// The simulated GPU every figure of the run is passed: Table 1's
-    /// machine with `GEX_SMS`, `--pagesize` and `--max-cycles` applied
-    /// when given.
+    /// machine with `GEX_SMS` and `--pagesize` applied when given.
     pub fn gpu_config(&self) -> GpuConfig {
         let mut cfg = GpuConfig::kepler_k20();
         if let Some(n) = self.sms {
@@ -145,9 +141,6 @@ impl BenchArgs {
         }
         if let Some(policy) = self.pagesize {
             cfg = cfg.with_page_size(policy);
-        }
-        if let Some(c) = self.max_cycles {
-            cfg = cfg.with_max_cycles(c);
         }
         cfg
     }
@@ -203,43 +196,41 @@ mod tests {
     fn preset_defaults_to_paper_under_test_harness() {
         let args = parse(&[]);
         assert_eq!(args.preset, Preset::Paper);
-        assert!(args.max_cycles.is_none());
+        assert!(args.deadline.is_none());
         assert_eq!(args.gpu_config(), GpuConfig::kepler_k20(), "no flags: the Table 1 machine");
     }
 
     #[test]
     fn one_pass_parse_covers_all_consumers() {
-        let a = parse(&["test", "--max-cycles", "5000", "--pagesize=transparent"]);
+        let a = parse(&["test", "--deadline", "5000", "--pagesize=transparent"]);
         assert_eq!(a.preset, Preset::Test);
-        assert_eq!(a.max_cycles, Some(5000));
+        assert_eq!(a.deadline, Some(5000));
         assert_eq!(a.pagesize, Some(PageSizePolicy::Transparent));
         let cfg = BenchArgs { sms: Some(4), ..a }.gpu_config();
         assert_eq!(
             cfg,
-            GpuConfig::kepler_k20()
-                .with_sms(4)
-                .with_page_size(PageSizePolicy::Transparent)
-                .with_max_cycles(5000)
+            GpuConfig::kepler_k20().with_sms(4).with_page_size(PageSizePolicy::Transparent),
+            "the deadline budgets points; it is not part of the machine"
         );
     }
 
     #[test]
     fn flag_values_never_leak_into_positionals() {
-        let a = try_parse_ids(&["--max-cycles", "9", "--journal", "test", "10,table1", "bench"])
+        let a = try_parse_ids(&["--deadline", "9", "--journal", "test", "10,table1", "bench"])
             .unwrap();
         assert_eq!(a.ids, ["10", "table1"]);
         assert_eq!(a.preset, Preset::Bench);
-        assert_eq!(a.max_cycles, Some(9));
+        assert_eq!(a.deadline, Some(9));
         assert_eq!(a.journal.as_deref(), Some("test"));
     }
 
     #[test]
     fn unknown_flags_and_equals_forms_parse() {
-        let a = parse(&["--max-cycles=77", "bench"]);
-        assert_eq!(a.max_cycles, Some(77));
+        let a = parse(&["--deadline=77", "bench"]);
+        assert_eq!(a.deadline, Some(77));
         assert_eq!(a.preset, Preset::Bench);
         // Unknown flags, typos included, are errors naming the argument.
-        for bad in ["--bench", "--max-cycle", "-x", "--resume=1", "--samples=3"] {
+        for bad in ["--bench", "--deadlin", "-x", "--resume=1", "--samples=3"] {
             let err = try_parse(&["test", bad, "5000"]).unwrap_err();
             assert!(err.contains(bad), "{err}");
         }
@@ -248,11 +239,11 @@ mod tests {
     #[test]
     fn unparsable_and_missing_values_are_errors() {
         for (args, names) in [
-            (&["--max-cycles", "abc"][..], "--max-cycles"),
-            (&["--max-cycles=abc"][..], "--max-cycles"),
+            (&["--deadline", "abc"][..], "--deadline"),
+            (&["--deadline=abc"][..], "--deadline"),
             (&["--deadline", "1e6"][..], "--deadline"),
             (&["--deadline=-1"][..], "--deadline"),
-            (&["test", "--max-cycles"][..], "--max-cycles"),
+            (&["test", "--deadline"][..], "--deadline"),
             (&["--journal"][..], "--journal"),
             (&["test", "--pagesize=giant"][..], "--pagesize"),
             (&["--pagesize"][..], "--pagesize"),

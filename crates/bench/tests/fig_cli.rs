@@ -26,13 +26,14 @@ fn an_unknown_id_exits_2_and_lists_the_valid_ids() {
     }
 }
 
-/// A cap that does not parse must not degrade to an uncapped run, and a
-/// mistyped flag, preset, page-size policy or SM count must not be
-/// dropped.
+/// A deadline that does not parse must not degrade to an unbudgeted run,
+/// and a mistyped or retired flag, preset, page-size policy or SM count
+/// must not be dropped.
 #[test]
 fn a_malformed_command_line_exits_2_before_anything_runs() {
     for (sms, args, names) in [
-        ("2", &["10", "test", "--max-cycles=abc"][..], "--max-cycles"),
+        ("2", &["10", "test", "--deadline=abc"][..], "--deadline"),
+        ("2", &["table2", "--max-cycles", "5000"][..], "--max-cycles"),
         ("2", &["10", "test", "--bogus"][..], "--bogus"),
         ("2", &["10", "test", "--pagesize=giant"][..], "--pagesize"),
         ("2", &["10", "tset"][..], "\"tset\""),
@@ -47,7 +48,7 @@ fn a_malformed_command_line_exits_2_before_anything_runs() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(names), "{args:?}: {err}");
     }
-    let out = fig(&["table2", "--max-cycles", "5000"]);
+    let out = fig(&["table2", "--deadline", "5000"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!out.stdout.is_empty());
 }

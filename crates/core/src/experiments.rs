@@ -6,7 +6,7 @@
 //! Every figure is a *grid builder* (the ordered list of [`GridPoint`]s)
 //! plus an *assembler* (outcomes → rows) over the one shared [`sweep`],
 //! which runs the grid under the [`crate::supervise`] supervisor:
-//! per-point panic isolation, deadline retry with budget escalation, a
+//! per-point panic isolation, one run per point under its budget, a
 //! quarantine report rendered into the figure output, and journal-backed
 //! resumption via [`SweepOptions::journal`]. There is one entry point per
 //! figure; callers that want a failed point to panic chain
@@ -310,8 +310,8 @@ const FIG10_SCHEMES: [Scheme; 4] =
 /// the three preemptible pipelines. Every `(workload, scheme)` point is an
 /// independent simulation, so the grid is flattened onto the parallel
 /// sweep engine and rows are reassembled in workload order. Failed points
-/// are quarantined (their rows show `NaN`), deadline overruns retry with
-/// escalated budgets, and an attached journal makes the campaign
+/// are quarantined (their rows show `NaN`), deadline overruns included,
+/// and an attached journal makes the campaign
 /// resumable. Every point runs on `cfg`.
 pub fn fig10(preset: Preset, cfg: &GpuConfig, opts: &SweepOptions) -> Supervised<Fig10> {
     let inputs = resident_inputs(preset);

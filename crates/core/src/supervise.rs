@@ -1,5 +1,5 @@
-//! Resilient sweep supervision: panic isolation, deadline retry with
-//! budget escalation, quarantine, and journal-backed resumption.
+//! Resilient sweep supervision: panic isolation, per-point budgets,
+//! quarantine, and journal-backed resumption.
 //!
 //! A figure campaign is a grid of independent simulation points. Without
 //! supervision, one pathological point — a panic in the simulator, a
@@ -11,15 +11,12 @@
 //!   boundary (`gex_exec::try_par_map`) and quarantined with its payload;
 //!   every other point is untouched and byte-identical to an undisturbed
 //!   run.
-//! * **Deadlines** — each attempt runs under the policy's
+//! * **Deadlines** — each point runs once under the policy's
 //!   [`RunBudget`]; a blown budget surfaces as a typed error, never a
-//!   hang.
-//! * **Retry with escalation** — deadline overruns are retried up to
-//!   [`SupervisePolicy::max_retries`] times with the budget doubled per
-//!   attempt ([`RunBudget::escalated`]); the simulator is deterministic,
-//!   so re-running with the *same* budget would fail identically. Panics
-//!   and fatal simulator errors are quarantined immediately: they are
-//!   deterministic too, and retrying them is wasted work.
+//!   hang. The simulator is deterministic, so re-running a failed point
+//!   only repeats the failure: every failure — panic, overrun,
+//!   cancellation or fatal simulator error — is quarantined after its
+//!   one run.
 //! * **Resumption** — with a [`CampaignJournal`] attached, completed
 //!   points are recorded as they finish and skipped on re-run, so a
 //!   killed campaign resumes where it stopped and reproduces the same
@@ -31,28 +28,11 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// How the supervisor treats failures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SupervisePolicy {
-    /// Base per-point budget for the first attempt; escalated ×2 per
-    /// retry. The default is unlimited (points are bounded only by the
-    /// simulator's runaway guards).
+    /// Per-point budget. The default has no explicit deadline (points
+    /// are bounded by the budget's fallback deadline and the watchdog).
     pub budget: RunBudget,
-    /// Extra attempts granted to deadline overruns (panics and fatal
-    /// errors never retry).
-    pub max_retries: u32,
-}
-
-impl Default for SupervisePolicy {
-    fn default() -> Self {
-        SupervisePolicy { budget: RunBudget::none(), max_retries: 2 }
-    }
-}
-
-impl SupervisePolicy {
-    /// A policy with a cycle deadline of `cycles` for the first attempt.
-    pub fn with_deadline(cycles: u64) -> Self {
-        SupervisePolicy { budget: RunBudget::cycles(cycles), ..SupervisePolicy::default() }
-    }
 }
 
 /// Why a point landed in quarantine.
@@ -60,12 +40,12 @@ impl SupervisePolicy {
 pub enum FailureKind {
     /// The point panicked; the payload is in the record.
     Panic,
-    /// Every attempt (initial + retries) blew its budget.
+    /// The point blew its cycle budget.
     Deadline,
-    /// A fatal simulator error (wedge, cycle cap, missing handler, ...).
+    /// A fatal simulator error (wedge, missing handler, ...).
     Fatal,
-    /// The point's budget token was cancelled mid-run. Not retried (the
-    /// token stays cancelled): stopping was requested, nothing failed.
+    /// The point's budget token was cancelled mid-run: stopping was
+    /// requested, nothing failed.
     Cancelled,
 }
 
@@ -87,9 +67,7 @@ pub struct QuarantineRecord {
     pub key: String,
     /// Failure classification.
     pub kind: FailureKind,
-    /// Attempts consumed (1 unless deadlines were retried).
-    pub attempts: u32,
-    /// Wall-clock time spent on the point across all attempts.
+    /// Wall-clock time spent on the point.
     pub elapsed: Duration,
     /// The rendered error or panic payload.
     pub error: String,
@@ -133,8 +111,8 @@ impl fmt::Display for QuarantineReport {
         for r in &self.records {
             writeln!(
                 f,
-                "  {} [{}] after {} attempt(s) in {:.1?}: {}",
-                r.key, r.kind, r.attempts, r.elapsed, r.error
+                "  {} [{}] in {:.1?}: {}",
+                r.key, r.kind, r.elapsed, r.error
             )?;
         }
         Ok(())
@@ -146,7 +124,7 @@ impl fmt::Display for QuarantineReport {
 /// campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Retry/quarantine policy and per-point budget.
+    /// Quarantine policy and per-point budget.
     pub policy: SupervisePolicy,
     /// Journal file for resumable campaigns; `None` disables journaling.
     pub journal: Option<std::path::PathBuf>,
@@ -181,10 +159,9 @@ pub struct SweepOutcome {
     pub simulated: usize,
 }
 
-/// One failed point, internal to the attempt loop.
+/// One failed point, internal to the sweep job.
 struct PointFailure {
     kind: FailureKind,
-    attempts: u32,
     elapsed: Duration,
     error: String,
 }
@@ -192,8 +169,8 @@ struct PointFailure {
 /// Run every `(key, point)` through `run` on the parallel sweep engine
 /// under `policy`, optionally resuming from / recording into `journal`.
 ///
-/// `run` receives the point and the budget for the current attempt and
-/// returns the point's cycle count or a [`SimError`]. Results come back
+/// `run` receives the point and the policy's budget, is called once per
+/// point, and returns the point's cycle count or a [`SimError`]. Results come back
 /// in input order regardless of worker interleaving, and a healthy
 /// point's value is independent of other points' failures — the
 /// keystone property that makes partial figures trustworthy.
@@ -226,38 +203,24 @@ where
         pending.iter().map(|(i, k, _)| (*i, k.clone())).collect();
     let results = gex_exec::try_par_map(pending, |(_, key, p)| {
         let started = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            match run(&p, &policy.budget.escalated(attempt)) {
-                Ok(cycles) => {
-                    if let Some(j) = journal {
-                        // Journal as soon as the point completes, so a
-                        // killed campaign keeps everything it finished.
-                        j.record(&key, cycles);
-                    }
-                    return Ok(cycles);
+        match run(&p, &policy.budget) {
+            Ok(cycles) => {
+                if let Some(j) = journal {
+                    // Journal as soon as the point completes, so a killed
+                    // campaign keeps everything it finished.
+                    j.record(&key, cycles);
                 }
-                // Cancellation is terminal, not a retryable overrun: the
-                // token stays cancelled, so an escalated retry would only
-                // burn a tick loop to fail identically.
-                Err(e) if e.is_deadline() && !e.is_cancelled() && attempt < policy.max_retries => {
-                    attempt += 1
-                }
-                Err(e) => {
-                    let kind = if e.is_cancelled() {
-                        FailureKind::Cancelled
-                    } else if e.is_deadline() {
-                        FailureKind::Deadline
-                    } else {
-                        FailureKind::Fatal
-                    };
-                    return Err(PointFailure {
-                        kind,
-                        attempts: attempt + 1,
-                        elapsed: started.elapsed(),
-                        error: e.to_string(),
-                    });
-                }
+                Ok(cycles)
+            }
+            Err(e) => {
+                let kind = if e.is_cancelled() {
+                    FailureKind::Cancelled
+                } else if e.is_deadline() {
+                    FailureKind::Deadline
+                } else {
+                    FailureKind::Fatal
+                };
+                Err(PointFailure { kind, elapsed: started.elapsed(), error: e.to_string() })
             }
         }
     });
@@ -274,14 +237,12 @@ where
             Ok(Err(fail)) => quarantine.records.push(QuarantineRecord {
                 key: key.clone(),
                 kind: fail.kind,
-                attempts: fail.attempts,
                 elapsed: fail.elapsed,
                 error: fail.error,
             }),
             Err(job) => quarantine.records.push(QuarantineRecord {
                 key: key.clone(),
                 kind: FailureKind::Panic,
-                attempts: 1,
                 elapsed: job.elapsed,
                 error: job.payload,
             }),
@@ -317,51 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_points_retry_with_escalated_budgets() {
-        // The point succeeds only once the budget reaches 4x the base —
-        // i.e. on the second retry. The no-deadline arm is explicit: a
-        // policy built without a deadline hands the runner an unlimited
-        // budget, which trivially "fits".
-        let policy = SupervisePolicy::with_deadline(100);
-        let points = vec![("slow".to_string(), ())];
-        let out = run_supervised(points, &policy, None, |_, budget| {
-            match budget.deadline_cycles {
-                Some(d) if d >= 400 => Ok(d),
-                Some(d) => Err(deadline_err(d)),
-                None => Ok(0),
-            }
-        });
-        assert_eq!(out.values, vec![Some(400)]);
-        assert!(out.quarantine.is_empty());
-    }
-
-    #[test]
-    fn exhausted_deadlines_quarantine_with_attempt_counts() {
-        let policy = SupervisePolicy { max_retries: 1, ..SupervisePolicy::with_deadline(10) };
-        let points = vec![("hopeless".to_string(), ())];
-        let out = run_supervised(points, &policy, None, |_, budget| {
-            // Explicit no-deadline arm: only a configured deadline can
-            // overrun; an unlimited budget succeeds.
-            match budget.deadline_cycles {
-                Some(d) => Err(deadline_err(d)),
-                None => Ok(0),
-            }
-        });
-        assert_eq!(out.values, vec![None]);
-        let r = &out.quarantine.records[0];
-        assert_eq!(r.kind, FailureKind::Deadline);
-        assert_eq!(r.attempts, 2, "initial attempt + one retry");
-        assert!(r.error.contains("20"), "the final (escalated) deadline is reported: {}", r.error);
-    }
-
-    #[test]
     fn a_policy_without_a_deadline_runs_points_unbudgeted() {
         // The regression this pins down: runners used to
         // `budget.deadline_cycles.unwrap()`, so a default policy (no
         // deadline) panicked inside the sweep and surfaced as a bogus
         // quarantine instead of running the point.
         let policy = SupervisePolicy::default();
-        assert!(policy.budget.is_unlimited());
+        assert_eq!(policy.budget.deadline_cycles, None);
         let out = run_supervised(
             vec![("free".to_string(), 7u64)],
             &policy,
@@ -387,16 +310,15 @@ mod tests {
             }))
         };
         let policy = SupervisePolicy::default();
-        let attempts = std::sync::atomic::AtomicU32::new(0);
+        let calls = std::sync::atomic::AtomicU32::new(0);
         let out = run_supervised(vec![("c".to_string(), ())], &policy, None, |_, _| {
-            attempts.fetch_add(1, Ordering::Relaxed);
+            calls.fetch_add(1, Ordering::Relaxed);
             Err(cancelled_err())
         });
         assert_eq!(out.values, vec![None]);
         let r = &out.quarantine.records[0];
         assert_eq!(r.kind, FailureKind::Cancelled);
-        assert_eq!(r.attempts, 1, "cancellation must not be retried");
-        assert_eq!(attempts.load(Ordering::Relaxed), 1);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "cancellation must not be retried");
         assert!(out.quarantine.to_string().contains("[cancelled]"));
     }
 

@@ -13,6 +13,7 @@ use gex::{
     PagingMode, Residency, RunBudget, Scheme, SimError, SupervisePolicy, SweepOptions, Workload,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const SCHEMES: [Scheme; 4] =
     [Scheme::Baseline, Scheme::WdCommit, Scheme::WdLastCheck, Scheme::ReplayQueue];
@@ -51,8 +52,7 @@ fn injured_sweep_completes_quarantining_exactly_the_injured_points() {
     assert_eq!((clean.resumed, clean.simulated), (0, 16));
 
     // Injure four points: two panic inside the simulation closure, two
-    // are forced onto a 64-cycle budget no attempt can meet (the closure
-    // ignores the supervisor's escalation, so every retry overruns too).
+    // are forced onto a 64-cycle budget they cannot meet.
     let panicky = [keys[1].clone(), keys[7].clone()];
     let overrun = [keys[4].clone(), keys[10].clone()];
     let out = run_supervised(grid(&ws), &policy, None, |(w, s), b| {
@@ -73,11 +73,9 @@ fn injured_sweep_completes_quarantining_exactly_the_injured_points() {
     for r in &out.quarantine.records {
         if panicky.contains(&r.key) {
             assert_eq!(r.kind, FailureKind::Panic);
-            assert_eq!(r.attempts, 1, "panics never retry");
             assert!(r.error.contains("injected panic"), "{}", r.error);
         } else {
             assert_eq!(r.kind, FailureKind::Deadline);
-            assert_eq!(r.attempts, 1 + policy.max_retries, "deadlines exhaust their retries");
             assert!(r.error.contains("deadline"), "{}", r.error);
         }
     }
@@ -101,6 +99,30 @@ fn injured_sweep_completes_quarantining_exactly_the_injured_points() {
         assert!(rendered.contains(key.as_str()), "{rendered}");
     }
     assert!(rendered.contains("[panic]") && rendered.contains("[deadline]"), "{rendered}");
+}
+
+/// The simulator is deterministic, so a re-run of an overrun would only
+/// repeat it: the supervisor runs an overrunning point exactly once and
+/// quarantines it as a deadline.
+#[test]
+fn an_overrunning_point_runs_once_and_quarantines_as_deadline() {
+    let w = suite::by_name("lbm", Preset::Test).expect("known benchmark");
+    let calls = AtomicU32::new(0);
+    let out = run_supervised(
+        vec![("lbm/overrun".to_string(), ())],
+        &SupervisePolicy::default(),
+        None,
+        |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            run_point(&w, Scheme::Baseline, &RunBudget::cycles(64))
+        },
+    );
+    assert_eq!(calls.load(Ordering::Relaxed), 1, "an overrun is simulated once");
+    assert_eq!(out.values, vec![None]);
+    assert_eq!((out.resumed, out.simulated), (0, 0));
+    let r = &out.quarantine.records[0];
+    assert_eq!(r.kind, FailureKind::Deadline);
+    assert!(r.error.contains("cycle deadline of 64"), "{}", r.error);
 }
 
 #[test]

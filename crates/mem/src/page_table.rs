@@ -13,10 +13,9 @@
 //!   paper's use case 2 handles on the GPU itself;
 //! * everything else is **invalid** — an access aborts the kernel.
 
-use crate::config::Cycle;
 use crate::large::{frame_of, SUBPAGES_PER_LARGE};
 use gex_isa::PAGE_BYTES;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// Pages per 64 KB fault-handling region (Section 5.1 handles faults at a
@@ -69,28 +68,18 @@ impl PageState {
 pub struct PageTable {
     pages: HashMap<u64, PageState>,
     lazy_ranges: Vec<Range<u64>>,
-    /// Timestamp a page became present (stats / debugging).
-    mapped_at: HashMap<u64, Cycle>,
     /// Regions in mapping order (oldest first) — the eviction order under
     /// memory oversubscription.
     region_order: Vec<u64>,
-    /// 2 MB leaf mappings, keyed by frame address ([`frame_of`]). A frame
-    /// here covers all 512 subpages as one translation; the subpages'
-    /// 4 KB entries are parked inside the mapping so splintering restores
-    /// them exactly. Empty under `PageSizePolicy::Small`.
-    large: HashMap<u64, LargeMapping>,
+    /// Frames ([`frame_of`]) promoted to one 2 MB leaf mapping covering
+    /// all 512 subpages. A promoted frame's subpages were all `Present`,
+    /// so splintering re-inserts 512 `Present` entries. Empty under
+    /// `PageSizePolicy::Small`.
+    large: HashSet<u64>,
     /// Frames promoted to 2 MB so far.
     coalesces: u64,
     /// Large mappings demoted back to 4 KB so far.
     splinters: u64,
-}
-
-/// One live 2 MB mapping: the parked per-subpage map timestamps, so
-/// [`PageTable::splinter`] is an exact inverse of
-/// [`PageTable::try_coalesce`].
-#[derive(Debug, Clone)]
-struct LargeMapping {
-    sub_mapped_at: Vec<(u64, Cycle)>,
 }
 
 impl PageTable {
@@ -119,7 +108,7 @@ impl PageTable {
     /// Current state of the page containing `addr`.
     pub fn state(&self, addr: u64) -> PageState {
         let page = gex_isa::page_of(addr);
-        if !self.large.is_empty() && self.large.contains_key(&frame_of(page)) {
+        if !self.large.is_empty() && self.large.contains(&frame_of(page)) {
             return PageState::Present;
         }
         if let Some(&s) = self.pages.get(&page) {
@@ -138,16 +127,14 @@ impl PageTable {
     }
 
     /// Map one page as present (after allocation / migration completes).
-    pub fn map_page(&mut self, addr: u64, now: Cycle) {
-        let page = gex_isa::page_of(addr);
-        self.pages.insert(page, PageState::Present);
-        self.mapped_at.insert(page, now);
+    pub fn map_page(&mut self, addr: u64) {
+        self.pages.insert(gex_isa::page_of(addr), PageState::Present);
     }
 
     /// Map the whole 64 KB region containing `addr` (the paper's fault
     /// handling granularity). Pages of the region that are `Invalid` stay
     /// invalid. Returns the number of pages newly mapped.
-    pub fn map_region(&mut self, addr: u64, now: Cycle) -> u32 {
+    pub fn map_region(&mut self, addr: u64) -> u32 {
         let base = region_of(addr);
         let mut mapped = 0;
         for i in 0..REGION_PAGES {
@@ -155,7 +142,7 @@ impl PageTable {
             match self.state(page) {
                 PageState::Present | PageState::Invalid => {}
                 _ => {
-                    self.map_page(page, now);
+                    self.map_page(page);
                     mapped += 1;
                 }
             }
@@ -184,7 +171,6 @@ impl PageTable {
             let page = victim + i * PAGE_BYTES;
             if self.pages.get(&page) == Some(&PageState::Present) {
                 self.pages.insert(page, PageState::CpuDirty);
-                self.mapped_at.remove(&page);
                 evicted += 1;
             }
         }
@@ -204,16 +190,16 @@ impl PageTable {
 
     /// Promote the 2 MB frame at `frame` ([`frame_of`]-aligned) to one
     /// large mapping if *all* 512 subpages are currently `Present`. The
-    /// subpages' 4 KB entries are parked inside the mapping; region-order
+    /// subpages' 4 KB entries give way to the one mapping; region-order
     /// eviction accounting is untouched (fault and eviction granularity
     /// stay 64 KB). Returns whether the promotion happened.
     ///
     /// The caller gates on the physical side
     /// ([`crate::phys::PhysAllocator::frame_coalescible`]) — the page
     /// table only checks residency.
-    pub fn try_coalesce(&mut self, frame: u64, now: Cycle) -> bool {
+    pub fn try_coalesce(&mut self, frame: u64) -> bool {
         let frame = frame_of(frame);
-        if self.large.contains_key(&frame) {
+        if self.large.contains(&frame) {
             return false;
         }
         let all_present = (0..SUBPAGES_PER_LARGE)
@@ -221,28 +207,25 @@ impl PageTable {
         if !all_present {
             return false;
         }
-        let mut sub = Vec::with_capacity(SUBPAGES_PER_LARGE as usize);
         for i in 0..SUBPAGES_PER_LARGE {
-            let page = frame + i * PAGE_BYTES;
-            self.pages.remove(&page);
-            sub.push((page, self.mapped_at.remove(&page).unwrap_or(now)));
+            self.pages.remove(&(frame + i * PAGE_BYTES));
         }
-        self.large.insert(frame, LargeMapping { sub_mapped_at: sub });
+        self.large.insert(frame);
         self.coalesces += 1;
         true
     }
 
     /// Demote the 2 MB mapping at `frame` back to its 512 4 KB entries,
-    /// restoring each subpage's state and map timestamp exactly as they
-    /// were before [`PageTable::try_coalesce`] (splinter ∘ coalesce =
-    /// identity). No-op if the frame is not large-mapped.
+    /// all `Present` as they were before [`PageTable::try_coalesce`]
+    /// (splinter ∘ coalesce = identity). No-op if the frame is not
+    /// large-mapped.
     pub fn splinter(&mut self, frame: u64) -> bool {
-        let Some(mapping) = self.large.remove(&frame_of(frame)) else {
+        let frame = frame_of(frame);
+        if !self.large.remove(&frame) {
             return false;
-        };
-        for (page, at) in mapping.sub_mapped_at {
-            self.pages.insert(page, PageState::Present);
-            self.mapped_at.insert(page, at);
+        }
+        for i in 0..SUBPAGES_PER_LARGE {
+            self.pages.insert(frame + i * PAGE_BYTES, PageState::Present);
         }
         self.splinters += 1;
         true
@@ -250,14 +233,14 @@ impl PageTable {
 
     /// True if `addr` is covered by a 2 MB mapping.
     pub fn large_mapped(&self, addr: u64) -> bool {
-        !self.large.is_empty() && self.large.contains_key(&frame_of(addr))
+        !self.large.is_empty() && self.large.contains(&frame_of(addr))
     }
 
     /// True if every subpage of `addr`'s 2 MB frame translates (either via
     /// one large mapping or 512 present 4 KB entries).
     pub fn frame_fully_resident(&self, addr: u64) -> bool {
         let frame = frame_of(addr);
-        if self.large.contains_key(&frame) {
+        if self.large.contains(&frame) {
             return true;
         }
         (0..SUBPAGES_PER_LARGE)
@@ -336,8 +319,8 @@ mod tests {
         // Region 0: pages 0..16. Mark pages 0..8 dirty, page 8 present,
         // leave 9..16 invalid.
         pt.set_range(0, 8 * PAGE_BYTES, PageState::CpuDirty);
-        pt.map_page(8 * PAGE_BYTES, 0);
-        let mapped = pt.map_region(0, 10);
+        pt.map_page(8 * PAGE_BYTES);
+        let mapped = pt.map_region(0);
         assert_eq!(mapped, 8);
         assert!(pt.present(0));
         assert!(pt.present(7 * PAGE_BYTES));
@@ -350,8 +333,8 @@ mod tests {
     fn eviction_returns_pages_to_cpu_dirty() {
         let mut pt = PageTable::new();
         pt.set_range(0, 2 * REGION_BYTES, PageState::CpuClean);
-        pt.map_region(0, 1);
-        pt.map_region(REGION_BYTES, 2);
+        pt.map_region(0);
+        pt.map_region(REGION_BYTES);
         assert_eq!(pt.resident_regions(), &[0, REGION_BYTES]);
         // `except` protects the region being faulted in right now.
         let (victim, pages) = pt.evict_oldest_region(REGION_BYTES + 4096).unwrap();
@@ -371,17 +354,17 @@ mod tests {
             if r == 5 {
                 continue; // leave one region unmapped
             }
-            pt.map_region(r * REGION_BYTES, r);
+            pt.map_region(r * REGION_BYTES);
         }
-        assert!(!pt.try_coalesce(0, 100));
-        pt.map_region(5 * REGION_BYTES, 5);
-        assert!(pt.try_coalesce(0, 100));
+        assert!(!pt.try_coalesce(0));
+        pt.map_region(5 * REGION_BYTES);
+        assert!(pt.try_coalesce(0));
         assert!(pt.large_mapped(12345));
         assert!(pt.present(7 * REGION_BYTES));
         assert_eq!(pt.present_pages(), SUBPAGES_PER_LARGE as usize);
         assert_eq!(pt.coalesced_frames(), 1);
         // Second promote of the same frame is a no-op.
-        assert!(!pt.try_coalesce(0, 101));
+        assert!(!pt.try_coalesce(0));
     }
 
     #[test]
@@ -390,10 +373,10 @@ mod tests {
         let frame_bytes = SUBPAGES_PER_LARGE * PAGE_BYTES;
         pt.set_range(0, frame_bytes, PageState::CpuClean);
         for r in 0..frame_bytes / REGION_BYTES {
-            pt.map_region(r * REGION_BYTES, 10 + r);
+            pt.map_region(r * REGION_BYTES);
         }
         let before = pt.clone();
-        assert!(pt.try_coalesce(0, 500));
+        assert!(pt.try_coalesce(0));
         assert!(pt.splinter(0));
         assert!(!pt.large_mapped(0));
         for r in 0..frame_bytes / REGION_BYTES {
@@ -412,9 +395,9 @@ mod tests {
         let frame_bytes = SUBPAGES_PER_LARGE * PAGE_BYTES;
         pt.set_range(0, frame_bytes, PageState::CpuClean);
         for r in 0..frame_bytes / REGION_BYTES {
-            pt.map_region(r * REGION_BYTES, r);
+            pt.map_region(r * REGION_BYTES);
         }
-        assert!(pt.try_coalesce(0, 99));
+        assert!(pt.try_coalesce(0));
         // Evict the oldest region: the 2 MB mapping must splinter so the
         // other 31 regions stay present as 4 KB pages.
         let (victim, pages) = pt.evict_oldest_region(u64::MAX).unwrap();

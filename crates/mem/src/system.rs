@@ -535,7 +535,7 @@ impl MemSystem {
     /// completes. Returns the number of pages newly mapped.
     pub fn resolve_region(&mut self, addr: u64, now: Cycle) -> u32 {
         let region = region_of(addr);
-        let mapped = self.page_table.map_region(region, now);
+        let mapped = self.page_table.map_region(region);
         if let Some(parked) = self.parked.remove(&region) {
             for r in parked {
                 let (sm, page) = {
@@ -617,7 +617,7 @@ impl MemSystem {
         match lp.pending.get(&frame).copied() {
             Some(due) if due == t => {
                 lp.pending.remove(&frame);
-                if self.page_table.try_coalesce(frame, t) {
+                if self.page_table.try_coalesce(frame) {
                     if let Some(lp) = &mut self.lp {
                         lp.stats.coalesced += 1;
                     }
@@ -666,7 +666,7 @@ impl MemSystem {
                 resolved.push(region);
             }
         }
-        if promote && self.page_table.try_coalesce(frame, now) {
+        if promote && self.page_table.try_coalesce(frame) {
             if let Some(lp) = &mut self.lp {
                 lp.stats.coalesced += 1;
             }

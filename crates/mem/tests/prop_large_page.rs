@@ -62,11 +62,10 @@ fn run_pt_ops(ops: &[PtOp]) {
     pt.set_range(0, FRAMES * LARGE_PAGE_BYTES, PageState::CpuClean);
     let mut shadow = Shadow::default();
     for (step, op) in ops.iter().enumerate() {
-        let now = step as u64;
         match op {
             PtOp::MapRegion(r) => {
                 let base = *r as u64 * REGION_BYTES;
-                pt.map_region(base, now);
+                pt.map_region(base);
                 for i in 0..REGION_PAGES {
                     shadow.present.insert(base + i * PAGE_BYTES, true);
                 }
@@ -81,7 +80,7 @@ fn run_pt_ops(ops: &[PtOp]) {
             PtOp::Coalesce(f) => {
                 let frame = *f as u64 * LARGE_PAGE_BYTES;
                 let expect = shadow.all_present(frame) && !pt.large_mapped(frame);
-                let promoted = pt.try_coalesce(frame, now);
+                let promoted = pt.try_coalesce(frame);
                 prop_assert_eq!(
                     promoted, expect,
                     "coalesce iff all 512 subpages resident and not already large (step {step})"
@@ -161,22 +160,24 @@ proptest! {
         run_pt_ops(&ops);
     }
 
-    /// Splintering restores the exact pre-coalesce page table: states and
-    /// map timestamps of every subpage, residency order, and the
-    /// region-eviction view (splinter ∘ coalesce = identity).
+    /// Splintering restores the exact pre-coalesce page table: the state
+    /// of every subpage, residency order, and the region-eviction view
+    /// (splinter ∘ coalesce = identity on page states).
     #[test]
     fn splinter_restores_the_precoalesce_table(
-        mapped_at in collection::vec(1u64..1000, 32),
+        first in 0u64..32,
         frame_idx in 0u8..FRAMES as u8,
     ) {
         let frame = frame_idx as u64 * LARGE_PAGE_BYTES;
         let mut pt = PageTable::new();
         pt.set_range(0, FRAMES * LARGE_PAGE_BYTES, PageState::CpuClean);
-        for (r, &at) in mapped_at.iter().enumerate() {
-            pt.map_region(frame + r as u64 * REGION_BYTES, at);
+        // Map all 32 regions of the frame, starting at region `first`, so
+        // the eviction order differs from address order.
+        for r in 0..32 {
+            pt.map_region(frame + (first + r) % 32 * REGION_BYTES);
         }
         let before = pt.clone();
-        prop_assert!(pt.try_coalesce(frame, 5000));
+        prop_assert!(pt.try_coalesce(frame));
         prop_assert!(pt.large_mapped(frame));
         prop_assert!(pt.splinter(frame));
         for i in 0..SUBPAGES_PER_LARGE {
@@ -185,9 +186,8 @@ proptest! {
         }
         prop_assert_eq!(pt.resident_regions(), before.resident_regions());
         prop_assert_eq!(pt.present_pages(), before.present_pages());
-        // Eviction order survives the round trip (it is driven by the
-        // per-region map timestamps the splinter restored): both tables
-        // pick the same victim.
+        // Eviction order survives the round trip: both tables pick the
+        // same victim.
         let mut a = pt.clone();
         let mut b = before.clone();
         prop_assert_eq!(a.evict_oldest_region(u64::MAX), b.evict_oldest_region(u64::MAX));

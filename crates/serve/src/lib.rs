@@ -3,8 +3,8 @@
 //! A long-running daemon that accepts simulation campaigns (grids of
 //! `workload x scheme` points) over a line-oriented TCP protocol and runs
 //! them on a fixed set of worker threads, one point per worker at a time,
-//! under the full [`gex::supervise`] stack: panic isolation, deadline
-//! retry with budget escalation, and per-point quarantine. A point's
+//! under the full [`gex::supervise`] stack: panic isolation, one run per
+//! point under its cycle budget, and per-point quarantine. A point's
 //! result is applied as soon as it finishes, so one tenant's slow point
 //! never holds back another tenant's fast one.
 //!
@@ -19,7 +19,7 @@
 //!   so one tenant's thousand-point campaign cannot starve another's
 //!   ten-point grid.
 //! * **Per-tenant fault budgets** — a tenant whose points keep failing
-//!   (panics, exhausted deadlines, fatal errors) has all of its campaigns
+//!   (panics, deadline overruns, fatal errors) has all of its campaigns
 //!   quarantined: running points cancelled, queued points shed unrun, new
 //!   submits rejected. Other tenants are unaffected.
 //! * **Crash safety** — every accepted campaign is persisted (manifest +

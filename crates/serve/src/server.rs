@@ -4,8 +4,8 @@
 //! line-protocol handler per client. [`ServerConfig::workers`] worker
 //! threads each take one point at a time off the [`TenantScheduler`] and
 //! run it through [`gex::run_supervised`] as a one-point grid, so every
-//! supervision property of the batch drivers — panic isolation, deadline
-//! retry with budget escalation, per-point quarantine — holds per point
+//! supervision property of the batch drivers — panic isolation, one run
+//! per point under its cycle budget, per-point quarantine — holds per point
 //! here too, and a finished point is applied at once, whatever its
 //! neighbours on the other workers are doing. All shared state sits
 //! behind one mutex; simulation happens strictly outside it.
@@ -34,7 +34,7 @@ use gex::{
     SimError, SupervisePolicy, TenantId, TenantWorkload, Workload,
 };
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,10 +62,11 @@ pub struct ServerConfig {
     /// Admission bound on live campaigns: finished, quarantined and
     /// cancelled ones do not count.
     pub max_campaigns: usize,
-    /// Per-point supervision policy (budget, retries).
+    /// Per-point supervision policy (the cycle budget each point runs
+    /// once under).
     pub policy: SupervisePolicy,
     /// Per-tenant fault budget: once a tenant has accumulated this many
-    /// failed points (panics, exhausted deadlines, fatal errors — not
+    /// failed points (panics, deadline overruns, fatal errors — not
     /// cancellations) *or in-run fault storms (partitioned points whose
     /// stream got quarantined inside a shared simulation)*, all of that
     /// tenant's campaigns are quarantined: running points are cancelled,
@@ -293,7 +294,7 @@ fn cancelled_err() -> SimError {
 }
 
 /// Run one point: the chaos hooks first, then the real simulator under
-/// the attempt's budget with the campaign token attached. A classic point
+/// the policy's budget with the campaign token attached. A classic point
 /// owns the GPU with everything resident. A partitioned point runs the
 /// campaign's workload as a demand-paging tenant stream — carrying the
 /// submitting tenant's identity down into the simulator — next to the
@@ -309,7 +310,7 @@ fn run_point(p: &Task, budget: &RunBudget) -> Result<u64, SimError> {
     match p.inject {
         Some(Inject::Panic) => panic!("injected panic for point {}", p.key),
         Some(Inject::Deadline) => {
-            let deadline = budget.deadline_cycles.unwrap_or(0);
+            let deadline = budget.start().deadline_cycles();
             return Err(SimError::Deadline(Box::new(DeadlineDiagnostic {
                 cycle: deadline,
                 cause: BudgetExceeded::Cycles { deadline },
@@ -680,8 +681,8 @@ fn worker_loop(inner: &Inner) {
         };
 
         // A one-point supervised grid takes the supervisor's serial path:
-        // this thread, a `catch_unwind` around the point, and deadline
-        // retry with escalation. Fault budgets are per tenant, so
+        // this thread, a `catch_unwind` around the point, one run under
+        // the policy's budget. Fault budgets are per tenant, so
         // `apply_result` enforces them, not the supervisor.
         let (id, index) = (task.id.clone(), task.index);
         let mut outcome =
@@ -800,25 +801,42 @@ fn reply_err(out: &mut impl Write, msg: &str) -> io::Result<()> {
     reply(out, Reply::Error(msg.to_string()))
 }
 
+/// Longest request line a connection may send (a full spec line is under
+/// 1 KB). Without a bound, a client streaming bytes with no newline grows
+/// one buffer forever, and `idle_timeout` never fires while bytes arrive.
+const MAX_LINE_BYTES: u64 = 64 * 1024;
+
 fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
     // Idle/stuck clients are disconnected rather than pinning this
-    // thread: reads (and writes) time out after `idle_timeout`.
+    // thread: reads (and writes) time out after `idle_timeout`, and a line
+    // longer than `MAX_LINE_BYTES` is answered with an error and closed.
     stream.set_read_timeout(Some(inner.cfg.idle_timeout))?;
     stream.set_write_timeout(Some(inner.cfg.idle_timeout))?;
     // Replies are written fragment by fragment; Nagle would hold each
     // trailing fragment for the client's delayed ACK.
     stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return Ok(()), // timeout or disconnect: drop the client
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut reader).take(MAX_LINE_BYTES + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return Ok(()), // EOF, timeout or disconnect: drop the client
+            Ok(_) => {}
+        }
+        if buf.ends_with(b"\n") {
+            let crlf = buf.ends_with(b"\r\n");
+            buf.truncate(buf.len() - 1 - usize::from(crlf));
+        } else if buf.len() as u64 > MAX_LINE_BYTES {
+            return reply_err(&mut out, "request line exceeds 64 KiB");
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return Ok(()); // not text: drop the client
         };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match Request::parse(&line) {
+        let req = match Request::parse(line) {
             Ok(r) => r,
             Err(e) => {
                 reply_err(&mut out, &e)?;
@@ -879,7 +897,6 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
         }
         out.flush()?;
     }
-    Ok(())
 }
 
 fn handle_submit(

@@ -49,8 +49,8 @@ use std::fmt;
 pub enum Inject {
     /// Every point panics at the job boundary.
     Panic,
-    /// Every point reports a blown cycle deadline (and keeps blowing the
-    /// escalated retries).
+    /// Every point reports a blown cycle deadline at the bound its budget
+    /// meters (the policy's deadline, else the budget's fallback).
     Deadline,
 }
 

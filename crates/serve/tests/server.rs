@@ -95,6 +95,65 @@ fn request_lines_are_not_held_back_by_nagle() {
     handle.join();
 }
 
+/// A request line has a fixed bound: a client streaming bytes with no
+/// newline is answered with an error and dropped once it passes 64 KiB,
+/// a client that sends half a line and goes silent is dropped by the idle
+/// timeout, and neither holds back another client.
+#[test]
+fn oversized_and_stalled_request_lines_drop_only_their_clients() {
+    use std::io::{Read, Write};
+    let handle = server::start(ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let connect = || {
+        let sock = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        sock
+    };
+
+    let mut flood = connect();
+    flood.write_all(&vec![b'x'; 64 * 1024 + 1]).expect("send");
+    let mut reply = String::new();
+    flood.read_to_string(&mut reply).expect("the server closes the connection");
+    assert!(reply.contains("\"ok\":0") && reply.contains("64 KiB"), "{reply}");
+    assert_eq!(reply.lines().count(), 1, "one error reply, then the close: {reply}");
+
+    let mut stalled = connect();
+    stalled.write_all(b"{\"op\":\"pi").expect("send");
+    let start = std::time::Instant::now();
+    let mut rest = Vec::new();
+    stalled.read_to_end(&mut rest).expect("the idle timeout closes the connection");
+    assert!(rest.is_empty(), "a half line gets no reply: {rest:?}");
+    assert!(start.elapsed() < Duration::from_secs(5), "dropped after {:?}", start.elapsed());
+
+    fast_client(&handle.addr()).ping().expect("another client is still served");
+    handle.join();
+}
+
+/// An injected deadline reports the bound the point's budget meters: with
+/// no deadline configured, the budget's fallback.
+#[test]
+fn an_injected_deadline_reports_the_metered_bound() {
+    let handle = server::start(ServerConfig::default()).unwrap();
+    let mut c = fast_client(&handle.addr());
+    let mut s = spec(&["histo"], &[Scheme::Baseline]);
+    s.inject = Some(Inject::Deadline);
+    c.submit("t", "overrun", &s).expect("admit");
+    c.wait("t", "overrun", Duration::from_millis(20)).expect("terminal");
+    let (_, points) = c.results("t", "overrun").expect("results");
+    let fallback = gex::sm::budget::MAX_CYCLES_FALLBACK.to_string();
+    match &points[..] {
+        [PointResult::Quarantined { kind, error, .. }] => {
+            assert_eq!(kind, "deadline");
+            assert!(error.contains(&fallback), "{error}");
+        }
+        other => panic!("expected one deadline quarantine, got {other:?}"),
+    }
+    handle.join();
+}
+
 #[test]
 fn resubmitting_the_same_spec_attaches_instead_of_duplicating() {
     let handle = server::start(ServerConfig::default()).unwrap();

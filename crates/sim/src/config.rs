@@ -6,12 +6,10 @@ use crate::local_fault::LocalFaultConfig;
 use gex_mem::{Cycle, MemConfig, PageSizePolicy};
 use gex_sm::SmConfig;
 
-/// Built-in runaway guard unless [`GpuConfig::with_max_cycles`] sets one.
-const MAX_CYCLES_FALLBACK: Cycle = 2_000_000_000;
-
 /// Default forward-progress window: generous against the longest
 /// legitimate stall (a PCIe fault round trip is ~25k cycles; block-switch
-/// transfers are tens of thousands), tiny against the fallback cycle cap.
+/// transfers are tens of thousands), tiny against the run budget's
+/// fallback deadline ([`gex_sm::budget::MAX_CYCLES_FALLBACK`]).
 const WATCHDOG_FALLBACK: Cycle = 5_000_000;
 
 /// Full GPU configuration: Table 1's SM and system sections.
@@ -21,8 +19,6 @@ pub struct GpuConfig {
     pub sm: SmConfig,
     /// Memory system configuration (includes the SM count).
     pub mem: MemConfig,
-    /// Abort the run (with a structured error) past this many cycles.
-    pub max_cycles: Cycle,
     /// Abort the run when no warp commits, no fault resolves and no block
     /// dispatches for this many consecutive cycles (forward-progress
     /// watchdog).
@@ -35,7 +31,6 @@ impl GpuConfig {
         GpuConfig {
             sm: SmConfig::kepler_k20(),
             mem: MemConfig::kepler_k20(),
-            max_cycles: MAX_CYCLES_FALLBACK,
             watchdog_cycles: WATCHDOG_FALLBACK,
         }
     }
@@ -43,12 +38,6 @@ impl GpuConfig {
     /// Same per-SM configuration with `n` SMs (Section 5.5 scalability).
     pub fn with_sms(mut self, n: u32) -> Self {
         self.mem.num_sms = n;
-        self
-    }
-
-    /// Override the cycle cap.
-    pub fn with_max_cycles(mut self, c: Cycle) -> Self {
-        self.max_cycles = c;
         self
     }
 
@@ -127,15 +116,13 @@ mod tests {
     #[test]
     fn cycle_guards_default_and_override() {
         let c = GpuConfig::kepler_k20();
-        assert_eq!(c.max_cycles, MAX_CYCLES_FALLBACK);
         assert_eq!(c.watchdog_cycles, WATCHDOG_FALLBACK);
         assert_eq!(c.mem.page_size, PageSizePolicy::Small);
-        let c = c.with_max_cycles(123).with_watchdog_cycles(45);
-        assert_eq!(c.max_cycles, 123);
-        assert_eq!(c.watchdog_cycles, 45);
-        // The watchdog window stays well under the cap by default, so a
-        // wedged run reports diagnostics instead of timing out.
-        const { assert!(WATCHDOG_FALLBACK < MAX_CYCLES_FALLBACK) };
+        assert_eq!(c.with_watchdog_cycles(45).watchdog_cycles, 45);
+        // The watchdog window stays well under the budget's fallback
+        // deadline, so a wedged run reports diagnostics instead of
+        // timing out.
+        const { assert!(WATCHDOG_FALLBACK < gex_sm::budget::MAX_CYCLES_FALLBACK) };
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Structured run-abort errors for the whole-GPU simulator.
 //!
 //! Every way a run can fail to finish — a wedged configuration caught by
-//! the forward-progress watchdog, the cycle cap, stall-mode faults with no
-//! handler, or a fatal SM/memory condition — surfaces through
+//! the forward-progress watchdog, a blown run budget, stall-mode faults
+//! with no handler, or a fatal SM/memory condition — surfaces through
 //! [`Gpu::try_run`](crate::gpu::Gpu::try_run) as a [`SimError`] carrying
 //! enough state to diagnose the hang: which warps are stuck on which
 //! regions, and what the fault queue still holds.
@@ -97,7 +97,7 @@ impl std::fmt::Display for WatchdogDiagnostic {
 pub struct DeadlineDiagnostic {
     /// Cycle at which the budget check fired.
     pub cycle: Cycle,
-    /// Which limit tripped (cycle deadline, wall clock, cancellation).
+    /// Which limit tripped (cycle deadline or cancellation).
     pub cause: BudgetExceeded,
     /// Blocks completed out of the launch total when the budget tripped.
     pub completed_blocks: u64,
@@ -123,20 +123,10 @@ pub enum SimError {
     /// The forward-progress watchdog fired: no warp committed, no fault
     /// resolved and no block dispatched for the configured window.
     Watchdog(Box<WatchdogDiagnostic>),
-    /// The run blew its cooperative budget (cycle deadline, wall-clock
-    /// limit or cancellation) — supervision policy, distinct from the
-    /// `CycleLimit` runaway guard: a deadline is retryable with an
-    /// escalated budget, a cycle-cap overrun usually means a wedge.
+    /// The run blew its cooperative budget: the cycle deadline (the
+    /// run's one cycle bound, a fallback when none is set) or
+    /// cancellation.
     Deadline(Box<DeadlineDiagnostic>),
-    /// The run exceeded the configured cycle cap.
-    CycleLimit {
-        /// The configured cap.
-        limit: Cycle,
-        /// Blocks completed out of the launch total when the cap hit.
-        completed_blocks: u64,
-        /// Total blocks in the launch.
-        total_blocks: u64,
-    },
     /// Stall-mode faults are pending but the paging mode provides no
     /// handler to resolve them: the run can never finish.
     NoFaultHandler {
@@ -166,11 +156,6 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Watchdog(d) => write!(f, "watchdog: {d}"),
             SimError::Deadline(d) => write!(f, "deadline: {d}"),
-            SimError::CycleLimit { limit, completed_blocks, total_blocks } => write!(
-                f,
-                "GPU run exceeded {limit} cycles ({completed_blocks}/{total_blocks} blocks \
-                 done; likely a deadlock — see the watchdog diagnostic or raise max_cycles)"
-            ),
             SimError::NoFaultHandler { pending_faults } => write!(
                 f,
                 "{pending_faults} fault(s) pending but no handler configured: a \
@@ -188,18 +173,17 @@ impl std::fmt::Display for SimError {
 }
 
 impl SimError {
-    /// True for budget overruns — the class of error a campaign
-    /// supervisor retries with an escalated budget (everything else is
-    /// quarantined immediately).
+    /// True for budget overruns (cycle deadline or cancellation). The
+    /// simulator is deterministic, so a campaign supervisor quarantines
+    /// an overrun as it does every other error; this only classifies it.
     pub fn is_deadline(&self) -> bool {
         matches!(self, SimError::Deadline(_))
     }
 
     /// True when the budget tripped because its [`CancelToken`]
     /// (see [`gex_sm::CancelToken`]) was cancelled. Cancellation is a
-    /// request to stop, not a resource overrun: escalating the budget and
-    /// retrying cannot succeed, so supervisors treat it as terminal
-    /// rather than retryable.
+    /// request to stop, not a resource overrun, so supervisors report it
+    /// apart from a cycle-deadline overrun.
     pub fn is_cancelled(&self) -> bool {
         matches!(
             self,

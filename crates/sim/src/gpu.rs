@@ -42,7 +42,8 @@ pub struct Gpu {
 
 impl Gpu {
     /// A GPU with the given configuration, SM exception scheme and paging
-    /// mode. The cycle cap and watchdog window come from `cfg`.
+    /// mode. The watchdog window comes from `cfg`; the cycle bound is the
+    /// run budget ([`Gpu::budget`]).
     pub fn new(cfg: GpuConfig, scheme: Scheme, paging: PagingMode) -> Self {
         Gpu {
             cfg,
@@ -66,12 +67,6 @@ impl Gpu {
         self
     }
 
-    /// Override the runaway guard (the run aborts past this many cycles).
-    pub fn max_cycles(mut self, c: Cycle) -> Self {
-        self.cfg.max_cycles = c;
-        self
-    }
-
     /// Attach a deterministic fault-injection schedule (resilience
     /// testing). Only demand paging has anything to perturb; the plan is
     /// ignored under [`PagingMode::AllResident`].
@@ -80,11 +75,11 @@ impl Gpu {
         self
     }
 
-    /// Attach a cooperative [`RunBudget`] (cycle deadline, wall-clock
-    /// limit, cancellation token). Checked every iteration of the engine
-    /// loop; a blown budget surfaces as [`SimError::Deadline`] rather
-    /// than a hang. Supervision policy, distinct from
-    /// [`Gpu::max_cycles`]'s runaway guard.
+    /// Attach a cooperative [`RunBudget`] (cycle deadline, cancellation
+    /// token) — the run's one cycle bound. Checked every iteration of the
+    /// engine loop; a blown budget surfaces as [`SimError::Deadline`]
+    /// rather than a hang. Without one the run meters the budget's
+    /// fallback deadline.
     pub fn budget(mut self, b: RunBudget) -> Self {
         self.budget = b;
         self
@@ -124,7 +119,7 @@ impl Gpu {
     }
 
     /// Execute `trace`, returning a structured [`SimError`] if the run
-    /// wedges (forward-progress watchdog), exceeds the cycle cap, has
+    /// wedges (forward-progress watchdog), exceeds its budget, has
     /// stall-mode faults with no handler, or hits a fatal SM/memory
     /// condition.
     pub fn try_run(
@@ -143,7 +138,7 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// Panics if a *shared-engine* run aborts (watchdog, cycle cap, fatal
+    /// Panics if a *shared-engine* run aborts (watchdog, budget, fatal
     /// SM/memory error) — see [`Gpu::try_run_multi`]. Under
     /// [`PartitionPolicy::Static`] a failed sub-run is reported as that
     /// tenant's quarantine instead of panicking.
@@ -331,7 +326,6 @@ pub(crate) struct Engine {
     completed: u64,
     switches: u64,
     dispatch_rr: usize,
-    max_cycles: Cycle,
     watchdog_cycles: Cycle,
     budget: RunBudget,
     /// Reused scratch for draining SM fault notices without allocating.
@@ -417,7 +411,7 @@ impl Engine {
             }
             PagingMode::Demand { .. } => {
                 for (_, residency) in streams {
-                    residency.apply(&mut mem, 0);
+                    residency.apply(&mut mem);
                 }
             }
         }
@@ -466,7 +460,6 @@ impl Engine {
             completed: 0,
             switches: 0,
             dispatch_rr: 0,
-            max_cycles: gpu.cfg.max_cycles,
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
             notice_buf: Vec::new(),
@@ -738,13 +731,9 @@ impl Engine {
                 None
             };
             if let Some(next) = next.filter(|&next| next > now + 1) {
-                // Never jump past the watchdog deadline, the cycle cap or
-                // the budget's cycle deadline: each must fire at its exact
-                // cycle.
-                let mut deadline = (last_progress + self.watchdog_cycles).min(self.max_cycles);
-                if let Some(d) = meter.deadline_cycles() {
-                    deadline = deadline.min(d);
-                }
+                // Never jump past the watchdog deadline or the budget's
+                // cycle deadline: each must fire at its exact cycle.
+                let deadline = (last_progress + self.watchdog_cycles).min(meter.deadline_cycles());
                 let target = next.min(deadline);
                 if target > now {
                     if !all_stalled {
@@ -755,13 +744,6 @@ impl Engine {
                 }
             }
             now += 1;
-            if now >= self.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.max_cycles,
-                    completed_blocks: self.completed,
-                    total_blocks: self.total_blocks,
-                });
-            }
         }
         Ok(now)
     }

@@ -2,8 +2,8 @@
 //!
 //! Runs a kernel trace to completion on a one-SM [`Gpu`] with every
 //! touched page mapped: the engine's global block scheduler (Section 2.1)
-//! restricted to one SM, with the engine's budget check, watchdog, cycle
-//! cap and idle skip. Used by unit tests, the pipeline-diagram example
+//! restricted to one SM, with the engine's budget check, watchdog and
+//! idle skip. Used by unit tests, the pipeline-diagram example
 //! and quick scheme-vs-scheme comparisons.
 //!
 //! The one difference from a plain [`Gpu::run`] is that the harness
@@ -41,10 +41,12 @@ pub struct SingleSmHarness {
 
 impl SingleSmHarness {
     /// A harness for `scheme` with Table 1 configurations and a 50 M
-    /// cycle cap.
+    /// cycle budget ([`SingleSmHarness::budget`] replaces it).
     pub fn new(scheme: Scheme) -> Self {
-        let cfg = GpuConfig::kepler_k20().with_sms(1).with_max_cycles(50_000_000);
-        SingleSmHarness { gpu: Gpu::new(cfg, scheme, PagingMode::AllResident), probe: false }
+        let cfg = GpuConfig::kepler_k20().with_sms(1);
+        let gpu = Gpu::new(cfg, scheme, PagingMode::AllResident)
+            .budget(RunBudget::cycles(50_000_000));
+        SingleSmHarness { gpu, probe: false }
     }
 
     /// Override the SM configuration.
@@ -59,13 +61,7 @@ impl SingleSmHarness {
         self
     }
 
-    /// Abort if the run exceeds this many cycles.
-    pub fn max_cycles(mut self, c: Cycle) -> Self {
-        self.gpu = self.gpu.max_cycles(c);
-        self
-    }
-
-    /// Attach a cooperative [`RunBudget`] (cycle deadline, cancellation
+    /// Replace the cooperative [`RunBudget`] (cycle deadline, cancellation
     /// token), checked every iteration of the engine loop.
     pub fn budget(mut self, b: RunBudget) -> Self {
         self.gpu = self.gpu.budget(b);
@@ -87,7 +83,7 @@ impl SingleSmHarness {
     }
 
     /// Run every block of `trace`, returning the engine's [`SimError`] if
-    /// the run wedges (watchdog), exceeds the cycle cap or its budget, or
+    /// the run wedges (watchdog), exceeds its budget, or
     /// hits a fatal SM/memory condition.
     pub fn try_run(&self, trace: &KernelTrace) -> Result<SingleSmRun, SimError> {
         let mut engine = Engine::new(&self.gpu, &[(trace, &Residency::new())]);

@@ -7,7 +7,7 @@
 //! fault-free.
 
 use gex_mem::system::MemSystem;
-use gex_mem::{Cycle, PageState};
+use gex_mem::PageState;
 
 /// One placed range of virtual memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,13 +63,9 @@ impl Residency {
     }
 
     /// Apply this placement to a memory system's page table.
-    pub fn apply(&self, mem: &mut MemSystem, now: Cycle) {
+    pub fn apply(&self, mem: &mut MemSystem) {
         for p in &self.placements {
             mem.page_table.set_range(p.addr, p.len, p.state);
-            if p.state == PageState::Present {
-                // keep `mapped_at` bookkeeping consistent
-                let _ = now;
-            }
         }
         for &(addr, len) in &self.lazy {
             mem.page_table.add_lazy_range(addr, len);
@@ -120,7 +116,7 @@ mod tests {
             .cpu_dirty(0x10_0000, 0x2000)
             .cpu_clean(0x20_0000, 0x1000)
             .lazy(0x4000_0000, 0x1_0000)
-            .apply(&mut mem, 0);
+            .apply(&mut mem);
         assert_eq!(mem.page_table.state(0x1000), PageState::Present);
         assert_eq!(mem.page_table.state(0x10_0000), PageState::CpuDirty);
         assert_eq!(mem.page_table.state(0x20_0000), PageState::CpuClean);

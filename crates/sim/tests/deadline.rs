@@ -5,9 +5,8 @@
 //! [`SimError::Deadline`] with progress diagnostics — never a hang, never
 //! a panic. Budgets compose with the idle-skip optimisation (the jump
 //! target is clamped to the cycle deadline so it fires at its exact
-//! cycle) and with retry escalation (doubling the budget per attempt
-//! eventually admits the run, which then matches an unbudgeted run
-//! exactly).
+//! cycle), and a budget that admits the run leaves it bit-identical to an
+//! unbudgeted one.
 
 use gex_isa::asm::Asm;
 use gex_isa::func::FuncSim;
@@ -101,46 +100,27 @@ fn cancel_token_aborts_a_run_before_it_starts_ticking() {
 }
 
 #[test]
-fn escalated_budgets_eventually_admit_the_run_and_match_it_exactly() {
-    let (trace, res) = faulting_kernel(4);
-    let cfg = GpuConfig::kepler_k20().with_sms(2);
-    let clean = demand_gpu(Scheme::ReplayQueue, cfg.clone())
-        .try_run(&trace, &res)
-        .expect("unbudgeted run");
-    // The supervisor's retry policy: same point, budget doubled each
-    // attempt. The deterministic simulator makes the final attempt
-    // bit-identical to the unbudgeted run.
-    let base = RunBudget::cycles(4_000);
-    let mut admitted = None;
-    for attempt in 0..16 {
-        match demand_gpu(Scheme::ReplayQueue, cfg.clone())
-            .budget(base.escalated(attempt))
-            .try_run(&trace, &res)
-        {
-            Ok(report) => {
-                admitted = Some((attempt, report));
-                break;
-            }
-            Err(e) => assert!(e.is_deadline(), "only deadline errors expected, got {e}"),
-        }
-    }
-    let (attempt, report) = admitted.expect("escalation must eventually admit the run");
-    assert!(attempt > 0, "the base budget must be too small for the test to bite");
-    assert_eq!(report.cycles, clean.cycles);
-    assert_eq!(report.warp_retired, clean.warp_retired);
-    assert_eq!(report.sm.committed, clean.sm.committed);
-}
-
-#[test]
 fn unlimited_budget_leaves_a_healthy_run_untouched() {
     let (trace, res) = faulting_kernel(2);
     let cfg = GpuConfig::kepler_k20().with_sms(2);
     let clean = demand_gpu(Scheme::ReplayQueue, cfg.clone()).run(&trace, &res);
-    let budgeted = demand_gpu(Scheme::ReplayQueue, cfg)
+    let budgeted = demand_gpu(Scheme::ReplayQueue, cfg.clone())
         .budget(RunBudget::none())
         .run(&trace, &res);
     assert_eq!(budgeted.cycles, clean.cycles);
     assert_eq!(budgeted.warp_retired, clean.warp_retired);
+    // The tightest budget that admits the run ends one cycle past its
+    // last one, and the run under it is the unbudgeted run exactly.
+    let tight = demand_gpu(Scheme::ReplayQueue, cfg.clone())
+        .budget(RunBudget::cycles(clean.cycles + 1))
+        .run(&trace, &res);
+    assert_eq!(tight.cycles, clean.cycles);
+    assert_eq!(tight.warp_retired, clean.warp_retired);
+    let err = demand_gpu(Scheme::ReplayQueue, cfg)
+        .budget(RunBudget::cycles(clean.cycles))
+        .try_run(&trace, &res)
+        .expect_err("a budget of the run's own length ends it on its last cycle");
+    assert!(err.is_deadline(), "{err}");
 }
 
 #[test]

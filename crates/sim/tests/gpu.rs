@@ -10,8 +10,8 @@ use gex_isa::op::{CmpKind, CmpType};
 use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
 use gex_sim::{
-    BlockSwitchConfig, Gpu, GpuConfig, GpuRunReport, Interconnect, LocalFaultConfig, PagingMode,
-    Residency, SimError, SingleSmHarness,
+    BlockSwitchConfig, BudgetExceeded, Gpu, GpuConfig, GpuRunReport, Interconnect,
+    LocalFaultConfig, PagingMode, Residency, RunBudget, SimError, SingleSmHarness,
 };
 use gex_sm::Scheme;
 use gex_workloads::{suite, Preset};
@@ -161,7 +161,8 @@ fn phase_kernel(blocks: u32, iters: u64) -> (KernelTrace, Residency) {
 }
 
 fn gpu(scheme: Scheme, paging: PagingMode, sms: u32) -> Gpu {
-    Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, paging).max_cycles(500_000_000)
+    Gpu::new(GpuConfig::kepler_k20().with_sms(sms), scheme, paging)
+        .budget(RunBudget::cycles(500_000_000))
 }
 
 fn assert_complete(r: &GpuRunReport, t: &KernelTrace) {
@@ -370,7 +371,7 @@ fn oversubscribed_memory_swaps_and_completes() {
     let mut cfg = GpuConfig::kepler_k20().with_sms(4);
     cfg.mem.gpu_mem_bytes = 8 * 64 * 1024;
     let r = Gpu::new(cfg, Scheme::ReplayQueue, PagingMode::demand(Interconnect::nvlink()))
-        .max_cycles(500_000_000)
+        .budget(RunBudget::cycles(500_000_000))
         .run(&t, &res);
     assert_complete(&r, &t);
     assert!(r.cpu.evictions > 0, "swapping must occur");
@@ -420,8 +421,11 @@ fn single_sm_harness_is_a_one_sm_gpu() {
     // Its aborts are the engine's typed errors.
     let lbm = suite::by_name("lbm", Preset::Test).expect("known benchmark");
     let err = SingleSmHarness::new(Scheme::Baseline)
-        .max_cycles(1_000)
+        .budget(RunBudget::cycles(1_000))
         .try_run(&lbm.trace)
         .expect_err("lbm cannot finish in 1 000 cycles");
-    assert!(matches!(err, SimError::CycleLimit { limit: 1_000, .. }), "{err:?}");
+    assert!(
+        matches!(&err, SimError::Deadline(d) if d.cause == BudgetExceeded::Cycles { deadline: 1_000 }),
+        "{err:?}"
+    );
 }

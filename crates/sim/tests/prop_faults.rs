@@ -9,7 +9,10 @@ use gex_isa::mem_image::MemImage;
 use gex_isa::op::{CmpKind, CmpType};
 use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
-use gex_sim::{BlockSwitchConfig, Gpu, GpuConfig, Interconnect, LocalFaultConfig, PagingMode, Residency};
+use gex_sim::{
+    BlockSwitchConfig, Gpu, GpuConfig, Interconnect, LocalFaultConfig, PagingMode, Residency,
+    RunBudget,
+};
 use gex_sm::Scheme;
 use gex_testkit::prelude::*;
 
@@ -88,7 +91,7 @@ proptest! {
             scheme,
             PagingMode::demand(Interconnect::nvlink()),
         )
-        .max_cycles(200_000_000);
+        .budget(RunBudget::cycles(200_000_000));
         let r = gpu.run(&t, &res);
         prop_assert_eq!(r.sm.committed, t.dyn_instrs(),
             "lost/duplicated instructions under {}", scheme);
@@ -108,7 +111,7 @@ proptest! {
 
         let stall = Gpu::new(cfg.clone(), Scheme::Baseline,
             PagingMode::demand(Interconnect::pcie()))
-            .max_cycles(200_000_000)
+            .budget(RunBudget::cycles(200_000_000))
             .run(&t, &res);
         prop_assert_eq!(stall.sm.committed, t.dyn_instrs());
         prop_assert_eq!(stall.sm.faults, 0, "stall mode never notifies");
@@ -119,7 +122,7 @@ proptest! {
                 block_switch: Some(BlockSwitchConfig::default()),
                 local_handling: None,
             })
-            .max_cycles(200_000_000)
+            .budget(RunBudget::cycles(200_000_000))
             .run(&t, &res);
         prop_assert_eq!(switching.sm.committed, t.dyn_instrs());
 
@@ -129,7 +132,7 @@ proptest! {
                 block_switch: None,
                 local_handling: Some(LocalFaultConfig::default()),
             })
-            .max_cycles(200_000_000)
+            .budget(RunBudget::cycles(200_000_000))
             .run(&t, &res);
         prop_assert_eq!(local.sm.committed, t.dyn_instrs());
         // every first-touch region was handled on the GPU, not the CPU

@@ -25,8 +25,8 @@ use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::KernelTrace;
 use gex_sim::{
     BlockSwitchConfig, Gpu, GpuConfig, GpuRunReport, InjectionPlan, Interconnect,
-    LocalFaultConfig, PagingMode, PartitionPolicy, Residency, SingleSmHarness, TenantId,
-    TenantWorkload,
+    LocalFaultConfig, PagingMode, PartitionPolicy, Residency, RunBudget, SingleSmHarness,
+    TenantId, TenantWorkload,
 };
 use gex_sm::config::SchedulerPolicy;
 use gex_sm::Scheme;
@@ -62,7 +62,8 @@ impl Fnv {
 }
 
 fn gpu(scheme: Scheme, paging: PagingMode) -> Gpu {
-    Gpu::new(GpuConfig::kepler_k20().with_sms(SMS), scheme, paging).max_cycles(500_000_000)
+    Gpu::new(GpuConfig::kepler_k20().with_sms(SMS), scheme, paging)
+        .budget(RunBudget::cycles(500_000_000))
 }
 
 fn kernel_trace(k: gex_isa::kernel::Kernel, mut img: MemImage) -> KernelTrace {

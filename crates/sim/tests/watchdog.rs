@@ -97,24 +97,6 @@ fn stall_on_fault_baseline_also_gets_watchdog_coverage() {
 }
 
 #[test]
-fn cycle_cap_aborts_with_progress_counts() {
-    let (trace, res) = faulting_kernel(4);
-    // The first NVLink fault round trip takes ~12k cycles; capping below
-    // that guarantees the limit fires first.
-    let cfg = GpuConfig::kepler_k20().with_sms(2).with_max_cycles(10_000);
-    let err = demand_gpu(Scheme::ReplayQueue, cfg)
-        .try_run(&trace, &res)
-        .expect_err("cap below the first resolution");
-    match err {
-        SimError::CycleLimit { limit, completed_blocks, total_blocks } => {
-            assert_eq!(limit, 10_000);
-            assert!(completed_blocks < total_blocks);
-        }
-        other => panic!("expected cycle limit, got {other:?}"),
-    }
-}
-
-#[test]
 fn healthy_runs_are_untouched_by_the_guards() {
     // A clean run under the default guards completes and reports per-warp
     // retirement adding up to the trace.

@@ -7,13 +7,18 @@
 //! budget surfaces as a structured error rather than a hang, so a runaway
 //! point costs its budget and nothing more.
 //!
-//! The budget is deliberately separate from the `max_cycles` runaway
-//! guard: `max_cycles` is a fail-safe against simulator bugs, while a
-//! budget is supervision policy (retryable, escalated across attempts by
-//! the campaign supervisor).
+//! The budget is the one cycle bound on a run. A budget without a
+//! deadline still meters [`MAX_CYCLES_FALLBACK`], so every run is bounded;
+//! the simulated machine itself has no cycle cap. The simulator is
+//! deterministic, so an overrun is final: the campaign supervisor runs
+//! each point once and quarantines an overrun rather than re-running it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// The cycle deadline a budget without one meters: a fail-safe that ends
+/// a runaway run with [`BudgetExceeded::Cycles`] instead of a hang.
+pub const MAX_CYCLES_FALLBACK: u64 = 2_000_000_000;
 
 /// A shared cancellation flag. Cloning shares the flag: cancelling any
 /// clone cancels every run holding one.
@@ -63,18 +68,20 @@ impl std::fmt::Display for BudgetExceeded {
     }
 }
 
-/// Per-run budget threaded into a tick loop. The default budget is
-/// unlimited and adds no observable cost.
+/// Per-run budget threaded into a tick loop. The default budget has no
+/// token and meters [`MAX_CYCLES_FALLBACK`].
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
-    /// Abort once the simulated clock reaches this cycle.
+    /// Abort once the simulated clock reaches this cycle
+    /// ([`MAX_CYCLES_FALLBACK`] when `None`).
     pub deadline_cycles: Option<u64>,
     /// Abort when this token is cancelled.
     pub token: Option<CancelToken>,
 }
 
 impl RunBudget {
-    /// No budget: the run is bounded only by the runaway guards.
+    /// No explicit budget: the run is bounded by [`MAX_CYCLES_FALLBACK`]
+    /// and the forward-progress watchdog.
     pub fn none() -> Self {
         RunBudget::default()
     }
@@ -90,27 +97,12 @@ impl RunBudget {
         self
     }
 
-    /// True if no limit of any kind is configured.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_cycles.is_none() && self.token.is_none()
-    }
-
-    /// The same budget with the cycle deadline multiplied by
-    /// `1 << attempt` — the supervisor's escalation policy, so a deadline
-    /// retry actually has room to succeed (the simulator is
-    /// deterministic; retrying with the same budget would fail the same
-    /// way).
-    pub fn escalated(&self, attempt: u32) -> Self {
-        let mut b = self.clone();
-        if let Some(d) = b.deadline_cycles {
-            b.deadline_cycles = Some(d.saturating_mul(1u64 << attempt.min(32)));
-        }
-        b
-    }
-
     /// Start metering this budget for one run.
     pub fn start(&self) -> BudgetMeter {
-        BudgetMeter { deadline_cycles: self.deadline_cycles, token: self.token.clone() }
+        BudgetMeter {
+            deadline_cycles: self.deadline_cycles.unwrap_or(MAX_CYCLES_FALLBACK),
+            token: self.token.clone(),
+        }
     }
 }
 
@@ -119,7 +111,7 @@ impl RunBudget {
 /// [`BudgetMeter::check`].
 #[derive(Debug, Clone)]
 pub struct BudgetMeter {
-    deadline_cycles: Option<u64>,
+    deadline_cycles: u64,
     token: Option<CancelToken>,
 }
 
@@ -128,10 +120,8 @@ impl BudgetMeter {
     /// current simulated cycle. Returns the first limit that tripped.
     #[inline]
     pub fn check(&self, now_cycles: u64) -> Option<BudgetExceeded> {
-        if let Some(d) = self.deadline_cycles {
-            if now_cycles >= d {
-                return Some(BudgetExceeded::Cycles { deadline: d });
-            }
+        if now_cycles >= self.deadline_cycles {
+            return Some(BudgetExceeded::Cycles { deadline: self.deadline_cycles });
         }
         if let Some(t) = &self.token {
             if t.is_cancelled() {
@@ -141,10 +131,9 @@ impl BudgetMeter {
         None
     }
 
-    /// The cycle deadline, if one is configured — tick loops that skip
-    /// idle stretches clamp their jump target to this so the deadline
-    /// fires at its exact cycle.
-    pub fn deadline_cycles(&self) -> Option<u64> {
+    /// The cycle deadline — tick loops that skip idle stretches clamp
+    /// their jump target to this so the deadline fires at its exact cycle.
+    pub fn deadline_cycles(&self) -> u64 {
         self.deadline_cycles
     }
 }
@@ -156,10 +145,14 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let m = RunBudget::none().start();
-        assert!(RunBudget::none().is_unlimited());
-        for c in [0, 1_000_000, u64::MAX] {
+        for c in [0, 1_000_000, MAX_CYCLES_FALLBACK - 1] {
             assert_eq!(m.check(c), None);
         }
+        assert_eq!(
+            m.check(MAX_CYCLES_FALLBACK),
+            Some(BudgetExceeded::Cycles { deadline: MAX_CYCLES_FALLBACK }),
+            "a budget without a deadline still meters the fallback"
+        );
     }
 
     #[test]
@@ -167,26 +160,16 @@ mod tests {
         let m = RunBudget::cycles(100).start();
         assert_eq!(m.check(99), None);
         assert_eq!(m.check(100), Some(BudgetExceeded::Cycles { deadline: 100 }));
-        assert_eq!(m.deadline_cycles(), Some(100));
+        assert_eq!(m.deadline_cycles(), 100);
     }
 
     #[test]
     fn cancel_token_is_shared_across_clones() {
         let token = CancelToken::new();
         let m = RunBudget::none().with_token(token.clone()).start();
-        assert!(!RunBudget::none().with_token(token.clone()).is_unlimited());
         assert_eq!(m.check(5), None);
         token.cancel();
         assert_eq!(m.check(6), Some(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
-    fn escalation_doubles_cycle_budgets_per_attempt() {
-        let b = RunBudget::cycles(100);
-        assert_eq!(b.escalated(0).deadline_cycles, Some(100));
-        assert_eq!(b.escalated(1).deadline_cycles, Some(200));
-        assert_eq!(b.escalated(3).deadline_cycles, Some(800));
-        assert_eq!(RunBudget::none().escalated(4).deadline_cycles, None);
     }
 
     #[test]

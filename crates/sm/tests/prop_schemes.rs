@@ -8,7 +8,7 @@ use gex_isa::kernel::{Dim3, KernelBuilder};
 use gex_isa::mem_image::MemImage;
 use gex_isa::reg::Reg;
 use gex_isa::trace::KernelTrace;
-use gex_sim::SingleSmHarness;
+use gex_sim::{RunBudget, SingleSmHarness};
 use gex_sm::Scheme;
 use gex_testkit::prelude::*;
 
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let t = build_trace(&ops, warps);
         for scheme in Scheme::all() {
-            let run = SingleSmHarness::new(scheme).max_cycles(20_000_000).run(&t);
+            let run = SingleSmHarness::new(scheme).budget(RunBudget::cycles(20_000_000)).run(&t);
             prop_assert_eq!(run.sm_stats.committed, t.dyn_instrs(), "{}", scheme);
             prop_assert_eq!(run.sm_stats.issued, run.sm_stats.committed,
                 "no replays without faults under {}", scheme);
@@ -114,7 +114,7 @@ proptest! {
         warps in 1u32..4,
     ) {
         let t = build_trace(&ops, warps);
-        let cycles = |s: Scheme| SingleSmHarness::new(s).max_cycles(20_000_000).run(&t).cycles;
+        let cycles = |s: Scheme| SingleSmHarness::new(s).budget(RunBudget::cycles(20_000_000)).run(&t).cycles;
         let base = cycles(Scheme::Baseline);
         let ol = cycles(Scheme::operand_log_kib(32));
         let rq = cycles(Scheme::ReplayQueue);

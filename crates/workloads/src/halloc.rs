@@ -228,7 +228,7 @@ mod tests {
         use gex_mem::system::{FaultMode, MemSystem};
         use gex_mem::{MemConfig, PageState};
         let mut mem = MemSystem::new(MemConfig::kepler_k20().with_sms(1), FaultMode::SquashNotify);
-        r.apply(&mut mem, 0);
+        r.apply(&mut mem);
         for &page in w.trace.touched_pages() {
             assert_ne!(mem.page_table.state(page), PageState::Invalid, "page {page:#x}");
         }

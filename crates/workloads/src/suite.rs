@@ -86,7 +86,7 @@ mod tests {
             use gex_mem::{MemConfig, PageState};
             let mut mem =
                 MemSystem::new(MemConfig::kepler_k20().with_sms(1), FaultMode::SquashNotify);
-            w.demand_residency().apply(&mut mem, 0);
+            w.demand_residency().apply(&mut mem);
             for &page in w.trace.touched_pages() {
                 assert_ne!(
                     mem.page_table.state(page),

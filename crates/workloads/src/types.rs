@@ -257,7 +257,7 @@ mod tests {
         ] {
             let mut mem =
                 MemSystem::new(MemConfig::kepler_k20().with_sms(1), FaultMode::SquashNotify);
-            res.apply(&mut mem, 0);
+            res.apply(&mut mem);
             for &page in w.trace.touched_pages() {
                 assert_ne!(
                     mem.page_table.state(page),
@@ -272,7 +272,7 @@ mod tests {
     fn demand_residency_classifies_by_kind() {
         let w = tiny_workload();
         let mut mem = MemSystem::new(MemConfig::kepler_k20().with_sms(1), FaultMode::SquashNotify);
-        w.demand_residency().apply(&mut mem, 0);
+        w.demand_residency().apply(&mut mem);
         assert_eq!(mem.page_table.state(w.buffers[0].addr), PageState::CpuDirty);
         assert_eq!(mem.page_table.state(w.buffers[1].addr), PageState::CpuClean);
         assert_eq!(w.input_bytes(), 4096);

@@ -1,5 +1,5 @@
-//! Supervised figure campaign: panic isolation, deadlines, retry with
-//! budget escalation, quarantine and journal-backed resumption.
+//! Supervised figure campaign: panic isolation, deadlines, quarantine and
+//! journal-backed resumption.
 //!
 //! Part 1 runs a Figure-10-style grid under the sweep supervisor with two
 //! points deliberately injured (one panics, one is pinned to an
@@ -65,7 +65,7 @@ fn main() {
     // probe): print every deterministic field and leave the wall-clock
     // `elapsed` to the report file.
     for r in &out.quarantine.records {
-        println!("  {} [{}] after {} attempt(s): {}", r.key, r.kind, r.attempts, r.error);
+        println!("  {} [{}]: {}", r.key, r.kind, r.error);
     }
     std::fs::write("quarantine-report.txt", out.quarantine.to_string())
         .expect("write quarantine-report.txt");
