@@ -100,6 +100,19 @@ impl LocalScheduler {
         }
     }
 
+    /// Advance to `now`: finished saves park off-chip, and finished
+    /// restores are returned to re-enter the SM, in the order they started.
+    pub fn tick(&mut self, now: Cycle) -> Vec<SavedBlock> {
+        let (parked, saving): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.saving).into_iter().partition(|(when, _)| *when <= now);
+        self.saving = saving;
+        self.off_chip.extend(parked.into_iter().map(|(_, b)| b));
+        let (ready, restoring): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.restoring).into_iter().partition(|(when, _)| *when <= now);
+        self.restoring = restoring;
+        ready.into_iter().map(|(_, b)| b).collect()
+    }
+
     /// True if nothing is in transit and nothing is held off-chip.
     pub fn quiescent(&self) -> bool {
         self.draining.is_empty()

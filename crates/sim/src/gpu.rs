@@ -293,16 +293,10 @@ impl Gpu {
     }
 }
 
-/// The earlier of two optional cycles.
-fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    a.into_iter().chain(b).min()
-}
-
-/// An SM's idle-skip standing: whether it is stalled, and whether it is
-/// idle (stalled, or holding a quiet-tick record).
-fn sm_standing(sm: &Sm) -> (bool, bool) {
-    let stalled = sm.is_stalled();
-    (stalled, stalled || sm.quiet_until().is_some())
+/// An SM's idle-skip standing: idle when it is stalled or holds a
+/// quiet-tick record.
+fn sm_standing(sm: &Sm) -> bool {
+    sm.is_stalled() || sm.quiet_until().is_some()
 }
 
 pub(crate) struct Engine {
@@ -330,12 +324,10 @@ pub(crate) struct Engine {
     budget: RunBudget,
     /// Reused scratch for draining SM fault notices without allocating.
     notice_buf: Vec<FaultNotice>,
-    /// SMs currently stalled, maintained incrementally at every mutation
-    /// site (tick, region resolution, drain/save/restore, dispatch) so
-    /// the per-cycle `all_stalled` test is O(1) instead of an SM scan.
-    stalled: u32,
     /// SMs stalled or holding a quiet-tick record ([`Sm::quiet_until`]),
-    /// maintained beside `stalled` so the quiet-jump test is O(1) too.
+    /// maintained incrementally at every mutation site (tick, region
+    /// resolution, drain/save/restore, dispatch) so the per-cycle
+    /// idle-skip test is O(1) instead of an SM scan.
     idle: u32,
     /// SMs that completed at least one block this cycle: the completion
     /// drain walks only these instead of scanning every SM every cycle.
@@ -440,10 +432,9 @@ impl Engine {
             .iter()
             .map(|(trace, _)| trace.blocks.iter().cloned().collect())
             .collect();
-        // Seed the incremental stalled counter from actual SM state (a
+        // Seed the incremental idle counter from actual SM state (a
         // freshly configured SM with no resident blocks is stalled).
-        let stalled = sms.iter().filter(|s| s.is_stalled()).count() as u32;
-        let idle = sms.iter().filter(|s| sm_standing(s).1).count() as u32;
+        let idle = sms.iter().filter(|s| sm_standing(s)).count() as u32;
         Engine {
             scheme_fault_mode: fault_mode,
             mem,
@@ -463,7 +454,6 @@ impl Engine {
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
             notice_buf: Vec::new(),
-            stalled,
             idle,
             done_sms: Vec::new(),
         }
@@ -485,14 +475,11 @@ impl Engine {
         }
     }
 
-    /// Fold one SM's transitions into the incremental [`Engine::stalled`]
-    /// and [`Engine::idle`] counters. `was` is the SM's [`sm_standing`]
-    /// captured immediately before the mutation; called immediately after
-    /// it.
-    fn note_sm_change(&mut self, i: usize, was: (bool, bool)) {
-        let now = sm_standing(&self.sms[i]);
-        self.stalled = self.stalled + now.0 as u32 - was.0 as u32;
-        self.idle = self.idle + now.1 as u32 - was.1 as u32;
+    /// Fold one SM's transition into the incremental [`Engine::idle`]
+    /// counter. `was` is the SM's [`sm_standing`] captured immediately
+    /// before the mutation; called immediately after it.
+    fn note_sm_change(&mut self, i: usize, was: bool) {
+        self.idle = self.idle + sm_standing(&self.sms[i]) as u32 - was as u32;
     }
 
     /// Tick every SM for one cycle, in SM-index order: each [`Sm::tick`]
@@ -505,10 +492,10 @@ impl Engine {
             // its internal event wheel is empty, so the whole tick
             // (issue/fetch/drain) is skipped. `is_stalled` is O(1) — the
             // active-warp count is kept incrementally.
-            let was = sm_standing(&self.sms[i]);
-            if was.0 && !self.mem.has_pending_events(i as u32) {
+            if self.sms[i].is_stalled() && !self.mem.has_pending_events(i as u32) {
                 continue;
             }
+            let was = sm_standing(&self.sms[i]);
             self.sms[i].tick(now, &mut self.mem);
             self.note_sm_change(i, was);
             if self.sms[i].has_completions() {
@@ -691,31 +678,23 @@ impl Engine {
                 })));
             }
 
-            // Idle skip: when every SM waits on external events, jump to
-            // the next one (fault resolutions are tens of microseconds).
-            // When every SM is stalled or quiet, jump too, and account the
-            // quiet SMs' skipped ticks from their records. The
-            // incrementally maintained counters replace per-cycle SM
-            // scans; the debug cross-check pins them to the scans' answers.
+            // Idle skip: when every SM is stalled or quiet, jump to the
+            // next cycle at which anything can change, crediting the quiet
+            // SMs and the dispatch cursor the ticks in between. The
+            // incrementally maintained `idle` counter replaces a per-cycle
+            // SM scan; the debug cross-check pins it to the scan's answer.
             debug_assert_eq!(
-                (self.stalled as usize, self.idle as usize),
-                (
-                    self.sms.iter().filter(|s| s.is_stalled()).count(),
-                    self.sms.iter().filter(|s| sm_standing(s).1).count()
-                ),
-                "incremental stalled/idle counters diverged from SM state at cycle {now}"
+                self.idle as usize,
+                self.sms.iter().filter(|s| sm_standing(s)).count(),
+                "incremental idle counter diverged from SM state at cycle {now}"
             );
-            let all_stalled = self.stalled as usize == self.sms.len();
-            let next = if all_stalled {
-                debug_assert!(
-                    self.sms.iter().all(|sm| sm.next_event_cycle().is_none()),
-                    "a stalled SM reported a pending internal event"
-                );
+            if self.idle as usize == self.sms.len() {
                 let next = self.next_event_cycle();
                 if next.is_none()
                     && self.scheme_fault_mode == FaultMode::StallReplay
                     && self.cpu.is_none()
                     && !self.mem.quiescent()
+                    && self.sms.iter().all(Sm::is_stalled)
                 {
                     // Stall-mode faults with no handler would hang forever;
                     // surface it instead.
@@ -724,21 +703,13 @@ impl Engine {
                             + self.mem.fault_queue.in_service_count(),
                     });
                 }
-                next
-            } else if self.idle as usize == self.sms.len() {
-                self.quiet_horizon(now)
-            } else {
-                None
-            };
-            if let Some(next) = next.filter(|&next| next > now + 1) {
                 // Never jump past the watchdog deadline or the budget's
-                // cycle deadline: each must fire at its exact cycle.
+                // cycle deadline: each must fire at its exact cycle. With
+                // no event anywhere, nothing changes until one of them.
                 let deadline = (last_progress + self.watchdog_cycles).min(meter.deadline_cycles());
-                let target = next.min(deadline);
-                if target > now {
-                    if !all_stalled {
-                        self.skip_quiet_cycles(target - now - 1);
-                    }
+                let target = next.map_or(deadline, |next| next.min(deadline));
+                if target > now + 1 {
+                    self.skip_quiet_cycles(target - now - 1);
                     now = target;
                     continue;
                 }
@@ -807,16 +778,9 @@ impl Engine {
                 self.switches += 1;
                 self.scheds[i].saving.push((done, saved));
             }
-            // Finished saves park off-chip.
-            let (parked, still_saving): (Vec<_>, Vec<_>) =
-                self.scheds[i].saving.drain(..).partition(|(when, _)| *when <= now);
-            self.scheds[i].saving = still_saving;
-            self.scheds[i].off_chip.extend(parked.into_iter().map(|(_, b)| b));
-            // Finished restores re-enter the SM.
-            let (ready, still_restoring): (Vec<_>, Vec<_>) =
-                self.scheds[i].restoring.drain(..).partition(|(when, _)| *when <= now);
-            self.scheds[i].restoring = still_restoring;
-            for (_, saved) in ready {
+            // Finished saves park off-chip; finished restores re-enter the
+            // SM.
+            for saved in self.scheds[i].tick(now) {
                 let was = sm_standing(&self.sms[i]);
                 self.sms[i].restore_block(saved);
                 self.note_sm_change(i, was);
@@ -912,10 +876,11 @@ impl Engine {
         self.tenants.iter().all(|t| t.completed == t.total || t.quarantined)
     }
 
-    /// Account the `k` cycles a quiet jump skips: each SM that is not
-    /// stalled would have replayed its quiet record in each of them, and
-    /// with blocks pending each would have run one dispatch pass that
-    /// assigned nothing.
+    /// Account the `k` cycles an idle jump skips, as the every-cycle loop
+    /// would have run them: each SM that is not stalled (every such SM is
+    /// quiet) replays its quiet record in each of them, and with blocks
+    /// pending each runs one dispatch pass that assigns nothing and
+    /// advances the round-robin cursor. Stalled SMs are not ticked.
     fn skip_quiet_cycles(&mut self, k: Cycle) {
         for sm in &mut self.sms {
             if !sm.is_stalled() {
@@ -927,50 +892,29 @@ impl Engine {
         }
     }
 
-    /// The quiet-jump query, asked when every SM is stalled or quiet: the
-    /// earliest of [`Engine::next_event_cycle`], every quiet SM's record
-    /// expiry and the CPU stage's next admission. `None` while an SM has a
-    /// delivery waiting.
-    fn quiet_horizon(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = self.next_event_cycle();
-        for (i, sm) in self.sms.iter().enumerate() {
-            if self.mem.has_pending_events(i as u32) {
-                return None;
-            }
-            if !sm.is_stalled() {
-                next = earliest(next, Some(sm.quiet_until()?));
-            }
-        }
-        // `CpuHandler::tick` admits a queued fault as soon as its stage is
-        // free, a cycle its `next_event_cycle` does not report. The
-        // all-stalled jump leaves that cycle out and admits late, a known
-        // bug that moves the demand-paging figures. This jump skips cycles
-        // the loop would otherwise run one by one, so it must stop there.
-        // ROADMAP item 1 fixes both paths in `next_event_cycle` and
-        // removes this special case.
-        if let Some(cpu) = &self.cpu {
-            next = earliest(next, cpu.next_admission_cycle(&self.mem).map(|c| c.max(now + 1)));
-        }
-        next
-    }
-
-    /// The idle-skip query: the earliest cycle at which any component has
-    /// work, as the minimum of every component's own `next_event_cycle()`.
-    /// SMs are not a source: a stalled SM's event wheel is empty, and a
-    /// quiet one's record expires no later than its next event.
+    /// The idle-skip query, asked when every SM is stalled or quiet: the
+    /// earliest of every component's `next_event_cycle()` and every quiet
+    /// SM's record expiry. Each source promises that ticking it in every
+    /// cycle before the one it reports changes nothing, so the jump gives
+    /// the every-cycle loop's result (DESIGN.md, "The idle skip"). A
+    /// stalled SM is no source: its event wheel is empty, and only a
+    /// memory delivery, which `MemSystem` reports, ticks it again. `None`
+    /// means nothing will change before a deadline.
     fn next_event_cycle(&self) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut consider = |c: Option<Cycle>| next = earliest(next, c);
-        consider(self.mem.next_event_cycle());
-        if let Some(cpu) = &self.cpu {
-            consider(cpu.next_event_cycle());
-        }
-        if let Some(local) = &self.local {
-            consider(local.next_event_cycle());
-        }
-        for sched in &self.scheds {
-            consider(sched.next_event_cycle());
-        }
-        next
+        debug_assert!(
+            (0..self.sms.len()).all(|i| !self.mem.has_pending_events(i as u32)),
+            "a memory delivery outlived the SM ticks of its cycle"
+        );
+        let cpu = self.cpu.as_ref().and_then(|c| c.next_event_cycle(&self.mem));
+        let local = self.local.as_ref().and_then(LocalFaultState::next_event_cycle);
+        let quiet = self.sms.iter().filter(|sm| !sm.is_stalled()).filter_map(Sm::quiet_until);
+        self.mem
+            .next_event_cycle()
+            .into_iter()
+            .chain(cpu)
+            .chain(local)
+            .chain(self.scheds.iter().filter_map(LocalScheduler::next_event_cycle))
+            .chain(quiet)
+            .min()
     }
 }

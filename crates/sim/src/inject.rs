@@ -216,6 +216,12 @@ impl Injector {
         }
     }
 
+    /// The cycle an injected stall burst ends (0 when none is pending):
+    /// admission stays frozen before it.
+    pub fn stall_until(&self) -> Cycle {
+        self.stall_until
+    }
+
     /// True if admission is frozen at `now`; may start a new stall burst.
     pub fn admission_blocked(&mut self, now: Cycle) -> bool {
         if self.stall_until > now {

@@ -92,6 +92,10 @@ pub struct CpuHandler {
     cpu_free: Cycle,
     /// Next cycle the link's data path is free.
     link_free: Cycle,
+    /// The last tick's admission stopped on a fault it could not back:
+    /// every resident region was still in flight, so the fault waits for a
+    /// landing rather than for the CPU stage.
+    deferred: bool,
     in_flight: Vec<InFlight>,
     /// Fault-injection state; `None` means exact, unperturbed timing.
     injector: Option<Injector>,
@@ -107,6 +111,7 @@ impl CpuHandler {
             page_size: PageSizePolicy::Small,
             cpu_free: 0,
             link_free: 0,
+            deferred: false,
             in_flight: Vec::new(),
             injector: None,
             stats: CpuHandlerStats::default(),
@@ -251,6 +256,7 @@ impl CpuHandler {
         }
         // Admit new faults while the CPU stage has capacity.
         let hft = self.handle_first_touch;
+        self.deferred = false;
         while self.cpu_free <= now {
             let pred = |e: &FaultEntry| hft || e.kind != FaultKind::FirstTouch;
             if !mem.fault_queue.iter().any(&pred) {
@@ -277,7 +283,6 @@ impl CpuHandler {
             // memory is oversubscribed. If every resident region is still
             // in flight (mapped only at resolution), defer this fault until
             // one lands.
-            let mut deferred = false;
             let need = match self.page_size {
                 // The whole 2 MB frame is backed up front — unless a live
                 // in-flight fault already covers the frame, in which case
@@ -324,13 +329,13 @@ impl CpuHandler {
                         }
                         None => {
                             mem.fault_queue.push_front(entry.clone());
-                            deferred = true;
+                            self.deferred = true;
                             break;
                         }
                     }
                 }
             }
-            if deferred {
+            if self.deferred {
                 break;
             }
             self.cpu_free = self.cpu_free.max(admit) + CPU_STAGE_CYCLES;
@@ -380,25 +385,31 @@ impl CpuHandler {
         self.in_flight.is_empty()
     }
 
-    /// Earliest upcoming handler event — an in-flight completion, a
-    /// deferred NACK re-enqueue or a stall expiry — for skip-ahead.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        let mut next = self.in_flight.iter().map(|f| f.done_at).min();
-        if let Some(inj) = &self.injector {
-            next = match (next, inj.next_event_cycle()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        next
-    }
-
-    /// The cycle the CPU stage can next admit a queued fault, while any
-    /// is queued: `tick` admits whenever the stage is free, at a cycle
-    /// [`CpuHandler::next_event_cycle`] does not report. Possibly already
-    /// past.
-    pub fn next_admission_cycle(&self, mem: &MemSystem) -> Option<Cycle> {
-        (!mem.fault_queue.is_empty()).then_some(self.cpu_free)
+    /// The earliest cycle at which [`CpuHandler::tick`] changes anything,
+    /// for the engine's idle skip: every tick before it leaves the handler,
+    /// the fault queue and the memory system as they are. The sources are
+    /// an in-flight completion, the injector's next NACK re-enqueue or
+    /// stall expiry, and the admission of a queued fault this handler
+    /// services: the cycle the CPU stage frees (or, under an injected
+    /// stall, resumes). A fault deferred for want of memory waits for a
+    /// landing, which the in-flight set reports, so it adds no cycle of its
+    /// own. With an injector attached it still does: the injector rolls
+    /// its dice on every admission opportunity, and the deferred fault is
+    /// one on every cycle, so the reported cycle lies in the past and the
+    /// caller ticks every cycle until the fault is admitted.
+    pub fn next_event_cycle(&self, mem: &MemSystem) -> Option<Cycle> {
+        let inj = self.injector.as_ref();
+        let hft = self.handle_first_touch;
+        let waits_for_landing = self.deferred && inj.is_none();
+        let queued = mem.fault_queue.iter().any(|e| hft || e.kind != FaultKind::FirstTouch);
+        let admission = (queued && !waits_for_landing)
+            .then(|| self.cpu_free.max(inj.map_or(0, Injector::stall_until)));
+        self.in_flight
+            .iter()
+            .map(|f| f.done_at)
+            .chain(inj.and_then(Injector::next_event_cycle))
+            .chain(admission)
+            .min()
     }
 }
 
@@ -467,17 +478,12 @@ mod tests {
         assert!(cpu.stats().peak_in_flight >= 4);
     }
 
-    /// Pins a known bug rather than a property. While faults are queued,
-    /// `next_event_cycle` does not report the cycle the CPU stage frees, so
-    /// a caller that ticks only at reported events (the engine's idle skip
-    /// when every SM is stalled) admits the second of two queued faults at
-    /// the first completion instead of at `CPU_STAGE_CYCLES`. The fix
-    /// reports the admission cycle and goes through the paper scorecard
-    /// (ROADMAP item 1, DESIGN.md "Calibration notes"), since it moves the
-    /// demand-paging figures; it flips the last assertion to equal the
-    /// every-cycle resolutions.
+    /// A caller that ticks only at the cycles `next_event_cycle` reports
+    /// (the engine's idle skip) resolves two queued faults exactly when a
+    /// caller ticking every cycle does: the second is admitted the cycle
+    /// the CPU stage frees, not at the first completion.
     #[test]
-    fn ticking_only_at_reported_events_admits_queued_faults_late() {
+    fn ticking_only_at_reported_events_matches_every_cycle() {
         let two_queued = || {
             let mut mem = mem_with_cpu_data();
             for i in 0..2u64 {
@@ -498,12 +504,12 @@ mod tests {
         let mut now = 0;
         loop {
             at_events.extend(cpu.tick(now, &mut mem, &mut phys).iter().map(|_| now));
-            match cpu.next_event_cycle() {
-                Some(next) => now = next,
+            match cpu.next_event_cycle(&mem) {
+                Some(next) => now = next.max(now + 1),
                 None => break,
             }
         }
-        assert_eq!(at_events, [latency, 2 * latency], "the second admission waits for one");
+        assert_eq!(at_events, every_cycle);
     }
 
     #[test]
