@@ -129,11 +129,6 @@ impl Asm {
         self.alu(Opcode::Add, dst, &[a.into(), b.into()])
     }
 
-    /// `dst = a + imm` (readability alias for [`Asm::add`]).
-    pub fn add_imm(&mut self, dst: Reg, a: Reg, imm: i64) -> &mut Self {
-        self.add(dst, a, imm)
-    }
-
     /// `dst = a + param[i]`
     pub fn add_param(&mut self, dst: Reg, a: Reg, i: u8) -> &mut Self {
         self.alu(Opcode::Add, dst, &[Operand::Reg(a), Operand::Param(i)])
@@ -248,16 +243,6 @@ impl Asm {
         self.alu(Opcode::FFma, dst, &[a.into(), b.into(), c.into()])
     }
 
-    /// `dst = min(a, b)` (f32)
-    pub fn fmin(&mut self, dst: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(Opcode::FMin, dst, &[a.into(), b.into()])
-    }
-
-    /// `dst = max(a, b)` (f32)
-    pub fn fmax(&mut self, dst: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.alu(Opcode::FMax, dst, &[a.into(), b.into()])
-    }
-
     /// `dst = (f32)(i64)a`
     pub fn i2f(&mut self, dst: Reg, a: impl Into<Operand>) -> &mut Self {
         self.alu(Opcode::I2F, dst, &[a.into()])
@@ -298,11 +283,6 @@ impl Asm {
     /// `dst = 2^a` (f32, SFU)
     pub fn fexp2(&mut self, dst: Reg, a: impl Into<Operand>) -> &mut Self {
         self.alu(Opcode::FExp2, dst, &[a.into()])
-    }
-
-    /// `dst = log2(a)` (f32, SFU)
-    pub fn flog2(&mut self, dst: Reg, a: impl Into<Operand>) -> &mut Self {
-        self.alu(Opcode::FLog2, dst, &[a.into()])
     }
 
     // ------------------------------------------------------------ specials
@@ -379,11 +359,6 @@ impl Asm {
         self.emit(ins)
     }
 
-    /// `dst = global[addr + off]` (width `w`)
-    pub fn ld_global(&mut self, w: Width, dst: Reg, addr: Reg, off: i64) -> &mut Self {
-        self.mem_ld(Space::Global, w, dst, addr, off)
-    }
-
     /// `dst = global_u32[addr + off]`
     pub fn ld_global_u32(&mut self, dst: Reg, addr: Reg, off: i64) -> &mut Self {
         self.mem_ld(Space::Global, Width::B4, dst, addr, off)
@@ -392,11 +367,6 @@ impl Asm {
     /// `dst = global_u64[addr + off]`
     pub fn ld_global_u64(&mut self, dst: Reg, addr: Reg, off: i64) -> &mut Self {
         self.mem_ld(Space::Global, Width::B8, dst, addr, off)
-    }
-
-    /// `global[addr + off] = val` (width `w`)
-    pub fn st_global(&mut self, w: Width, addr: Reg, val: Reg, off: i64) -> &mut Self {
-        self.mem_st(Space::Global, w, addr, val, off)
     }
 
     /// `global_u32[addr + off] = val`

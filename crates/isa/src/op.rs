@@ -237,17 +237,6 @@ impl Opcode {
             Opcode::Ld(Space::Global, _) | Opcode::St(Space::Global, _) | Opcode::Atom(..)
         )
     }
-
-    /// True for any memory opcode (global or shared).
-    pub fn is_mem(self) -> bool {
-        matches!(self, Opcode::Ld(..) | Opcode::St(..) | Opcode::Atom(..) | Opcode::Malloc)
-    }
-
-    /// True if this opcode writes memory (used by the functional simulator
-    /// to classify first-touch pages).
-    pub fn is_store_like(self) -> bool {
-        matches!(self, Opcode::St(..) | Opcode::Atom(..))
-    }
 }
 
 impl fmt::Display for Opcode {

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
@@ -80,7 +80,8 @@ pub struct ServerConfig {
     /// charges [`ServerConfig::tenant_fault_budget`]. Generous by default
     /// so healthy workloads never trip it.
     pub stream_fault_budget: u32,
-    /// Socket read timeout: a connection idle (or wedged) this long is
+    /// Request-line deadline: a connection that has not completed a line
+    /// this long after starting to read it (idle, wedged or trickling) is
     /// dropped so stuck clients can't pin handler threads forever.
     pub idle_timeout: Duration,
 }
@@ -803,23 +804,40 @@ fn reply_err(out: &mut impl Write, msg: &str) -> io::Result<()> {
 
 /// Longest request line a connection may send (a full spec line is under
 /// 1 KB). Without a bound, a client streaming bytes with no newline grows
-/// one buffer forever, and `idle_timeout` never fires while bytes arrive.
+/// one buffer as fast as it can send until the line's deadline.
 const MAX_LINE_BYTES: u64 = 64 * 1024;
+
+/// A connection's read half under one deadline: each read waits only for
+/// the time left, so a trickling client cannot stretch a line past it, and
+/// fails once none is left (a zero timeout is an error).
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.at.saturating_duration_since(Instant::now())))?;
+        self.stream.read(buf)
+    }
+}
 
 fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
     // Idle/stuck clients are disconnected rather than pinning this
-    // thread: reads (and writes) time out after `idle_timeout`, and a line
+    // thread: each request line must arrive within `idle_timeout` of
+    // starting to read it (writes time out after it too), and a line
     // longer than `MAX_LINE_BYTES` is answered with an error and closed.
-    stream.set_read_timeout(Some(inner.cfg.idle_timeout))?;
-    stream.set_write_timeout(Some(inner.cfg.idle_timeout))?;
+    let timeout = inner.cfg.idle_timeout;
+    stream.set_write_timeout(Some(timeout))?;
     // Replies are written fragment by fragment; Nagle would hold each
     // trailing fragment for the client's delayed ACK.
     stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline { stream, at: Instant::now() });
     let mut buf = Vec::new();
     loop {
         buf.clear();
+        reader.get_mut().at = Instant::now() + timeout;
         match (&mut reader).take(MAX_LINE_BYTES + 1).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return Ok(()), // EOF, timeout or disconnect: drop the client
             Ok(_) => {}

@@ -132,6 +132,36 @@ fn oversized_and_stalled_request_lines_drop_only_their_clients() {
     handle.join();
 }
 
+/// A request line has a deadline: a client that trickles one byte every
+/// half `idle_timeout`, so no single read ever times out, is still dropped
+/// once the line has taken `idle_timeout`, and another client is served.
+#[test]
+fn a_trickling_request_line_is_dropped_at_its_deadline() {
+    use std::io::{Read, Write};
+    let idle = Duration::from_millis(200);
+    let handle =
+        server::start(ServerConfig { idle_timeout: idle, ..ServerConfig::default() }).unwrap();
+    let mut trickle = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
+    trickle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = trickle.try_clone().unwrap();
+    let start = std::time::Instant::now();
+    let sender = std::thread::spawn(move || {
+        // Stops when the server is gone, or after long enough to show that
+        // per-read timeouts alone would keep the connection.
+        while start.elapsed() < Duration::from_secs(5) && writer.write_all(b"x").is_ok() {
+            std::thread::sleep(idle / 2);
+        }
+    });
+    // The server closes the connection (a reset if a byte arrived unread).
+    let _ = trickle.read_to_end(&mut Vec::new());
+    let held = start.elapsed();
+    // About one `idle_timeout`; the bound leaves room for a loaded host.
+    assert!(held < 5 * idle, "a trickling client held its connection for {held:?}");
+    fast_client(&handle.addr()).ping().expect("another client is still served");
+    sender.join().unwrap();
+    handle.join();
+}
+
 /// An injected deadline reports the bound the point's budget meters: with
 /// no deadline configured, the budget's fallback.
 #[test]

@@ -293,12 +293,6 @@ impl Gpu {
     }
 }
 
-/// An SM's idle-skip standing: idle when it is stalled or holds a
-/// quiet-tick record.
-fn sm_standing(sm: &Sm) -> bool {
-    sm.is_stalled() || sm.quiet_until().is_some()
-}
-
 pub(crate) struct Engine {
     scheme_fault_mode: FaultMode,
     mem: MemSystem,
@@ -324,14 +318,6 @@ pub(crate) struct Engine {
     budget: RunBudget,
     /// Reused scratch for draining SM fault notices without allocating.
     notice_buf: Vec<FaultNotice>,
-    /// SMs stalled or holding a quiet-tick record ([`Sm::quiet_until`]),
-    /// maintained incrementally at every mutation site (tick, region
-    /// resolution, drain/save/restore, dispatch) so the per-cycle
-    /// idle-skip test is O(1) instead of an SM scan.
-    idle: u32,
-    /// SMs that completed at least one block this cycle: the completion
-    /// drain walks only these instead of scanning every SM every cycle.
-    done_sms: Vec<usize>,
 }
 
 /// One tenant's scheduling state inside the engine.
@@ -432,9 +418,6 @@ impl Engine {
             .iter()
             .map(|(trace, _)| trace.blocks.iter().cloned().collect())
             .collect();
-        // Seed the incremental idle counter from actual SM state (a
-        // freshly configured SM with no resident blocks is stalled).
-        let idle = sms.iter().filter(|s| sm_standing(s)).count() as u32;
         Engine {
             scheme_fault_mode: fault_mode,
             mem,
@@ -454,8 +437,6 @@ impl Engine {
             watchdog_cycles: gpu.cfg.watchdog_cycles,
             budget: gpu.budget.clone(),
             notice_buf: Vec::new(),
-            idle,
-            done_sms: Vec::new(),
         }
     }
 
@@ -465,44 +446,32 @@ impl Engine {
     }
 
     fn broadcast_resolved(&mut self, region: u64) {
-        for i in 0..self.sms.len() {
-            let was = sm_standing(&self.sms[i]);
-            self.sms[i].on_region_resolved(region);
-            self.note_sm_change(i, was);
+        for sm in &mut self.sms {
+            sm.on_region_resolved(region);
         }
         for sched in &mut self.scheds {
             sched.resolve_region(region);
         }
     }
 
-    /// Fold one SM's transition into the incremental [`Engine::idle`]
-    /// counter. `was` is the SM's [`sm_standing`] captured immediately
-    /// before the mutation; called immediately after it.
-    fn note_sm_change(&mut self, i: usize, was: bool) {
-        self.idle = self.idle + sm_standing(&self.sms[i]) as u32 - was as u32;
-    }
-
     /// Tick every SM for one cycle, in SM-index order: each [`Sm::tick`]
     /// issues its global-memory accesses straight into the shared
-    /// [`MemSystem`].
+    /// [`MemSystem`], and the blocks it finished count toward the SM's
+    /// owner then (ownership moves only in `dispatch_blocks`).
     fn tick_sms(&mut self, now: Cycle) -> Result<(), SimError> {
         for i in 0..self.sms.len() {
-            // A stalled SM with no events to deliver cannot change state
-            // this cycle: every warp waits on an external resolution and
-            // its internal event wheel is empty, so the whole tick
-            // (issue/fetch/drain) is skipped. `is_stalled` is O(1) — the
-            // active-warp count is kept incrementally.
-            if self.sms[i].is_stalled() && !self.mem.has_pending_events(i as u32) {
-                continue;
-            }
-            let was = sm_standing(&self.sms[i]);
             self.sms[i].tick(now, &mut self.mem);
-            self.note_sm_change(i, was);
-            if self.sms[i].has_completions() {
-                self.done_sms.push(i);
-            }
             if let Some(e) = self.sms[i].take_error() {
                 return Err(e.into());
+            }
+            let done = self.sms[i].drain_completed();
+            if done > 0 {
+                self.completed += done;
+                let t = &mut self.tenants[self.sm_owner[i]];
+                t.completed += done;
+                if t.completed == t.total {
+                    t.finished_at.get_or_insert(now);
+                }
             }
         }
         Ok(())
@@ -613,43 +582,8 @@ impl Engine {
             }
 
             self.tick_sms(now)?;
-
             self.handle_notices(now);
             self.pump_switching(now);
-            // Drain completions *before* dispatch so each completed block
-            // is attributed to the SM's owner at completion time — an SM
-            // only changes owner while empty, inside `dispatch_blocks`.
-            // (Draining mutates only completion counters, which dispatch
-            // never reads, so the order swap is behavior-neutral for
-            // single-stream runs.)
-            // Only SMs `tick_sms` listed can hold fresh completions —
-            // blocks finish inside an SM tick, and nothing between the
-            // tick and this drain completes one — so the drain walks the
-            // dirty list instead of scanning every SM every cycle.
-            debug_assert!(
-                (0..self.sms.len())
-                    .all(|i| !self.sms[i].has_completions() || self.done_sms.contains(&i)),
-                "an SM completed a block without being listed for draining"
-            );
-            let before_completed = self.completed;
-            for k in 0..self.done_sms.len() {
-                let i = self.done_sms[k];
-                let done = self.sms[i].drain_completed();
-                if done > 0 {
-                    self.completed += done;
-                    let t = self.sm_owner[i];
-                    self.tenants[t].completed += done;
-                    if self.tenants[t].completed == self.tenants[t].total
-                        && self.tenants[t].finished_at.is_none()
-                    {
-                        self.tenants[t].finished_at = Some(now);
-                    }
-                }
-            }
-            self.done_sms.clear();
-            if self.completed != before_completed {
-                last_progress = now;
-            }
             let before_dispatch = self.pending_blocks();
             self.dispatch_blocks();
             if self.pending_blocks() != before_dispatch {
@@ -660,6 +594,7 @@ impl Engine {
                 break;
             }
 
+            // A block finishes only at a commit, so this covers completions.
             let committed = self.committed_total();
             if committed != last_committed {
                 last_committed = committed;
@@ -678,23 +613,17 @@ impl Engine {
                 })));
             }
 
-            // Idle skip: when every SM is stalled or quiet, jump to the
-            // next cycle at which anything can change, crediting the quiet
-            // SMs and the dispatch cursor the ticks in between. The
-            // incrementally maintained `idle` counter replaces a per-cycle
-            // SM scan; the debug cross-check pins it to the scan's answer.
-            debug_assert_eq!(
-                self.idle as usize,
-                self.sms.iter().filter(|s| sm_standing(s)).count(),
-                "incremental idle counter diverged from SM state at cycle {now}"
-            );
-            if self.idle as usize == self.sms.len() {
+            // Idle skip: when no SM reports a change before `now + 2`, jump
+            // to the next cycle at which anything can change, crediting the
+            // SMs and the dispatch cursor the ticks in between. The SMs are
+            // asked first: a busy one reports a past cycle, which ends the
+            // scan before the components' costlier queries.
+            if self.sms.iter().all(|sm| sm.next_event_cycle().is_none_or(|c| c > now + 1)) {
                 let next = self.next_event_cycle();
                 if next.is_none()
                     && self.scheme_fault_mode == FaultMode::StallReplay
                     && self.cpu.is_none()
                     && !self.mem.quiescent()
-                    && self.sms.iter().all(Sm::is_stalled)
                 {
                     // Stall-mode faults with no handler would hang forever;
                     // surface it instead.
@@ -744,9 +673,7 @@ impl Engine {
                         && !sched.draining.contains(&n.slot)
                         && self.sms[i].block_has_pending_fault(n.slot)
                     {
-                        let was = sm_standing(&self.sms[i]);
                         self.sms[i].begin_drain(n.slot);
-                        self.note_sm_change(i, was);
                         self.scheds[i].draining.push(n.slot);
                     }
                 }
@@ -767,9 +694,7 @@ impl Engine {
                 .collect();
             for slot in drained {
                 self.scheds[i].draining.retain(|&s| s != slot);
-                let was = sm_standing(&self.sms[i]);
                 let saved = self.sms[i].take_block(slot);
-                self.note_sm_change(i, was);
                 let done = if cfg.ideal {
                     now + 1
                 } else {
@@ -781,9 +706,7 @@ impl Engine {
             // Finished saves park off-chip; finished restores re-enter the
             // SM.
             for saved in self.scheds[i].tick(now) {
-                let was = sm_standing(&self.sms[i]);
                 self.sms[i].restore_block(saved);
-                self.note_sm_change(i, was);
             }
             // Start restores for resolved off-chip blocks while capacity
             // lasts.
@@ -837,9 +760,7 @@ impl Engine {
                     };
                     let Some(t) = next else { continue };
                     self.sm_owner[i] = t;
-                    let was = sm_standing(&self.sms[i]);
                     self.sms[i].configure_kernel(self.tenants[t].setup);
-                    self.note_sm_change(i, was);
                     owner = t;
                 }
                 let used = self.sms[i].resident_blocks() + self.scheds[i].slots_in_transit();
@@ -857,9 +778,7 @@ impl Engine {
                     self.scheds[i].extra_brought += 1;
                 }
                 let b = self.queues[owner].pop_front().expect("checked non-empty");
-                let was = sm_standing(&self.sms[i]);
                 self.sms[i].assign_block(b);
-                self.note_sm_change(i, was);
                 assigned_any = true;
             }
             self.dispatch_rr = self.dispatch_rr.wrapping_add(1);
@@ -877,29 +796,24 @@ impl Engine {
     }
 
     /// Account the `k` cycles an idle jump skips, as the every-cycle loop
-    /// would have run them: each SM that is not stalled (every such SM is
-    /// quiet) replays its quiet record in each of them, and with blocks
-    /// pending each runs one dispatch pass that assigns nothing and
-    /// advances the round-robin cursor. Stalled SMs are not ticked.
+    /// would have run them: each SM credits its skipped ticks, and with
+    /// blocks pending each cycle runs one dispatch pass that assigns
+    /// nothing and advances the round-robin cursor.
     fn skip_quiet_cycles(&mut self, k: Cycle) {
         for sm in &mut self.sms {
-            if !sm.is_stalled() {
-                sm.skip_quiet(k);
-            }
+            sm.skip(k);
         }
         if self.pending_blocks() > 0 {
             self.dispatch_rr = self.dispatch_rr.wrapping_add(k as usize);
         }
     }
 
-    /// The idle-skip query, asked when every SM is stalled or quiet: the
-    /// earliest of every component's `next_event_cycle()` and every quiet
-    /// SM's record expiry. Each source promises that ticking it in every
-    /// cycle before the one it reports changes nothing, so the jump gives
-    /// the every-cycle loop's result (DESIGN.md, "The idle skip"). A
-    /// stalled SM is no source: its event wheel is empty, and only a
-    /// memory delivery, which `MemSystem` reports, ticks it again. `None`
-    /// means nothing will change before a deadline.
+    /// The idle-skip query: the earliest of every SM's and every
+    /// component's `next_event_cycle()`. Each source promises that ticking
+    /// it in every cycle before the one it reports changes nothing but what
+    /// its skip credits, so the jump gives the every-cycle loop's result
+    /// (DESIGN.md, "The idle skip"). `None` means nothing will change
+    /// before a deadline.
     fn next_event_cycle(&self) -> Option<Cycle> {
         debug_assert!(
             (0..self.sms.len()).all(|i| !self.mem.has_pending_events(i as u32)),
@@ -907,14 +821,13 @@ impl Engine {
         );
         let cpu = self.cpu.as_ref().and_then(|c| c.next_event_cycle(&self.mem));
         let local = self.local.as_ref().and_then(LocalFaultState::next_event_cycle);
-        let quiet = self.sms.iter().filter(|sm| !sm.is_stalled()).filter_map(Sm::quiet_until);
         self.mem
             .next_event_cycle()
             .into_iter()
             .chain(cpu)
             .chain(local)
             .chain(self.scheds.iter().filter_map(LocalScheduler::next_event_cycle))
-            .chain(quiet)
+            .chain(self.sms.iter().filter_map(Sm::next_event_cycle))
             .min()
     }
 }

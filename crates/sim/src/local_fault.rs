@@ -121,11 +121,6 @@ impl LocalFaultState {
         done
     }
 
-    /// True if no handler is running.
-    pub fn idle(&self) -> bool {
-        self.running.is_empty()
-    }
-
     /// Earliest handler completion, for skip-ahead.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
         self.running.iter().map(|&(w, _)| w).min()

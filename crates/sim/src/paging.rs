@@ -76,6 +76,9 @@ struct InFlight {
     /// walk that discovers the NACK never reorders `in_flight` under
     /// itself.
     dead: bool,
+    /// Physical frames allocated at admission: 0 for a duplicate and for
+    /// a `HugeOnly` fault whose frame another live fault already covers.
+    frames: u64,
 }
 
 /// Pipelined CPU-side servicing of the global pending-fault queue.
@@ -148,11 +151,6 @@ impl CpuHandler {
         self.injector.as_ref().map_or(0, |i| i.deferred_faults())
     }
 
-    /// The interconnect in use.
-    pub fn interconnect(&self) -> Interconnect {
-        self.interconnect
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CpuHandlerStats {
         self.stats
@@ -199,6 +197,7 @@ impl CpuHandler {
                                 g.dead = true;
                             }
                         }
+                        self.release_frames(&f, mem, phys);
                         continue;
                     }
                 }
@@ -371,18 +370,35 @@ impl CpuHandler {
                     done_at: done + 500,
                     dup: true,
                     dead: false,
+                    frames: 0,
                 });
             }
-            self.in_flight.push(InFlight { entry, done_at: done, dup: false, dead: false });
+            let admitted = InFlight { entry, done_at: done, dup: false, dead: false, frames: need };
+            self.in_flight.push(admitted);
             self.stats.peak_in_flight =
                 self.stats.peak_in_flight.max(self.in_flight.len() as u64);
         }
         resolved
     }
 
-    /// True if nothing is being serviced.
-    pub fn idle(&self) -> bool {
-        self.in_flight.is_empty()
+    /// Give back the frames a NACKed service was admitted with; its
+    /// re-admission allocates again. Under `HugeOnly` they back the whole
+    /// 2 MB frame: a live fault admitted as covered by this one inherits
+    /// them, and pages another fault already mapped keep theirs.
+    fn release_frames(&mut self, f: &InFlight, mem: &MemSystem, phys: &mut PhysAllocator) {
+        let frame = frame_of(f.entry.region);
+        let heir = |g: &&mut InFlight| !g.dead && !g.dup && frame_of(g.entry.region) == frame;
+        match self.page_size {
+            PageSizePolicy::Small => phys.free(f.frames),
+            PageSizePolicy::Transparent => phys.free_in_frame(frame, f.frames),
+            PageSizePolicy::HugeOnly => match self.in_flight.iter_mut().find(heir) {
+                Some(g) => g.frames += f.frames,
+                None => {
+                    let unmapped = mem.page_table.frame_mappable_pages(frame);
+                    phys.free_in_frame(frame, f.frames.min(unmapped));
+                }
+            },
+        }
     }
 
     /// The earliest cycle at which [`CpuHandler::tick`] changes anything,
@@ -565,5 +581,40 @@ mod tests {
             "storm latency {} vs unloaded {single}",
             cpu2.stats().mean_latency()
         );
+    }
+
+    /// A NACKed service gives back the frames it was admitted with: two
+    /// regions of one 2 MB frame, each NACKed once, hold one admission's
+    /// frames apiece when they land (under `HugeOnly`, one for the whole
+    /// frame, which the region covered by the NACKed one inherits).
+    #[test]
+    fn a_nack_gives_back_its_frames() {
+        let plan = InjectionPlan {
+            nack_prob: 1.0,
+            max_nacks_per_region: 1,
+            nack_backoff: 100,
+            ..InjectionPlan::none()
+        };
+        for (policy, frames) in [
+            (PageSizePolicy::Small, 2 * REGION_PAGES),
+            (PageSizePolicy::Transparent, 2 * REGION_PAGES),
+            (PageSizePolicy::HugeOnly, 512),
+        ] {
+            let mut mem = mem_with_cpu_data();
+            mem.fault_queue.report(0, FaultKind::Migration, 0, 0);
+            mem.fault_queue.report(REGION_BYTES, FaultKind::Migration, 0, 0);
+            let mut phys = PhysAllocator::new(1 << 30);
+            let free = phys.free_frames();
+            let mut cpu = CpuHandler::new(Interconnect::nvlink())
+                .with_page_size(policy)
+                .with_injection(plan.clone());
+            let mut resolved = Vec::new();
+            for t in 0..200_000 {
+                resolved.extend(cpu.tick(t, &mut mem, &mut phys));
+            }
+            assert_eq!(cpu.injection_stats().map(|s| s.nacks), Some(2), "{policy:?}");
+            assert!(resolved.contains(&0) && resolved.contains(&REGION_BYTES), "{policy:?}");
+            assert_eq!(free - phys.free_frames(), frames, "{policy:?}");
+        }
     }
 }

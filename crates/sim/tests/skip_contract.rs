@@ -1,10 +1,11 @@
 //! The idle-skip contract, one property per source.
 //!
-//! When every SM is stalled or quiet, the engine jumps its clock to the
-//! earliest cycle any source reports through `next_event_cycle()`. That
-//! jump gives the result of ticking every cycle only if each source keeps
-//! one promise: a tick in any cycle before the one it reports hands the
-//! engine nothing and changes nothing the rest of the machine can see.
+//! The engine jumps its clock to the earliest cycle any SM or component
+//! reports through `next_event_cycle()` whenever that cycle lies at least
+//! two cycles ahead. That jump gives the result of ticking every cycle only
+//! if each source keeps one promise: a tick in any cycle before the one it
+//! reports hands the engine nothing and changes nothing the rest of the
+//! machine can see, except what the source's skip credits.
 //!
 //! Each property builds one source twice from a random script of the
 //! inputs other components hand it (fault reports, claims, landings,
@@ -14,11 +15,20 @@
 //! the first must hand back nothing and show the same state; whenever the
 //! two meet they must agree. Each walk runs until its source reports
 //! nothing and stays unchanged for another [`QUIET_STRETCH`] cycles.
+//!
+//! An SM is the one source whose skipped ticks are not empty: a quiet SM
+//! counts each skipped cycle and its stall reasons, which `Sm::skip`
+//! credits at once. It gets its own walk, [`walk_sm`], which leaves those
+//! counters out of the comparison in skipped cycles and compares every
+//! counter where the copies meet.
 
 use gex_isa::asm::Asm;
 use gex_isa::func::FuncSim;
 use gex_isa::kernel::{Dim3, KernelBuilder};
 use gex_isa::mem_image::MemImage;
+use gex_isa::op::{CmpKind, CmpType};
+use gex_isa::reg::{Pred, Reg};
+use gex_isa::trace::{BlockTrace, KernelTrace};
 use gex_mem::phys::{AllocOwner, PhysAllocator};
 use gex_mem::system::{AccessKind, FaultMode, MemStats, MemSystem};
 use gex_mem::{
@@ -28,9 +38,11 @@ use gex_sim::block_switch::LocalScheduler;
 use gex_sim::local_fault::{LocalFaultState, LocalFaultStats};
 use gex_sim::paging::{CpuHandler, CpuHandlerStats, CPU_STAGE_CYCLES};
 use gex_sim::{GpuConfig, InjectionPlan, InjectionStats, Injector, Interconnect, LocalFaultConfig};
-use gex_sm::{KernelSetup, SavedBlock, Scheme, Sm};
+use gex_sm::config::SchedulerPolicy;
+use gex_sm::{KernelSetup, SavedBlock, Scheme, Sm, SmConfig, SmStats};
 use gex_testkit::prelude::*;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// How long a walk keeps stepping its every-cycle copy after the source
 /// reports nothing, checking that nothing changes, before it stops.
@@ -158,10 +170,9 @@ enum CpuCase {
     Deferred,
     /// The chaos injection plan over a mixed queue.
     Chaos,
-    /// The chaos plan without NACKs in small memory: its dice roll on
-    /// every cycle a fault waits for memory. (A NACKed service keeps the
-    /// frames it was admitted with, so NACKs would starve small memory
-    /// for good.)
+    /// The chaos plan in small memory: its dice roll on every cycle a
+    /// fault waits for memory, and a NACK gives back the frames its
+    /// service was admitted with.
     DeferredChaos,
 }
 
@@ -211,9 +222,8 @@ impl CpuSource {
         let cpu = match case {
             CpuCase::BusyStage | CpuCase::Deferred => cpu,
             CpuCase::FirstTouchOnly => cpu.without_first_touch(),
-            CpuCase::Chaos => cpu.with_injection(InjectionPlan::chaos(seed)),
-            CpuCase::DeferredChaos => {
-                cpu.with_injection(InjectionPlan { nack_prob: 0.0, ..InjectionPlan::chaos(seed) })
+            CpuCase::Chaos | CpuCase::DeferredChaos => {
+                cpu.with_injection(InjectionPlan::chaos(seed))
             }
         };
         CpuSource {
@@ -461,8 +471,223 @@ impl Source for InjectorSource {
     }
 }
 
+// ------------------------------------------------------------------- Sm
+
+/// One SM and its memory system, driven as the engine drives each SM,
+/// with a fault handler that resolves each reported region a fixed
+/// latency after the report.
+struct SmRig {
+    sm: Sm,
+    mem: MemSystem,
+    /// Blocks not yet dispatched, last first.
+    pending: Vec<Arc<BlockTrace>>,
+    fault_cycles: Cycle,
+    /// Regions in service: (resolution cycle, region).
+    resolutions: Vec<(Cycle, u64)>,
+}
+
+/// What the rest of the machine sees of an SM and its memory system.
+#[derive(Debug, PartialEq)]
+struct SmSeen {
+    stats: SmStats,
+    retired: Vec<((u32, u32), u64)>,
+    report: Option<Cycle>,
+    mem: MemStats,
+    mem_report: Option<Cycle>,
+}
+
+impl SmRig {
+    /// An SM running `trace`, whose `LAZY` pages fault on first touch and
+    /// every other page is mapped.
+    fn new(
+        trace: &KernelTrace,
+        scheme: Scheme,
+        policy: SchedulerPolicy,
+        fault_cycles: Cycle,
+    ) -> Self {
+        let cfg = SmConfig { scheduler: policy, ..SmConfig::kepler_k20() };
+        let mode =
+            if scheme.preemptible() { FaultMode::SquashNotify } else { FaultMode::StallReplay };
+        let mut mem = MemSystem::new(MemConfig::kepler_k20().with_sms(1), mode);
+        mem.page_table.add_lazy_range(LAZY, 64 * REGION_BYTES);
+        for &page in trace.touched_pages().iter().filter(|&&p| p < LAZY) {
+            mem.page_table.set_range(page, 1, PageState::Present);
+        }
+        let mut sm = Sm::new(0, cfg.clone(), scheme);
+        sm.configure_kernel(KernelSetup::for_trace(&cfg, trace));
+        let pending = trace.blocks.iter().rev().cloned().collect();
+        let mut rig = SmRig { sm, mem, pending, fault_cycles, resolutions: Vec::new() };
+        rig.dispatch();
+        rig
+    }
+
+    fn dispatch(&mut self) {
+        while self.sm.free_slot().is_some() {
+            let Some(b) = self.pending.pop() else { break };
+            self.sm.assign_block(b);
+        }
+    }
+
+    /// The engine's cycle for this SM: the memory system, the fault
+    /// handler (resolutions broadcast, new reports taken into service),
+    /// the SM, then dispatch into freed slots. Returns the blocks the tick
+    /// finished and the fault notices it raised.
+    fn step(&mut self, now: Cycle) -> (u64, usize) {
+        self.mem.tick(now);
+        for &(_, region) in self.resolutions.iter().filter(|r| r.0 == now) {
+            self.mem.resolve_region(region, now);
+            self.sm.on_region_resolved(region);
+        }
+        self.resolutions.retain(|r| r.0 > now);
+        while let Some(e) = self.mem.fault_queue.pop() {
+            self.resolutions.push((now + self.fault_cycles, e.region));
+        }
+        self.sm.tick(now, &mut self.mem);
+        let done = self.sm.drain_completed();
+        let mut notices = Vec::new();
+        self.sm.drain_fault_notices(&mut notices);
+        self.dispatch();
+        (done, notices.len())
+    }
+
+    fn next_event_cycle(&self) -> Option<Cycle> {
+        let resolution = self.resolutions.iter().map(|r| r.0).min();
+        self.sm
+            .next_event_cycle()
+            .into_iter()
+            .chain(self.mem.next_event_cycle())
+            .chain(resolution)
+            .min()
+    }
+
+    fn finished(&self) -> bool {
+        self.pending.is_empty()
+            && self.sm.is_empty()
+            && self.mem.quiescent()
+            && self.resolutions.is_empty()
+    }
+
+    fn seen(&self) -> SmSeen {
+        let mut retired: Vec<_> = self.sm.warp_retired().iter().map(|(&k, &n)| (k, n)).collect();
+        retired.sort_unstable();
+        SmSeen {
+            stats: self.sm.stats(),
+            retired,
+            report: self.sm.next_event_cycle(),
+            mem: self.mem.stats(),
+            mem_report: self.mem.next_event_cycle(),
+        }
+    }
+
+    /// [`SmRig::seen`] without the counters a skipped tick adds to.
+    fn seen_uncredited(&self) -> SmSeen {
+        let stats = SmStats {
+            cycles: 0,
+            idle_issue_cycles: 0,
+            stall_raw: 0,
+            stall_war: 0,
+            stall_unit: 0,
+            stall_log: 0,
+            fetch_blocked: 0,
+            ..self.sm.stats()
+        };
+        SmSeen { stats, ..self.seen() }
+    }
+}
+
+/// [`walk`] for an SM: one copy ticked in every cycle, the other only at
+/// the earliest of its SM's and memory's reports and its next fault
+/// resolution, crediting the cycles in between with `Sm::skip`. In a
+/// skipped cycle the first copy must issue, commit, complete, notice and
+/// send to memory nothing, and change nothing but the credited counters;
+/// where the copies meet, everything must agree. Returns the number of
+/// jumps.
+fn walk_sm(build: impl Fn() -> SmRig) -> u32 {
+    let (mut jumper, mut every) = (build(), build());
+    assert_eq!(jumper.step(0), every.step(0));
+    let (mut now, mut jumps) = (0, 0);
+    while !jumper.finished() {
+        assert!(now < HORIZON, "the SM did not finish by cycle {HORIZON}");
+        let next = jumper.next_event_cycle().expect("an SM with work reports a cycle");
+        let target = next.max(now + 1);
+        let seen = jumper.seen_uncredited();
+        for t in now + 1..target {
+            assert_eq!(every.step(t), (0, 0), "cycle {t} finished or noticed before {target}");
+            assert_eq!(every.seen_uncredited(), seen, "cycle {t} changed the SM before {target}");
+        }
+        if target > now + 1 {
+            jumper.sm.skip(target - now - 1);
+            jumps += 1;
+        }
+        assert_eq!(jumper.step(target), every.step(target), "the copies part at {target}");
+        assert_eq!(jumper.seen(), every.seen(), "the copies part at {target}");
+        now = target;
+    }
+    assert!(every.finished());
+    jumps
+}
+
+/// A kernel with a little of everything an SM waits on: a global load
+/// (from `base`), dependent ALU and SFU chains of uneven length per warp,
+/// a divide that traps in half the lanes under the preemptible schemes, a
+/// barrier, and a global store.
+fn sm_kernel(base: u64, blocks: u32, warps: u32, iters: u64, trap: bool) -> KernelTrace {
+    let mut a = Asm::new();
+    let (tid, n, i, acc, x, addr, p) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5), Pred(0));
+    a.gtid(tid);
+    a.shl_imm(addr, tid, 2);
+    a.add(addr, addr, base);
+    a.ld_global_u32(acc, addr, 0);
+    a.flat_tid(n);
+    a.shr_imm(n, n, 5);
+    a.add(n, n, iters);
+    a.mov_f32(x, 1.5);
+    a.mov(i, 0u64);
+    a.label("chain");
+    a.mad(acc, acc, 3u64, 1u64);
+    a.frsqrt(x, x);
+    a.add(i, i, 1u64);
+    a.setp(p, CmpKind::Lt, CmpType::U64, i, n);
+    a.bra_if("chain", p, true);
+    if trap {
+        a.and(n, tid, 1u64);
+        a.div(acc, acc, n);
+    }
+    a.bar();
+    a.st_global_u32(addr, acc, 0);
+    a.exit();
+    let kernel = KernelBuilder::new("sm", a.assemble().expect("assembles"))
+        .grid(Dim3::x(blocks))
+        .block(Dim3::x(32 * warps))
+        .build()
+        .expect("kernel");
+    FuncSim::new().run(&kernel, &mut MemImage::new()).expect("runs").trace
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// An SM reports nothing while stalled, its quiet record's expiry while
+    /// quiet and a past cycle while busy, and `Sm::skip` credits exactly
+    /// the ticks it skips: under every scheme and both warp schedulers,
+    /// with its loads mapped or faulting on first touch.
+    #[test]
+    fn sm_changes_nothing_before_its_next_event(
+        blocks in 1u32..5,
+        warps in 1u32..5,
+        iters in 1u64..6,
+        trap in any::<bool>(),
+        lazy in any::<bool>(),
+        fault_cycles in 100u64..3_000,
+    ) {
+        let trace = sm_kernel(if lazy { LAZY } else { DIRTY }, blocks, warps, iters, trap);
+        for scheme in Scheme::all() {
+            for policy in [SchedulerPolicy::LooseRoundRobin, SchedulerPolicy::GreedyThenOldest] {
+                let jumps = walk_sm(|| SmRig::new(&trace, scheme, policy, fault_cycles));
+                prop_assert!(jumps > 0, "{scheme} {policy:?}: latency leaves cycles to skip");
+            }
+        }
+    }
 
     /// The memory hierarchy's event wheel reports every cycle in which a
     /// translation, walk, fault report, cache or DRAM step happens.

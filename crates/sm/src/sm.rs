@@ -75,12 +75,12 @@
 //!   [`Sm::begin_drain`], [`Sm::take_block`], [`Sm::restore_block`] and
 //!   [`Sm::on_region_resolved`].
 //!
-//! A caller that jumps its clock over cycles in which the SM would only
-//! replay credits them at once with [`Sm::skip_quiet`], bounded by
-//! [`Sm::quiet_until`]. Debug builds never replay inside [`Sm::tick`]: a
-//! tick that qualifies runs in full and asserts that it was quiet again
-//! with the same record, and that the replay would have left the same
-//! counters and cursors.
+//! A stalled SM does nothing in [`Sm::tick`] until a memory delivery. A
+//! caller that jumps its clock goes no further than [`Sm::next_event_cycle`]
+//! and credits the skipped ticks with [`Sm::skip`]. Debug builds never
+//! replay inside [`Sm::tick`]: a tick that qualifies runs in full and
+//! asserts that it was quiet again with the same record, and that the
+//! replay would have left the same counters and cursors.
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::error::{SmError, SmStage};
@@ -655,14 +655,6 @@ impl Sm {
         std::mem::take(&mut self.completed)
     }
 
-    /// True if completed blocks are waiting to be drained. The engine's
-    /// dirty-list probe: blocks only complete inside a tick (commit →
-    /// `after_progress`), so checking this right after ticking an SM
-    /// replaces the per-cycle sweep over every SM.
-    pub fn has_completions(&self) -> bool {
-        self.completed > 0
-    }
-
     /// Move the fault notifications since the last call into `out` (they
     /// drive the local scheduler of use case 1 and the GPU-local handler
     /// of use case 2), keeping the internal buffer's capacity so the
@@ -682,7 +674,7 @@ impl Sm {
     ///
     /// O(1): the active-warp count is maintained incrementally at every
     /// state transition instead of scanning all slots each cycle.
-    pub fn is_stalled(&self) -> bool {
+    fn is_stalled(&self) -> bool {
         debug_assert_eq!(
             self.active_warps,
             self.count_active_slow(),
@@ -703,28 +695,22 @@ impl Sm {
             .count() as u32
     }
 
-    /// Earliest pending internal completion, for idle skip-ahead.
+    /// The idle-skip report: ticks before this cycle that find the memory
+    /// outbox empty change only what [`Sm::skip`] credits. `None` while
+    /// stalled, the quiet record's expiry while quiet, a past cycle while
+    /// busy.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.events.next_cycle()
+        (!self.is_stalled()).then(|| self.quiet.map_or(0, |q| q.until))
     }
 
-    /// If the last tick was quiet and nothing has changed since, the cycle
-    /// its record expires: every tick before it that finds the memory
-    /// outbox empty repeats that tick (see "Quiet ticks" in the
-    /// [module docs](self)).
-    pub fn quiet_until(&self) -> Option<Cycle> {
-        self.quiet.map(|q| q.until)
-    }
-
-    /// Account `k` ticks that each repeat the last quiet tick, for a
-    /// caller that jumps over them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the SM holds no quiet record.
-    pub fn skip_quiet(&mut self, k: u64) {
-        let q = self.quiet.expect("skip_quiet needs a quiet record");
-        self.replay_quiet(q, k);
+    /// Account `k` skipped ticks, all before [`Sm::next_event_cycle`]: a
+    /// stalled SM is not ticked, a quiet one repeats its last tick, and a
+    /// busy one panics.
+    pub fn skip(&mut self, k: u64) {
+        if !self.is_stalled() {
+            let q = self.quiet.expect("a busy SM skips no ticks");
+            self.replay_quiet(q, k);
+        }
     }
 
     // ------------------------------------------------- context switching
@@ -856,24 +842,6 @@ impl Sm {
         slot
     }
 
-    /// Context size of a *resident* block, for switch-cost decisions.
-    pub fn context_bytes(&self, slot: u32) -> u64 {
-        let setup = self.setup.expect("kernel not configured");
-        let b = self.slots[slot as usize].as_ref().expect("empty slot");
-        let nwarps = b.trace.num_warps() as u64;
-        let threads = nwarps * 32;
-        let mut context = threads * setup.regs_per_thread as u64 * 4
-            + setup.shared_bytes as u64
-            + nwarps * self.cfg.warp_control_bytes as u64;
-        for c in &b.cold {
-            context += c.replay.len() as u64 * self.cfg.replay_entry_bytes as u64;
-        }
-        if let Some(log) = &self.log {
-            context += log.slots_per_partition() as u64 * crate::scheme::LOG_SLOT_BYTES as u64;
-        }
-        context
-    }
-
     /// True if any warp of `slot` waits on an unresolved fault.
     pub fn block_has_pending_fault(&self, slot: u32) -> bool {
         self.slots[slot as usize]
@@ -904,10 +872,18 @@ impl Sm {
 
     // ------------------------------------------------------------- tick
 
-    /// Advance the SM by one cycle. A tick that provably repeats the last
-    /// quiet one replays its record instead (see "Quiet ticks" in the
-    /// [module docs](self)).
+    /// Advance the SM by one cycle. A stalled SM with no memory delivery
+    /// does nothing, and a tick that provably repeats the last quiet one
+    /// replays its record instead (see "Quiet ticks" in the
+    /// [module docs](self)). The stalled test inlines into the caller.
+    #[inline]
     pub fn tick(&mut self, now: Cycle, mem: &mut MemSystem) {
+        if !self.is_stalled() || mem.has_pending_events(self.sm_id) {
+            self.tick_unstalled(now, mem);
+        }
+    }
+
+    fn tick_unstalled(&mut self, now: Cycle, mem: &mut MemSystem) {
         let Some(q) = self.quiet.filter(|q| now < q.until && !mem.has_pending_events(self.sm_id))
         else {
             self.tick_full(now, mem);
