@@ -11,12 +11,13 @@
 //!    asserts byte-identity.
 //! 2. `PageSizePolicy::Transparent` with the background coalescer
 //!    disabled degrades to `Small` exactly — same reports, same error
-//!    diagnostics — across every scheme and chaos seed.
+//!    diagnostics — across every scheme and chaos seed, and through the
+//!    GPU-local fault handler.
 
 use gex::workloads::{suite, Preset};
 use gex::{
-    cache, Gpu, GpuConfig, InjectionPlan, Interconnect, PageSizePolicy, PagingMode, Residency,
-    Scheme,
+    cache, Gpu, GpuConfig, InjectionPlan, Interconnect, LocalFaultConfig, PageSizePolicy,
+    PagingMode, Residency, Scheme,
 };
 use std::fmt::Write as _;
 
@@ -31,11 +32,19 @@ const SCHEMES: [Scheme; 5] = [
 const LEGS: [(&str, Option<u64>); 4] =
     [("resident", None), ("demand", None), ("demand+chaos7", Some(7)), ("demand+chaos42", Some(42))];
 
+/// The GPU-local leg: a heap backed lazily, whose first touches the
+/// GPU-local handler services.
+const LOCAL_LEG: (&str, Option<u64>) = ("demand+local", None);
+
 fn leg_paging(leg: &str) -> PagingMode {
-    if leg == "resident" {
-        PagingMode::AllResident
-    } else {
-        PagingMode::demand(Interconnect::nvlink())
+    match leg {
+        "resident" => PagingMode::AllResident,
+        "demand+local" => PagingMode::Demand {
+            interconnect: Interconnect::nvlink(),
+            block_switch: None,
+            local_handling: Some(LocalFaultConfig::default()),
+        },
+        _ => PagingMode::demand(Interconnect::nvlink()),
     }
 }
 
@@ -81,13 +90,18 @@ fn small_policy_is_byte_identical_to_the_prechange_simulator() {
 /// `Transparent` with coalescing disabled never promotes a frame, so the
 /// whole run — reports and error diagnostics alike — must match `Small`
 /// exactly on every scheme × leg of the golden grid plus the
-/// fault-heaviest workload (lbm).
+/// fault-heaviest workload (lbm), and on halloc-fixed's GPU-local leg
+/// under every preemptible scheme.
 #[test]
 fn transparent_without_coalescing_degrades_to_small_exactly() {
-    for name in ["histo", "lbm"] {
+    for (name, legs) in [("histo", &LEGS[..]), ("lbm", &LEGS[..]), ("halloc-fixed", &[LOCAL_LEG])] {
         let w = suite::by_name(name, Preset::Test).expect("known benchmark");
         for scheme in SCHEMES {
-            for (leg, seed) in LEGS {
+            for &(leg, seed) in legs {
+                if leg == LOCAL_LEG.0 && !scheme.preemptible() {
+                    // GPU-local handling needs a preemptible scheme.
+                    continue;
+                }
                 let paging = leg_paging(leg);
                 let build = |policy: PageSizePolicy| {
                     let cfg = GpuConfig::kepler_k20()
@@ -100,19 +114,23 @@ fn transparent_without_coalescing_degrades_to_small_exactly() {
                     }
                     gpu
                 };
-                let res = if matches!(paging, PagingMode::AllResident) {
-                    Residency::new()
-                } else {
-                    w.demand_residency()
+                let res = match leg {
+                    "resident" => Residency::new(),
+                    "demand+local" => w.heap_lazy_residency(),
+                    _ => w.demand_residency(),
                 };
                 let small = build(PageSizePolicy::Small).try_run(&w.trace, &res);
                 let transparent = build(PageSizePolicy::Transparent).try_run(&w.trace, &res);
                 match (&small, &transparent) {
-                    (Ok(s), Ok(t)) => assert_eq!(
-                        s, t,
-                        "transparent-without-coalescing diverged from small \
-                         on {name}/{scheme:?}/{leg}"
-                    ),
+                    (Ok(s), Ok(t)) => {
+                        assert_eq!(
+                            s, t,
+                            "transparent-without-coalescing diverged from small \
+                             on {name}/{scheme:?}/{leg}"
+                        );
+                        let local = s.local.resolved > 0;
+                        assert_eq!(local, leg == LOCAL_LEG.0, "{name}/{scheme:?}/{leg}");
+                    }
                     _ => assert_eq!(
                         format!("{small:?}"),
                         format!("{transparent:?}"),

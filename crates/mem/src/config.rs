@@ -70,9 +70,8 @@ pub struct MemConfig {
     pub dram_latency: Cycle,
     /// DRAM bandwidth in bytes per cycle (256 GB/s at 1 GHz = 256 B/cycle).
     pub dram_bytes_per_cycle: u64,
-    /// GPU physical memory in bytes (frames backing [`PhysAllocator`]).
-    ///
-    /// [`PhysAllocator`]: crate::phys::PhysAllocator
+    /// GPU physical memory in bytes: the memory system's pool of frames
+    /// ([`crate::system::MemSystem::phys`]).
     pub gpu_mem_bytes: u64,
     /// Page-size policy: [`PageSizePolicy::Small`] reproduces the 4 KB-only
     /// simulator exactly; the other policies enable the 2 MB machinery in

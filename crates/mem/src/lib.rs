@@ -11,8 +11,9 @@
 //! * the GPU [page table](page_table::PageTable) with the page-ownership
 //!   states demand paging needs, and the fill unit's global
 //!   [pending-fault queue](fault::FaultQueue);
-//! * a [physical-frame allocator](phys::PhysAllocator) used by both the
-//!   CPU-driver and GPU-local fault handlers;
+//! * a [physical-frame allocator](phys::PhysAllocator) that [`MemSystem`]
+//!   owns, behind the one backing path both the CPU-driver and GPU-local
+//!   fault handlers use ([`MemSystem::back_fault`]);
 //! * the simulator's one event queue, the [`EventWheel`] timing wheel that
 //!   both [`MemSystem`] and the SM pipeline schedule on.
 //!

@@ -1,12 +1,16 @@
 //! GPU physical memory allocator.
 //!
-//! Both fault handlers — the CPU driver path and the GPU-local handler of
-//! use case 2 — allocate physical pages from this pool before updating the
-//! page table. The real system of Section 4.2 partitions the physical
-//! address space and uses lock-free structures to avoid contention; our
-//! simulator is single-threaded, so the allocator models *capacity* and
-//! provides the partitioning/accounting, while the handlers' latency models
-//! capture the cost of the synchronization.
+//! [`crate::system::MemSystem`] owns the one pool, sized from
+//! [`crate::MemConfig::gpu_mem_bytes`], and both fault handlers — the CPU
+//! driver path and the GPU-local handler of use case 2 — back their
+//! regions from it through its one backing path
+//! ([`crate::system::MemSystem::back_fault`]). The real system of Section
+//! 4.2 partitions the physical address space and uses lock-free structures
+//! to avoid contention; our simulator is single-threaded, so the allocator
+//! models *capacity* and provides the partitioning/accounting, while the
+//! handlers' latency models capture the cost of the synchronization.
+//! Under `PageSizePolicy::Small` nothing asks whether a block stayed
+//! contiguous and no frame number is read: only the capacity shows.
 
 use crate::large::SUBPAGES_PER_LARGE;
 use gex_isa::PAGE_BYTES;
@@ -23,10 +27,11 @@ pub enum AllocOwner {
 
 /// An allocator over GPU physical page frames with per-owner stats.
 ///
-/// Frames are fungible for timing purposes: allocation tracks occupancy and
-/// hands out monotonically increasing frame numbers; [`PhysAllocator::free`]
+/// Frames are fungible for timing purposes: allocation tracks occupancy
+/// and carves frame numbers out of per-frame blocks; [`PhysAllocator::free`]
 /// returns capacity to the pool (memory oversubscription support — evicted
-/// regions free their frames).
+/// regions free their frames, and a NACKed fault service gives back the
+/// frames it was admitted with).
 #[derive(Debug, Clone)]
 pub struct PhysAllocator {
     total_frames: u64,
@@ -36,8 +41,7 @@ pub struct PhysAllocator {
     gpu_frames: u64,
     freed: u64,
     /// Contiguity-conserving blocks, keyed by the 2 MB virtual frame they
-    /// back ([`crate::large::frame_of`]). Only large-page-policy runs
-    /// populate this ([`PhysAllocator::alloc_in_frame`]).
+    /// back ([`crate::large::frame_of`]).
     blocks: BTreeMap<u64, Block>,
 }
 
@@ -49,14 +53,15 @@ pub struct PhysAllocator {
 struct Block {
     /// First physical frame number; aligned to [`SUBPAGES_PER_LARGE`].
     base: u64,
-    /// Frames carved out of the block so far (never decremented).
+    /// Frames carved out of the block so far, less those given back
+    /// unmapped.
     carved: u64,
     /// Frames currently live (carved minus freed).
     live: u64,
     /// Owner of every carve so far; mixing owners breaks contiguity.
     owner: AllocOwner,
     /// Set when contiguity is lost: a carve spilled outside the block, a
-    /// partial free punched a hole, or owners mixed.
+    /// partial free of mapped frames punched a hole, or owners mixed.
     broken: bool,
 }
 
@@ -74,43 +79,20 @@ impl PhysAllocator {
         }
     }
 
-    /// Allocate `frames` physical frames. Returns the first frame number,
-    /// or `None` if the pool is exhausted.
-    pub fn alloc(&mut self, frames: u64, owner: AllocOwner) -> Option<u64> {
-        if self.in_use + frames > self.total_frames {
-            return None;
-        }
-        let first = self.next_frame;
-        self.next_frame += frames;
-        self.in_use += frames;
-        match owner {
-            AllocOwner::Cpu => self.cpu_frames += frames,
-            AllocOwner::Gpu => self.gpu_frames += frames,
-        }
-        Some(first)
-    }
-
-    /// Return `frames` to the pool (an evicted region's backing store).
-    pub fn free(&mut self, frames: u64) {
-        debug_assert!(self.in_use >= frames, "freeing more frames than in use");
-        self.in_use -= frames;
-        self.freed += frames;
-    }
-
-    /// Contiguity-conserving allocation (Mosaic, Section 4): carve `frames`
-    /// physical frames out of the 2 MB block reserved for virtual frame
-    /// `key` ([`crate::large::frame_of`] of the faulting address), creating
-    /// the block — 2 MB-aligned — on first touch. Once the block can no
-    /// longer satisfy a carve contiguously (full, freed-into, or touched by
-    /// a different owner) it is marked broken and the carve falls back to a
-    /// plain bump allocation; the frame then stays 4 KB-mapped forever
-    /// (until fully evicted, which resets the block).
+    /// Allocate `frames` physical frames for virtual frame `key`
+    /// ([`crate::large::frame_of`] of the faulting address). Returns the
+    /// first frame number, or `None` if the pool is exhausted.
     ///
-    /// Capacity accounting is identical to [`PhysAllocator::alloc`]: only
-    /// carved frames count against the pool, so a run under
-    /// `PageSizePolicy::Small` and one under `Transparent` see the same
-    /// occupancy for the same resident set.
-    pub fn alloc_in_frame(&mut self, key: u64, frames: u64, owner: AllocOwner) -> Option<u64> {
+    /// Contiguity-conserving (Mosaic, Section 4): the frames are carved out
+    /// of the 2 MB block reserved for `key`, creating the block — 2 MB-
+    /// aligned — on first touch. Once the block can no longer satisfy a
+    /// carve contiguously (full, freed-into, or touched by a different
+    /// owner) it is marked broken and the carve falls back to a plain bump
+    /// allocation; the frame then stays 4 KB-mapped forever (until fully
+    /// freed, which resets the block). Only carved frames count against
+    /// the pool, so every policy sees the same occupancy for the same
+    /// resident set.
+    pub fn alloc(&mut self, key: u64, frames: u64, owner: AllocOwner) -> Option<u64> {
         if self.in_use + frames > self.total_frames {
             return None;
         }
@@ -148,19 +130,25 @@ impl PhysAllocator {
         Some(first)
     }
 
-    /// [`PhysAllocator::free`] for frames carved via
-    /// [`PhysAllocator::alloc_in_frame`]: a partial free punches a hole
-    /// (the block is broken for coalescing purposes); freeing the last
-    /// live frame retires the block so a future re-fault starts a fresh
-    /// contiguous one.
-    pub fn free_in_frame(&mut self, key: u64, frames: u64) {
-        self.free(frames);
+    /// Return `frames` of virtual frame `key`'s block to the pool. Frames
+    /// that backed `mapped` pages (an evicted region) leave a hole: a
+    /// partial free breaks the block for coalescing. Frames never mapped
+    /// (a NACKed service's) go back to the block's carve count, so the
+    /// service's retry carves them again. Freeing the last live frame
+    /// retires the block so a future re-fault starts a fresh contiguous
+    /// one.
+    pub fn free(&mut self, key: u64, frames: u64, mapped: bool) {
+        debug_assert!(self.in_use >= frames, "freeing more frames than in use");
+        self.in_use -= frames;
+        self.freed += frames;
         if let Some(block) = self.blocks.get_mut(&key) {
             block.live = block.live.saturating_sub(frames);
             if block.live == 0 {
                 self.blocks.remove(&key);
-            } else {
+            } else if mapped {
                 block.broken = true;
+            } else {
+                block.carved -= frames;
             }
         }
     }
@@ -179,7 +167,7 @@ impl PhysAllocator {
         self.total_frames - self.in_use
     }
 
-    /// Frames freed by evictions so far.
+    /// Frames freed so far (evictions and NACKed services).
     pub fn freed_frames(&self) -> u64 {
         self.freed
     }
@@ -193,11 +181,6 @@ impl PhysAllocator {
     pub fn gpu_frames(&self) -> u64 {
         self.gpu_frames
     }
-
-    /// Total frames in the pool.
-    pub fn total_frames(&self) -> u64 {
-        self.total_frames
-    }
 }
 
 #[cfg(test)]
@@ -207,11 +190,11 @@ mod tests {
     #[test]
     fn alloc_until_exhaustion() {
         let mut a = PhysAllocator::new(4 * PAGE_BYTES);
-        assert_eq!(a.alloc(2, AllocOwner::Cpu), Some(0));
-        assert_eq!(a.alloc(1, AllocOwner::Gpu), Some(2));
+        assert_eq!(a.alloc(0, 2, AllocOwner::Cpu), Some(0));
+        assert!(a.alloc(0, 1, AllocOwner::Gpu).is_some());
         assert_eq!(a.free_frames(), 1);
-        assert_eq!(a.alloc(2, AllocOwner::Gpu), None);
-        assert_eq!(a.alloc(1, AllocOwner::Gpu), Some(3));
+        assert_eq!(a.alloc(0, 2, AllocOwner::Gpu), None);
+        assert!(a.alloc(0, 1, AllocOwner::Gpu).is_some());
         assert_eq!(a.cpu_frames(), 2);
         assert_eq!(a.gpu_frames(), 2);
     }
@@ -219,11 +202,11 @@ mod tests {
     #[test]
     fn freeing_returns_capacity() {
         let mut a = PhysAllocator::new(2 * PAGE_BYTES);
-        assert!(a.alloc(2, AllocOwner::Cpu).is_some());
-        assert_eq!(a.alloc(1, AllocOwner::Cpu), None);
-        a.free(1);
+        assert!(a.alloc(0, 2, AllocOwner::Cpu).is_some());
+        assert_eq!(a.alloc(0, 1, AllocOwner::Cpu), None);
+        a.free(0, 1, true);
         assert_eq!(a.free_frames(), 1);
-        assert!(a.alloc(1, AllocOwner::Gpu).is_some());
+        assert!(a.alloc(0, 1, AllocOwner::Gpu).is_some());
         assert_eq!(a.freed_frames(), 1);
     }
 
@@ -233,14 +216,14 @@ mod tests {
         let key = 0x40_0000;
         let mut first = None;
         for i in 0..32u64 {
-            let f = a.alloc_in_frame(key, 16, AllocOwner::Cpu).unwrap();
+            let f = a.alloc(key, 16, AllocOwner::Cpu).unwrap();
             let base = *first.get_or_insert(f);
             assert_eq!(f, base + i * 16, "carves stay contiguous");
         }
         assert!(a.frame_coalescible(key));
         assert_eq!(a.cpu_frames(), 512);
         // One more carve overflows the block and breaks it.
-        assert!(a.alloc_in_frame(key, 16, AllocOwner::Cpu).is_some());
+        assert!(a.alloc(key, 16, AllocOwner::Cpu).is_some());
         assert!(!a.frame_coalescible(key));
     }
 
@@ -248,9 +231,9 @@ mod tests {
     fn mixed_owner_breaks_contiguity() {
         let mut a = PhysAllocator::new(4096 * PAGE_BYTES);
         for _ in 0..31 {
-            a.alloc_in_frame(7, 16, AllocOwner::Cpu).unwrap();
+            a.alloc(7, 16, AllocOwner::Cpu).unwrap();
         }
-        a.alloc_in_frame(7, 16, AllocOwner::Gpu).unwrap();
+        a.alloc(7, 16, AllocOwner::Gpu).unwrap();
         assert!(!a.frame_coalescible(7));
     }
 
@@ -258,17 +241,17 @@ mod tests {
     fn partial_free_breaks_full_free_resets() {
         let mut a = PhysAllocator::new(4096 * PAGE_BYTES);
         for _ in 0..32 {
-            a.alloc_in_frame(9, 16, AllocOwner::Cpu).unwrap();
+            a.alloc(9, 16, AllocOwner::Cpu).unwrap();
         }
         assert!(a.frame_coalescible(9));
-        a.free_in_frame(9, 16);
+        a.free(9, 16, true);
         assert!(!a.frame_coalescible(9));
         for _ in 0..31 {
-            a.free_in_frame(9, 16);
+            a.free(9, 16, true);
         }
         // Fully evicted: a re-fault starts a fresh contiguous block.
         for _ in 0..32 {
-            a.alloc_in_frame(9, 16, AllocOwner::Cpu).unwrap();
+            a.alloc(9, 16, AllocOwner::Cpu).unwrap();
         }
         assert!(a.frame_coalescible(9));
     }
@@ -276,11 +259,11 @@ mod tests {
     #[test]
     fn blocks_do_not_disturb_plain_alloc_accounting() {
         let mut a = PhysAllocator::new(1024 * PAGE_BYTES);
-        a.alloc_in_frame(0, 16, AllocOwner::Cpu).unwrap();
+        a.alloc(0, 16, AllocOwner::Cpu).unwrap();
         assert_eq!(a.free_frames(), 1024 - 16);
-        assert!(a.alloc(1024 - 16, AllocOwner::Gpu).is_some());
-        assert_eq!(a.alloc(1, AllocOwner::Gpu), None);
-        assert_eq!(a.alloc_in_frame(0x20_0000, 1, AllocOwner::Cpu), None);
+        assert!(a.alloc(0x40_0000, 1024 - 16, AllocOwner::Gpu).is_some());
+        assert_eq!(a.alloc(0x40_0000, 1, AllocOwner::Gpu), None);
+        assert_eq!(a.alloc(0x20_0000, 1, AllocOwner::Cpu), None);
     }
 
     #[test]
@@ -289,7 +272,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..64 {
             let owner = if i % 2 == 0 { AllocOwner::Cpu } else { AllocOwner::Gpu };
-            let first = a.alloc(16, owner).unwrap();
+            let first = a.alloc(i % 3, 16, owner).unwrap();
             for f in first..first + 16 {
                 assert!(seen.insert(f), "frame {f} double-allocated");
             }

@@ -27,9 +27,12 @@
 use crate::config::{Cycle, MemConfig};
 use crate::dram::Dram;
 use crate::fault::{FaultKind, FaultQueue};
-use crate::large::{frame_of, LpStats, PageSizePolicy, COALESCE_CYCLES, REGIONS_PER_LARGE};
+use crate::large::{
+    frame_of, LpStats, PageSizePolicy, COALESCE_CYCLES, LARGE_PAGE_BYTES, REGIONS_PER_LARGE,
+};
 use crate::mshr::{MshrAlloc, MshrTable};
-use crate::page_table::{region_of, PageState, PageTable, REGION_BYTES};
+use crate::page_table::{region_of, PageState, PageTable, REGION_BYTES, REGION_PAGES};
+use crate::phys::{AllocOwner, PhysAllocator};
 use crate::setassoc::SetAssoc;
 use crate::tlb::Tlb;
 use crate::wheel::EventWheel;
@@ -113,6 +116,17 @@ impl std::fmt::Display for MemError {
 }
 
 impl std::error::Error for MemError {}
+
+/// What [`MemSystem::back_fault`] did for one fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backing {
+    /// Frames the fault now holds, or `None` when the pool is full and
+    /// every resident region is still in flight: the fault must wait for a
+    /// landing.
+    pub frames: Option<u64>,
+    /// Regions evicted to make room; the caller charges their cost.
+    pub evictions: u64,
+}
 
 /// What happens when translation faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,6 +302,8 @@ pub struct MemSystem {
     dram: Dram,
     /// The GPU page table (public: the paging engine mutates it directly).
     pub page_table: PageTable,
+    /// GPU physical memory, sized from [`MemConfig::gpu_mem_bytes`].
+    phys: PhysAllocator,
     /// The fill unit's pending fault queue (public: handlers drain it).
     pub fault_queue: FaultQueue,
     events: EventWheel<Ev>,
@@ -342,6 +358,7 @@ impl MemSystem {
             walk_queue: std::collections::VecDeque::new(),
             dram: Dram::new(cfg.dram_latency, cfg.dram_bytes_per_cycle),
             page_table: PageTable::new(),
+            phys: PhysAllocator::new(cfg.gpu_mem_bytes),
             fault_queue: FaultQueue::new(),
             events: EventWheel::new(Self::wheel_horizon(&cfg)),
             accesses: Vec::new(),
@@ -579,12 +596,123 @@ impl MemSystem {
         }
     }
 
+    /// GPU physical memory.
+    pub fn phys(&self) -> &PhysAllocator {
+        &self.phys
+    }
+
+    /// Back the fault on `region` with frames for `owner` under the
+    /// page-size policy: the one backing path of both fault handlers.
+    /// `HugeOnly` backs the pages of the region's 2 MB frame its
+    /// resolution will map, or none when `covered` (asked only then) says
+    /// a live fault of the caller already backs the frame; the other
+    /// policies back the 64 KB region. While the pool is full, the
+    /// oldest-mapped region other than `region` is evicted: shot down and
+    /// its frames freed.
+    pub fn back_fault(
+        &mut self,
+        region: u64,
+        owner: AllocOwner,
+        covered: impl FnOnce() -> bool,
+    ) -> Backing {
+        let frame = frame_of(region);
+        let need = match self.cfg.page_size {
+            PageSizePolicy::HugeOnly if covered() => 0,
+            PageSizePolicy::HugeOnly => self.page_table.frame_mappable_pages(frame),
+            _ => REGION_PAGES,
+        };
+        let mut evictions = 0;
+        while need > 0 && self.phys.alloc(frame, need, owner).is_none() {
+            let Some((victim, pages)) = self.page_table.evict_oldest_region(region) else {
+                return Backing { frames: None, evictions };
+            };
+            self.shootdown_region(victim);
+            self.phys.free(frame_of(victim), pages as u64, true);
+            evictions += 1;
+        }
+        Backing { frames: Some(need), evictions }
+    }
+
+    /// Give back the `frames` a NACKed service of the fault on `region`
+    /// was backed with. They were never mapped, so they return to their
+    /// block without a hole; under `HugeOnly`, pages another fault mapped
+    /// since keep theirs.
+    pub fn give_back(&mut self, region: u64, frames: u64) {
+        let frame = frame_of(region);
+        let frames = match self.cfg.page_size {
+            PageSizePolicy::HugeOnly => frames.min(self.page_table.frame_mappable_pages(frame)),
+            _ => frames,
+        };
+        self.phys.free(frame, frames, false);
+    }
+
+    /// Resolve a serviced fault on `region` under the page-size policy,
+    /// appending the regions it resolved to `resolved` (the handler's wake
+    /// list). `Transparent` nudges the background coalescer. `HugeOnly`
+    /// maps the whole 2 MB frame, sibling regions' queued faults with it,
+    /// and promotes it at once when its block stayed contiguous.
+    pub fn resolve_fault(&mut self, region: u64, now: Cycle, resolved: &mut Vec<u64>) {
+        let frame = frame_of(region);
+        match self.cfg.page_size {
+            PageSizePolicy::Small => {
+                self.resolve_region(region, now);
+            }
+            PageSizePolicy::Transparent => {
+                self.resolve_region(region, now);
+                let contiguous = self.phys.frame_coalescible(frame);
+                self.note_region_resolved(region, now, contiguous);
+            }
+            PageSizePolicy::HugeOnly => {
+                let before = resolved.len();
+                for r in (0..REGIONS_PER_LARGE).map(|i| frame + i * REGION_BYTES) {
+                    let was_pending = self.fault_queue.remove(r).is_some();
+                    let was_parked = self.parked.contains_key(&r);
+                    if self.resolve_region(r, now) > 0 || was_pending || was_parked {
+                        resolved.push(r);
+                    }
+                }
+                if self.phys.frame_coalescible(frame) {
+                    self.promote(frame);
+                }
+                if resolved.len() > before {
+                    return;
+                }
+                // A duplicate service of an already-resolved frame: still
+                // report the region so its stalled warps re-check.
+            }
+        }
+        resolved.push(region);
+    }
+
+    /// Bytes one migration moves from the CPU: the 64 KB region, or the
+    /// whole 2 MB frame under `HugeOnly`.
+    pub fn migration_bytes(&self) -> u64 {
+        match self.cfg.page_size {
+            PageSizePolicy::HugeOnly => LARGE_PAGE_BYTES,
+            _ => REGION_BYTES,
+        }
+    }
+
+    /// Promote `frame` to one 2 MB mapping if all its subpages are present,
+    /// shooting down the now-stale 4 KB entries.
+    fn promote(&mut self, frame: u64) {
+        if self.page_table.try_coalesce(frame) {
+            if let Some(lp) = &mut self.lp {
+                lp.stats.coalesced += 1;
+            }
+            for tlb in &mut self.l1_tlb {
+                tlb.shootdown_frame(frame_tag(frame));
+            }
+            self.l2_tlb.shootdown_frame(frame_tag(frame));
+        }
+    }
+
     /// Notify the large-page machinery that a fault region was resolved:
     /// if the region's 2 MB frame is now fully resident, physically
-    /// contiguous (`contiguous` — the caller asks the allocator) and not
-    /// already promoted or mid-pass, schedule a background coalesce pass
-    /// to settle [`COALESCE_CYCLES`] from now. No-op outside
-    /// `Transparent`-with-coalescing runs.
+    /// contiguous (`contiguous`; [`MemSystem::resolve_fault`] asks the
+    /// allocator) and not already promoted or mid-pass, schedule a
+    /// background coalesce pass to settle [`COALESCE_CYCLES`] from now.
+    /// No-op outside `Transparent`-with-coalescing runs.
     pub fn note_region_resolved(&mut self, region: u64, now: Cycle, contiguous: bool) {
         let frame = frame_of(region);
         let Some(lp) = &mut self.lp else {
@@ -617,15 +745,7 @@ impl MemSystem {
         match lp.pending.get(&frame).copied() {
             Some(due) if due == t => {
                 lp.pending.remove(&frame);
-                if self.page_table.try_coalesce(frame) {
-                    if let Some(lp) = &mut self.lp {
-                        lp.stats.coalesced += 1;
-                    }
-                    for tlb in &mut self.l1_tlb {
-                        tlb.shootdown_frame(frame_tag(frame));
-                    }
-                    self.l2_tlb.shootdown_frame(frame_tag(frame));
-                }
+                self.promote(frame);
             }
             Some(_) => {
                 // A newer pass owns the frame; this event is stale. Keep
@@ -645,37 +765,6 @@ impl MemSystem {
         for (page, waiters) in held {
             self.finish_walk(t, page, waiters);
         }
-    }
-
-    /// Resolve the whole 2 MB frame containing `addr` — the `HugeOnly`
-    /// fault path, where one fault maps all 32 regions at once. Pending
-    /// queue entries for sibling regions are serviced by this same call.
-    /// Returns every region this resolved (for the handler's wake list).
-    /// With `promote` the frame is coalesced into one 2 MB mapping
-    /// immediately (the handler sets it when the allocation stayed
-    /// contiguous).
-    pub fn resolve_frame(&mut self, addr: u64, now: Cycle, promote: bool) -> Vec<u64> {
-        let frame = frame_of(addr);
-        let mut resolved = Vec::new();
-        for i in 0..REGIONS_PER_LARGE {
-            let region = frame + i * REGION_BYTES;
-            let was_pending = self.fault_queue.remove(region).is_some();
-            let was_parked = self.parked.contains_key(&region);
-            let mapped = self.resolve_region(region, now);
-            if mapped > 0 || was_pending || was_parked {
-                resolved.push(region);
-            }
-        }
-        if promote && self.page_table.try_coalesce(frame) {
-            if let Some(lp) = &mut self.lp {
-                lp.stats.coalesced += 1;
-            }
-            for tlb in &mut self.l1_tlb {
-                tlb.shootdown_frame(frame_tag(frame));
-            }
-            self.l2_tlb.shootdown_frame(frame_tag(frame));
-        }
-        resolved
     }
 
     /// Demote the 2 MB mapping covering `addr` back to 4 KB pages (a

@@ -223,7 +223,7 @@ proptest! {
                         Some(_) => {}
                         None => block_owner = Some(owner),
                     }
-                    a.alloc_in_frame(key, REGION_PAGES, owner).unwrap();
+                    a.alloc(key, REGION_PAGES, owner).unwrap();
                     if carved + REGION_PAGES > SUBPAGES_PER_LARGE {
                         overflowed = true;
                     }
@@ -232,7 +232,7 @@ proptest! {
                 }
                 PhysOp::Free => {
                     if live >= REGION_PAGES {
-                        a.free_in_frame(key, REGION_PAGES);
+                        a.free(key, REGION_PAGES, true);
                         live -= REGION_PAGES;
                         if live == 0 {
                             // Block retired: the next carve starts fresh.

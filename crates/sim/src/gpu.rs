@@ -22,7 +22,6 @@ use crate::tenant::{
     TENANT_SHIFT,
 };
 use gex_isa::trace::{BlockTrace, KernelTrace};
-use gex_mem::phys::PhysAllocator;
 use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::{Cycle, PageState};
 use gex_sm::{FaultNotice, KernelSetup, RunBudget, Scheme, Sm, SmStats, WarpDiag};
@@ -301,7 +300,6 @@ pub(crate) struct Engine {
     cpu: Option<CpuHandler>,
     local: Option<LocalFaultState>,
     block_cfg: Option<BlockSwitchConfig>,
-    phys: PhysAllocator,
     /// Per-tenant pending-block queues, indexed like `tenants`.
     queues: Vec<VecDeque<Arc<BlockTrace>>>,
     /// Owning tenant of each SM. An SM runs one tenant's kernel at a time
@@ -348,23 +346,15 @@ impl Engine {
             "more tenants ({}) than SMs ({num_sms})",
             streams.len()
         );
-        let (fault_mode, cpu, local, block_cfg) = match gpu.paging {
-            PagingMode::AllResident => {
-                let mode = if gpu.scheme.preemptible() {
-                    FaultMode::SquashNotify
-                } else {
-                    FaultMode::StallReplay
-                };
-                (mode, None, None, None)
-            }
+        let fault_mode = if gpu.scheme.preemptible() {
+            FaultMode::SquashNotify
+        } else {
+            FaultMode::StallReplay
+        };
+        let (cpu, local, block_cfg) = match gpu.paging {
+            PagingMode::AllResident => (None, None, None),
             PagingMode::Demand { interconnect, block_switch, local_handling } => {
-                let mode = if gpu.scheme.preemptible() {
-                    FaultMode::SquashNotify
-                } else {
-                    FaultMode::StallReplay
-                };
-                let mut cpu =
-                    CpuHandler::new(interconnect).with_page_size(gpu.cfg.mem.page_size);
+                let mut cpu = CpuHandler::new(interconnect);
                 if let Some(plan) = &gpu.inject {
                     cpu = cpu.with_injection(plan.clone());
                 }
@@ -375,7 +365,7 @@ impl Engine {
                     );
                     cpu = cpu.without_first_touch();
                 }
-                (mode, Some(cpu), local_handling.map(LocalFaultState::new), block_switch)
+                (Some(cpu), local_handling.map(LocalFaultState::new), block_switch)
             }
         };
         let mut mem = MemSystem::new(gpu.cfg.mem.clone(), fault_mode);
@@ -426,7 +416,6 @@ impl Engine {
             cpu,
             local,
             block_cfg,
-            phys: PhysAllocator::new(gpu.cfg.mem.gpu_mem_bytes),
             total_blocks: tenants.iter().map(|t| t.total).sum(),
             queues,
             sm_owner,
@@ -566,16 +555,13 @@ impl Engine {
                 self.react_to_denials(now, &mut last_progress);
             }
             if let Some(cpu) = &mut self.cpu {
-                for region in cpu.tick(now, &mut self.mem, &mut self.phys) {
+                for region in cpu.tick(now, &mut self.mem) {
                     self.broadcast_resolved(region);
                     last_progress = now;
                 }
             }
-            let local_done = self
-                .local
-                .as_mut()
-                .map(|l| l.tick(now, &mut self.mem, &mut self.phys))
-                .unwrap_or_default();
+            let local_done =
+                self.local.as_mut().map(|l| l.tick(now, &mut self.mem)).unwrap_or_default();
             for region in local_done {
                 self.broadcast_resolved(region);
                 last_progress = now;

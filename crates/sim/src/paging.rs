@@ -16,15 +16,20 @@
 //! bottleneck-stage interval, which is exactly the contention that makes
 //! GPU-local handling (20 us latency but massively concurrent) a
 //! throughput win in use case 2.
+//!
+//! The handler's middle step — allocate physical memory for the region,
+//! evicting under oversubscription, and map it — is the memory system's
+//! one backing path ([`MemSystem::back_fault`],
+//! [`MemSystem::resolve_fault`]), shared with the GPU-local handler; the
+//! page-size policy is decided there. This module adds what is the CPU's
+//! own: admission through the CPU stage, link occupancy, the write-back
+//! and page-table cost of each eviction, and injected NACKs.
 
 use crate::inject::{InjectionPlan, InjectionStats, Injector};
 use crate::interconnect::{Interconnect, CYCLES_PER_US};
-use gex_mem::phys::{AllocOwner, PhysAllocator};
+use gex_mem::phys::AllocOwner;
 use gex_mem::system::MemSystem;
-use gex_mem::{
-    frame_of, Cycle, FaultEntry, FaultKind, PageSizePolicy, LARGE_PAGE_BYTES, REGIONS_PER_LARGE,
-    REGION_BYTES, REGION_PAGES,
-};
+use gex_mem::{frame_of, Cycle, FaultEntry, FaultKind, REGION_BYTES};
 
 /// CPU work per fault (page pinning, allocation, page-table updates):
 /// the paper's ~2 us estimate (Section 5.4).
@@ -76,8 +81,8 @@ struct InFlight {
     /// walk that discovers the NACK never reorders `in_flight` under
     /// itself.
     dead: bool,
-    /// Physical frames allocated at admission: 0 for a duplicate and for
-    /// a `HugeOnly` fault whose frame another live fault already covers.
+    /// Physical frames backed at admission: 0 for a duplicate and for a
+    /// fault whose 2 MB frame another live fault already backs (`HugeOnly`).
     frames: u64,
 }
 
@@ -86,11 +91,6 @@ struct InFlight {
 pub struct CpuHandler {
     interconnect: Interconnect,
     handle_first_touch: bool,
-    /// Page-size policy: `Small` keeps every path below byte-identical to
-    /// the pre-large-page handler; `Transparent` nudges the background
-    /// coalescer after each resolution; `HugeOnly` maps whole 2 MB frames
-    /// per fault.
-    page_size: PageSizePolicy,
     /// Next cycle the serialized CPU stage is free.
     cpu_free: Cycle,
     /// Next cycle the link's data path is free.
@@ -111,7 +111,6 @@ impl CpuHandler {
         CpuHandler {
             interconnect,
             handle_first_touch: true,
-            page_size: PageSizePolicy::Small,
             cpu_free: 0,
             link_free: 0,
             deferred: false,
@@ -125,12 +124,6 @@ impl CpuHandler {
     /// CPU services only CPU-owned pages.
     pub fn without_first_touch(mut self) -> Self {
         self.handle_first_touch = false;
-        self
-    }
-
-    /// Service faults under `policy` (default [`PageSizePolicy::Small`]).
-    pub fn with_page_size(mut self, policy: PageSizePolicy) -> Self {
-        self.page_size = policy;
         self
     }
 
@@ -158,11 +151,11 @@ impl CpuHandler {
 
     /// Advance to `now`: admit pending faults into the pipeline (as fast as
     /// the CPU stage allows) and resolve the ones whose round trip
-    /// completed, returning the resolved regions for broadcast. `phys`
-    /// provides the frames; when the pool is exhausted the handler evicts
-    /// the oldest-mapped regions back to the CPU (memory oversubscription /
-    /// swapping), paying the write-back on the link.
-    pub fn tick(&mut self, now: Cycle, mem: &mut MemSystem, phys: &mut PhysAllocator) -> Vec<u64> {
+    /// completed, returning the resolved regions for broadcast. `mem`
+    /// backs each admitted region; when its pool is exhausted it evicts the
+    /// oldest-mapped regions back to the CPU (memory oversubscription /
+    /// swapping), and the handler pays each write-back on the link.
+    pub fn tick(&mut self, now: Cycle, mem: &mut MemSystem) -> Vec<u64> {
         // NACKed faults whose backoff elapsed re-enter the pending queue.
         if let Some(inj) = &mut self.injector {
             inj.requeue_due(now, &mut mem.fault_queue);
@@ -197,18 +190,14 @@ impl CpuHandler {
                                 g.dead = true;
                             }
                         }
-                        self.release_frames(&f, mem, phys);
+                        self.release_frames(&f, mem);
                         continue;
                     }
                 }
                 if f.entry.kind == FaultKind::Migration {
-                    // The migrated region lands in GPU memory through the
-                    // same DRAM channel the SMs use. Under `HugeOnly` the
-                    // whole 2 MB frame comes across.
-                    let bytes = match self.page_size {
-                        PageSizePolicy::HugeOnly => LARGE_PAGE_BYTES,
-                        _ => REGION_BYTES,
-                    };
+                    // The migrated data lands in GPU memory through the
+                    // same DRAM channel the SMs use.
+                    let bytes = mem.migration_bytes();
                     mem.dram_mut().bulk_transfer(now, bytes);
                     if !f.dup {
                         self.stats.migrations += 1;
@@ -219,36 +208,7 @@ impl CpuHandler {
                 if !f.dup {
                     self.stats.latency_sum += now - f.entry.enqueued_at;
                 }
-                match self.page_size {
-                    PageSizePolicy::Small => {
-                        mem.resolve_region(f.entry.region, now);
-                        resolved.push(f.entry.region);
-                    }
-                    PageSizePolicy::Transparent => {
-                        mem.resolve_region(f.entry.region, now);
-                        // Nudge the background coalescer: the physical
-                        // allocator says whether the frame's subpages sit
-                        // in one contiguous block.
-                        let contiguous = phys.frame_coalescible(frame_of(f.entry.region));
-                        mem.note_region_resolved(f.entry.region, now, contiguous);
-                        resolved.push(f.entry.region);
-                    }
-                    PageSizePolicy::HugeOnly => {
-                        // One fault maps the whole 2 MB frame; sibling
-                        // regions' queued faults resolve with it.
-                        let frame = frame_of(f.entry.region);
-                        let promote = phys.frame_coalescible(frame);
-                        let regions = mem.resolve_frame(frame, now, promote);
-                        if regions.is_empty() {
-                            // An injected duplicate of an already-resolved
-                            // frame: still broadcast the region so stalled
-                            // warps re-check, matching the `Small` path.
-                            resolved.push(f.entry.region);
-                        } else {
-                            resolved.extend(regions);
-                        }
-                    }
-                }
+                mem.resolve_fault(f.entry.region, now, &mut resolved);
             } else {
                 i += 1;
             }
@@ -278,65 +238,30 @@ impl CpuHandler {
             };
             let Some(entry) = entry else { break };
             let admit = self.cpu_free.max(now);
-            // Frames for the incoming region; evict to make room if the GPU
-            // memory is oversubscribed. If every resident region is still
-            // in flight (mapped only at resolution), defer this fault until
-            // one lands.
-            let need = match self.page_size {
-                // The whole 2 MB frame is backed up front — unless a live
-                // in-flight fault already covers the frame, in which case
-                // its resolution maps this region too.
-                PageSizePolicy::HugeOnly => {
-                    let frame = frame_of(entry.region);
-                    if self.in_flight.iter().any(|g| !g.dead && frame_of(g.entry.region) == frame)
-                    {
-                        0
-                    } else {
-                        mem.page_table.frame_mappable_pages(frame).max(1)
-                    }
-                }
-                _ => REGION_PAGES,
-            };
-            // `need` is fixed for the whole backing loop: each turn either
-            // allocates it in full and breaks, evicts a victim to free
-            // room, or defers the fault.
-            if need > 0 {
-                loop {
-                    let got = match self.page_size {
-                        PageSizePolicy::Small => phys.alloc(need, AllocOwner::Cpu),
-                        // Contiguity-conserving: carve out of the 2 MB block
-                        // reserved for the faulting frame so the frame can
-                        // later coalesce without copying.
-                        _ => phys.alloc_in_frame(frame_of(entry.region), need, AllocOwner::Cpu),
-                    };
-                    if got.is_some() {
-                        break;
-                    }
-                    match mem.page_table.evict_oldest_region(entry.region) {
-                        Some((victim, pages)) => {
-                            mem.shootdown_region(victim);
-                            match self.page_size {
-                                PageSizePolicy::Small => phys.free(pages as u64),
-                                _ => phys.free_in_frame(frame_of(victim), pages as u64),
-                            }
-                            // The victim's data writes back over the link and
-                            // costs the CPU another pass over its page tables.
-                            let occ = self.interconnect.region_transfer_cycles();
-                            self.link_free = self.link_free.max(admit) + occ;
-                            self.cpu_free = self.cpu_free.max(admit) + CPU_STAGE_CYCLES;
-                            self.stats.evictions += 1;
-                        }
-                        None => {
-                            mem.fault_queue.push_front(entry.clone());
-                            self.deferred = true;
-                            break;
-                        }
-                    }
-                }
+            // Frames for the incoming region, evicting to make room if the
+            // GPU memory is oversubscribed. A live fault on the same 2 MB
+            // frame covers this one when the policy backs whole frames.
+            let frame = frame_of(entry.region);
+            let in_flight = &self.in_flight;
+            let backing = mem.back_fault(entry.region, AllocOwner::Cpu, || {
+                in_flight.iter().any(|g| !g.dead && frame_of(g.entry.region) == frame)
+            });
+            if backing.evictions > 0 {
+                // Each victim's data writes back over the link and costs the
+                // CPU another pass over its page tables.
+                let n = backing.evictions;
+                let occ = self.interconnect.region_transfer_cycles();
+                self.link_free = self.link_free.max(admit) + n * occ;
+                self.cpu_free = self.cpu_free.max(admit) + n * CPU_STAGE_CYCLES;
+                self.stats.evictions += n;
             }
-            if self.deferred {
+            let Some(frames) = backing.frames else {
+                // Every resident region is still in flight (mapped only at
+                // resolution): defer this fault until one lands.
+                mem.fault_queue.push_front(entry);
+                self.deferred = true;
                 break;
-            }
+            };
             self.cpu_free = self.cpu_free.max(admit) + CPU_STAGE_CYCLES;
             self.stats.busy_cycles += CPU_STAGE_CYCLES;
             // Every fault's signaling occupies the link; migrations add the
@@ -344,11 +269,7 @@ impl CpuHandler {
             // jitter stretch the round trip.
             let mut occ = self.interconnect.signal_cycles;
             if entry.kind == FaultKind::Migration {
-                // `HugeOnly` ships the frame's 32 regions in one go.
-                let regions = match self.page_size {
-                    PageSizePolicy::HugeOnly => REGIONS_PER_LARGE,
-                    _ => 1,
-                };
+                let regions = mem.migration_bytes() / REGION_BYTES;
                 occ += self.interconnect.region_transfer_cycles() * regions;
             }
             let mut extra = 0;
@@ -373,7 +294,7 @@ impl CpuHandler {
                     frames: 0,
                 });
             }
-            let admitted = InFlight { entry, done_at: done, dup: false, dead: false, frames: need };
+            let admitted = InFlight { entry, done_at: done, dup: false, dead: false, frames };
             self.in_flight.push(admitted);
             self.stats.peak_in_flight =
                 self.stats.peak_in_flight.max(self.in_flight.len() as u64);
@@ -382,22 +303,17 @@ impl CpuHandler {
     }
 
     /// Give back the frames a NACKed service was admitted with; its
-    /// re-admission allocates again. Under `HugeOnly` they back the whole
-    /// 2 MB frame: a live fault admitted as covered by this one inherits
-    /// them, and pages another fault already mapped keep theirs.
-    fn release_frames(&mut self, f: &InFlight, mem: &MemSystem, phys: &mut PhysAllocator) {
+    /// re-admission backs the region again. When they back a whole 2 MB
+    /// frame (`HugeOnly`), a live fault admitted without frames because
+    /// this one covered its frame inherits them instead.
+    fn release_frames(&mut self, f: &InFlight, mem: &mut MemSystem) {
         let frame = frame_of(f.entry.region);
-        let heir = |g: &&mut InFlight| !g.dead && !g.dup && frame_of(g.entry.region) == frame;
-        match self.page_size {
-            PageSizePolicy::Small => phys.free(f.frames),
-            PageSizePolicy::Transparent => phys.free_in_frame(frame, f.frames),
-            PageSizePolicy::HugeOnly => match self.in_flight.iter_mut().find(heir) {
-                Some(g) => g.frames += f.frames,
-                None => {
-                    let unmapped = mem.page_table.frame_mappable_pages(frame);
-                    phys.free_in_frame(frame, f.frames.min(unmapped));
-                }
-            },
+        let heir = |g: &&mut InFlight| {
+            !g.dead && !g.dup && g.frames == 0 && frame_of(g.entry.region) == frame
+        };
+        match self.in_flight.iter_mut().find(heir) {
+            Some(g) => g.frames = f.frames,
+            None => mem.give_back(f.entry.region, f.frames),
         }
     }
 
@@ -436,17 +352,20 @@ mod tests {
     use gex_mem::{MemConfig, PageState};
 
     fn mem_with_cpu_data() -> MemSystem {
-        let mut m = MemSystem::new(MemConfig::kepler_k20(), FaultMode::SquashNotify);
+        cpu_data_in(MemConfig::kepler_k20())
+    }
+
+    fn cpu_data_in(cfg: MemConfig) -> MemSystem {
+        let mut m = MemSystem::new(cfg, FaultMode::SquashNotify);
         m.page_table.set_range(0, 1 << 24, PageState::CpuDirty);
         m.page_table.add_lazy_range(0x4000_0000, 1 << 24);
         m
     }
 
     fn run(cpu: &mut CpuHandler, mem: &mut MemSystem, horizon: Cycle) -> Vec<(Cycle, u64)> {
-        let mut phys = PhysAllocator::new(1 << 30);
         let mut out = Vec::new();
         for t in 0..horizon {
-            for r in cpu.tick(t, mem, &mut phys) {
+            for r in cpu.tick(t, mem) {
                 out.push((t, r));
             }
         }
@@ -455,16 +374,16 @@ mod tests {
 
     #[test]
     fn oversubscription_evicts_oldest_regions() {
-        let mut mem = mem_with_cpu_data();
         // Room for only 2 regions; fault in 4.
-        let mut phys = PhysAllocator::new(2 * REGION_BYTES);
+        let mut mem =
+            cpu_data_in(MemConfig { gpu_mem_bytes: 2 * REGION_BYTES, ..MemConfig::kepler_k20() });
         for i in 0..4u64 {
             mem.fault_queue.report(i * REGION_BYTES, FaultKind::Migration, 0, 0);
         }
         let mut cpu = CpuHandler::new(Interconnect::nvlink());
         let mut resolved = Vec::new();
         for t in 0..200_000 {
-            resolved.extend(cpu.tick(t, &mut mem, &mut phys));
+            resolved.extend(cpu.tick(t, &mut mem));
         }
         assert_eq!(resolved.len(), 4);
         assert_eq!(cpu.stats().evictions, 2, "regions 0 and 1 must be evicted");
@@ -472,7 +391,7 @@ mod tests {
         // a migration.
         assert_eq!(mem.page_table.state(0), PageState::CpuDirty);
         assert!(mem.page_table.present(3 * REGION_BYTES));
-        assert_eq!(phys.freed_frames(), 2 * 16);
+        assert_eq!(mem.phys().freed_frames(), 2 * 16);
     }
 
     #[test]
@@ -515,11 +434,11 @@ mod tests {
         assert_eq!(every_cycle, [latency, CPU_STAGE_CYCLES + latency]);
 
         let mut cpu = CpuHandler::new(Interconnect::nvlink());
-        let (mut mem, mut phys) = (two_queued(), PhysAllocator::new(1 << 30));
+        let mut mem = two_queued();
         let mut at_events = Vec::new();
         let mut now = 0;
         loop {
-            at_events.extend(cpu.tick(now, &mut mem, &mut phys).iter().map(|_| now));
+            at_events.extend(cpu.tick(now, &mut mem).iter().map(|_| now));
             match cpu.next_event_cycle(&mem) {
                 Some(next) => now = next.max(now + 1),
                 None => break,
@@ -581,40 +500,5 @@ mod tests {
             "storm latency {} vs unloaded {single}",
             cpu2.stats().mean_latency()
         );
-    }
-
-    /// A NACKed service gives back the frames it was admitted with: two
-    /// regions of one 2 MB frame, each NACKed once, hold one admission's
-    /// frames apiece when they land (under `HugeOnly`, one for the whole
-    /// frame, which the region covered by the NACKed one inherits).
-    #[test]
-    fn a_nack_gives_back_its_frames() {
-        let plan = InjectionPlan {
-            nack_prob: 1.0,
-            max_nacks_per_region: 1,
-            nack_backoff: 100,
-            ..InjectionPlan::none()
-        };
-        for (policy, frames) in [
-            (PageSizePolicy::Small, 2 * REGION_PAGES),
-            (PageSizePolicy::Transparent, 2 * REGION_PAGES),
-            (PageSizePolicy::HugeOnly, 512),
-        ] {
-            let mut mem = mem_with_cpu_data();
-            mem.fault_queue.report(0, FaultKind::Migration, 0, 0);
-            mem.fault_queue.report(REGION_BYTES, FaultKind::Migration, 0, 0);
-            let mut phys = PhysAllocator::new(1 << 30);
-            let free = phys.free_frames();
-            let mut cpu = CpuHandler::new(Interconnect::nvlink())
-                .with_page_size(policy)
-                .with_injection(plan.clone());
-            let mut resolved = Vec::new();
-            for t in 0..200_000 {
-                resolved.extend(cpu.tick(t, &mut mem, &mut phys));
-            }
-            assert_eq!(cpu.injection_stats().map(|s| s.nacks), Some(2), "{policy:?}");
-            assert!(resolved.contains(&0) && resolved.contains(&REGION_BYTES), "{policy:?}");
-            assert_eq!(free - phys.free_frames(), frames, "{policy:?}");
-        }
     }
 }

@@ -29,11 +29,9 @@ use gex_isa::mem_image::MemImage;
 use gex_isa::op::{CmpKind, CmpType};
 use gex_isa::reg::{Pred, Reg};
 use gex_isa::trace::{BlockTrace, KernelTrace};
-use gex_mem::phys::{AllocOwner, PhysAllocator};
+use gex_mem::phys::AllocOwner;
 use gex_mem::system::{AccessKind, FaultMode, MemStats, MemSystem};
-use gex_mem::{
-    Cycle, FaultEntry, FaultKind, FaultQueue, MemConfig, PageState, REGION_BYTES, REGION_PAGES,
-};
+use gex_mem::{Cycle, FaultEntry, FaultKind, FaultQueue, MemConfig, PageState, REGION_BYTES};
 use gex_sim::block_switch::LocalScheduler;
 use gex_sim::local_fault::{LocalFaultState, LocalFaultStats};
 use gex_sim::paging::{CpuHandler, CpuHandlerStats, CPU_STAGE_CYCLES};
@@ -111,8 +109,8 @@ fn after<T>(script: &[(Cycle, T)], now: Cycle) -> Option<Cycle> {
 
 /// A memory system whose `DIRTY` regions live on the CPU and whose `LAZY`
 /// regions were never touched.
-fn paged_mem(mode: FaultMode) -> MemSystem {
-    let mut mem = MemSystem::new(MemConfig::kepler_k20(), mode);
+fn paged_mem(mode: FaultMode, gpu_mem_bytes: u64) -> MemSystem {
+    let mut mem = MemSystem::new(MemConfig { gpu_mem_bytes, ..MemConfig::kepler_k20() }, mode);
     mem.page_table.set_range(DIRTY, 64 * REGION_BYTES, PageState::CpuDirty);
     mem.page_table.add_lazy_range(LAZY, 64 * REGION_BYTES);
     mem
@@ -180,7 +178,6 @@ enum CpuCase {
 struct CpuSource {
     cpu: CpuHandler,
     mem: MemSystem,
-    phys: PhysAllocator,
     /// Fault reports: (cycle, (region, kind)).
     script: Vec<(Cycle, (u64, FaultKind))>,
 }
@@ -226,12 +223,7 @@ impl CpuSource {
                 cpu.with_injection(InjectionPlan::chaos(seed))
             }
         };
-        CpuSource {
-            cpu,
-            mem: paged_mem(FaultMode::SquashNotify),
-            phys: PhysAllocator::new(regions * REGION_BYTES),
-            script,
-        }
+        CpuSource { cpu, mem: paged_mem(FaultMode::SquashNotify, regions * REGION_BYTES), script }
     }
 }
 
@@ -243,7 +235,7 @@ impl Source for CpuSource {
         for (region, kind) in due(&self.script, now) {
             self.mem.fault_queue.report(region, kind, 0, now);
         }
-        self.cpu.tick(now, &mut self.mem, &mut self.phys)
+        self.cpu.tick(now, &mut self.mem)
     }
     fn next_event_cycle(&self) -> Option<Cycle> {
         self.cpu.next_event_cycle(&self.mem)
@@ -280,7 +272,6 @@ enum LocalInput {
 struct LocalSource {
     local: LocalFaultState,
     mem: MemSystem,
-    phys: PhysAllocator,
     script: Vec<(Cycle, LocalInput)>,
 }
 
@@ -302,7 +293,7 @@ impl Source for LocalSource {
                 self.mem.resolve_region(region, now);
             }
         }
-        let done = self.local.tick(now, &mut self.mem, &mut self.phys);
+        let done = self.local.tick(now, &mut self.mem);
         for input in due(&self.script, now) {
             if let LocalInput::Claim(region) = input {
                 self.mem.fault_queue.report(region, FaultKind::FirstTouch, 0, now);
@@ -322,7 +313,7 @@ impl Source for LocalSource {
             stats: self.local.stats(),
             queue: self.mem.fault_queue.snapshot(),
             resident: self.mem.page_table.resident_regions().to_vec(),
-            gpu_frames: self.phys.gpu_frames(),
+            gpu_frames: self.mem.phys().gpu_frames(),
         }
     }
 }
@@ -754,22 +745,24 @@ proptest! {
         room in 0u64..3,
     ) {
         let build = || {
-            let mem = paged_mem(FaultMode::SquashNotify);
             // Regions in flight to the CPU handler hold all but `room`
             // regions' worth of frames until they land; with none in
             // flight, at least one region fits.
             let room = if landings.is_empty() { room.max(1) } else { room };
-            let mut phys = PhysAllocator::new((landings.len() as u64 + room) * REGION_BYTES);
+            let bytes = (landings.len() as u64 + room) * REGION_BYTES;
+            let mut mem = paged_mem(FaultMode::SquashNotify, bytes);
             let mut script: Vec<(Cycle, LocalInput)> = Vec::new();
             for (i, &at) in landings.iter().enumerate() {
-                phys.alloc(REGION_PAGES, AllocOwner::Cpu).expect("room for in-flight regions");
-                script.push((at, LocalInput::Land(DIRTY + i as u64 * REGION_BYTES)));
+                let region = DIRTY + i as u64 * REGION_BYTES;
+                let backing = mem.back_fault(region, AllocOwner::Cpu, || false);
+                backing.frames.expect("room for in-flight regions");
+                script.push((at, LocalInput::Land(region)));
             }
             for (i, &at) in claims.iter().enumerate() {
                 script.push((at, LocalInput::Claim(LAZY + i as u64 * REGION_BYTES)));
             }
             let cfg = LocalFaultConfig { handler_cycles: handler };
-            LocalSource { local: LocalFaultState::new(cfg), mem, phys, script }
+            LocalSource { local: LocalFaultState::new(cfg), mem, script }
         };
         walk(build);
     }
