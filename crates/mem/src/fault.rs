@@ -291,9 +291,13 @@ impl FaultQueue {
     }
 
     /// Mark a region's service complete (after resolution), allowing future
-    /// faults on it to enqueue again (e.g. if it is ever unmapped).
+    /// faults on it to enqueue again (e.g. if it is ever unmapped), and free
+    /// of charge: under `HugeOnly` one fault maps and pays for its frame.
     pub fn finish_service(&mut self, region: u64) {
         self.in_service.retain(|&r| r != region);
+        if self.tenant_shift.is_some() || !self.budgets.is_empty() {
+            self.charged_regions.insert(region);
+        }
     }
 
     /// Regions currently being serviced by a handler.

@@ -12,8 +12,8 @@
 //!   states demand paging needs, and the fill unit's global
 //!   [pending-fault queue](fault::FaultQueue);
 //! * a [physical-frame allocator](phys::PhysAllocator) that [`MemSystem`]
-//!   owns, behind the one backing path both the CPU-driver and GPU-local
-//!   fault handlers use ([`MemSystem::back_fault`]);
+//!   owns, behind the one backing path and frame ledger both the
+//!   CPU-driver and GPU-local fault handlers use ([`MemSystem::back_fault`]);
 //! * the simulator's one event queue, the [`EventWheel`] timing wheel that
 //!   both [`MemSystem`] and the SM pipeline schedule on.
 //!

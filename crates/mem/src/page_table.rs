@@ -154,12 +154,12 @@ impl PageTable {
         mapped
     }
 
-    /// Evict the oldest-mapped region other than `except` (memory
+    /// Evict the oldest-mapped region that is not `shielded` (memory
     /// oversubscription): its present pages return to CPU ownership (dirty,
     /// since the GPU may have written them) and will re-fault as migrations
     /// if touched again. Returns the evicted region and its page count.
-    pub fn evict_oldest_region(&mut self, except: u64) -> Option<(u64, u32)> {
-        let pos = self.region_order.iter().position(|&r| r != region_of(except))?;
+    pub fn evict_oldest_region(&mut self, shielded: impl Fn(u64) -> bool) -> Option<(u64, u32)> {
+        let pos = self.region_order.iter().position(|&r| !shielded(r))?;
         let victim = self.region_order.remove(pos);
         // Eviction granularity stays 64 KB: a victim inside a 2 MB mapping
         // splinters the mapping back to 4 KB entries first.
@@ -186,6 +186,15 @@ impl PageTable {
     pub fn present_pages(&self) -> usize {
         self.pages.values().filter(|&&s| s == PageState::Present).count()
             + self.large.len() * SUBPAGES_PER_LARGE as usize
+    }
+
+    /// Present pages of the resident regions (subpages under a 2 MB mapping
+    /// included): the pages fault service mapped, which physical frames
+    /// back. Pages placed present without a fault are not among them.
+    pub(crate) fn resident_pages(&self) -> u64 {
+        let pages = |r: u64| (0..REGION_PAGES).map(move |i| r + i * PAGE_BYTES);
+        let resident = self.region_order.iter().flat_map(|&r| pages(r));
+        resident.filter(|&page| self.present(page)).count() as u64
     }
 
     /// Promote the 2 MB frame at `frame` ([`frame_of`]-aligned) to one
@@ -247,14 +256,14 @@ impl PageTable {
             .all(|i| self.pages.get(&(frame + i * PAGE_BYTES)) == Some(&PageState::Present))
     }
 
-    /// Subpages of `addr`'s 2 MB frame that a `HugeOnly` fault would newly
-    /// map (everything not already present and not invalid).
-    pub fn frame_mappable_pages(&self, addr: u64) -> u64 {
-        let frame = frame_of(addr);
-        (0..SUBPAGES_PER_LARGE)
+    /// Pages of the `pages` from `base` that mapping would newly map (not
+    /// present, not invalid): for a fault's backing unit, exactly what
+    /// resolving it maps and what evicting those pages later frees.
+    pub(crate) fn mappable_pages(&self, base: u64, pages: u64) -> u64 {
+        (0..pages)
             .filter(|i| {
                 !matches!(
-                    self.state(frame + i * PAGE_BYTES),
+                    self.state(base + i * PAGE_BYTES),
                     PageState::Present | PageState::Invalid
                 )
             })
@@ -336,8 +345,8 @@ mod tests {
         pt.map_region(0);
         pt.map_region(REGION_BYTES);
         assert_eq!(pt.resident_regions(), &[0, REGION_BYTES]);
-        // `except` protects the region being faulted in right now.
-        let (victim, pages) = pt.evict_oldest_region(REGION_BYTES + 4096).unwrap();
+        // A shielded region (the one being faulted in right now) stays.
+        let (victim, pages) = pt.evict_oldest_region(|r| r == REGION_BYTES).unwrap();
         assert_eq!(victim, 0);
         assert_eq!(pages as u64, REGION_PAGES);
         assert_eq!(pt.state(0), PageState::CpuDirty, "evicted pages re-fault as migrations");
@@ -400,7 +409,7 @@ mod tests {
         assert!(pt.try_coalesce(0));
         // Evict the oldest region: the 2 MB mapping must splinter so the
         // other 31 regions stay present as 4 KB pages.
-        let (victim, pages) = pt.evict_oldest_region(u64::MAX).unwrap();
+        let (victim, pages) = pt.evict_oldest_region(|_| false).unwrap();
         assert_eq!(victim, 0);
         assert_eq!(pages as u64, REGION_PAGES);
         assert!(!pt.large_mapped(0));

@@ -2,15 +2,15 @@
 //!
 //! [`crate::system::MemSystem`] owns the one pool, sized from
 //! [`crate::MemConfig::gpu_mem_bytes`], and both fault handlers — the CPU
-//! driver path and the GPU-local handler of use case 2 — back their
-//! regions from it through its one backing path
-//! ([`crate::system::MemSystem::back_fault`]). The real system of Section
-//! 4.2 partitions the physical address space and uses lock-free structures
-//! to avoid contention; our simulator is single-threaded, so the allocator
-//! models *capacity* and provides the partitioning/accounting, while the
-//! handlers' latency models capture the cost of the synchronization.
-//! Under `PageSizePolicy::Small` nothing asks whether a block stayed
-//! contiguous and no frame number is read: only the capacity shows.
+//! driver path and the GPU-local handler of use case 2 — back their faults
+//! from it through its one backing path
+//! ([`crate::system::MemSystem::back_fault`]), whose frame ledger alone
+//! knows what each fault holds. The real system of Section 4.2 partitions
+//! the physical address space and uses lock-free structures to avoid
+//! contention; our simulator is single-threaded, so the allocator models
+//! *capacity*, while the handlers' latency models capture the cost of the
+//! synchronization. Under `PageSizePolicy::Small` nothing asks whether a
+//! block stayed contiguous and no frame number is read.
 
 use crate::large::SUBPAGES_PER_LARGE;
 use gex_isa::PAGE_BYTES;

@@ -29,6 +29,7 @@ use crate::dram::Dram;
 use crate::fault::{FaultKind, FaultQueue};
 use crate::large::{
     frame_of, LpStats, PageSizePolicy, COALESCE_CYCLES, LARGE_PAGE_BYTES, REGIONS_PER_LARGE,
+    SUBPAGES_PER_LARGE,
 };
 use crate::mshr::{MshrAlloc, MshrTable};
 use crate::page_table::{region_of, PageState, PageTable, REGION_BYTES, REGION_PAGES};
@@ -36,8 +37,8 @@ use crate::phys::{AllocOwner, PhysAllocator};
 use crate::setassoc::SetAssoc;
 use crate::tlb::Tlb;
 use crate::wheel::EventWheel;
-use gex_isa::{page_of, LINE_BYTES};
-use std::collections::{BTreeMap, HashMap};
+use gex_isa::{page_of, LINE_BYTES, PAGE_BYTES};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap};
 
 /// Identifies one in-flight warp access; unique while the access is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,9 +121,9 @@ impl std::error::Error for MemError {}
 /// What [`MemSystem::back_fault`] did for one fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backing {
-    /// Frames the fault now holds, or `None` when the pool is full and
-    /// every resident region is still in flight: the fault must wait for a
-    /// landing.
+    /// Frames this backing took (0 when the fault joined its unit's live
+    /// backing), or `None` when the pool is full and every resident region
+    /// is shielded by a live backing: the fault must wait for a landing.
     pub frames: Option<u64>,
     /// Regions evicted to make room; the caller charges their cost.
     pub evictions: u64,
@@ -287,6 +288,21 @@ struct LpState {
     stats: LpStats,
 }
 
+/// A live backing: the frames a unit was backed with, and its services.
+#[derive(Debug)]
+struct Hold {
+    frames: u64,
+    services: u32,
+}
+
+/// A fault's backing unit and its pages: its region, or frame under `HugeOnly`.
+fn backing_unit(policy: PageSizePolicy, addr: u64) -> (u64, u64) {
+    match policy {
+        PageSizePolicy::HugeOnly => (frame_of(addr), SUBPAGES_PER_LARGE),
+        _ => (region_of(addr), REGION_PAGES),
+    }
+}
+
 /// The memory hierarchy. See the [module docs](self).
 #[derive(Debug)]
 pub struct MemSystem {
@@ -304,6 +320,8 @@ pub struct MemSystem {
     pub page_table: PageTable,
     /// GPU physical memory, sized from [`MemConfig::gpu_mem_bytes`].
     phys: PhysAllocator,
+    /// The frame ledger: unit of an admitted, unresolved fault -> backing.
+    holds: HashMap<u64, Hold>,
     /// The fill unit's pending fault queue (public: handlers drain it).
     pub fault_queue: FaultQueue,
     events: EventWheel<Ev>,
@@ -359,6 +377,7 @@ impl MemSystem {
             dram: Dram::new(cfg.dram_latency, cfg.dram_bytes_per_cycle),
             page_table: PageTable::new(),
             phys: PhysAllocator::new(cfg.gpu_mem_bytes),
+            holds: HashMap::new(),
             fault_queue: FaultQueue::new(),
             events: EventWheel::new(Self::wheel_horizon(&cfg)),
             accesses: Vec::new(),
@@ -601,69 +620,76 @@ impl MemSystem {
         &self.phys
     }
 
-    /// Back the fault on `region` with frames for `owner` under the
-    /// page-size policy: the one backing path of both fault handlers.
-    /// `HugeOnly` backs the pages of the region's 2 MB frame its
-    /// resolution will map, or none when `covered` (asked only then) says
-    /// a live fault of the caller already backs the frame; the other
-    /// policies back the 64 KB region. While the pool is full, the
-    /// oldest-mapped region other than `region` is evicted: shot down and
-    /// its frames freed.
-    pub fn back_fault(
-        &mut self,
-        region: u64,
-        owner: AllocOwner,
-        covered: impl FnOnce() -> bool,
-    ) -> Backing {
-        let frame = frame_of(region);
-        let need = match self.cfg.page_size {
-            PageSizePolicy::HugeOnly if covered() => 0,
-            PageSizePolicy::HugeOnly => self.page_table.frame_mappable_pages(frame),
-            _ => REGION_PAGES,
-        };
+    /// Back the fault on `region` with frames for `owner`: the one backing
+    /// path of both fault handlers. A fault is backed by its unit with
+    /// exactly the pages its resolution will map; a unit with a live
+    /// backing, from either handler, takes no frames, and the fault joins
+    /// that backing as one more service. While the pool is full, the
+    /// oldest-mapped region whose unit holds no live backing is evicted:
+    /// shot down and its frames freed.
+    pub fn back_fault(&mut self, region: u64, owner: AllocOwner) -> Backing {
+        let policy = self.cfg.page_size;
+        let (unit, pages) = backing_unit(policy, region);
+        if let Some(hold) = self.holds.get_mut(&unit) {
+            hold.services += 1;
+            return Backing { frames: Some(0), evictions: 0 };
+        }
+        let need = self.page_table.mappable_pages(unit, pages);
+        // Recorded before evicting, so eviction passes over this unit too.
+        self.holds.insert(unit, Hold { frames: need, services: 1 });
         let mut evictions = 0;
-        while need > 0 && self.phys.alloc(frame, need, owner).is_none() {
-            let Some((victim, pages)) = self.page_table.evict_oldest_region(region) else {
-                return Backing { frames: None, evictions };
+        while need > 0 && self.phys.alloc(frame_of(region), need, owner).is_none() {
+            let shielded = |r| self.holds.contains_key(&backing_unit(policy, r).0);
+            let Some((victim, pages)) = self.page_table.evict_oldest_region(shielded) else {
+                self.holds.remove(&unit);
+                break;
             };
             self.shootdown_region(victim);
             self.phys.free(frame_of(victim), pages as u64, true);
             evictions += 1;
         }
-        Backing { frames: Some(need), evictions }
+        self.check_ledger();
+        Backing { frames: self.holds.contains_key(&unit).then_some(need), evictions }
     }
 
-    /// Give back the `frames` a NACKed service of the fault on `region`
-    /// was backed with. They were never mapped, so they return to their
-    /// block without a hole; under `HugeOnly`, pages another fault mapped
-    /// since keep theirs.
-    pub fn give_back(&mut self, region: u64, frames: u64) {
-        let frame = frame_of(region);
-        let frames = match self.cfg.page_size {
-            PageSizePolicy::HugeOnly => frames.min(self.page_table.frame_mappable_pages(frame)),
-            _ => frames,
-        };
-        self.phys.free(frame, frames, false);
+    /// End a NACKed service of the fault on `region`: the last service to
+    /// leave its unit's live backing gives back its frames, never mapped,
+    /// so without a hole in their block. A service whose backing was
+    /// already resolved holds nothing.
+    pub fn give_back(&mut self, region: u64) {
+        let unit = backing_unit(self.cfg.page_size, region).0;
+        if let Entry::Occupied(mut hold) = self.holds.entry(unit) {
+            hold.get_mut().services -= 1;
+            if hold.get().services == 0 {
+                self.phys.free(frame_of(region), hold.remove().frames, false);
+            }
+        }
+        self.check_ledger();
     }
 
     /// Resolve a serviced fault on `region` under the page-size policy,
     /// appending the regions it resolved to `resolved` (the handler's wake
-    /// list). `Transparent` nudges the background coalescer. `HugeOnly`
-    /// maps the whole 2 MB frame, sibling regions' queued faults with it,
-    /// and promotes it at once when its block stayed contiguous.
+    /// list). Only a live backing maps, and resolving retires it into the
+    /// pages it backs. `Transparent` nudges the background coalescer.
+    /// `HugeOnly` maps the whole 2 MB frame, sibling regions' queued faults
+    /// with it, and promotes it at once when its block stayed contiguous.
+    /// A service whose backing was already resolved (a duplicate round
+    /// trip, or a sibling's) still reports its region, so its warps re-check.
     pub fn resolve_fault(&mut self, region: u64, now: Cycle, resolved: &mut Vec<u64>) {
         let frame = frame_of(region);
-        match self.cfg.page_size {
-            PageSizePolicy::Small => {
+        let live = self.holds.remove(&backing_unit(self.cfg.page_size, region).0).is_some();
+        let before = resolved.len();
+        match (live, self.cfg.page_size) {
+            (false, _) => {}
+            (true, PageSizePolicy::Small) => {
                 self.resolve_region(region, now);
             }
-            PageSizePolicy::Transparent => {
+            (true, PageSizePolicy::Transparent) => {
                 self.resolve_region(region, now);
                 let contiguous = self.phys.frame_coalescible(frame);
                 self.note_region_resolved(region, now, contiguous);
             }
-            PageSizePolicy::HugeOnly => {
-                let before = resolved.len();
+            (true, PageSizePolicy::HugeOnly) => {
                 for r in (0..REGIONS_PER_LARGE).map(|i| frame + i * REGION_BYTES) {
                     let was_pending = self.fault_queue.remove(r).is_some();
                     let was_parked = self.parked.contains_key(&r);
@@ -674,14 +700,28 @@ impl MemSystem {
                 if self.phys.frame_coalescible(frame) {
                     self.promote(frame);
                 }
-                if resolved.len() > before {
-                    return;
-                }
-                // A duplicate service of an already-resolved frame: still
-                // report the region so its stalled warps re-check.
             }
         }
-        resolved.push(region);
+        if resolved.len() == before {
+            resolved.push(region);
+        }
+        self.check_ledger();
+    }
+
+    /// Frames held by live backings: admitted, unresolved faults.
+    pub fn held_frames(&self) -> u64 {
+        self.holds.values().map(|h| h.frames).sum()
+    }
+
+    /// The frame ledger, checked in debug builds: frames in use equal the
+    /// present pages of the resident regions (a 2 MB mapping counts as
+    /// 512) plus the frames held by live backings.
+    fn check_ledger(&self) {
+        debug_assert_eq!(
+            self.cfg.gpu_mem_bytes / PAGE_BYTES - self.phys.free_frames(),
+            self.page_table.resident_pages() + self.held_frames(),
+            "the frame ledger is out of balance"
+        );
     }
 
     /// Bytes one migration moves from the CPU: the 64 KB region, or the

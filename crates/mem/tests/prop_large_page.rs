@@ -1,13 +1,15 @@
-//! Property tests for the 2 MB large-page machinery (ISSUE 9): the
-//! page table's coalesce/splinter pair against a shadow model, the
-//! contiguity-conserving physical allocator's coalescibility gate, and
-//! the two-size TLB's exclusivity invariant.
+//! Property tests for the 2 MB large-page machinery: the page table's
+//! coalesce/splinter pair against a shadow model, the
+//! contiguity-conserving physical allocator's coalescibility gate, the
+//! two-size TLB's exclusivity invariant, and the memory system's frame
+//! ledger under every page-size policy.
 
 use gex_mem::phys::{AllocOwner, PhysAllocator};
+use gex_mem::system::{FaultMode, MemSystem};
 use gex_mem::tlb::Tlb;
 use gex_mem::{
-    frame_of, MemConfig, PageState, PageTable, LARGE_PAGE_BYTES, REGIONS_PER_LARGE, REGION_BYTES,
-    REGION_PAGES, SUBPAGES_PER_LARGE,
+    frame_of, MemConfig, PageSizePolicy, PageState, PageTable, LARGE_PAGE_BYTES, REGIONS_PER_LARGE,
+    REGION_BYTES, REGION_PAGES, SUBPAGES_PER_LARGE,
 };
 use gex_testkit::prelude::*;
 use std::collections::HashMap;
@@ -71,7 +73,7 @@ fn run_pt_ops(ops: &[PtOp]) {
                 }
             }
             PtOp::Evict => {
-                if let Some((victim, _)) = pt.evict_oldest_region(u64::MAX) {
+                if let Some((victim, _)) = pt.evict_oldest_region(|_| false) {
                     for i in 0..REGION_PAGES {
                         shadow.present.insert(victim + i * PAGE_BYTES, false);
                     }
@@ -117,6 +119,42 @@ enum PhysOp {
 
 fn phys_op() -> impl Strategy<Value = PhysOp> {
     prop_oneof![Just(PhysOp::CarveCpu), Just(PhysOp::CarveGpu), Just(PhysOp::Free)]
+}
+
+// ------------------------------------------------------ the frame ledger
+
+/// Pages of the ledger arena: three 2 MB frames, so that even a two-frame
+/// `HugeOnly` pool is oversubscribed.
+const ARENA_PAGES: u64 = 3 * SUBPAGES_PER_LARGE;
+
+/// One step of a random fault-service sequence, as the fault handlers
+/// drive the memory system.
+#[derive(Debug, Clone)]
+enum ServiceOp {
+    /// Admit a service of the fault on the `r`-th region holding a valid
+    /// page (modulo their number), for the GPU-local handler if `gpu`.
+    Back { r: u8, gpu: bool },
+    /// NACK the `i`-th live service (modulo their number).
+    Nack(u8),
+    /// Resolve the `i`-th live service (modulo their number).
+    Resolve(u8),
+}
+
+fn service_op() -> impl Strategy<Value = ServiceOp> {
+    prop_oneof![
+        (any::<u8>(), any::<bool>()).prop_map(|(r, gpu)| ServiceOp::Back { r, gpu }),
+        any::<u8>().prop_map(ServiceOp::Nack),
+        any::<u8>().prop_map(ServiceOp::Resolve),
+    ]
+}
+
+/// Frames in use, present pages and held frames must balance, and the
+/// present pages fit the pool.
+fn check_ledger(mem: &MemSystem, pool: u64, step: &str) {
+    let used = pool - mem.phys().free_frames();
+    let present = mem.page_table.present_pages() as u64;
+    prop_assert_eq!(used, present + mem.held_frames(), "ledger out of balance after {}", step);
+    prop_assert!(present <= pool, "{present} present pages in a {pool}-frame pool after {step}");
 }
 
 // ----------------------------------------------------- TLB exclusivity
@@ -190,7 +228,7 @@ proptest! {
         // same victim.
         let mut a = pt.clone();
         let mut b = before.clone();
-        prop_assert_eq!(a.evict_oldest_region(u64::MAX), b.evict_oldest_region(u64::MAX));
+        prop_assert_eq!(a.evict_oldest_region(|_| false), b.evict_oldest_region(|_| false));
     }
 }
 
@@ -299,5 +337,71 @@ proptest! {
         // Counter consistency: every dual lookup probed the large side.
         let s = t.size_stats();
         prop_assert_eq!(t.hits() + t.misses(), s.large_hits + s.large_misses);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random back / NACK / resolve sequences under every page-size policy,
+    /// in pools of 1–4 regions (1–2 frames under `HugeOnly`), over a
+    /// CPU-dirty and a lazily backed buffer that end mid-region: after
+    /// every step frames in use equal present pages plus the frames live
+    /// backings hold, and present pages never exceed the pool.
+    #[test]
+    fn the_frame_ledger_balances_after_every_step(
+        policy in 0u8..3,
+        units in 1u64..=4,
+        dirty in 1u64..=ARENA_PAGES / 2,
+        lazy in 1u64..=ARENA_PAGES / 2,
+        ops in collection::vec(service_op(), 1..60),
+    ) {
+        let policy =
+            [PageSizePolicy::Small, PageSizePolicy::Transparent, PageSizePolicy::HugeOnly]
+                [policy as usize];
+        let pool = match policy {
+            PageSizePolicy::HugeOnly => units.div_ceil(2) * SUBPAGES_PER_LARGE,
+            _ => units * REGION_PAGES,
+        };
+        let cfg = MemConfig {
+            page_size: policy,
+            gpu_mem_bytes: pool * PAGE_BYTES,
+            ..MemConfig::kepler_k20()
+        };
+        let mut mem = MemSystem::new(cfg, FaultMode::SquashNotify);
+        let half = ARENA_PAGES / 2 * PAGE_BYTES;
+        mem.page_table.set_range(0, dirty * PAGE_BYTES, PageState::CpuDirty);
+        mem.page_table.add_lazy_range(half, lazy * PAGE_BYTES);
+        let valid: Vec<u64> = (0..ARENA_PAGES / REGION_PAGES)
+            .map(|r| r * REGION_BYTES)
+            .filter(|&r| r < dirty * PAGE_BYTES || (r >= half && r < half + lazy * PAGE_BYTES))
+            .collect();
+        let mut live: Vec<u64> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                ServiceOp::Back { r, gpu } => {
+                    let region = valid[r as usize % valid.len()];
+                    let owner = if gpu { AllocOwner::Gpu } else { AllocOwner::Cpu };
+                    if mem.back_fault(region, owner).frames.is_some() {
+                        live.push(region);
+                    }
+                }
+                ServiceOp::Nack(i) if !live.is_empty() => {
+                    mem.give_back(live.remove(i as usize % live.len()));
+                }
+                ServiceOp::Resolve(i) if !live.is_empty() => {
+                    mem.resolve_fault(live.remove(i as usize % live.len()), 0, &mut Vec::new());
+                }
+                _ => {}
+            }
+            check_ledger(&mem, pool, &format!("step {step}: {op:?}"));
+        }
+        // Once every service has landed, nothing is held: the frames in use
+        // are exactly the present pages.
+        for region in live.drain(..) {
+            mem.resolve_fault(region, 0, &mut Vec::new());
+        }
+        check_ledger(&mem, pool, "the last landing");
+        prop_assert_eq!(mem.held_frames(), 0);
     }
 }

@@ -11,8 +11,9 @@
 //! Allocating and mapping is the memory system's one backing path
 //! ([`MemSystem::back_fault`], [`MemSystem::resolve_fault`]), shared with
 //! the CPU handler, so local handling honours the page-size policy: under
-//! `HugeOnly` a handler maps its whole 2 MB frame. This module models the
-//! handler's latency and concurrency.
+//! `HugeOnly` a handler maps its whole 2 MB frame, sharing the backing of
+//! a CPU fault in flight there. This module models only the handler's
+//! latency and concurrency.
 
 use gex_mem::phys::AllocOwner;
 use gex_mem::system::MemSystem;
@@ -96,17 +97,16 @@ impl LocalFaultState {
             }
             // The handler allocates physical memory, evicting the oldest
             // regions if the GPU memory is oversubscribed (the eviction cost
-            // is folded into the 20 us handler estimate). Backing happens at
-            // completion, so no other handler's frames cover this one.
-            let backing = mem.back_fault(region, AllocOwner::Gpu, || false);
+            // is folded into the 20 us handler estimate).
+            let backing = mem.back_fault(region, AllocOwner::Gpu);
             self.stats.evictions += backing.evictions;
             if backing.frames.is_some() {
                 self.running.swap_remove(i);
                 mem.resolve_fault(region, now, &mut done);
                 self.stats.resolved += 1;
             } else {
-                // Everything resident is still in flight; spin the handler
-                // a little longer and retry.
+                // Nothing is evictable until a fault in flight lands; spin
+                // the handler a little longer and retry.
                 self.running[i].0 = now + 1_000;
                 i += 1;
             }
@@ -207,7 +207,7 @@ mod tests {
             setup_in(MemConfig { gpu_mem_bytes: 2 * REGION_BYTES, ..MemConfig::kepler_k20() });
         let cpu_regions = [1 << 24, (1 << 24) + REGION_BYTES];
         for r in cpu_regions {
-            assert_eq!(mem.back_fault(r, AllocOwner::Cpu, || false).frames, Some(REGION_PAGES));
+            assert_eq!(mem.back_fault(r, AllocOwner::Cpu).frames, Some(REGION_PAGES));
         }
         let mut local = LocalFaultState::new(LocalFaultConfig::default());
         let claim = |local: &mut LocalFaultState, mem: &mut MemSystem, now, i: u64| {
@@ -222,7 +222,7 @@ mod tests {
         claim(&mut local, &mut mem, 20_000, 3);
         // The CPU services are NACKed and give their frames back.
         for r in cpu_regions {
-            mem.give_back(r, REGION_PAGES);
+            mem.give_back(r);
         }
         assert_eq!(local.tick(21_000, &mut mem), [0, REGION_BYTES]);
         assert_eq!(local.stats().evictions, 0);

@@ -19,17 +19,18 @@
 //!
 //! The handler's middle step — allocate physical memory for the region,
 //! evicting under oversubscription, and map it — is the memory system's
-//! one backing path ([`MemSystem::back_fault`],
+//! one backing path ([`MemSystem::back_fault`], [`MemSystem::give_back`],
 //! [`MemSystem::resolve_fault`]), shared with the GPU-local handler; the
-//! page-size policy is decided there. This module adds what is the CPU's
-//! own: admission through the CPU stage, link occupancy, the write-back
-//! and page-table cost of each eviction, and injected NACKs.
+//! page-size policy is decided there, and only the memory system knows
+//! how many frames a fault holds. This module adds what is the CPU's own:
+//! admission through the CPU stage, link occupancy, the write-back and
+//! page-table cost of each eviction, and injected NACKs.
 
 use crate::inject::{InjectionPlan, InjectionStats, Injector};
 use crate::interconnect::{Interconnect, CYCLES_PER_US};
 use gex_mem::phys::AllocOwner;
 use gex_mem::system::MemSystem;
-use gex_mem::{frame_of, Cycle, FaultEntry, FaultKind, REGION_BYTES};
+use gex_mem::{Cycle, FaultEntry, FaultKind, REGION_BYTES};
 
 /// CPU work per fault (page pinning, allocation, page-table updates):
 /// the paper's ~2 us estimate (Section 5.4).
@@ -81,9 +82,6 @@ struct InFlight {
     /// walk that discovers the NACK never reorders `in_flight` under
     /// itself.
     dead: bool,
-    /// Physical frames backed at admission: 0 for a duplicate and for a
-    /// fault whose 2 MB frame another live fault already backs (`HugeOnly`).
-    frames: u64,
 }
 
 /// Pipelined CPU-side servicing of the global pending-fault queue.
@@ -96,8 +94,8 @@ pub struct CpuHandler {
     /// Next cycle the link's data path is free.
     link_free: Cycle,
     /// The last tick's admission stopped on a fault it could not back:
-    /// every resident region was still in flight, so the fault waits for a
-    /// landing rather than for the CPU stage.
+    /// nothing is evictable until a fault in flight lands, so the fault
+    /// waits for a landing rather than for the CPU stage.
     deferred: bool,
     in_flight: Vec<InFlight>,
     /// Fault-injection state; `None` means exact, unperturbed timing.
@@ -190,7 +188,7 @@ impl CpuHandler {
                                 g.dead = true;
                             }
                         }
-                        self.release_frames(&f, mem);
+                        mem.give_back(region);
                         continue;
                     }
                 }
@@ -239,13 +237,8 @@ impl CpuHandler {
             let Some(entry) = entry else { break };
             let admit = self.cpu_free.max(now);
             // Frames for the incoming region, evicting to make room if the
-            // GPU memory is oversubscribed. A live fault on the same 2 MB
-            // frame covers this one when the policy backs whole frames.
-            let frame = frame_of(entry.region);
-            let in_flight = &self.in_flight;
-            let backing = mem.back_fault(entry.region, AllocOwner::Cpu, || {
-                in_flight.iter().any(|g| !g.dead && frame_of(g.entry.region) == frame)
-            });
+            // GPU memory is oversubscribed.
+            let backing = mem.back_fault(entry.region, AllocOwner::Cpu);
             if backing.evictions > 0 {
                 // Each victim's data writes back over the link and costs the
                 // CPU another pass over its page tables.
@@ -255,13 +248,13 @@ impl CpuHandler {
                 self.cpu_free = self.cpu_free.max(admit) + n * CPU_STAGE_CYCLES;
                 self.stats.evictions += n;
             }
-            let Some(frames) = backing.frames else {
-                // Every resident region is still in flight (mapped only at
-                // resolution): defer this fault until one lands.
+            if backing.frames.is_none() {
+                // Nothing is evictable until a fault in flight lands: defer
+                // this fault until one does.
                 mem.fault_queue.push_front(entry);
                 self.deferred = true;
                 break;
-            };
+            }
             self.cpu_free = self.cpu_free.max(admit) + CPU_STAGE_CYCLES;
             self.stats.busy_cycles += CPU_STAGE_CYCLES;
             // Every fault's signaling occupies the link; migrations add the
@@ -291,30 +284,13 @@ impl CpuHandler {
                     done_at: done + 500,
                     dup: true,
                     dead: false,
-                    frames: 0,
                 });
             }
-            let admitted = InFlight { entry, done_at: done, dup: false, dead: false, frames };
-            self.in_flight.push(admitted);
+            self.in_flight.push(InFlight { entry, done_at: done, dup: false, dead: false });
             self.stats.peak_in_flight =
                 self.stats.peak_in_flight.max(self.in_flight.len() as u64);
         }
         resolved
-    }
-
-    /// Give back the frames a NACKed service was admitted with; its
-    /// re-admission backs the region again. When they back a whole 2 MB
-    /// frame (`HugeOnly`), a live fault admitted without frames because
-    /// this one covered its frame inherits them instead.
-    fn release_frames(&mut self, f: &InFlight, mem: &mut MemSystem) {
-        let frame = frame_of(f.entry.region);
-        let heir = |g: &&mut InFlight| {
-            !g.dead && !g.dup && g.frames == 0 && frame_of(g.entry.region) == frame
-        };
-        match self.in_flight.iter_mut().find(heir) {
-            Some(g) => g.frames = f.frames,
-            None => mem.give_back(f.entry.region, f.frames),
-        }
     }
 
     /// The earliest cycle at which [`CpuHandler::tick`] changes anything,

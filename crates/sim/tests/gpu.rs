@@ -365,33 +365,40 @@ fn reports_are_consistent() {
 #[test]
 fn oversubscribed_memory_swaps_and_completes() {
     // Working set of 12 input regions + 12 output regions, but GPU memory
-    // that only holds 8 regions: the handler must evict (swap) and the
-    // run must still commit everything.
+    // that only holds 8 input regions: the handler must evict (swap) and
+    // the run must still commit everything. In the second input every
+    // input buffer ends 5 pages into its region, so each eviction frees a
+    // partial region.
     let (t, res) = region_compute_kernel(12, 32);
-    let mut cfg = GpuConfig::kepler_k20().with_sms(4);
-    cfg.mem.gpu_mem_bytes = 8 * 64 * 1024;
-    let r = Gpu::new(cfg, Scheme::ReplayQueue, PagingMode::demand(Interconnect::nvlink()))
-        .budget(RunBudget::cycles(500_000_000))
-        .run(&t, &res);
-    assert_complete(&r, &t);
-    assert!(r.cpu.evictions > 0, "swapping must occur");
-    // Evicted-then-retouched regions re-fault: more migrations than the
-    // 12 initial input regions.
-    assert!(
-        r.cpu.migrations >= 12,
-        "migrations {} should cover at least the input set",
-        r.cpu.migrations
-    );
+    let partial = (0..12u64).fold(Residency::new().resident(OUT, 12 * 0x1_0000), |r, b| {
+        r.cpu_dirty(IN + b * 0x1_0000, 5 * 4096)
+    });
+    for (res, pool) in [(res, 8 * 64 * 1024), (partial, 8 * 5 * 4096)] {
+        let mut cfg = GpuConfig::kepler_k20().with_sms(4);
+        cfg.mem.gpu_mem_bytes = pool;
+        let r = Gpu::new(cfg, Scheme::ReplayQueue, PagingMode::demand(Interconnect::nvlink()))
+            .budget(RunBudget::cycles(500_000_000))
+            .run(&t, &res);
+        assert_complete(&r, &t);
+        assert!(r.cpu.evictions > 0, "swapping must occur");
+        // Evicted-then-retouched regions re-fault: more migrations than the
+        // 12 initial input regions.
+        assert!(
+            r.cpu.migrations >= 12,
+            "migrations {} should cover at least the input set",
+            r.cpu.migrations
+        );
 
-    // The same run with ample memory is faster and never evicts.
-    let ample = Gpu::new(
-        GpuConfig::kepler_k20().with_sms(4),
-        Scheme::ReplayQueue,
-        PagingMode::demand(Interconnect::nvlink()),
-    )
-    .run(&t, &res);
-    assert_eq!(ample.cpu.evictions, 0);
-    assert!(ample.cycles <= r.cycles);
+        // The same run with ample memory is faster and never evicts.
+        let ample = Gpu::new(
+            GpuConfig::kepler_k20().with_sms(4),
+            Scheme::ReplayQueue,
+            PagingMode::demand(Interconnect::nvlink()),
+        )
+        .run(&t, &res);
+        assert_eq!(ample.cpu.evictions, 0);
+        assert!(ample.cycles <= r.cycles);
+    }
 }
 
 /// The single-SM harness is a one-SM `Gpu` run: same `SmStats` and

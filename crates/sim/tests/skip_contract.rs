@@ -290,7 +290,7 @@ impl Source for LocalSource {
         // handler's; claims from the SMs' fault notices, after it.
         for input in due(&self.script, now) {
             if let LocalInput::Land(region) = input {
-                self.mem.resolve_region(region, now);
+                self.mem.resolve_fault(region, now, &mut Vec::new());
             }
         }
         let done = self.local.tick(now, &mut self.mem);
@@ -754,7 +754,7 @@ proptest! {
             let mut script: Vec<(Cycle, LocalInput)> = Vec::new();
             for (i, &at) in landings.iter().enumerate() {
                 let region = DIRTY + i as u64 * REGION_BYTES;
-                let backing = mem.back_fault(region, AllocOwner::Cpu, || false);
+                let backing = mem.back_fault(region, AllocOwner::Cpu);
                 backing.frames.expect("room for in-flight regions");
                 script.push((at, LocalInput::Land(region)));
             }
